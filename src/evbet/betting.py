@@ -131,6 +131,23 @@ class UniversalPortfolioStrategy:
         return UniversalPortfolioStrategy(self.mu, self.n_nodes, self.raw)
 
 
+class ReplayStrategy:
+    """Bets a precomputed sequence of fractions, one per round, in order.
+
+    Lets ``game.run_game`` score bets computed elsewhere, such as by the batch
+    kernel; the fractions are checked against ``I_mu`` as the game scores them.
+    """
+
+    def __init__(self, bets):
+        self._bets = iter(np.asarray(bets, dtype=float).tolist())
+
+    def bet(self) -> float:
+        return next(self._bets)
+
+    def observe(self, x: float) -> None:
+        pass
+
+
 def make_strategy(literal: str, mu: float, raw: bool = False):
     """Build a strategy from a CLI literal: ``constant:<lambda>`` or ``up[:K]``."""
     kind, _, arg = literal.partition(":")

@@ -6,6 +6,13 @@ summaries are printed as JSON. Exit codes: 0 on success, 2 on configuration
 or parse errors, 3 when ``--strict`` is set and the command's verdict is a
 refutation. ``EVBET_THREADS`` caps kernel parallelism, ``EVBET_BACKEND``
 forces the python or cython kernel.
+
+``cs`` and ``simulate --strategy up[:K]`` run the universal portfolio through
+the batch kernel; on data that are all 0 or 1 it takes the u-posterior path
+(one posterior pass per stream, whatever ``EVBET_BACKEND`` says), which
+matches the general kernel to 1e-9 rather than bit for bit. ``simulate``
+still scores every round with ``game.run_game``, so its ledger recomputes
+exactly from its e-values. ``--up-raw`` plays the object-path strategy.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import click
 import numpy as np
 
 from . import confseq, domain, evariables, game, iid_case, multiround
-from .betting import make_strategy
+from .betting import ReplayStrategy, UniversalPortfolioStrategy, make_strategy
 from .errors import EvbetError
 
 
@@ -87,6 +94,10 @@ def simulate(ctx, mu, dist, strategy, n, delta, seed, up_raw, out, fmt):
         if n < 1:
             raise ValueError("n must be at least 1")
         xs = domain.sample_stream(distribution, n, seed)
+        if isinstance(strat, UniversalPortfolioStrategy) and not up_raw:
+            # One-row batch: the kernel computes the bets, run_game scores them.
+            batch = game.run_games_batch(np.array([mu]), xs[None, :], strategy, delta)
+            strat = ReplayStrategy(batch.bets[0])
         ledger = game.run_game(mu, delta, strat, xs)
     except (ValueError, EvbetError) as exc:
         _fail(str(exc))
@@ -139,17 +150,13 @@ def cs(ctx, dist, strategy, n, delta, seed, grid, running_intersect, out, member
     rows = result.intervals()
     _write_rows(out, ["t", "lower", "upper", "alive"], rows, fmt)
     if membership is not None:
-        mrows = []
-        for t in range(1, n + 1):
-            for j, mu in enumerate(mu_grid):
-                mrows.append(
-                    (
-                        t,
-                        float(mu),
-                        float(result.games.log_wealth[j, t - 1]),
-                        int(result.in_set[t - 1, j]),
-                    )
-                )
+        # Round-major rows (t, mu, log_wealth, in_set), one per round and candidate.
+        mrows = zip(
+            np.repeat(np.arange(1, n + 1), grid).tolist(),
+            np.tile(mu_grid, n).tolist(),
+            result.games.log_wealth.T.ravel().tolist(),
+            result.in_set.ravel().astype(int).tolist(),
+        )
         _write_rows(membership, ["t", "mu", "log_wealth", "in_set"], mrows, fmt)
 
 

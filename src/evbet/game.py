@@ -23,6 +23,12 @@ from .errors import OutOfRange
 from .evariables import bet_bounds
 
 
+def _check_delta(delta: float) -> None:
+    """Reject a significance level outside (0, 1), NaN included."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+
+
 @dataclass(frozen=True)
 class LedgerRow:
     t: int
@@ -40,8 +46,7 @@ class WealthLedger:
     rejected_at: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        _check_delta(self.delta)
 
     @property
     def threshold(self) -> float:
@@ -134,14 +139,16 @@ def run_games_batch(mus, xs, strategy: str, delta: float) -> BatchGameResult:
     """Run one game per row of ``xs`` with a fresh strategy instance each.
 
     ``strategy`` is a CLI literal (``constant:<lambda>`` or ``up[:K]``); the
-    universal-portfolio case dispatches to the selected kernel backend.
+    universal-portfolio case goes to ``kernels.up_game_batch``. ``xs`` may be
+    a broadcast view (one stream shared by every game); it is not copied.
     """
-    xs = np.ascontiguousarray(xs, dtype=float)
+    _check_delta(delta)
+    xs = np.asarray(xs, dtype=float)
     mus = np.ascontiguousarray(mus, dtype=float)
     if xs.ndim != 2 or mus.shape != (xs.shape[0],):
         raise ValueError("xs must be (games, rounds) with one mu per game")
-    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
-        raise ValueError("observations must lie in [0, 1]")
+    if not ((xs >= 0.0) & (xs <= 1.0)).all():
+        raise ValueError("observations must be finite and lie in [0, 1]")
 
     kind, _, arg = strategy.partition(":")
     if kind == "constant":

@@ -1,14 +1,20 @@
 """Backend selection for the hot game loops.
 
-The compiled Cython kernel is preferred when importable; the numpy fallback
-implements identical semantics. Force a choice with ``EVBET_BACKEND=python``
-or ``EVBET_BACKEND=cython``; cap kernel threads with ``EVBET_THREADS``
-(default: all CPUs).
+Batches whose observations are all exactly 0.0 or 1.0 take the binary
+u-posterior routine (``_pykernels.up_game_batch_binary``, plain numpy) whatever
+the backend: one posterior pass per distinct stream rather than per game. It
+matches the general K-node kernel to 1e-9, not bit for bit. Every other batch
+goes to the active backend: the compiled Cython kernel when importable,
+otherwise the numpy fallback with identical semantics. Force a choice with
+``EVBET_BACKEND=python`` or ``EVBET_BACKEND=cython``; cap kernel threads with
+``EVBET_THREADS`` (default: all CPUs).
 """
 
 from __future__ import annotations
 
 import os
+
+import numpy as np
 
 from . import _pykernels
 
@@ -39,7 +45,11 @@ def n_threads() -> int:
 
 
 def up_game_batch(xs, mus, n_nodes, threads: int | None = None):
-    """Dispatch the batch universal-portfolio runner to the active backend."""
+    """Run the batch universal-portfolio games: binary data on the u-posterior
+    routine, anything else (NaN included) on the active backend."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.size and ((xs == 0.0) | (xs == 1.0)).all():
+        return _pykernels.up_game_batch_binary(xs, mus, n_nodes)
     if threads is None:
         threads = n_threads()
     return _impl.up_game_batch(xs, mus, n_nodes, threads)

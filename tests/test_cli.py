@@ -1,4 +1,5 @@
 import csv
+import io
 import itertools
 import json
 
@@ -6,8 +7,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from evbet import kernels
+from evbet.betting import UniversalPortfolioStrategy
 from evbet.cli import main
-from evbet.domain import SampleSpace
+from evbet.confseq import default_mu_grid, run_cs_batch
+from evbet.domain import SampleSpace, parse_distribution, sample_stream
+from evbet.game import recompute_log_wealth, run_game
 from evbet.multiround import MultiRoundCoinBet, coinbet_eprocess, eprocess_to_csv
 
 
@@ -26,6 +31,28 @@ def write_separation_table(path):
         w.writerow(["x1", "x2", "value"])
         for x1, x2 in itertools.product((0.0, 0.5, 1.0), repeat=2):
             w.writerow([x1, x2, 4.0 if (x1, x2) == (1.0, 0.5) else 0.0])
+
+
+def read_ledger(path):
+    rows = list(csv.DictReader(path.open()))
+    return {k: [float(r[k]) for r in rows] for k in ("x", "lambda", "e_value", "log_wealth")}
+
+
+@pytest.mark.parametrize("delta", ["0", "1.5"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["cs", "--dist", "bernoulli:0.5", "--n", "5", "--grid", "9"],
+        ["simulate", "--mu", "0.5", "--dist", "bernoulli:0.5", "--n", "5"],
+    ],
+    ids=["cs", "simulate"],
+)
+def test_delta_outside_unit_interval_exit_2(command, delta):
+    result = CliRunner().invoke(main, command + ["--strategy", "up:11", "--delta", delta])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "delta must lie in (0, 1)" in result.output
+    assert "Traceback" not in result.output
 
 
 class TestSimulate:
@@ -97,6 +124,33 @@ class TestSimulate:
         )
         assert result.exit_code == 0
 
+    def test_kernel_fed_ledger_matches_object_path(self, runner, tmp_path):
+        mu, dist, n, seed = 0.4, "bernoulli:0.55", 2000, 6
+        out = tmp_path / "ledger.csv"
+        invoke(runner, ["simulate", "--mu", str(mu), "--dist", dist, "--strategy", "up:101",
+                        "--n", str(n), "--seed", str(seed), "--out", str(out)])
+        ledger = read_ledger(out)
+        xs = sample_stream(parse_distribution(dist), n, seed)
+        assert ledger["x"] == xs.tolist()
+        kernel_bets, _ = kernels.up_game_batch(xs[None, :], np.array([mu]), 101)
+        assert ledger["lambda"] == kernel_bets[0].tolist()
+        reference = run_game(mu, 0.05, UniversalPortfolioStrategy(mu, 101), xs)
+        np.testing.assert_allclose(
+            ledger["lambda"], [r.lam for r in reference.rows], rtol=0.0, atol=1e-9
+        )
+        assert recompute_log_wealth(ledger["e_value"]) == ledger["log_wealth"]
+
+    def test_up_raw_keeps_object_path(self, runner, tmp_path):
+        mu, dist, n, seed = 0.5, "bernoulli:0.5", 200, 2
+        out = tmp_path / "ledger.csv"
+        invoke(runner, ["simulate", "--mu", str(mu), "--dist", dist, "--strategy", "up:51",
+                        "--n", str(n), "--seed", str(seed), "--up-raw", "--out", str(out)])
+        xs = sample_stream(parse_distribution(dist), n, seed)
+        reference = run_game(mu, 0.05, UniversalPortfolioStrategy(mu, 51, raw=True), xs)
+        ledger = read_ledger(out)
+        assert ledger["lambda"] == [r.lam for r in reference.rows]
+        assert ledger["log_wealth"] == [r.log_wealth for r in reference.rows]
+
 
 class TestCs:
     def test_interval_schema_and_coverage(self, runner, tmp_path):
@@ -157,6 +211,36 @@ class TestCs:
         alive_from_matrix = sum(int(r["in_set"]) for r in rows if r["t"] == "10")
         cs_rows = list(csv.DictReader(out.open()))
         assert alive_from_matrix == int(cs_rows[-1]["alive"])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("strategy, grid", [("up:101", 7), ("constant:2.0", 1)])
+    def test_membership_bytes_match_cell_by_cell_reference(
+        self, runner, tmp_path, strategy, grid, fmt
+    ):
+        dist, n, seed = "bernoulli:0.4", 30, 5
+        member = tmp_path / "m.out"
+        invoke(runner, ["cs", "--dist", dist, "--strategy", strategy, "--n", str(n),
+                        "--grid", str(grid), "--seed", str(seed), "--running-intersect",
+                        "--format", fmt, "--out", str(tmp_path / "cs.out"),
+                        "--membership", str(member)])
+        xs = sample_stream(parse_distribution(dist), n, seed)
+        mu_grid = default_mu_grid(grid)
+        result = run_cs_batch(mu_grid, xs, strategy, 0.05, running_intersect=True)
+        rows = []
+        for t in range(1, n + 1):
+            for j, mu in enumerate(mu_grid):
+                rows.append((t, float(mu), float(result.games.log_wealth[j, t - 1]),
+                             int(result.in_set[t - 1, j])))
+        header = ["t", "mu", "log_wealth", "in_set"]
+        if fmt == "json":
+            expected = json.dumps([dict(zip(header, r)) for r in rows], indent=2) + "\n"
+        else:
+            buf = io.StringIO()
+            writer = csv.writer(buf)
+            writer.writerow(header)
+            writer.writerows(rows)
+            expected = buf.getvalue()
+        assert member.read_bytes() == expected.encode()
 
     def test_constant_fraction_invalid_somewhere_on_grid_exit_2(self, runner):
         # constant:1.9 is fine at mu=0.5 but outside I_mu at mu=0.9

@@ -116,6 +116,17 @@ class TestBatch:
         assert np.allclose(res.log_wealth[0], ledger.log_wealth_series(), atol=1e-12)
         assert res.rejected_at[0] == (ledger.rejected_at or 0)
 
+    @pytest.mark.parametrize("strategy", ["constant:0.5", "up:11"])
+    def test_nan_observation_rejected(self, strategy):
+        xs = np.array([[0.0, np.nan, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            run_games_batch(np.array([0.5]), xs, strategy, 0.05)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_delta_outside_unit_interval_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            run_games_batch(np.array([0.5]), np.zeros((1, 3)), "up:11", delta)
+
     def test_wipeout_propagates_minus_inf(self):
         xs = np.array([[0.0, 1.0, 1.0]])
         res = run_games_batch(np.array([0.5]), xs, "constant:2.0", 0.05)

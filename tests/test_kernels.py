@@ -1,25 +1,35 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evbet import kernels
+from evbet.betting import quadrature_coefficients
 from evbet.domain import DiscreteDistribution, sample_stream
+from evbet.errors import DegeneratePosterior
 from evbet.kernels import _pykernels
 
 
-def make_batch(rng, n_games=6, n_rounds=80):
-    xs = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=(n_games, n_rounds))
+def make_batch(rng, n_games=6, n_rounds=80, points=(0.0, 0.25, 0.5, 0.75, 1.0)):
+    xs = rng.choice(points, size=(n_games, n_rounds))
     mus = rng.uniform(0.15, 0.85, size=n_games)
     return xs, mus
 
 
 class TestBackendContract:
+    points = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+    def make_batch(self, rng, **kwargs):
+        return make_batch(rng, points=self.points, **kwargs)
+
     def test_shapes_and_saturation(self, up_batch, rng):
-        xs, mus = make_batch(rng)
+        xs, mus = self.make_batch(rng)
         bets, logw = up_batch(xs, mus, 101, 1)
         assert bets.shape == xs.shape and logw.shape == xs.shape
         assert np.isfinite(bets).all()
 
     def test_bets_stay_in_interval(self, up_batch, rng):
-        xs, mus = make_batch(rng)
+        xs, mus = self.make_batch(rng)
         bets, _ = up_batch(xs, mus, 101, 1)
         lo = 1.0 / (mus - 1.0)
         hi = 1.0 / mus
@@ -27,14 +37,14 @@ class TestBackendContract:
         assert (bets <= hi[:, None] + 1e-12).all()
 
     def test_deterministic(self, up_batch, rng):
-        xs, mus = make_batch(rng)
+        xs, mus = self.make_batch(rng)
         first = up_batch(xs, mus, 51, 1)
         second = up_batch(xs, mus, 51, 1)
         assert (first[0] == second[0]).all()
         assert (first[1] == second[1]).all()
 
     def test_threads_do_not_change_results(self, up_batch, rng):
-        xs, mus = make_batch(rng)
+        xs, mus = self.make_batch(rng)
         one = up_batch(xs, mus, 51, 1)
         four = up_batch(xs, mus, 51, 4)
         assert (one[0] == four[0]).all()
@@ -49,6 +59,140 @@ class TestBackendContract:
         assert np.isfinite(bets).all()
         assert (np.abs(bets) < 2.0).all()
         assert np.isfinite(logw).all()
+
+
+class TestBinaryDispatchContract(TestBackendContract):
+    """The backend contract on binary batches, through the dispatcher."""
+
+    points = (0.0, 1.0)
+
+    @pytest.fixture
+    def up_batch(self):
+        return kernels.up_game_batch
+
+
+def assert_matches_general_kernel(xs, mus, n_nodes):
+    """The dispatcher against the general numpy kernel on a binary batch."""
+    mus = np.asarray(mus, dtype=float)
+    bets, logw = kernels.up_game_batch(xs, mus, n_nodes)
+    ref_bets, ref_logw = _pykernels.up_game_batch(xs, mus, n_nodes, 1)
+    lo, hi = 1.0 / (mus - 1.0), 1.0 / mus
+    assert ((bets >= lo[:, None]) & (bets <= hi[:, None])).all()
+    np.testing.assert_allclose(bets, ref_bets, rtol=0.0, atol=1e-9)
+    finite = np.isfinite(ref_logw)
+    assert (np.isfinite(logw) == finite).all()
+    np.testing.assert_allclose(logw[finite], ref_logw[finite], rtol=0.0, atol=1e-9)
+
+
+def exact_log_wealth(stream, mu, n_nodes):
+    """Log-wealth of the Simpson-weighted mixture over u_k = k/(K-1), in closed form.
+
+    log W_t = log(sum_k c_k u_k^n1 (1-u_k)^n0 / sum_k c_k) - n1 log mu - n0 log(1-mu)
+    """
+    u = np.linspace(0.0, 1.0, n_nodes)
+    c = quadrature_coefficients(n_nodes)
+    n1 = np.cumsum(stream)[:, None]
+    n0 = np.arange(1, len(stream) + 1)[:, None] - n1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = (
+            np.log(c)
+            + np.where(n1 > 0, n1 * np.log(u), 0.0)
+            + np.where(n0 > 0, n0 * np.log1p(-u), 0.0)
+        )
+    top = terms.max(axis=1)
+    mixture = top + np.log(np.exp(terms - top[:, None]).sum(axis=1)) - np.log(c.sum())
+    return mixture - n1[:, 0] * np.log(mu) - n0[:, 0] * np.log1p(-mu)
+
+
+@st.composite
+def binary_batches(draw):
+    """Binary batches of a few distinct streams, each repeated at random."""
+    n_rounds = draw(st.integers(1, 150))
+    stream = st.lists(st.sampled_from([0.0, 1.0]), min_size=n_rounds, max_size=n_rounds)
+    streams = draw(st.lists(stream, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(streams) - 1), min_size=1, max_size=8))
+    mus = draw(st.lists(st.floats(0.01, 0.99), min_size=len(picks), max_size=len(picks)))
+    n_nodes = draw(st.sampled_from([3, 4, 11, 50, 101, 1001]))
+    return np.array([streams[i] for i in picks]), np.array(mus), n_nodes
+
+
+class TestBinaryPath:
+    @settings(max_examples=60, deadline=None)
+    @given(binary_batches())
+    def test_matches_general_kernel(self, batch):
+        assert_matches_general_kernel(*batch)
+
+    @pytest.mark.parametrize("n_nodes", [3, 4, 101, 1001])
+    @pytest.mark.parametrize("pattern", ["zeros", "ones", "alternating"])
+    def test_degenerate_streams(self, pattern, n_nodes):
+        stream = {"zeros": np.zeros(300), "ones": np.ones(300), "alternating": np.arange(300) % 2.0}
+        # A dense grid: at some of these means the affine map of a posterior
+        # mean of 0 or 1 rounds outside I_mu unless it is clipped.
+        mus = np.arange(1, 100) / 100.0
+        assert_matches_general_kernel(np.tile(stream[pattern], (len(mus), 1)), mus, n_nodes)
+
+    def test_duplicate_and_distinct_rows(self, rng):
+        streams = rng.choice([0.0, 1.0], size=(3, 200))
+        mus = np.linspace(0.05, 0.95, 12)
+        assert_matches_general_kernel(streams[np.arange(12) % 3], mus, 101)
+        assert_matches_general_kernel(rng.choice([0.0, 1.0], size=(12, 200)), mus, 101)
+
+    def test_broadcast_stream_shared_by_every_game(self):
+        stream = sample_stream(DiscreteDistribution.bernoulli(0.3), 400, 8)
+        mus = np.arange(1, 20) / 20.0
+        assert_matches_general_kernel(np.broadcast_to(stream, (len(mus), len(stream))), mus, 1001)
+
+    def test_long_horizon(self):
+        stream = sample_stream(DiscreteDistribution.bernoulli(0.4), 20_000, 3)
+        mus = np.array([0.05, 0.4, 0.5, 0.95])
+        assert_matches_general_kernel(np.tile(stream, (len(mus), 1)), mus, 1001)
+
+    @pytest.mark.parametrize("n_nodes", [3, 4, 101, 1001])
+    def test_exact_mixture_oracle(self, n_nodes):
+        stream = sample_stream(DiscreteDistribution.bernoulli(0.35), 2000, 4)
+        mus = np.array([0.1, 0.35, 0.6])
+        _, logw = kernels.up_game_batch(np.tile(stream, (len(mus), 1)), mus, n_nodes)
+        for g, mu in enumerate(mus):
+            exact = exact_log_wealth(stream, mu, n_nodes)
+            np.testing.assert_allclose(logw[g], exact, rtol=0.0, atol=1e-9)
+
+    def test_dispatch_follows_the_data(self, rng, monkeypatch):
+        calls = []
+        binary_kernel = _pykernels.up_game_batch_binary
+
+        def spy(*args):
+            calls.append(args)
+            return binary_kernel(*args)
+
+        monkeypatch.setattr(_pykernels, "up_game_batch_binary", spy)
+        xs, mus = make_batch(rng, points=(0.0, 1.0))
+        kernels.up_game_batch(xs, mus, 51)
+        assert len(calls) == 1
+        for odd in (0.5, np.nextafter(0.0, 1.0)):
+            graded = xs.copy()
+            graded[2, 7] = odd
+            kernels.up_game_batch(graded, mus, 51)
+        graded[2, 7] = np.nan
+        with pytest.raises(DegeneratePosterior):
+            kernels.up_game_batch(graded, mus, 51)
+        assert len(calls) == 1
+
+    def test_wiped_out_posterior_raises_like_general_kernel(self):
+        # Three nodes: 2000 zeros leave weight only on u = 0, which a one kills.
+        xs = np.concatenate([np.zeros(2000), [1.0]])[None, :]
+        with pytest.raises(DegeneratePosterior):
+            kernels.up_game_batch(xs, np.array([0.5]), 3)
+        with pytest.raises(DegeneratePosterior):
+            _pykernels.up_game_batch(xs, np.array([0.5]), 3, 1)
+
+    def test_bad_arguments(self):
+        xs = np.ones((2, 5))
+        with pytest.raises(ValueError):
+            _pykernels.up_game_batch_binary(xs, np.array([0.5]), 11)
+        with pytest.raises(ValueError):
+            _pykernels.up_game_batch_binary(xs, np.array([0.5, 1.0]), 11)
+        with pytest.raises(ValueError):
+            _pykernels.up_game_batch_binary(xs, np.array([0.5, 0.5]), 2)
 
 
 class TestCrossBackend:
