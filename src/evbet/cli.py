@@ -10,7 +10,8 @@ forces the python or cython kernel.
 ``cs`` and ``simulate --strategy up[:K]`` run the universal portfolio through
 the batch kernel; on data that are all 0 or 1 it takes the u-posterior path
 (one posterior pass per stream, whatever ``EVBET_BACKEND`` says), which
-matches the general kernel to 1e-9 rather than bit for bit. ``simulate``
+keeps the exact posterior up to rounding, as the object-path strategy does.
+``simulate``
 still scores every round with ``game.run_game``, so its ledger recomputes
 exactly from its e-values. ``--up-raw`` plays the object-path strategy.
 """

@@ -3,7 +3,8 @@
 Batches whose observations are all exactly 0.0 or 1.0 take the binary
 u-posterior routine (``_pykernels.up_game_batch_binary``, plain numpy) whatever
 the backend: one posterior pass per distinct stream rather than per game. It
-matches the general K-node kernel to 1e-9, not bit for bit. Every other batch
+keeps the exact posterior up to rounding, and matches the general K-node
+kernel to 1e-9 while that kernel's weights do not underflow. Every other batch
 goes to the active backend: the compiled Cython kernel when importable,
 otherwise the numpy fallback with identical semantics. Force a choice with
 ``EVBET_BACKEND=python`` or ``EVBET_BACKEND=cython``; cap kernel threads with

@@ -10,8 +10,12 @@ prevents under/overflow over long horizons.
 
 ``up_game_batch_binary`` plays the same games on observations that are all
 exactly 0.0 or 1.0, with one posterior pass per distinct stream instead of
-one per game. It agrees with ``up_game_batch`` to rounding (1e-9 in the
-tests), not bit for bit.
+one per game. It keeps the exact posterior up to rounding (1e-9 against the
+closed-form mixture wealth in the tests), so it agrees with ``up_game_batch``
+to 1e-9 while no weight of the general kernel underflows. Where that kernel
+loses weights to underflow (long runs of one value, a late change of
+regime) it drifts from the mixture or raises ``DegeneratePosterior``; the
+binary routine does neither.
 """
 
 from __future__ import annotations
@@ -65,14 +69,16 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int, threads: int = 
     return bets, log_wealth
 
 
-# Weights below _FLOOR of the posterior total are dropped at each chunk
-# boundary, as the general kernel loses them to underflow below ~1e-308. A
-# chunk of T rounds scales a weight by at least (K-1)**-T, so with
-# T <= log(_FLOOR/tiny)/log(K-1) every product in a chunk stays a normal
-# double: numpy arithmetic on subnormals is over ten times slower. The floor
-# can wipe the posterior out a little earlier than the general kernel does:
-# with K = 3, after about 830 equal observations instead of about 1080.
-_FLOOR = 1e-250
+# The binary routine advances its posterior T rounds at a time, from weights
+# rebuilt from the counts in log space at each chunk start (largest 1). In a
+# chunk no weight grows and, short of an endpoint top node being killed, the
+# mass shrinks by at most (K-1)**-T. Weights below floor = tiny*(K-1)**T are
+# left out of the chunk, so every product stays a normal double: numpy is
+# over ten times slower on subnormals. Left-out weights sum to under K*floor,
+# so while the kept mass is at least K*floor/_EPS they move the posterior
+# mean by under _EPS; where it falls below, the chunk restarts from the
+# counts. T is the largest, up to _MAX_CHUNK, with that bar below (K-1)**-T.
+_EPS = 2.0**-53
 _MAX_CHUNK = 64
 
 
@@ -115,21 +121,39 @@ def up_game_batch_binary(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
 class _BinaryPosterior:
     """Simpson-weighted posterior over the u-grid, advanced a chunk at a time.
 
-    Within a chunk, the weight of node k after a ones and b zeros is its
-    weight at the chunk start times u_k**a * (1 - u_k)**b, read from power
-    tables built once per node count. Weights are renormalised between chunks.
+    After n1 ones and n0 zeros node k has weight c_k u_k**n1 (1 - u_k)**n0.
+    Each chunk starts from these weights computed in log space, and within
+    the chunk multiplies them by u_k**a (1 - u_k)**b, read from power tables
+    built once per node count. For K >= 3 the interior nodes keep a positive
+    weight, so the posterior is never empty.
     """
 
     def __init__(self, n_nodes: int):
         u = np.linspace(0.0, 1.0, n_nodes)
-        max_chunk = math.log(_FLOOR / np.finfo(float).tiny) / math.log(n_nodes - 1)
+        tiny = np.finfo(float).tiny
+        max_chunk = math.log(_EPS / (n_nodes * tiny)) / (2.0 * math.log(n_nodes - 1))
         self.chunk = max(1, min(_MAX_CHUNK, int(max_chunk)))
+        self.floor = tiny * float(n_nodes - 1) ** self.chunk
+        self.restart_below = n_nodes * self.floor / _EPS
         powers = np.arange(self.chunk + 1)[:, None]
         self.pow_one = u**powers
         self.pow_zero = (1.0 - u) ** powers
         self.moments = np.stack([u, np.ones(n_nodes)], axis=1)  # sums of w*u and of w
-        c = quadrature_coefficients(n_nodes)
-        self.prior = c / c.sum()
+        with np.errstate(divide="ignore"):
+            self.log_one = np.log(u)
+            self.log_zero = np.log1p(-u)
+        self.log_prior = np.log(quadrature_coefficients(n_nodes))
+
+    def weights(self, n_one: int, n_zero: int) -> np.ndarray:
+        """Weights after the given counts, largest 1, those below the floor zeroed."""
+        log_w = self.log_prior.copy()
+        if n_one:
+            log_w += n_one * self.log_one
+        if n_zero:
+            log_w += n_zero * self.log_zero
+        w = np.exp(log_w - log_w.max())
+        w[w < self.floor] = 0.0
+        return w
 
     def means(self, ones: np.ndarray) -> np.ndarray:
         """Posterior mean of u before each round of one stream (True = a one)."""
@@ -137,19 +161,20 @@ class _BinaryPosterior:
         n_one = np.concatenate(([0], np.cumsum(ones)))
         n_zero = np.arange(n_rounds + 1) - n_one
         means = np.empty(n_rounds + 1)
-        w = self.prior
-        m = w @ self.moments
-        means[0] = m[0] / m[1]
-        for start in range(0, n_rounds, self.chunk):
+        start = 0
+        while start < n_rounds:
+            w = self.weights(n_one[start], n_zero[start])
+            m = w @ self.moments
+            means[start] = m[0] / m[1]
             stop = min(start + self.chunk, n_rounds)
             f = self.pow_one[n_one[start + 1 : stop + 1] - n_one[start]]
             f *= self.pow_zero[n_zero[start + 1 : stop + 1] - n_zero[start]]
             f *= w
             m = f @ self.moments
-            if not (m[:, 1] > 0.0).all():
-                dead = start + int(np.argmin(m[:, 1] > 0.0)) + 1
-                raise DegeneratePosterior(f"posterior wiped out at round {dead}")
-            means[start + 1 : stop + 1] = m[:, 0] / m[:, 1]
-            w = f[-1] / m[-1, 1]
-            w[w < _FLOOR] = 0.0
+            low = np.flatnonzero(m[:, 1] < self.restart_below)
+            if low.size:  # restart from the counts at the first such round
+                stop = start + 1 + int(low[0])
+                m = m[: low[0]]
+            means[start + 1 : start + 1 + len(m)] = m[:, 0] / m[:, 1]
+            start = stop
         return means[:n_rounds]

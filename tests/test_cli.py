@@ -140,6 +140,24 @@ class TestSimulate:
         )
         assert recompute_log_wealth(ledger["e_value"]) == ledger["log_wealth"]
 
+    def test_long_first_run_of_zeros_matches_object_path(self, runner, tmp_path):
+        # Seed 8 draws 1451 zeros before its first one: more than a three-node
+        # posterior survives outside log space.
+        mu, dist, n, seed = 0.5, "bernoulli:0.001", 3000, 8
+        xs = sample_stream(parse_distribution(dist), n, seed)
+        assert np.flatnonzero(xs)[0] == 1451
+        out = tmp_path / "ledger.csv"
+        invoke(runner, ["simulate", "--mu", str(mu), "--dist", dist, "--strategy", "up:3",
+                        "--n", str(n), "--seed", str(seed), "--out", str(out)])
+        ledger = read_ledger(out)
+        reference = run_game(mu, 0.05, UniversalPortfolioStrategy(mu, 3), xs)
+        np.testing.assert_allclose(
+            ledger["lambda"], [r.lam for r in reference.rows], rtol=0.0, atol=1e-9
+        )
+        np.testing.assert_allclose(
+            ledger["log_wealth"], [r.log_wealth for r in reference.rows], rtol=0.0, atol=1e-9
+        )
+
     def test_up_raw_keeps_object_path(self, runner, tmp_path):
         mu, dist, n, seed = 0.5, "bernoulli:0.5", 200, 2
         out = tmp_path / "ledger.csv"

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evbet import kernels
-from evbet.betting import quadrature_coefficients
+from evbet.betting import UniversalPortfolioStrategy, quadrature_coefficients
 from evbet.domain import DiscreteDistribution, sample_stream
 from evbet.errors import DegeneratePosterior
+from evbet.game import run_game
 from evbet.kernels import _pykernels
 
 
@@ -177,13 +178,29 @@ class TestBinaryPath:
             kernels.up_game_batch(graded, mus, 51)
         assert len(calls) == 1
 
-    def test_wiped_out_posterior_raises_like_general_kernel(self):
-        # Three nodes: 2000 zeros leave weight only on u = 0, which a one kills.
-        xs = np.concatenate([np.zeros(2000), [1.0]])[None, :]
-        with pytest.raises(DegeneratePosterior):
-            kernels.up_game_batch(xs, np.array([0.5]), 3)
-        with pytest.raises(DegeneratePosterior):
-            _pykernels.up_game_batch(xs, np.array([0.5]), 3, 1)
+    @pytest.mark.parametrize("mu", [0.05, 0.5, 0.9])
+    def test_change_of_regime_matches_exact_mixture(self, mu):
+        # During the zeros the nodes near u = 1 fall far below the top; once
+        # the ones come they carry the posterior, so none may be lost for good.
+        stream = np.concatenate([np.zeros(190), np.ones(5000)])
+        _, logw = kernels.up_game_batch(stream[None, :], np.array([mu]), 1001)
+        exact = exact_log_wealth(stream, mu, 1001)
+        np.testing.assert_allclose(logw[0], exact, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("n_nodes", [3, 11])
+    def test_long_run_then_switch_matches_object_path(self, n_nodes):
+        # After 8000 zeros the weights of all nodes but u = 0 are far below
+        # the smallest double (at K = 3 the general kernel loses them and
+        # raises on the first one). The object path keeps log-weights and
+        # plays on; so must the binary routine.
+        mu = 0.5
+        stream = np.concatenate([np.zeros(8000), np.ones(40), np.zeros(40)])
+        bets, logw = kernels.up_game_batch(stream[None, :], np.array([mu]), n_nodes)
+        reference = run_game(mu, 0.05, UniversalPortfolioStrategy(mu, n_nodes), stream)
+        np.testing.assert_allclose(bets[0], [r.lam for r in reference.rows], rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(
+            logw[0], [r.log_wealth for r in reference.rows], rtol=0.0, atol=1e-9
+        )
 
     def test_bad_arguments(self):
         xs = np.ones((2, 5))
