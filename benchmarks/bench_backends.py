@@ -3,7 +3,8 @@
 
 The hot loop is the batch universal-portfolio game: per round, one posterior
 mean plus one reweighting pass over the fraction grid, for every game in the
-batch. Usage:
+batch. Streams are drawn from ``uniform-grid:11``, the kind of data the general
+kernel receives. Usage:
 
     python benchmarks/bench_backends.py [--games 200] [--rounds 500] [--nodes 1001]
 """
@@ -29,7 +30,9 @@ def load_backends():
 
 
 def workload(games, rounds, seed=0):
-    dist = DiscreteDistribution.bernoulli(0.4)
+    # Not 0/1 data: the dispatcher sends binary batches to the u-posterior
+    # routine, so the general kernel only ever sees graded observations.
+    dist = DiscreteDistribution.uniform_grid(11)
     xs = np.empty((games, rounds))
     for g in range(games):
         xs[g] = sample_stream(dist, rounds, seed + g)

@@ -4,8 +4,9 @@ Every command is deterministic given its options (including ``--seed``);
 tabular results go to ``--out`` (default stdout) as CSV, verdicts and
 summaries are printed as JSON. Exit codes: 0 on success, 2 on configuration
 or parse errors, 3 when ``--strict`` is set and the command's verdict is a
-refutation. ``EVBET_THREADS`` caps kernel parallelism, ``EVBET_BACKEND``
-forces the python or cython kernel.
+refutation. ``EVBET_BACKEND`` forces the python or cython kernel;
+``EVBET_THREADS`` caps the threads of the compiled kernel only, as the numpy
+kernel is single-threaded.
 
 ``cs`` and ``simulate --strategy up[:K]`` run the universal portfolio through
 the batch kernel; on data that are all 0 or 1 it takes the u-posterior path

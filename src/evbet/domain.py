@@ -10,6 +10,7 @@ validity oracles enumerate.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +65,12 @@ class DiscreteDistribution:
         for p, m in atoms:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"support point {p} outside [0, 1]")
+            if not math.isfinite(m):
+                raise ValueError(f"non-finite mass {m} at {p}")
             if m < -MEASURE_TOL:
                 raise ValueError(f"negative mass {m} at {p}")
             total += m
-        if abs(total - 1.0) > MEASURE_TOL:
+        if not abs(total - 1.0) <= MEASURE_TOL:  # a non-finite total fails too
             raise ValueError(f"masses sum to {total}, expected 1")
 
     @classmethod

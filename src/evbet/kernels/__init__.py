@@ -7,8 +7,9 @@ keeps the exact posterior up to rounding, and matches the general K-node
 kernel to 1e-9 while that kernel's weights do not underflow. Every other batch
 goes to the active backend: the compiled Cython kernel when importable,
 otherwise the numpy fallback with identical semantics. Force a choice with
-``EVBET_BACKEND=python`` or ``EVBET_BACKEND=cython``; cap kernel threads with
-``EVBET_THREADS`` (default: all CPUs).
+``EVBET_BACKEND=python`` or ``EVBET_BACKEND=cython``. ``EVBET_THREADS`` caps
+the compiled kernel's threads (default: all CPUs); the numpy kernels are
+single-threaded and ignore it.
 """
 
 from __future__ import annotations

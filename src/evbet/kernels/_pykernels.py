@@ -1,11 +1,24 @@
 """Pure-numpy implementation of the batch game kernels.
 
+Both routines work on the grid u_k = k/(K-1) of [0, 1]. Game g with target
+mean mu[g] has quadrature nodes lam_k = lo + (hi - lo)*u_k spanning
+I_mu = [lo, hi] = [1/(mu - 1), 1/mu], with Simpson coefficients folded into
+the initial weights; each round bets the posterior mean, scores the coin-bet
+payoff of the bet, then multiplies node weights by their own payoffs. On that
+grid the payoff of node k on observation x in [0, 1] is affine in u_k,
+
+    1 + lam_k*(x - mu) = alpha*(1 - u_k) + beta*u_k,
+    alpha = (1 - x)/(1 - mu),  beta = x/mu,
+
+and never negative, and the bet is the affine image
+(ubar - mu)/(mu*(1 - mu)) of the posterior mean ubar of u. Both routines
+clip that bet into I_mu exactly and score log-wealth in ``_score``.
+
 ``up_game_batch`` is the general K-node kernel, with the semantics contract
-shared with the compiled kernel: per game g with target mean mu[g],
-quadrature nodes span I_mu with Simpson coefficients folded into the initial
-weights; each round bets the posterior mean, scores the coin-bet payoff of
-the bet, then multiplies node weights by their own payoffs. Weights are
-renormalised by their sum every round, which leaves the bets invariant and
+shared with the compiled kernel. Per round it takes sum(w*u) and sum(w) in
+one (K, 2) product, and builds the payoff row from alpha and beta divided by
+the previous sum, so the weights are renormalised inside the multiply rather
+than by a pass of their own. Renormalising leaves the bets invariant and
 prevents under/overflow over long horizons.
 
 ``up_game_batch_binary`` plays the same games on observations that are all
@@ -24,49 +37,46 @@ import math
 
 import numpy as np
 
-from ..betting import lambda_grid, quadrature_coefficients
+from ..betting import quadrature_coefficients
 from ..errors import DegeneratePosterior
 
 
 def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int, threads: int = 1):
     """Run one universal-portfolio coin-betting game per row of ``xs``.
 
-    Returns ``(bets, log_wealth)`` of shape ``(G, n)``; ``log_wealth`` is the
-    running sum of log payoffs with -inf saturation after a zero payoff.
+    Observations must lie in [0, 1]; ``xs`` may be a broadcast view and is
+    not copied. ``threads`` is accepted for the backend contract and ignored:
+    this kernel runs on the calling thread. Returns ``(bets, log_wealth)`` of
+    shape ``(G, n)``; ``log_wealth`` is the running sum of log payoffs with
+    -inf saturation after a zero payoff.
     """
-    xs = np.ascontiguousarray(xs, dtype=float)
-    mus = np.ascontiguousarray(mus, dtype=float)
+    xs, mus = _check_batch(xs, mus, n_nodes)
+    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):  # NaN passes, to die below
+        raise ValueError("observations must lie in [0, 1]")
     n_games, n_rounds = xs.shape
-    if mus.shape != (n_games,):
-        raise ValueError("mus must have one entry per game")
 
-    grids = np.empty((n_games, n_nodes))
-    for g in range(n_games):
-        grids[g] = lambda_grid(mus[g], n_nodes)
-    w = np.broadcast_to(quadrature_coefficients(n_nodes), grids.shape).copy()
-    w /= w.sum(axis=1, keepdims=True)
+    u = np.linspace(0.0, 1.0, n_nodes)
+    moments = np.stack([u, np.ones(n_nodes)], axis=1)  # sums of w*u and of w
+    basis = np.stack([1.0 - u, u])  # payoff row = [alpha, beta] @ basis
+    w = np.broadcast_to(quadrature_coefficients(n_nodes), (n_games, n_nodes)).copy()
+    payoff = np.empty_like(w)
+    alpha_beta = np.empty((n_games, 2))
+    to_zero, to_one = 1.0 / (1.0 - mus), 1.0 / mus
 
-    bets = np.empty((n_games, n_rounds))
-    log_wealth = np.empty((n_games, n_rounds))
-    wealth = np.zeros(n_games)
-
+    ubar = np.empty((n_games, n_rounds))  # becomes the bets
     for t in range(n_rounds):
-        bet = (w * grids).sum(axis=1)  # w rows are kept normalised to sum 1
-        dx = xs[:, t] - mus
-        payoff = np.maximum(1.0 + bet * dx, 0.0)
-        with np.errstate(divide="ignore"):
-            wealth = wealth + np.log(payoff)
-        bets[:, t] = bet
-        log_wealth[:, t] = wealth
-        factors = np.maximum(1.0 + grids * dx[:, None], 0.0)
-        w *= factors
-        s = w.sum(axis=1, keepdims=True)
-        if not (s > 0.0).all():
-            dead = int(np.argmin(s[:, 0]))
-            raise DegeneratePosterior(f"game {dead}: posterior wiped out at round {t + 1}")
-        w /= s
-
-    return bets, log_wealth
+        m = w @ moments
+        total = m[:, 1]
+        _check_mass(total, t)
+        ubar[:, t] = m[:, 0] / total
+        x = xs[:, t]
+        np.multiply(1.0 - x, to_zero, out=alpha_beta[:, 0])
+        np.multiply(x, to_one, out=alpha_beta[:, 1])
+        alpha_beta /= total[:, None]
+        np.matmul(alpha_beta, basis, out=payoff)
+        w *= payoff
+    _check_mass(w.sum(axis=1), n_rounds)
+    return _score(ubar, xs, mus)
 
 
 # The binary routine advances its posterior T rounds at a time, from weights
@@ -85,37 +95,19 @@ _MAX_CHUNK = 64
 def up_game_batch_binary(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
     """``up_game_batch`` for observations that are all exactly 0.0 or 1.0.
 
-    Mapped to u = mu*(1 + lam*(1 - mu)), the nodes sit at u_k = k/(K-1) for
-    every mu, and node k pays u_k/mu on a one and (1 - u_k)/(1 - mu) on a
-    zero. The normalised posterior over u, and so its mean ubar_t, does not
-    depend on mu: identical rows of ``xs`` share one posterior pass, and each
-    game bets the affine image (ubar_t - mu)/(mu*(1 - mu)), clipped into
-    I_mu. Returns ``(bets, log_wealth)`` as ``up_game_batch`` does.
+    On such data node k pays u_k/mu on a one and (1 - u_k)/(1 - mu) on a
+    zero, so the normalised posterior over u, and so its mean ubar_t, does
+    not depend on mu: identical rows of ``xs`` share one posterior pass.
+    Returns ``(bets, log_wealth)`` as ``up_game_batch`` does.
     """
-    xs = np.asarray(xs, dtype=float)
-    mus = np.ascontiguousarray(mus, dtype=float)
-    n_games, n_rounds = xs.shape
-    if mus.shape != (n_games,):
-        raise ValueError("mus must have one entry per game")
-    if n_nodes < 3:
-        raise ValueError("need at least 3 quadrature nodes")
-    if not ((mus > 0.0) & (mus < 1.0)).all():
-        raise ValueError("every mu must lie in (0, 1)")
-
+    xs, mus = _check_batch(xs, mus, n_nodes)
     ones = xs == 1.0
     _, first, stream_of = np.unique(
         np.packbits(ones, axis=1), axis=0, return_index=True, return_inverse=True
     )
     posterior = _BinaryPosterior(n_nodes)
     ubar = np.stack([posterior.means(ones[i]) for i in first])
-
-    span = mus * (1.0 - mus)
-    bets = (ubar[stream_of.reshape(-1)] - mus[:, None]) / span[:, None]
-    np.clip(bets, (1.0 / (mus - 1.0))[:, None], (1.0 / mus)[:, None], out=bets)
-    payoff = np.maximum(1.0 + bets * (xs - mus[:, None]), 0.0)
-    with np.errstate(divide="ignore"):
-        log_wealth = np.cumsum(np.log(payoff), axis=1)
-    return bets, log_wealth
+    return _score(ubar[stream_of.reshape(-1)], xs, mus)
 
 
 class _BinaryPosterior:
@@ -178,3 +170,45 @@ class _BinaryPosterior:
             means[start + 1 : start + 1 + len(m)] = m[:, 0] / m[:, 1]
             start = stop
         return means[:n_rounds]
+
+
+def _check_batch(xs, mus, n_nodes):
+    xs = np.asarray(xs, dtype=float)
+    mus = np.ascontiguousarray(mus, dtype=float)
+    if xs.ndim != 2:
+        raise ValueError("xs must be (games, rounds)")
+    if mus.shape != (xs.shape[0],):
+        raise ValueError("mus must have one entry per game")
+    if n_nodes < 3:
+        raise ValueError("need at least 3 quadrature nodes")
+    if not ((mus > 0.0) & (mus < 1.0)).all():
+        raise ValueError("every mu must lie in (0, 1)")
+    return xs, mus
+
+
+def _check_mass(total: np.ndarray, n_played: int) -> None:
+    """Raise unless every game's posterior mass after ``n_played`` rounds is positive."""
+    if not (total > 0.0).all():  # NaN fails too
+        dead = int(np.flatnonzero(~(total > 0.0))[0])
+        raise DegeneratePosterior(f"game {dead}: posterior wiped out at round {n_played}")
+
+
+def _score(ubar: np.ndarray, xs: np.ndarray, mus: np.ndarray):
+    """Turn posterior means of u into ``(bets, log_wealth)``, overwriting ``ubar``.
+
+    Each bet is (ubar - mu)/(mu*(1 - mu)), clipped into I_mu exactly: the
+    game and the benchmark compare bets against I_mu with no tolerance, and
+    rounding can put the affine image of an extreme mean one ulp outside.
+    """
+    bets = ubar
+    bets -= mus[:, None]
+    bets /= (mus * (1.0 - mus))[:, None]
+    np.clip(bets, (1.0 / (mus - 1.0))[:, None], (1.0 / mus)[:, None], out=bets)
+    log_wealth = np.subtract(xs, mus[:, None])
+    log_wealth *= bets
+    log_wealth += 1.0
+    np.maximum(log_wealth, 0.0, out=log_wealth)
+    with np.errstate(divide="ignore"):
+        np.log(log_wealth, out=log_wealth)
+    np.cumsum(log_wealth, axis=1, out=log_wealth)
+    return bets, log_wealth

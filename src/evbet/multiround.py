@@ -288,6 +288,8 @@ class AuditReport:
             "d": [list(p) for p in self.argmax_tree.pairs],
             "mask": self.argmax_mask.label(),
             "pass": self.passed,
+            "n_trees": self.n_trees,
+            "exhaustive_complete": self.exhaustive_complete,
         }
 
 

@@ -140,6 +140,21 @@ class TestSimulate:
         )
         assert recompute_log_wealth(ledger["e_value"]) == ledger["log_wealth"]
 
+    def test_constant_stream_bets_stay_in_interval(self, runner, tmp_path):
+        # The kernel's bet for this stream once rounded to 1/mu + 1 ulp, which
+        # the game refused with exit 2.
+        mu = 0.01
+        out = tmp_path / "ledger.csv"
+        result = invoke(
+            runner,
+            ["simulate", "--mu", str(mu), "--dist", "point:0.05", "--strategy", "up:11",
+             "--n", "1000", "--seed", "1", "--out", str(out)],
+        )
+        assert result.exit_code == 0
+        bets = np.array(read_ledger(out)["lambda"])
+        assert len(bets) == 1000
+        assert ((bets >= 1.0 / (mu - 1.0)) & (bets <= 1.0 / mu)).all()
+
     def test_long_first_run_of_zeros_matches_object_path(self, runner, tmp_path):
         # Seed 8 draws 1451 zeros before its first one: more than a three-node
         # posterior survives outside log space.
@@ -259,6 +274,17 @@ class TestCs:
             writer.writerows(rows)
             expected = buf.getvalue()
         assert member.read_bytes() == expected.encode()
+
+    def test_nan_mass_in_table_exit_2(self, tmp_path):
+        table = tmp_path / "dist.csv"
+        table.write_text("point,mass\n0.0,nan\n1.0,1.0\n")
+        result = CliRunner().invoke(
+            main, ["cs", "--dist", f"table:{table}", "--n", "5", "--grid", "9"]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "non-finite mass nan at 0.0" in result.output
+        assert "Traceback" not in result.output
 
     def test_constant_fraction_invalid_somewhere_on_grid_exit_2(self, runner):
         # constant:1.9 is fine at mu=0.5 but outside I_mu at mu=0.9
@@ -420,7 +446,9 @@ class TestAudit:
         report = json.loads(result.output)
         assert report["pass"] is True
         assert report["max"] == pytest.approx(1.0, abs=1e-9)
-        assert set(report) == {"max", "d", "mask", "pass"}
+        assert set(report) == {"max", "d", "mask", "pass", "n_trees", "exhaustive_complete"}
+        assert report["exhaustive_complete"] is True
+        assert report["n_trees"] > 0
 
     def test_strict_refutation_exit_3(self, runner, tmp_path, coinbet_csv):
         # scale the depth-2 values by 1.5 in the CSV to break the process

@@ -120,6 +120,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             DiscreteDistribution(((1.5, 1.0),))
 
+    @pytest.mark.parametrize("mass", [float("nan"), float("inf")])
+    def test_distribution_rejects_non_finite_mass(self, mass):
+        with pytest.raises(ValueError, match=f"non-finite mass {mass} at 0.0"):
+            DiscreteDistribution(((0.0, mass), (1.0, 1.0)))
+
+    def test_distribution_rejects_non_finite_total(self):
+        with pytest.raises(ValueError, match="masses sum to inf"):
+            DiscreteDistribution(((0.0, 1e308), (0.5, 1e308), (1.0, 1.0)))
+
     def test_two_point_measure_mean(self):
         m = two_point_measure(0.2, 0.8, 0.5)
         assert m.mean() == pytest.approx(0.5, abs=1e-12)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evbet import kernels
-from evbet.betting import UniversalPortfolioStrategy, quadrature_coefficients
+from evbet.betting import UniversalPortfolioStrategy, lambda_grid, quadrature_coefficients
+from evbet.confseq import default_mu_grid
 from evbet.domain import DiscreteDistribution, sample_stream
 from evbet.errors import DegeneratePosterior
 from evbet.game import run_game
@@ -60,6 +61,126 @@ class TestBackendContract:
         assert np.isfinite(bets).all()
         assert (np.abs(bets) < 2.0).all()
         assert np.isfinite(logw).all()
+
+
+def lambda_grid_loop(xs, mus, n_nodes):
+    """The general kernel as first written, kept as the reference.
+
+    Weights live on each game's lambda-grid of I_mu; every round takes the
+    bet as sum(w*lam), clamps the payoff factors at zero and renormalises the
+    weights in a pass of its own. Bets are not clipped into I_mu.
+    """
+    xs = np.ascontiguousarray(xs, dtype=float)
+    n_games, n_rounds = xs.shape
+    grids = np.stack([lambda_grid(mu, n_nodes) for mu in mus])
+    w = np.broadcast_to(quadrature_coefficients(n_nodes), grids.shape).copy()
+    w /= w.sum(axis=1, keepdims=True)
+    bets = np.empty((n_games, n_rounds))
+    log_wealth = np.empty((n_games, n_rounds))
+    wealth = np.zeros(n_games)
+    for t in range(n_rounds):
+        bet = (w * grids).sum(axis=1)
+        dx = xs[:, t] - mus
+        with np.errstate(divide="ignore"):
+            wealth = wealth + np.log(np.maximum(1.0 + bet * dx, 0.0))
+        bets[:, t] = bet
+        log_wealth[:, t] = wealth
+        w *= np.maximum(1.0 + grids * dx[:, None], 0.0)
+        s = w.sum(axis=1, keepdims=True)
+        if not (s > 0.0).all():
+            dead = int(np.argmin(s[:, 0]))
+            raise DegeneratePosterior(f"game {dead}: posterior wiped out at round {t + 1}")
+        w /= s
+    return bets, log_wealth
+
+
+def assert_bets_in_interval(bets, mus):
+    """Every bet inside I_mu = [1/(mu - 1), 1/mu], with no slack."""
+    lo, hi = 1.0 / (mus - 1.0), 1.0 / mus
+    assert ((bets >= lo[:, None]) & (bets <= hi[:, None])).all()
+
+
+@st.composite
+def general_batches(draw):
+    """Batches on uniform-grid:11 points or continuous draws on [0, 1]."""
+    n_rounds = draw(st.integers(1, 300))
+    n_games = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.sampled_from(["uniform-grid:11", "continuous"])) == "continuous":
+        stream = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n_games, n_rounds))
+    else:
+        grid = DiscreteDistribution.uniform_grid(11)
+        stream = np.stack([sample_stream(grid, n_rounds, seed + g) for g in range(n_games)])
+    if draw(st.booleans()):  # one stream broadcast to every game
+        xs = np.broadcast_to(stream[0], stream.shape)
+    else:
+        xs = stream
+    mus = draw(st.lists(st.floats(0.01, 0.99), min_size=n_games, max_size=n_games))
+    n_nodes = draw(st.sampled_from([3, 4, 11, 101, 1001]))
+    return xs, np.array(mus), n_nodes
+
+
+class TestGeneralKernel:
+    """``_pykernels.up_game_batch`` on the u-grid against the lambda-grid loop."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(general_batches())
+    def test_matches_lambda_grid_loop(self, batch):
+        xs, mus, n_nodes = batch
+        bets, logw = _pykernels.up_game_batch(xs, mus, n_nodes)
+        ref_bets, ref_logw = lambda_grid_loop(xs, mus, n_nodes)
+        assert_bets_in_interval(bets, mus)
+        np.testing.assert_allclose(bets, ref_bets, rtol=0.0, atol=1e-9)
+        finite = np.isfinite(ref_logw)
+        assert (np.isfinite(logw) == finite).all()
+        np.testing.assert_allclose(logw[finite], ref_logw[finite], rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("x", [0.05, 0.9, 0.95])
+    def test_constant_streams_bet_inside_interval(self, x):
+        # Unclipped, the affine image of a posterior piled on an endpoint
+        # rounds up to 1.4e-14 outside I_mu at some of these means.
+        mus = default_mu_grid(99)
+        xs = np.full((len(mus), 3000), x)
+        bets, _ = _pykernels.up_game_batch(xs, mus, 11)
+        assert_bets_in_interval(bets, mus)
+
+    @pytest.mark.parametrize("mu", [0.05, 0.5, 0.95])
+    def test_long_horizon_matches_object_path(self, mu):
+        stream = sample_stream(DiscreteDistribution.uniform_grid(11), 5000, 12)
+        bets, logw = _pykernels.up_game_batch(stream[None, :], np.array([mu]), 1001)
+        reference = run_game(mu, 0.05, UniversalPortfolioStrategy(mu, 1001), stream)
+        np.testing.assert_allclose(bets[0], [r.lam for r in reference.rows], rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(
+            logw[0], [r.log_wealth for r in reference.rows], rtol=0.0, atol=1e-9
+        )
+
+    def test_broadcast_input_matches_contiguous_copy(self):
+        stream = sample_stream(DiscreteDistribution.uniform_grid(11), 400, 5)
+        mus = default_mu_grid(19)
+        view = np.broadcast_to(stream, (len(mus), len(stream)))
+        bets, logw = _pykernels.up_game_batch(view, mus, 101)
+        copy_bets, copy_logw = _pykernels.up_game_batch(view.copy(), mus, 101)
+        assert (bets == copy_bets).all()
+        assert (logw == copy_logw).all()
+
+    def test_wiped_out_posterior_raises_at_the_reference_round(self):
+        # At K = 3 a long run of zeros underflows the middle node, and the
+        # first one then kills the last survivor, u = 0.
+        xs = np.concatenate([np.zeros(8000), np.ones(5)])[None, :]
+        mus = np.array([0.5])
+        with pytest.raises(DegeneratePosterior) as expected:
+            lambda_grid_loop(xs, mus, 3)
+        with pytest.raises(DegeneratePosterior) as raised:
+            _pykernels.up_game_batch(xs, mus, 3)
+        assert str(raised.value) == str(expected.value)
+
+    def test_bad_arguments(self):
+        xs = np.full((2, 5), 0.5)
+        for mus, n_nodes in (([0.5], 11), ([0.5, 1.0], 11), ([0.5, 0.5], 2)):
+            with pytest.raises(ValueError):
+                _pykernels.up_game_batch(xs, np.array(mus), n_nodes)
+        with pytest.raises(ValueError):
+            _pykernels.up_game_batch(np.full((2, 5), 1.5), np.array([0.5, 0.5]), 11)
 
 
 class TestBinaryDispatchContract(TestBackendContract):

@@ -238,7 +238,9 @@ class TestAudit:
     def test_report_dict_shape(self):
         report = audit_eprocess(constant_eprocess(0.5), 1, n_random=10, seed=0)
         d = report.as_dict()
-        assert set(d) == {"max", "d", "mask", "pass"}
+        assert set(d) == {"max", "d", "mask", "pass", "n_trees", "exhaustive_complete"}
+        assert d["n_trees"] == report.n_trees
+        assert d["exhaustive_complete"] is report.exhaustive_complete
 
 
 class TestEProcessCsv:
