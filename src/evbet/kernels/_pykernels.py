@@ -51,7 +51,8 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int, threads: int = 
     -inf saturation after a zero payoff.
     """
     xs, mus = _check_batch(xs, mus, n_nodes)
-    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):  # NaN passes, to die below
+    # NaN passes here and raises DegeneratePosterior in the loop.
+    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
         raise ValueError("observations must lie in [0, 1]")
     n_games, n_rounds = xs.shape
 
@@ -61,7 +62,7 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int, threads: int = 
     w = np.broadcast_to(quadrature_coefficients(n_nodes), (n_games, n_nodes)).copy()
     payoff = np.empty_like(w)
     alpha_beta = np.empty((n_games, 2))
-    to_zero, to_one = 1.0 / (1.0 - mus), 1.0 / mus
+    alpha_at_zero, beta_at_one = 1.0 / (1.0 - mus), 1.0 / mus
 
     ubar = np.empty((n_games, n_rounds))  # becomes the bets
     for t in range(n_rounds):
@@ -70,9 +71,9 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int, threads: int = 
         _check_mass(total, t)
         ubar[:, t] = m[:, 0] / total
         x = xs[:, t]
-        np.multiply(1.0 - x, to_zero, out=alpha_beta[:, 0])
-        np.multiply(x, to_one, out=alpha_beta[:, 1])
-        alpha_beta /= total[:, None]
+        np.multiply(1.0 - x, alpha_at_zero, out=alpha_beta[:, 0])
+        np.multiply(x, beta_at_one, out=alpha_beta[:, 1])
+        alpha_beta /= total[:, None]  # renormalises w in the multiply below
         np.matmul(alpha_beta, basis, out=payoff)
         w *= payoff
     _check_mass(w.sum(axis=1), n_rounds)
@@ -197,8 +198,8 @@ def _score(ubar: np.ndarray, xs: np.ndarray, mus: np.ndarray):
     """Turn posterior means of u into ``(bets, log_wealth)``, overwriting ``ubar``.
 
     Each bet is (ubar - mu)/(mu*(1 - mu)), clipped into I_mu exactly: the
-    game and the benchmark compare bets against I_mu with no tolerance, and
-    rounding can put the affine image of an extreme mean one ulp outside.
+    game checks bets against I_mu with no tolerance, and rounding can put the
+    affine image of an extreme mean one ulp outside.
     """
     bets = ubar
     bets -= mus[:, None]
