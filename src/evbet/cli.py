@@ -15,6 +15,11 @@ keeps the exact posterior up to rounding, as the object-path strategy does.
 ``simulate``
 still scores every round with ``game.run_game``, so its ledger recomputes
 exactly from its e-values. ``--up-raw`` plays the object-path strategy.
+
+The two large CSV outputs, the ``simulate`` ledger (``game.ledger_to_csv``)
+and the ``cs --membership`` matrix, are joined from f-strings in blocks of
+rows, byte for byte what ``csv.writer`` would write; the other tables and
+every ``--format json`` output go through ``_write_rows``.
 """
 
 from __future__ import annotations
@@ -35,6 +40,37 @@ def _open_out(path):
     if path is None or path == "-":
         return sys.stdout, False
     return open(path, "w", newline=""), True
+
+
+def _write_text(path, write):
+    """Call ``write(fh)`` on the output named by ``path`` (stdout for None or '-')."""
+    fh, close = _open_out(path)
+    try:
+        write(fh)
+    finally:
+        if close:
+            fh.close()
+
+
+def _membership_csv(fh, result, n):
+    """Round-major ``t,mu,log_wealth,in_set`` rows, byte for byte as ``csv.writer`` would.
+
+    Floats are written by ``repr`` and lines end in CRLF. The text is built a
+    block of rounds at a time, so no list of n x grid rows is ever held.
+    """
+    mu_cols = [f",{mu!r}," for mu in result.mu_grid.tolist()]
+    step = max(1, game.CSV_BLOCK_ROWS // len(mu_cols))
+    fh.write("t,mu,log_wealth,in_set\r\n")
+    for t0 in range(0, n, step):
+        log_wealth = result.games.log_wealth[:, t0 : t0 + step].T.tolist()
+        in_set = result.in_set[t0 : t0 + step].view(np.uint8).tolist()
+        fh.write(
+            "".join(
+                f"{t}{mu_col}{w!r},{alive}\r\n"
+                for t, w_row, in_row in zip(range(t0 + 1, n + 1), log_wealth, in_set)
+                for mu_col, w, alive in zip(mu_cols, w_row, in_row)
+            )
+        )
 
 
 def _write_rows(path, header, rows, fmt):
@@ -103,19 +139,10 @@ def simulate(ctx, mu, dist, strategy, n, delta, seed, up_raw, out, fmt):
         ledger = game.run_game(mu, delta, strat, xs)
     except (ValueError, EvbetError) as exc:
         _fail(str(exc))
-    header = ["t", "x", "lambda", "e_value", "log_wealth", "rejected"]
-    rows = [
-        (
-            r.t,
-            r.x,
-            r.lam,
-            r.e_value,
-            r.log_wealth,
-            int(ledger.rejected_at is not None and r.t >= ledger.rejected_at),
-        )
-        for r in ledger.rows
-    ]
-    _write_rows(out, header, rows, fmt)
+    if fmt == "json":
+        _write_rows(out, game.LEDGER_HEADER, game.ledger_rows(ledger), fmt)
+    else:
+        _write_text(out, lambda fh: game.ledger_to_csv(ledger, fh))
     _echo_json(
         {
             "rejected_at": ledger.rejected_at,
@@ -151,7 +178,9 @@ def cs(ctx, dist, strategy, n, delta, seed, grid, running_intersect, out, member
         _fail(str(exc))
     rows = result.intervals()
     _write_rows(out, ["t", "lower", "upper", "alive"], rows, fmt)
-    if membership is not None:
+    if membership is None:
+        return
+    if fmt == "json":
         # Round-major rows (t, mu, log_wealth, in_set), one per round and candidate.
         mrows = zip(
             np.repeat(np.arange(1, n + 1), grid).tolist(),
@@ -160,6 +189,8 @@ def cs(ctx, dist, strategy, n, delta, seed, grid, running_intersect, out, member
             result.in_set.ravel().astype(int).tolist(),
         )
         _write_rows(membership, ["t", "mu", "log_wealth", "in_set"], mrows, fmt)
+    else:
+        _write_text(membership, lambda fh: _membership_csv(fh, result, n))
 
 
 @main.command()
@@ -188,12 +219,12 @@ def compare(ctx, mu, dist, n, seed, alpha, alpha_file, out, fmt):
             schedule = np.asarray(schedule[:n])
         else:
             schedule = np.full(n, alpha)
+        lams = np.array([evariables.dominating_lambda(mu, a) for a in schedule])
         xs = domain.sample_stream(distribution, n, seed)
     except (OSError, ValueError, EvbetError) as exc:
         _fail(str(exc))
 
     log_h = np.cumsum(schedule * (xs - mu) - schedule**2 / 8.0)
-    lams = np.array([evariables.dominating_lambda(mu, a) for a in schedule])
     log_cb = np.cumsum(np.log1p(lams * (xs - mu)))
     rows = [
         (t + 1, float(log_h[t]), float(log_cb[t]), float(log_cb[t] - log_h[t]))
@@ -353,10 +384,10 @@ def iid_check(ctx, table, xi, q_steps, strict):
             if len(parts) != 3:
                 raise ValueError("--xi needs exactly three values")
             stats = iid_case.XiStats(*parts)
+        brute = iid_case.check_iid_bruteforce(stats, q_steps)
     except (OSError, ValueError, EvbetError) as exc:
         _fail(str(exc))
 
-    brute = iid_case.check_iid_bruteforce(stats, q_steps)
     closed = iid_case.check_iid_closed_form(stats)
     verdict = {
         "xi": [stats.xi0, stats.xi1, stats.xi2],

@@ -30,5 +30,5 @@ class DegeneratePosterior(EvbetError):
     """Every quadrature node of a portfolio posterior has been wiped out."""
 
 
-class DepthTooLarge(EvbetError):
+class DepthTooLarge(EvbetError, ValueError):
     """Tree depth exceeds the combinatorial guard of the operation."""

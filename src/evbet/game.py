@@ -11,7 +11,6 @@ at -inf; the game goes on but can never reject.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -176,12 +175,32 @@ def run_games_batch(mus, xs, strategy: str, delta: float) -> BatchGameResult:
     return BatchGameResult(bets=bets, log_wealth=log_wealth, rejected_at=rejected_at)
 
 
+LEDGER_HEADER = ("t", "x", "lambda", "e_value", "log_wealth", "rejected")
+# Rows per write of the block-built CSV writers.
+CSV_BLOCK_ROWS = 4096
+
+
+def ledger_rows(ledger: WealthLedger) -> list[tuple]:
+    """One ``LEDGER_HEADER`` tuple per round; ``rejected`` is 1 from the rejection on."""
+    first = ledger.rejected_at
+    return [
+        (r.t, r.x, r.lam, r.e_value, r.log_wealth, int(first is not None and r.t >= first))
+        for r in ledger.rows
+    ]
+
+
 def ledger_to_csv(ledger: WealthLedger, fh) -> None:
-    """Write the ledger in the ``t,x,lambda,e_value,log_wealth,rejected`` schema."""
-    writer = csv.writer(fh)
-    writer.writerow(["t", "x", "lambda", "e_value", "log_wealth", "rejected"])
-    for row in ledger.rows:
-        rejected = int(ledger.rejected_at is not None and row.t >= ledger.rejected_at)
-        writer.writerow(
-            [row.t, repr(row.x), repr(row.lam), repr(row.e_value), repr(row.log_wealth), rejected]
+    """Write the ledger as ``LEDGER_HEADER`` CSV, byte for byte as ``csv.writer`` would.
+
+    Floats are written by ``repr`` and lines end in CRLF; the text is joined
+    in blocks of ``CSV_BLOCK_ROWS`` rows, one write each.
+    """
+    fh.write(",".join(LEDGER_HEADER) + "\r\n")
+    rows = ledger_rows(ledger)
+    for start in range(0, len(rows), CSV_BLOCK_ROWS):
+        fh.write(
+            "".join(
+                f"{t},{x!r},{lam!r},{e!r},{w!r},{rejected}\r\n"
+                for t, x, lam, e, w, rejected in rows[start : start + CSV_BLOCK_ROWS]
+            )
         )

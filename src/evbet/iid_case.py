@@ -37,8 +37,11 @@ class XiStats:
     xi2: float
 
     def __post_init__(self):
-        if min(self.xi0, self.xi1, self.xi2) < 0.0:
-            raise ValueError("xi statistics must be non-negative")
+        if not all(0.0 <= v < math.inf for v in (self.xi0, self.xi1, self.xi2)):
+            raise ValueError(
+                f"xi statistics must be finite and non-negative, got "
+                f"({self.xi0}, {self.xi1}, {self.xi2})"
+            )
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,8 @@ def iid_expectation_vec(s: XiStats, qs: np.ndarray) -> np.ndarray:
 def table_from_csv(path: str) -> np.ndarray:
     """Load a 9-row ``x1,x2,value`` CSV into a 3x3 table."""
     index = {0.0: 0, 0.5: 1, 1.0: 2}
-    table = np.full((3, 3), np.nan)
+    table = np.zeros((3, 3))
+    seen = np.zeros((3, 3), dtype=bool)  # not NaN-marked: a NaN value is not a missing cell
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"x1", "x2", "value"} <= set(reader.fieldnames):
@@ -127,7 +131,8 @@ def table_from_csv(path: str) -> np.ndarray:
             if x1 not in index or x2 not in index:
                 raise ValueError(f"{path}: coordinates must come from {{0, 0.5, 1}}")
             table[index[x1], index[x2]] = float(row["value"])
-    if np.isnan(table).any():
+            seen[index[x1], index[x2]] = True
+    if not seen.all():
         raise ValueError(f"{path}: all 9 cells of the table are required")
     return table
 

@@ -25,12 +25,20 @@ cdef int _run_game(const double* xs, double mu, const double* grid,
     """Run one game in place; returns the 1-based round of posterior death, or 0."""
     cdef int t, k
     cdef double num, den, bet, dx, payoff, wealth, f
+    # The game checks bets against I_mu with no tolerance, and the posterior
+    # mean of the grid can round one ulp outside it.
+    cdef double lo = 1.0 / (mu - 1.0)
+    cdef double hi = 1.0 / mu
     wealth = 0.0
     for t in range(n_rounds):
         num = 0.0
         for k in range(n_nodes):
             num += w[k] * grid[k]
         bet = num
+        if bet < lo:
+            bet = lo
+        elif bet > hi:
+            bet = hi
         dx = xs[t] - mu
         payoff = 1.0 + bet * dx
         if payoff <= 0.0:

@@ -9,6 +9,20 @@ sequence is a weighted sum over the mask's frontier, with the branch weights
 stopped expectation over trees and masks: any value above 1 is a concrete
 refutation; staying at or below 1 over the searched family is heuristic
 certification.
+
+The exhaustive part of that search never lists the trees. Each heap node picks
+its pair on its own, so the best stopped expectation below a prefix ``p`` obeys
+the backward induction (the Snell envelope of the process over the coarse
+pairs)
+
+    V(p) = max(e(p), max over pairs (a, b) of W*V(p + (a,)) + (1-W)*V(p + (b,)))
+
+with ``V(p) = e(p)`` at full depth, and one value per distinct prefix
+replaces one walk per tree. Rounding to nearest is monotone, so ``V(())`` is
+bit for bit the largest value the enumeration of every tree would find. The
+reported tree is the enumeration's first maximiser in
+``itertools.product`` order, recovered node by node in heap order: each node
+takes the first pair with which the recursion still reaches ``V(())``.
 """
 
 from __future__ import annotations
@@ -300,16 +314,17 @@ def _straddling_pairs(points, mu) -> list[tuple[float, float]]:
     return [(a, b) for a in lows for b in highs if a <= b]
 
 
-def _max_over_masks(d: TreeHypothesis, e: EProcess, budget: int):
+def _max_over_masks(d: TreeHypothesis, value, budget: int):
     """Maximum stopped expectation over all masks of depth <= budget, with argmax.
 
-    Masks decide stop/branch per node independently and the branch weights are
+    ``value`` maps a prefix to the process's value there. Masks decide
+    stop/branch per node independently and the branch weights are
     non-negative, so the maximum distributes over the recursion. Unreachable
     (weight-zero) subtrees are treated as stopped.
     """
 
     def walk(node: int, prefix: tuple, budget: int):
-        stop_val = e.value(prefix)
+        stop_val = value(prefix)
         if budget == 0 or node >= len(d.pairs):
             return stop_val, STOP
         a, b = d.pairs[node]
@@ -329,6 +344,62 @@ def _max_over_masks(d: TreeHypothesis, e: EProcess, budget: int):
     return walk(0, (), budget)
 
 
+def _memoised(fn):
+    """``fn`` called once per distinct argument; exceptions are not stored."""
+    memo = {}
+
+    def call(arg):
+        try:
+            return memo[arg]
+        except KeyError:
+            out = memo[arg] = fn(arg)
+            return out
+
+    return call
+
+
+def _first_best_pairs(value, pairs, mu: float, depth: int) -> tuple:
+    """Heap-ordered pairs of the first best tree over ``pairs`` at every node.
+
+    "First" is ``itertools.product(pairs, repeat=2**depth - 1)`` order and
+    "best" the largest maximum over masks, found by backward induction over
+    prefixes (see the module docstring) instead of one walk per tree.
+    """
+    weighted = [(a, b, two_point_weight(a, b, mu)) for a, b in pairs]
+    fixed = []  # pairs of heap nodes 0..len(fixed)-1; the rest range over all pairs
+    envelope = {}  # prefix -> V(prefix), valid below a free node
+
+    def walk(node: int, prefix: tuple) -> float:
+        free = node >= len(fixed)
+        if free and prefix in envelope:
+            return envelope[prefix]
+        best = value(prefix)
+        if len(prefix) < depth:
+            for a, b, w in weighted if free else fixed[node : node + 1]:
+                # Same operations, in the same order, as _max_over_masks.
+                branch = 0.0
+                if w > 0.0:
+                    branch += w * walk(2 * node + 1, prefix + (a,))
+                if w < 1.0:
+                    branch += (1.0 - w) * walk(2 * node + 2, prefix + (b,))
+                if branch > best:
+                    best = branch
+        if free:
+            envelope[prefix] = best
+        return best
+
+    top = walk(0, ())
+    # A free node's descendants are free, so with nodes 0..i fixed the walk
+    # is the best over every completion; some pair of node i keeps it at top.
+    for _ in range(2**depth - 1):
+        for pair in weighted:
+            fixed.append(pair)
+            if walk(0, ()) == top:
+                break
+            fixed.pop()
+    return tuple((a, b) for a, b, _ in fixed)
+
+
 def audit_eprocess(
     e: EProcess,
     depth: int,
@@ -340,27 +411,44 @@ def audit_eprocess(
     """Search trees x masks for a stopped expectation above 1.
 
     The tree coefficients range over an exhaustive grid of straddling pairs
-    built from ``coarse_grid`` (default {0, mu, 1}), capped at
-    ``MAX_EXHAUSTIVE`` tuples, plus ``n_random`` tuples sampled uniformly from
-    the e-process's sample space (or from [0,1] if it has none). A reported
-    violation is always real; a pass certifies only the searched family.
+    built from ``coarse_grid`` (default {0, mu, 1}), when its
+    ``pairs**(2**depth - 1)`` tuples number at most ``MAX_EXHAUSTIVE``, plus
+    ``n_random`` tuples sampled uniformly from the e-process's sample space
+    (or from [0,1] if it has none). A reported violation is always real; a
+    pass certifies only the searched family.
+
+    The exhaustive family is searched by backward induction over prefixes,
+    not tree by tree (see the module docstring); the report, tie-breaks
+    included, is the one a walk over every tree in ``itertools.product``
+    order followed by the random trees would give: the first tree reaching
+    the largest value. The process is evaluated once per distinct prefix.
+    Raises ``ValueError`` for a depth outside [1, ``MAX_AUDIT_DEPTH``]
+    (``DepthTooLarge`` above it), a negative ``n_random``, coarse-grid
+    points outside [0, 1] and a search with no tree in it.
     """
     if depth > MAX_AUDIT_DEPTH:
         raise DepthTooLarge(f"audit capped at depth {MAX_AUDIT_DEPTH}")
+    if depth < 1:
+        raise ValueError(f"audit depth must be at least 1, got {depth}")
+    if n_random < 0:
+        raise ValueError(f"number of random trees must be non-negative, got {n_random}")
     if depth > e.max_depth:
         raise ValueError(f"e-process only defined to depth {e.max_depth}")
     mu = e.mu
-    if coarse_grid is None:
-        coarse_grid = (0.0, mu, 1.0)
+    coarse_grid = (0.0, mu, 1.0) if coarse_grid is None else tuple(map(float, coarse_grid))
+    if not all(0.0 <= p <= 1.0 for p in coarse_grid):
+        raise ValueError(f"coarse grid points must lie in [0, 1], got {coarse_grid}")
     pairs = _straddling_pairs(coarse_grid, mu)
     if not pairs:
         raise ValueError("coarse grid has no pairs straddling mu")
     n_nodes = 2**depth - 1
-
-    candidates = []
-    exhaustive_complete = len(pairs) ** n_nodes <= MAX_EXHAUSTIVE
-    if exhaustive_complete:
-        candidates.extend(itertools.product(pairs, repeat=n_nodes))
+    n_exhaustive = len(pairs) ** n_nodes
+    exhaustive_complete = n_exhaustive <= MAX_EXHAUSTIVE
+    if not exhaustive_complete and n_random == 0:
+        raise ValueError(
+            f"nothing to search: the {n_exhaustive} coarse trees exceed "
+            f"MAX_EXHAUSTIVE={MAX_EXHAUSTIVE} and no random trees were asked for"
+        )
 
     rng = np.random.default_rng(seed)
     if e.space is not None:
@@ -372,14 +460,17 @@ def audit_eprocess(
     else:
         a_draws = rng.uniform(0.0, mu, size=(n_random, n_nodes))
         b_draws = rng.uniform(mu, 1.0, size=(n_random, n_nodes))
-    for i in range(n_random):
-        candidates.append(tuple(zip(a_draws[i].tolist(), b_draws[i].tolist())))
 
+    value = _memoised(e.value)
     best_val = -math.inf
     best_tree = best_mask = None
-    for cand in candidates:
-        tree = TreeHypothesis(mu=mu, pairs=tuple((min(a, b), max(a, b)) for a, b in cand))
-        val, mask = _max_over_masks(tree, e, depth)
+    if exhaustive_complete:
+        best_tree = TreeHypothesis(mu=mu, pairs=_first_best_pairs(value, pairs, mu, depth))
+        best_val, best_mask = _max_over_masks(best_tree, value, depth)
+    for a_row, b_row in zip(a_draws.tolist(), b_draws.tolist()):
+        drawn = tuple((min(a, b), max(a, b)) for a, b in zip(a_row, b_row))
+        tree = TreeHypothesis(mu=mu, pairs=drawn)
+        val, mask = _max_over_masks(tree, value, depth)
         if val > best_val:
             best_val, best_tree, best_mask = val, tree, mask
 
@@ -388,7 +479,7 @@ def audit_eprocess(
         argmax_tree=best_tree,
         argmax_mask=best_mask,
         passed=best_val <= 1.0 + tol,
-        n_trees=len(candidates),
+        n_trees=(n_exhaustive if exhaustive_complete else 0) + n_random,
         exhaustive_complete=exhaustive_complete,
         tol=tol,
     )

@@ -8,12 +8,17 @@ import pytest
 from click.testing import CliRunner
 
 from evbet import kernels
-from evbet.betting import UniversalPortfolioStrategy
+from evbet.betting import ReplayStrategy, UniversalPortfolioStrategy, make_strategy
 from evbet.cli import main
 from evbet.confseq import default_mu_grid, run_cs_batch
 from evbet.domain import SampleSpace, parse_distribution, sample_stream
 from evbet.game import recompute_log_wealth, run_game
-from evbet.multiround import MultiRoundCoinBet, coinbet_eprocess, eprocess_to_csv
+from evbet.multiround import (
+    MultiRoundCoinBet,
+    coinbet_eprocess,
+    constant_eprocess,
+    eprocess_to_csv,
+)
 
 
 @pytest.fixture
@@ -53,6 +58,149 @@ def test_delta_outside_unit_interval_exit_2(command, delta):
     assert isinstance(result.exception, SystemExit)
     assert "delta must lie in (0, 1)" in result.output
     assert "Traceback" not in result.output
+
+
+def write_contract_inputs(d):
+    """Input files of the CLI contract cases: one good file per schema, then bad ones."""
+    square = "x1,x2,value\n" + "".join(
+        f"{x1},{x2},1.0\n" for x1, x2 in itertools.product((0.0, 0.5, 1.0), repeat=2)
+    )
+    files = {
+        "dist-nan.csv": "point,mass\n0.0,nan\n1.0,1.0\n",
+        "t1.csv": "point,value\n0.0,1.0\n0.5,1.0\n1.0,1.0\n",
+        "t1-neg.csv": "point,value\n0.0,-1.0\n0.5,1.0\n1.0,1.0\n",
+        "t1-nan.csv": "point,value\n0.0,nan\n0.5,1.0\n1.0,1.0\n",
+        "t1-bad.csv": "point,value\n0.0,abc\n0.5,1.0\n1.0,1.0\n",
+        "sq.csv": square,
+        "sq-neg.csv": square.replace("1.0,1.0,1.0", "1.0,1.0,-2.0"),
+        "sq-nan.csv": square.replace("1.0,1.0,1.0", "1.0,1.0,nan"),
+        "sq-bad.csv": square.replace("1.0,1.0,1.0", "1.0,1.0,x"),
+        "ep.csv": "depth,path,value\n0,,1.0\n1,0.0,1.0\n1,0.5,1.0\n1,1.0,1.0\n",
+        "ep-nan.csv": "depth,path,value\n0,,1.0\n1,0.0,nan\n1,0.5,1.0\n1,1.0,1.0\n",
+        "ep-bad.csv": "depth,path,value\n0,,1.0\n1,0.0,x\n1,0.5,1.0\n1,1.0,1.0\n",
+        "alpha-nan.txt": "0.5\nnan\n0.5\n0.5\n0.5\n",
+        "alpha-bad.txt": "0.5\nx\n0.5\n0.5\n0.5\n",
+    }
+    for name, text in files.items():
+        (d / name).write_text(text)
+    with open(d / "ep3.csv", "w", newline="") as fh:
+        eprocess_to_csv(constant_eprocess(0.5), SampleSpace.uniform(5, 0.5), 3, fh)
+
+
+SIM = ["simulate", "--mu", "0.5", "--dist", "bernoulli:0.5", "--n", "5"]
+CS = ["cs", "--dist", "bernoulli:0.5", "--n", "5", "--grid", "9"]
+CMP = ["compare", "--mu", "0.5", "--dist", "bernoulli:0.4", "--n", "5"]
+AUDIT = ["audit", "--table", "{d}/ep.csv", "--mu", "0.5", "--depth", "1"]
+NO_FILE = "No such file or directory"
+
+# (bad-input class, arguments with {d} for the input directory, message on stderr)
+CONTRACT_CASES = {
+    "simulate": [
+        ("range", ["simulate", "--mu", "1.5", "--dist", "bernoulli:0.5", "--n", "5"],
+         "mu must lie in (0, 1)"),
+        ("range", SIM[:-1] + ["0"], "n must be at least 1"),
+        ("nan", SIM + ["--delta", "nan"], "delta must lie in (0, 1)"),
+        ("nan", ["simulate", "--mu", "0.5", "--dist", "table:{d}/dist-nan.csv", "--n", "5"],
+         "non-finite mass nan"),
+        ("missing-file", ["simulate", "--mu", "0.5", "--dist", "table:{d}/none.csv", "--n", "5"],
+         NO_FILE),
+        ("literal", ["simulate", "--mu", "0.5", "--dist", "gauss:1", "--n", "5"],
+         "unknown distribution kind"),
+        ("literal", SIM + ["--strategy", "up:x"], "bad strategy literal"),
+    ],
+    "cs": [
+        ("range", CS[:-1] + ["0"], "n and grid must be at least 1"),
+        ("range", CS + ["--strategy", "constant:5"], "outside I_mu"),
+        ("nan", CS + ["--delta", "nan"], "delta must lie in (0, 1)"),
+        ("nan", ["cs", "--dist", "bernoulli:nan", "--n", "5"], "bernoulli parameter nan"),
+        ("missing-file", ["cs", "--dist", "table:{d}/none.csv", "--n", "5"], NO_FILE),
+        ("literal", CS + ["--strategy", "up:abc"], "bad strategy literal"),
+    ],
+    "compare": [
+        ("range", ["compare", "--mu", "1.5", "--dist", "bernoulli:0.4", "--n", "5",
+                   "--alpha", "1"], "mu must lie in (0, 1)"),
+        ("range", CMP[:-1] + ["0", "--alpha", "1"], "n must be at least 1"),
+        ("nan", CMP + ["--alpha", "nan"], "alpha must be finite"),
+        ("nan", CMP + ["--alpha", "inf"], "alpha must be finite"),
+        ("nan", CMP + ["--alpha-file", "{d}/alpha-nan.txt"], "alpha must be finite"),
+        ("missing-file", CMP + ["--alpha-file", "{d}/none.txt"], NO_FILE),
+        ("literal", CMP + ["--alpha-file", "{d}/alpha-bad.txt"], "could not convert"),
+    ],
+    "check": [
+        ("range", ["check", "--table", "{d}/t1.csv", "--mu", "1.5"], "mu must lie in (0, 1)"),
+        ("range", ["check", "--table", "{d}/t1-neg.csv", "--mu", "0.5"], "non-negative"),
+        ("nan", ["check", "--table", "{d}/t1-nan.csv", "--mu", "0.5"], "finite"),
+        ("nan", ["check", "--table", "{d}/t1.csv", "--mu", "nan"], "mu must lie in (0, 1)"),
+        ("missing-file", ["check", "--table", "{d}/none.csv", "--mu", "0.5"], NO_FILE),
+        ("literal", ["check", "--table", "{d}/t1-bad.csv", "--mu", "0.5"], "could not convert"),
+        ("literal", ["check", "--table", "{d}/sq.csv", "--mu", "0.5"],
+         "expected CSV columns point,value"),
+    ],
+    "dominate": [
+        ("range", ["dominate", "--table", "{d}/t1.csv", "--mu", "1.5"], "mu must lie in (0, 1)"),
+        ("range", ["dominate", "--table", "{d}/sq-neg.csv", "--mu", "0.5", "--t2"],
+         "non-negative"),
+        ("nan", ["dominate", "--table", "{d}/t1-nan.csv", "--mu", "0.5"], "finite"),
+        ("nan", ["dominate", "--table", "{d}/sq-nan.csv", "--mu", "0.5", "--t2"], "finite"),
+        ("missing-file", ["dominate", "--table", "{d}/none.csv", "--mu", "0.5", "--t2"],
+         NO_FILE),
+        ("literal", ["dominate", "--table", "{d}/sq-bad.csv", "--mu", "0.5", "--t2"],
+         "could not convert"),
+        ("literal", ["dominate", "--table", "{d}/t1.csv", "--mu", "0.5", "--t2"],
+         "expected CSV columns x1,x2,value"),
+    ],
+    "audit": [
+        ("range", AUDIT[:-1] + ["-1"], "audit depth must be at least 1, got -1"),
+        ("range", AUDIT[:-1] + ["0"], "audit depth must be at least 1, got 0"),
+        ("range", AUDIT[:-1] + ["5"], "audit capped at depth 4"),
+        ("range", AUDIT + ["--random", "-1"], "must be non-negative, got -1"),
+        ("range", ["audit", "--table", "{d}/ep3.csv", "--mu", "0.5", "--depth", "3",
+                   "--coarse-grid", "0,0.25,0.5,0.75,1", "--random", "0"], "nothing to search"),
+        ("range", AUDIT + ["--coarse-grid", "0,0.5,1.5"], "must lie in [0, 1]"),
+        ("nan", AUDIT + ["--coarse-grid", "nan,0.5,1"], "must lie in [0, 1]"),
+        ("nan", ["audit", "--table", "{d}/ep-nan.csv", "--mu", "0.5", "--depth", "1"],
+         "e-process value nan"),
+        ("nan", ["audit", "--table", "{d}/ep.csv", "--mu", "nan"], "mu must lie in (0, 1)"),
+        ("missing-file", ["audit", "--table", "{d}/none.csv", "--mu", "0.5"], NO_FILE),
+        ("literal", AUDIT + ["--coarse-grid", "0,x,1"], "could not convert"),
+        ("literal", ["audit", "--table", "{d}/ep-bad.csv", "--mu", "0.5", "--depth", "1"],
+         "could not convert"),
+    ],
+    "iid-check": [
+        ("range", ["iid-check", "--xi", "-1,0,0"], "finite and non-negative"),
+        ("range", ["iid-check", "--xi", "1,1,1", "--q-steps", "0"], "need at least 2 grid steps"),
+        ("range", ["iid-check", "--xi", "1,1"], "exactly three values"),
+        ("nan", ["iid-check", "--xi", "nan,0,0"], "finite and non-negative"),
+        ("nan", ["iid-check", "--xi", "inf,0,0"], "finite and non-negative"),
+        ("nan", ["iid-check", "--table", "{d}/sq-nan.csv"], "finite"),
+        ("missing-file", ["iid-check", "--table", "{d}/none.csv"], NO_FILE),
+        ("literal", ["iid-check", "--xi", "a,b,c"], "could not convert"),
+        ("literal", ["iid-check", "--table", "{d}/t1.csv"], "expected CSV columns x1,x2,value"),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param(args, message, id=f"{command}-{kind}-{i}")
+        for command, cases in CONTRACT_CASES.items()
+        for i, (kind, args, message) in enumerate(cases)
+    ],
+)
+def test_bad_input_exit_2_with_message(tmp_path, args, message):
+    write_contract_inputs(tmp_path)
+    result = CliRunner().invoke(main, [a.format(d=tmp_path) for a in args])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.stderr
+    assert "Traceback" not in result.output
+
+
+def test_contract_covers_every_command_and_class():
+    assert set(CONTRACT_CASES) == set(main.commands)
+    for cases in CONTRACT_CASES.values():
+        assert {kind for kind, _, _ in cases} == {"range", "nan", "missing-file", "literal"}
 
 
 class TestSimulate:
@@ -172,6 +320,52 @@ class TestSimulate:
         np.testing.assert_allclose(
             ledger["log_wealth"], [r.log_wealth for r in reference.rows], rtol=0.0, atol=1e-9
         )
+
+    @pytest.mark.parametrize("to_stdout", [False, True], ids=["file", "stdout"])
+    @pytest.mark.parametrize(
+        "mu, dist, strategy, n, seed",
+        [
+            (0.1, "point:1", "constant:10", 5, 0),  # rejected from round 2 on
+            # Rejected at round 5; the zero e-value at round 10 puts -inf after it.
+            (0.5, "bernoulli:0.7", "constant:2", 30, 6),
+            (0.4, "bernoulli:0.6", "up:101", 300, 9),
+        ],
+        ids=["rejected", "minus-inf", "up"],
+    )
+    def test_ledger_csv_bytes_match_csv_writer(
+        self, runner, tmp_path, mu, dist, strategy, n, seed, to_stdout
+    ):
+        out = tmp_path / "ledger.csv"
+        result = invoke(runner, ["simulate", "--mu", str(mu), "--dist", dist, "--strategy",
+                                 strategy, "--n", str(n), "--seed", str(seed),
+                                 "--out", "-" if to_stdout else str(out)])
+        xs = sample_stream(parse_distribution(dist), n, seed)
+        strat = make_strategy(strategy, mu)
+        if isinstance(strat, UniversalPortfolioStrategy):
+            strat = ReplayStrategy(kernels.up_game_batch(xs[None, :], np.array([mu]), 101)[0][0])
+        ledger = run_game(mu, 0.05, strat, xs)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["t", "x", "lambda", "e_value", "log_wealth", "rejected"])
+        writer.writerows(
+            (r.t, r.x, r.lam, r.e_value, r.log_wealth,
+             int(ledger.rejected_at is not None and r.t >= ledger.rejected_at))
+            for r in ledger.rows
+        )
+        expected = buf.getvalue()
+        assert ",1\r\n" in expected
+        if strategy == "constant:2":
+            assert ",-inf,1\r\n" in expected
+        summary = {
+            "rejected_at": ledger.rejected_at,
+            "final_log_wealth": ledger.final_log_wealth,
+            "threshold": ledger.threshold,
+        }
+        if to_stdout:
+            assert result.stdout_bytes == (expected + json.dumps(summary, indent=2) + "\n").encode()
+        else:
+            assert out.read_bytes() == expected.encode()
+            assert json.loads(result.output) == summary
 
     def test_up_raw_keeps_object_path(self, runner, tmp_path):
         mu, dist, n, seed = 0.5, "bernoulli:0.5", 200, 2

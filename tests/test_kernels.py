@@ -33,10 +33,7 @@ class TestBackendContract:
     def test_bets_stay_in_interval(self, up_batch, rng):
         xs, mus = self.make_batch(rng)
         bets, _ = up_batch(xs, mus, 101, 1)
-        lo = 1.0 / (mus - 1.0)
-        hi = 1.0 / mus
-        assert (bets >= lo[:, None] - 1e-12).all()
-        assert (bets <= hi[:, None] + 1e-12).all()
+        assert_bets_in_interval(bets, mus)
 
     def test_deterministic(self, up_batch, rng):
         xs, mus = self.make_batch(rng)

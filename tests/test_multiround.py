@@ -1,13 +1,23 @@
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evbet.cli import main
 from evbet.domain import SampleSpace, two_point_weight
 from evbet.errors import DepthTooLarge, OutOfRange
 from evbet.iid_case import separation_table
 from evbet.multiround import (
+    MAX_AUDIT_DEPTH,
+    MAX_EXHAUSTIVE,
     STOP,
+    STRADDLE_TOL,
+    AuditReport,
     EProcess,
     MultiRoundCoinBet,
     StoppingMask,
@@ -24,6 +34,7 @@ from evbet.multiround import (
     full_mask,
     tree_expectation,
 )
+from evbet.multiround import _straddling_pairs
 
 GRID3 = SampleSpace((0.0, 0.5, 1.0), 0.5)
 GRID5 = SampleSpace((0.0, 0.25, 0.5, 0.75, 1.0), 0.5)
@@ -235,12 +246,235 @@ class TestAudit:
         with pytest.raises(DepthTooLarge):
             audit_eprocess(constant_eprocess(0.5), 5, n_random=1)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"depth": 5}, "audit capped at depth 4"),
+            ({"depth": 0}, "audit depth must be at least 1, got 0"),
+            ({"depth": -1}, "audit depth must be at least 1, got -1"),
+            ({"depth": 1, "n_random": -1}, "must be non-negative, got -1"),
+            ({"depth": 3, "coarse_grid": (0.0, 0.25, 0.5, 0.75, 1.0), "n_random": 0},
+             "nothing to search"),
+            ({"depth": 1, "coarse_grid": (0.0, float("nan"), 1.0)}, "must lie in \\[0, 1\\]"),
+            ({"depth": 1, "coarse_grid": (-0.5, 0.5, 1.0)}, "must lie in \\[0, 1\\]"),
+        ],
+        ids=["depth-5", "depth-0", "depth-negative", "random-negative", "empty-search",
+             "grid-nan", "grid-outside"],
+    )
+    def test_bad_arguments_raise_value_error(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            audit_eprocess(constant_eprocess(0.5), **kwargs)
+
     def test_report_dict_shape(self):
         report = audit_eprocess(constant_eprocess(0.5), 1, n_random=10, seed=0)
         d = report.as_dict()
         assert set(d) == {"max", "d", "mask", "pass", "n_trees", "exhaustive_complete"}
         assert d["n_trees"] == report.n_trees
         assert d["exhaustive_complete"] is report.exhaustive_complete
+
+
+def _oracle_max_over_masks(d, e, budget):
+    """The audit's mask search as it was when trees were enumerated one by one."""
+
+    def walk(node, prefix, budget):
+        stop_val = e.value(prefix)
+        if budget == 0 or node >= len(d.pairs):
+            return stop_val, STOP
+        a, b = d.pairs[node]
+        w = d.weight(node)
+        branch_val = 0.0
+        left_mask = right_mask = STOP
+        if w > 0.0:
+            v, left_mask = walk(2 * node + 1, prefix + (a,), budget - 1)
+            branch_val += w * v
+        if w < 1.0:
+            v, right_mask = walk(2 * node + 2, prefix + (b,), budget - 1)
+            branch_val += (1.0 - w) * v
+        if branch_val > stop_val:
+            return branch_val, StoppingMask((left_mask, right_mask))
+        return stop_val, STOP
+
+    return walk(0, (), budget)
+
+
+def audit_by_enumeration(e, depth, coarse_grid=None, n_random=1000, seed=0, tol=1e-9):
+    """Reference audit: every coarse tree in product order, then the random ones."""
+    if depth > MAX_AUDIT_DEPTH:
+        raise DepthTooLarge(f"audit capped at depth {MAX_AUDIT_DEPTH}")
+    if depth > e.max_depth:
+        raise ValueError(f"e-process only defined to depth {e.max_depth}")
+    mu = e.mu
+    if coarse_grid is None:
+        coarse_grid = (0.0, mu, 1.0)
+    pairs = _straddling_pairs(coarse_grid, mu)
+    if not pairs:
+        raise ValueError("coarse grid has no pairs straddling mu")
+    n_nodes = 2**depth - 1
+
+    candidates = []
+    exhaustive_complete = len(pairs) ** n_nodes <= MAX_EXHAUSTIVE
+    if exhaustive_complete:
+        candidates.extend(itertools.product(pairs, repeat=n_nodes))
+
+    rng = np.random.default_rng(seed)
+    if e.space is not None:
+        pts = np.asarray(e.space.points)
+        lows = pts[pts <= mu + STRADDLE_TOL]
+        highs = pts[pts >= mu - STRADDLE_TOL]
+        a_draws = rng.choice(lows, size=(n_random, n_nodes))
+        b_draws = rng.choice(highs, size=(n_random, n_nodes))
+    else:
+        a_draws = rng.uniform(0.0, mu, size=(n_random, n_nodes))
+        b_draws = rng.uniform(mu, 1.0, size=(n_random, n_nodes))
+    for i in range(n_random):
+        candidates.append(tuple(zip(a_draws[i].tolist(), b_draws[i].tolist())))
+
+    best_val = -math.inf
+    best_tree = best_mask = None
+    for cand in candidates:
+        tree = TreeHypothesis(mu=mu, pairs=tuple((min(a, b), max(a, b)) for a, b in cand))
+        val, mask = _oracle_max_over_masks(tree, e, depth)
+        if val > best_val:
+            best_val, best_tree, best_mask = val, tree, mask
+
+    return AuditReport(
+        max_expectation=best_val,
+        argmax_tree=best_tree,
+        argmax_mask=best_mask,
+        passed=best_val <= 1.0 + tol,
+        n_trees=len(candidates),
+        exhaustive_complete=exhaustive_complete,
+        tol=tol,
+    )
+
+
+def assert_same_report(e, depth, **kwargs):
+    """The audit's report equals the enumeration's, its JSON byte for byte."""
+    expected = audit_by_enumeration(e, depth, **kwargs)
+    got = audit_eprocess(e, depth, **kwargs)
+    assert got == expected
+    assert json.dumps(got.as_dict()) == json.dumps(expected.as_dict())
+
+
+@st.composite
+def lattice_processes(draw):
+    """Tie-heavy e-processes: every value on the 0.5 lattice, the root at most 1."""
+    mu = draw(st.sampled_from((0.25, 0.4, 0.5)))
+    depth = draw(st.integers(1, 3))
+    inner = set(draw(st.sets(st.sampled_from((0.25, 0.4, 0.5, 0.75)), max_size=3))) - {mu}
+    if draw(st.booleans()):
+        inner.add(mu)
+    points = tuple(sorted({0.0, 1.0} | inner))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def lattice(size):
+        return (0.5 * rng.integers(0, 5, size=size)).tolist()
+
+    root = float(draw(st.sampled_from((0.0, 0.5, 1.0))))
+    if draw(st.booleans()):
+        # No sample space: a value for every prefix, from its length and its
+        # number of points below mu, so random trees drawn on [0, 1] hit it too.
+        rows = [lattice(t + 1) for t in range(depth + 1)]
+        rows[0][0] = root
+
+        def evaluate(prefix):
+            return rows[len(prefix)][sum(x < mu for x in prefix)]
+
+        return EProcess(mu=mu, evaluator=evaluate, max_depth=depth), depth
+    tables = {(): root}
+    for t in range(1, depth + 1):
+        prefixes = list(itertools.product(points, repeat=t))
+        tables.update(zip(prefixes, lattice(len(prefixes))))
+    return eprocess_from_tables(mu, tables, space=SampleSpace(points, mu)), depth
+
+
+class TestAuditMatchesEnumeration:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lattice_processes(),
+        st.booleans(),
+        st.integers(0, 6),
+        st.integers(0, 2**16),
+    )
+    def test_same_report_as_enumeration(self, process_depth, full_grid, n_random, seed):
+        e, depth = process_depth
+        grid = e.space.points if full_grid and e.space is not None else None
+        kwargs = {"coarse_grid": grid, "n_random": n_random, "seed": seed}
+        try:
+            expected = audit_by_enumeration(e, depth, **kwargs)
+        except ValueError:
+            # A coarse point the table lacks, e.g. mu off the grid.
+            with pytest.raises(ValueError, match="no entry for prefix"):
+                audit_eprocess(e, depth, **kwargs)
+            return
+        if not expected.exhaustive_complete and n_random == 0:
+            with pytest.raises(ValueError, match="nothing to search"):
+                audit_eprocess(e, depth, **kwargs)
+            return
+        got = audit_eprocess(e, depth, **kwargs)
+        assert got == expected
+        assert json.dumps(got.as_dict()) == json.dumps(expected.as_dict())
+
+    def test_depth_four_on_two_pairs(self, rng):
+        # (0, 0.8, 1) at mu = 0.5 straddles as (0, 0.8) and (0, 1): 2**15 trees.
+        space = SampleSpace((0.0, 0.8, 1.0), 0.5)
+        tables = {(): 1.0}
+        for t in range(1, 5):
+            for prefix in itertools.product(space.points, repeat=t):
+                tables[prefix] = 0.5 * float(rng.integers(0, 5))
+        e = eprocess_from_tables(0.5, tables, space=space)
+        report = audit_eprocess(e, 4, coarse_grid=space.points, n_random=20, seed=3)
+        assert report.exhaustive_complete
+        assert report.n_trees == 2**15 + 20
+        assert_same_report(e, 4, coarse_grid=space.points, n_random=20, seed=3)
+
+    def test_coinbet_processes_and_scaled(self, rng):
+        bet = random_coinbet(GRID5, 3, rng)
+        for e in (coinbet_eprocess(bet, GRID5), coinbet_eprocess(bet, GRID5).scale_at(2, 1.5)):
+            assert_same_report(e, 3, n_random=300, seed=5)
+            assert_same_report(e, 2, coarse_grid=GRID5.points, n_random=50, seed=6)
+
+    def test_missing_prefix_raises(self):
+        tables = {(): 1.0, (0.0,): 1.0, (1.0,): 1.0}
+        e = eprocess_from_tables(0.5, tables, space=GRID3)
+        with pytest.raises(ValueError, match="no entry for prefix \\(0.5,\\)"):
+            audit_eprocess(e, 1, n_random=0)
+
+    def test_evaluates_each_prefix_once(self):
+        calls = []
+
+        def evaluate(prefix):
+            calls.append(prefix)
+            return 1.0
+
+        e = EProcess(mu=0.5, evaluator=evaluate, max_depth=3, space=GRID5)
+        calls.clear()
+        audit_eprocess(e, 3, n_random=200, seed=1)
+        assert len(calls) == len(set(calls))
+
+    @pytest.mark.parametrize("passes", [True, False], ids=["pass", "fail"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_cli_json_matches_enumeration(self, tmp_path, passes, seed):
+        # The benchmark's audit inputs: coin-bet wealth on {0, .25, .5, .75, 1},
+        # and the same scaled x1.5 at depth 2.
+        rng = np.random.default_rng(seed)
+        tables = tuple(
+            {p: rng.uniform(-1.8, 1.8) for p in itertools.product(GRID5.points, repeat=t)}
+            for t in range(3)
+        )
+        e = coinbet_eprocess(MultiRoundCoinBet(0.5, tables), GRID5)
+        if not passes:
+            e = e.scale_at(2, 1.5)
+        path = tmp_path / "ep.csv"
+        with open(path, "w", newline="") as fh:
+            eprocess_to_csv(e, GRID5, 3, fh)
+        result = CliRunner().invoke(
+            main, ["audit", "--table", str(path), "--mu", "0.5", "--depth", "3", "--seed", "7"]
+        )
+        assert result.exit_code == 0
+        expected = audit_by_enumeration(eprocess_from_csv(str(path), 0.5), 3, seed=7)
+        assert expected.passed is passes
+        assert result.output == json.dumps(expected.as_dict(), indent=2) + "\n"
 
 
 class TestEProcessCsv:
