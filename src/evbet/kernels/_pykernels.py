@@ -12,7 +12,14 @@ grid the payoff of node k on observation x in [0, 1] is affine in u_k,
 
 and never negative, and the bet is the affine image
 (ubar - mu)/(mu*(1 - mu)) of the posterior mean ubar of u. Both routines
-clip that bet into I_mu exactly and score log-wealth in ``_score``.
+clip that bet into I_mu exactly (``_bets``).
+
+Log-wealth is the log of the mixture wealth: each round adds the log of the
+posterior mean of the node payoffs, sum(w*payoff)/sum(w), a sum of
+non-negative terms. In exact arithmetic that is the payoff 1 + bet*(x - mu)
+of the unrounded bet, but it keeps its relative accuracy where the payoff
+nears zero, while 1 + bet*(x - mu) of the rounded bet does not: there one
+ulp of the bet can move the log payoff by 1e-7 or more.
 
 ``up_game_batch`` is the general K-node kernel, with the semantics contract
 shared with the compiled kernel. Per round it takes sum(w*u) and sum(w) in
@@ -47,8 +54,7 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int, threads: int = 
     Observations must lie in [0, 1]; ``xs`` may be a broadcast view and is
     not copied. ``threads`` is accepted for the backend contract and ignored:
     this kernel runs on the calling thread. Returns ``(bets, log_wealth)`` of
-    shape ``(G, n)``; ``log_wealth`` is the running sum of log payoffs with
-    -inf saturation after a zero payoff.
+    shape ``(G, n)``; ``log_wealth`` is the running log of the mixture wealth.
     """
     xs, mus = _check_batch(xs, mus, n_nodes)
     # NaN passes here and raises DegeneratePosterior in the loop.
@@ -65,10 +71,13 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int, threads: int = 
     alpha_at_zero, beta_at_one = 1.0 / (1.0 - mus), 1.0 / mus
 
     ubar = np.empty((n_games, n_rounds))  # becomes the bets
+    payoffs = np.empty((n_games, n_rounds))  # becomes the log-wealth
     for t in range(n_rounds):
         m = w @ moments
         total = m[:, 1]
         _check_mass(total, t)
+        if t:  # the mass of renormalised weights after a round is its payoff
+            payoffs[:, t - 1] = total
         ubar[:, t] = m[:, 0] / total
         x = xs[:, t]
         np.multiply(1.0 - x, alpha_at_zero, out=alpha_beta[:, 0])
@@ -76,8 +85,11 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int, threads: int = 
         alpha_beta /= total[:, None]  # renormalises w in the multiply below
         np.matmul(alpha_beta, basis, out=payoff)
         w *= payoff
-    _check_mass(w.sum(axis=1), n_rounds)
-    return _score(ubar, xs, mus)
+    if n_rounds:
+        total = w.sum(axis=1)
+        _check_mass(total, n_rounds)
+        payoffs[:, -1] = total
+    return _bets(ubar, mus), _log_wealth(payoffs)
 
 
 # The binary routine advances its posterior T rounds at a time, from weights
@@ -97,18 +109,24 @@ def up_game_batch_binary(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
     """``up_game_batch`` for observations that are all exactly 0.0 or 1.0.
 
     On such data node k pays u_k/mu on a one and (1 - u_k)/(1 - mu) on a
-    zero, so the normalised posterior over u, and so its mean ubar_t, does
-    not depend on mu: identical rows of ``xs`` share one posterior pass.
-    Returns ``(bets, log_wealth)`` as ``up_game_batch`` does.
+    zero, so the normalised posterior over u, and so its means ubar_t of u
+    and vbar_t of 1 - u, do not depend on mu: identical rows of ``xs`` share
+    one posterior pass. The mixture pays ubar/mu on a one and vbar/(1 - mu)
+    on a zero. Returns ``(bets, log_wealth)`` as ``up_game_batch`` does.
     """
     xs, mus = _check_batch(xs, mus, n_nodes)
     ones = xs == 1.0
     _, first, stream_of = np.unique(
         np.packbits(ones, axis=1), axis=0, return_index=True, return_inverse=True
     )
+    stream_of = stream_of.reshape(-1)
     posterior = _BinaryPosterior(n_nodes)
-    ubar = np.stack([posterior.means(ones[i]) for i in first])
-    return _score(ubar[stream_of.reshape(-1)], xs, mus)
+    ubar, vbar = (np.stack(m) for m in zip(*(posterior.means(ones[i]) for i in first)))
+    payoffs = vbar[stream_of]
+    payoffs /= (1.0 - mus)[:, None]
+    ubar = ubar[stream_of]
+    np.divide(ubar, mus[:, None], out=payoffs, where=ones)
+    return _bets(ubar, mus), _log_wealth(payoffs)
 
 
 class _BinaryPosterior:
@@ -131,7 +149,7 @@ class _BinaryPosterior:
         powers = np.arange(self.chunk + 1)[:, None]
         self.pow_one = u**powers
         self.pow_zero = (1.0 - u) ** powers
-        self.moments = np.stack([u, np.ones(n_nodes)], axis=1)  # sums of w*u and of w
+        self.moments = np.stack([u, 1.0 - u], axis=1)  # sums of w*u and of w*(1 - u)
         with np.errstate(divide="ignore"):
             self.log_one = np.log(u)
             self.log_zero = np.log1p(-u)
@@ -148,29 +166,34 @@ class _BinaryPosterior:
         w[w < self.floor] = 0.0
         return w
 
-    def means(self, ones: np.ndarray) -> np.ndarray:
-        """Posterior mean of u before each round of one stream (True = a one)."""
+    def means(self, ones: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior means of u and of 1 - u before each round of one stream (True = a one).
+
+        Both are taken from their own sums, so each keeps its relative
+        accuracy when it is tiny and the other is close to 1.
+        """
         n_rounds = len(ones)
         n_one = np.concatenate(([0], np.cumsum(ones)))
         n_zero = np.arange(n_rounds + 1) - n_one
-        means = np.empty(n_rounds + 1)
+        sums = np.empty((n_rounds + 1, 2))
         start = 0
         while start < n_rounds:
             w = self.weights(n_one[start], n_zero[start])
-            m = w @ self.moments
-            means[start] = m[0] / m[1]
+            sums[start] = w @ self.moments
             stop = min(start + self.chunk, n_rounds)
             f = self.pow_one[n_one[start + 1 : stop + 1] - n_one[start]]
             f *= self.pow_zero[n_zero[start + 1 : stop + 1] - n_zero[start]]
             f *= w
             m = f @ self.moments
-            low = np.flatnonzero(m[:, 1] < self.restart_below)
+            low = np.flatnonzero(m.sum(axis=1) < self.restart_below)
             if low.size:  # restart from the counts at the first such round
                 stop = start + 1 + int(low[0])
                 m = m[: low[0]]
-            means[start + 1 : start + 1 + len(m)] = m[:, 0] / m[:, 1]
+            sums[start + 1 : start + 1 + len(m)] = m
             start = stop
-        return means[:n_rounds]
+        sums = sums[:n_rounds]
+        sums /= sums.sum(axis=1, keepdims=True)
+        return sums[:, 0], sums[:, 1]
 
 
 def _check_batch(xs, mus, n_nodes):
@@ -194,8 +217,8 @@ def _check_mass(total: np.ndarray, n_played: int) -> None:
         raise DegeneratePosterior(f"game {dead}: posterior wiped out at round {n_played}")
 
 
-def _score(ubar: np.ndarray, xs: np.ndarray, mus: np.ndarray):
-    """Turn posterior means of u into ``(bets, log_wealth)``, overwriting ``ubar``.
+def _bets(ubar: np.ndarray, mus: np.ndarray) -> np.ndarray:
+    """Turn posterior means of u into bets, overwriting ``ubar``.
 
     Each bet is (ubar - mu)/(mu*(1 - mu)), clipped into I_mu exactly: the
     game checks bets against I_mu with no tolerance, and rounding can put the
@@ -205,11 +228,15 @@ def _score(ubar: np.ndarray, xs: np.ndarray, mus: np.ndarray):
     bets -= mus[:, None]
     bets /= (mus * (1.0 - mus))[:, None]
     np.clip(bets, (1.0 / (mus - 1.0))[:, None], (1.0 / mus)[:, None], out=bets)
-    log_wealth = np.subtract(xs, mus[:, None])
-    log_wealth *= bets
-    log_wealth += 1.0
-    np.maximum(log_wealth, 0.0, out=log_wealth)
+    return bets
+
+
+def _log_wealth(payoffs: np.ndarray) -> np.ndarray:
+    """Running log-wealth from the mixture's per-round payoffs, overwriting them.
+
+    A zero payoff gives -inf from that round on.
+    """
     with np.errstate(divide="ignore"):
-        np.log(log_wealth, out=log_wealth)
-    np.cumsum(log_wealth, axis=1, out=log_wealth)
-    return bets, log_wealth
+        np.log(payoffs, out=payoffs)
+    np.cumsum(payoffs, axis=1, out=payoffs)
+    return payoffs

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,33 +64,61 @@ class TestBackendContract:
 
 
 def lambda_grid_loop(xs, mus, n_nodes):
-    """The general kernel as first written, kept as the reference.
+    """The mixture over each game's lambda-grid, in log space: the reference.
 
-    Weights live on each game's lambda-grid of I_mu; every round takes the
-    bet as sum(w*lam), clamps the payoff factors at zero and renormalises the
-    weights in a pass of its own. Bets are not clipped into I_mu.
+    Node k keeps its log-wealth L_k, the sum of its log payoffs. Every round
+    bets the posterior mean of lam_k under weights c_k exp(L_k) and scores
+    the mixture's log-wealth log(sum c_k exp(L_k) / sum c_k). Node payoffs
+    are taken in the factored form (1 - u_k)(1 - x)/(1 - mu) + u_k x/mu of
+    1 + lam_k (x - mu), u_k = k/(K-1) (``exact_mixture`` checks it against
+    the lambda form). Evaluated as 1 + lam_k*(x - mu), a payoff that should
+    vanish comes out as a rounding error instead: an endpoint node survives
+    at 1e-16 of the mass and can regrow, and the bets drift far past 1e-9.
     """
-    xs = np.ascontiguousarray(xs, dtype=float)
+    xs = np.asarray(xs, dtype=float)
     n_games, n_rounds = xs.shape
+    u = np.linspace(0.0, 1.0, n_nodes)
     grids = np.stack([lambda_grid(mu, n_nodes) for mu in mus])
-    w = np.broadcast_to(quadrature_coefficients(n_nodes), grids.shape).copy()
-    w /= w.sum(axis=1, keepdims=True)
+    log_c = np.log(quadrature_coefficients(n_nodes))
+    log_node = np.zeros((n_games, n_nodes))
     bets = np.empty((n_games, n_rounds))
     log_wealth = np.empty((n_games, n_rounds))
-    wealth = np.zeros(n_games)
     for t in range(n_rounds):
-        bet = (w * grids).sum(axis=1)
-        dx = xs[:, t] - mus
+        log_w = log_c + log_node
+        w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+        bets[:, t] = (w * grids).sum(axis=1) / w.sum(axis=1)
+        x, mu = xs[:, t, None], mus[:, None]
         with np.errstate(divide="ignore"):
-            wealth = wealth + np.log(np.maximum(1.0 + bet * dx, 0.0))
-        bets[:, t] = bet
-        log_wealth[:, t] = wealth
-        w *= np.maximum(1.0 + grids * dx[:, None], 0.0)
-        s = w.sum(axis=1, keepdims=True)
-        if not (s > 0.0).all():
-            dead = int(np.argmin(s[:, 0]))
-            raise DegeneratePosterior(f"game {dead}: posterior wiped out at round {t + 1}")
-        w /= s
+            log_node += np.log((1.0 - u) * (1.0 - x) / (1.0 - mu) + u * x / mu)
+        log_wealth[:, t] = log_sum_exp(log_c + log_node) - log_sum_exp(log_c)
+    return bets, log_wealth
+
+
+def log_sum_exp(a):
+    top = a.max(axis=-1)
+    return top + np.log(np.exp(a - top[..., None]).sum(axis=-1))
+
+
+def exact_mixture(xs, mus, n_nodes):
+    """Bets and log-wealth of the lambda-grid mixture in exact rational arithmetic.
+
+    Nodes are lam_k = lo + (hi - lo) k/(K-1) with lo = 1/(mu - 1), hi = 1/mu
+    taken exactly from the double mu, and payoffs 1 + lam_k (x - mu).
+    """
+    c = [Fraction(v) for v in quadrature_coefficients(n_nodes)]
+    bets = np.empty(xs.shape)
+    log_wealth = np.empty(xs.shape)
+    for g, row in enumerate(np.asarray(xs, dtype=float)):
+        mu = Fraction(mus[g])
+        lo, hi = 1 / (mu - 1), 1 / mu
+        lam = [lo + (hi - lo) * Fraction(k, n_nodes - 1) for k in range(n_nodes)]
+        w = list(c)
+        for t, x in enumerate(row):
+            bets[g, t] = sum(wk * lk for wk, lk in zip(w, lam)) / sum(w)
+            dx = Fraction(x) - mu
+            w = [wk * (1 + lk * dx) for wk, lk in zip(w, lam)]
+            wealth = sum(w) / sum(c)
+            log_wealth[g, t] = math.log(wealth.numerator) - math.log(wealth.denominator)
     return bets, log_wealth
 
 
@@ -98,10 +129,10 @@ def assert_bets_in_interval(bets, mus):
 
 
 @st.composite
-def general_batches(draw):
+def general_batches(draw, max_rounds=300, max_games=6, node_counts=(3, 4, 11, 101, 1001)):
     """Batches on uniform-grid:11 points or continuous draws on [0, 1]."""
-    n_rounds = draw(st.integers(1, 300))
-    n_games = draw(st.integers(1, 6))
+    n_rounds = draw(st.integers(1, max_rounds))
+    n_games = draw(st.integers(1, max_games))
     seed = draw(st.integers(0, 2**32 - 1))
     if draw(st.sampled_from(["uniform-grid:11", "continuous"])) == "continuous":
         stream = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n_games, n_rounds))
@@ -113,12 +144,12 @@ def general_batches(draw):
     else:
         xs = stream
     mus = draw(st.lists(st.floats(0.01, 0.99), min_size=n_games, max_size=n_games))
-    n_nodes = draw(st.sampled_from([3, 4, 11, 101, 1001]))
+    n_nodes = draw(st.sampled_from(node_counts))
     return xs, np.array(mus), n_nodes
 
 
 class TestGeneralKernel:
-    """``_pykernels.up_game_batch`` on the u-grid against the lambda-grid loop."""
+    """``_pykernels.up_game_batch`` on the u-grid against the lambda-grid mixture."""
 
     @settings(max_examples=80, deadline=None)
     @given(general_batches())
@@ -131,6 +162,27 @@ class TestGeneralKernel:
         finite = np.isfinite(ref_logw)
         assert (np.isfinite(logw) == finite).all()
         np.testing.assert_allclose(logw[finite], ref_logw[finite], rtol=0.0, atol=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(general_batches(max_rounds=60, max_games=3, node_counts=(3, 4, 11)))
+    def test_matches_exact_mixture(self, batch):
+        xs, mus, n_nodes = batch
+        bets, logw = _pykernels.up_game_batch(xs, mus, n_nodes)
+        ref_bets, ref_logw = exact_mixture(xs, mus, n_nodes)
+        np.testing.assert_allclose(bets, ref_bets, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(logw, ref_logw, rtol=0.0, atol=1e-9)
+
+    def test_log_wealth_keeps_accuracy_near_a_zero_payoff(self):
+        # 45 rounds well above mu pile the posterior on lam = 1/mu; x = 0 then
+        # pays about 1e-10. Scored as 1 + bet*(x - mu), one ulp of that bet
+        # moves the log payoff by about 1e-6.
+        xs = np.array([[0.9] * 45 + [0.0]])
+        mus = np.array([0.125])
+        bets, logw = _pykernels.up_game_batch(xs, mus, 3)
+        ref_bets, ref_logw = exact_mixture(xs, mus, 3)
+        assert 1.0 + ref_bets[0, -1] * (0.0 - 0.125) < 1e-9
+        np.testing.assert_allclose(bets, ref_bets, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(logw, ref_logw, rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("x", [0.05, 0.9, 0.95])
     def test_constant_streams_bet_inside_interval(self, x):
@@ -162,14 +214,12 @@ class TestGeneralKernel:
 
     def test_wiped_out_posterior_raises_at_the_reference_round(self):
         # At K = 3 a long run of zeros underflows the middle node, and the
-        # first one then kills the last survivor, u = 0.
+        # first one, round 8001, then kills the last survivor, u = 0.
         xs = np.concatenate([np.zeros(8000), np.ones(5)])[None, :]
         mus = np.array([0.5])
-        with pytest.raises(DegeneratePosterior) as expected:
-            lambda_grid_loop(xs, mus, 3)
         with pytest.raises(DegeneratePosterior) as raised:
             _pykernels.up_game_batch(xs, mus, 3)
-        assert str(raised.value) == str(expected.value)
+        assert str(raised.value) == "game 0: posterior wiped out at round 8001"
 
     def test_bad_arguments(self):
         xs = np.full((2, 5), 0.5)
