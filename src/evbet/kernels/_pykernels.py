@@ -149,7 +149,8 @@ class _BinaryPosterior:
         powers = np.arange(self.chunk + 1)[:, None]
         self.pow_one = u**powers
         self.pow_zero = (1.0 - u) ** powers
-        self.moments = np.stack([u, 1.0 - u], axis=1)  # sums of w*u and of w*(1 - u)
+        # sums of w*u, of w and of w*(1 - u)
+        self.moments = np.stack([u, np.ones(n_nodes), 1.0 - u], axis=1)
         with np.errstate(divide="ignore"):
             self.log_one = np.log(u)
             self.log_zero = np.log1p(-u)
@@ -175,7 +176,7 @@ class _BinaryPosterior:
         n_rounds = len(ones)
         n_one = np.concatenate(([0], np.cumsum(ones)))
         n_zero = np.arange(n_rounds + 1) - n_one
-        sums = np.empty((n_rounds + 1, 2))
+        sums = np.empty((n_rounds + 1, 3))
         start = 0
         while start < n_rounds:
             w = self.weights(n_one[start], n_zero[start])
@@ -185,15 +186,14 @@ class _BinaryPosterior:
             f *= self.pow_zero[n_zero[start + 1 : stop + 1] - n_zero[start]]
             f *= w
             m = f @ self.moments
-            low = np.flatnonzero(m.sum(axis=1) < self.restart_below)
+            low = np.flatnonzero(m[:, 1] < self.restart_below)
             if low.size:  # restart from the counts at the first such round
                 stop = start + 1 + int(low[0])
                 m = m[: low[0]]
             sums[start + 1 : start + 1 + len(m)] = m
             start = stop
         sums = sums[:n_rounds]
-        sums /= sums.sum(axis=1, keepdims=True)
-        return sums[:, 0], sums[:, 1]
+        return sums[:, 0] / sums[:, 1], sums[:, 2] / sums[:, 1]
 
 
 def _check_batch(xs, mus, n_nodes):
