@@ -1,46 +1,63 @@
-"""Anytime-valid testing and confidence sequences for bounded means via coin-betting."""
+"""Anytime-valid testing and confidence sequences for bounded means via coin-betting.
 
-from .domain import (
-    DiscreteDistribution,
-    SampleSpace,
-    TwoPointMeasure,
-    anchored_two_point,
-    sample_stream,
-    two_point_weight,
-)
-from .evariables import (
-    CoinBetEVariable,
-    DominationCertificate,
-    HoeffdingEVariable,
-    TabulatedEVariable,
-    bet_bounds,
-    beta_interval,
-    check_evariable,
-    dominating_lambda,
-    eval_coinbet,
-    eval_hoeffding,
-    eval_majorizer,
-)
-from .betting import (
-    ConstantStrategy,
-    PortfolioPosterior,
-    UniversalPortfolioStrategy,
-    up_bet,
-    up_update,
-)
-from .game import WealthLedger, play_round, run_game, run_games_batch
-from .confseq import ConfidenceState, cs_interval, cs_update, default_mu_grid, run_cs_batch
-from .multiround import (
-    EProcess,
-    MultiRoundCoinBet,
-    StoppingMask,
-    TreeHypothesis,
-    audit_eprocess,
-    dominate_T2,
-    enumerate_masks,
-    eval_multiround,
-    tree_expectation,
-)
-from .iid_case import XiStats, check_iid_bruteforce, check_iid_closed_form, xi_stats
+The public names below are resolved on first access (PEP 562), so importing
+the package, or ``evbet.cli``, loads none of the modules a caller does not use.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
+
+# module -> the public names it defines
+_PUBLIC = {
+    "domain": (
+        "DiscreteDistribution",
+        "SampleSpace",
+        "TwoPointMeasure",
+        "anchored_two_point",
+        "sample_stream",
+        "two_point_weight",
+    ),
+    "evariables": (
+        "CoinBetEVariable",
+        "DominationCertificate",
+        "HoeffdingEVariable",
+        "TabulatedEVariable",
+        "bet_bounds",
+        "beta_interval",
+        "check_evariable",
+        "dominating_lambda",
+        "eval_coinbet",
+        "eval_hoeffding",
+        "eval_majorizer",
+    ),
+    "betting": (
+        "ConstantStrategy",
+        "PortfolioPosterior",
+        "UniversalPortfolioStrategy",
+        "up_bet",
+        "up_update",
+    ),
+    "game": ("WealthLedger", "run_game", "run_games_batch", "score_bets"),
+    "confseq": ("ConfidenceState", "cs_interval", "cs_update", "default_mu_grid", "run_cs_batch"),
+    "multiround": (
+        "EProcess",
+        "MultiRoundCoinBet",
+        "StoppingMask",
+        "TreeHypothesis",
+        "audit_eprocess",
+        "dominate_T2",
+        "enumerate_masks",
+        "eval_multiround",
+        "tree_expectation",
+    ),
+    "iid_case": ("XiStats", "check_iid_bruteforce", "check_iid_closed_form", "xi_stats"),
+}
+_EXPORTS = {name: module for module, names in _PUBLIC.items() for name in names}
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)

@@ -46,7 +46,7 @@ def quadrature_coefficients(n_nodes: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PortfolioPosterior:
-    """Log-weights over a fixed grid of bet fractions."""
+    """Log-weights over ``lambda_grid(mu, K)``, the equispaced grid of bet fractions on ``I_mu``."""
 
     lambda_grid: np.ndarray
     log_weights: np.ndarray
@@ -60,16 +60,24 @@ class PortfolioPosterior:
 def up_update(p: PortfolioPosterior, x: float, mu: float, raw: bool = False) -> PortfolioPosterior:
     """Reweight every node by its payoff on the observation ``x``.
 
-    The payoff factor is the coin-bet value ``1 + lam*(x - mu)``. Nodes whose
-    factor hits zero get log-weight -inf and stay excluded. With ``raw=True``
-    the factor is the uncentered ``1 + lam*x``; that variant can turn negative
-    on ``I_mu`` and is provided for comparison only, clamping negative factors
-    to zero.
+    The payoff factor is the coin-bet value ``1 + lam*(x - mu)``, taken in the
+    factored form ``(1 - u)(1 - x)/(1 - mu) + u*x/mu``, where node k of the
+    grid on ``I_mu`` sits at u = k/(K-1) of the way along it (``np.linspace``,
+    as in the batch kernels). An endpoint node whose payoff is zero then gets
+    exactly zero, where the lambda form leaves a rounding error of about 1e-16
+    that lets the node regrow. Nodes whose factor hits zero get log-weight -inf and stay
+    excluded. With ``raw=True`` the factor is the uncentered ``1 + lam*x``;
+    that variant can turn negative on ``I_mu`` and is provided for comparison
+    only, clamping negative factors to zero.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x={x} outside [0, 1]")
-    factors = 1.0 + p.lambda_grid * (x if raw else x - mu)
-    np.maximum(factors, 0.0, out=factors)
+    if raw:
+        factors = 1.0 + p.lambda_grid * x
+        np.maximum(factors, 0.0, out=factors)
+    else:
+        u = np.linspace(0.0, 1.0, len(p.lambda_grid))
+        factors = (1.0 - u) * ((1.0 - x) / (1.0 - mu)) + u * (x / mu)
     with np.errstate(divide="ignore"):
         log_w = p.log_weights + np.log(factors)
     return PortfolioPosterior(p.lambda_grid, log_w)
@@ -129,23 +137,6 @@ class UniversalPortfolioStrategy:
 
     def fresh(self) -> "UniversalPortfolioStrategy":
         return UniversalPortfolioStrategy(self.mu, self.n_nodes, self.raw)
-
-
-class ReplayStrategy:
-    """Bets a precomputed sequence of fractions, one per round, in order.
-
-    Lets ``game.run_game`` score bets computed elsewhere, such as by the batch
-    kernel; the fractions are checked against ``I_mu`` as the game scores them.
-    """
-
-    def __init__(self, bets):
-        self._bets = iter(np.asarray(bets, dtype=float).tolist())
-
-    def bet(self) -> float:
-        return next(self._bets)
-
-    def observe(self, x: float) -> None:
-        pass
 
 
 def make_strategy(literal: str, mu: float, raw: bool = False):

@@ -8,18 +8,21 @@ refutation. ``EVBET_BACKEND`` forces the python or cython kernel;
 ``EVBET_THREADS`` caps the threads of the compiled kernel only, as the numpy
 kernel is single-threaded.
 
-``cs`` and ``simulate --strategy up[:K]`` run the universal portfolio through
-the batch kernel; on data that are all 0 or 1 it takes the u-posterior path
-(one posterior pass per stream, whatever ``EVBET_BACKEND`` says), which
-keeps the exact posterior up to rounding, as the object-path strategy does.
-``simulate``
-still scores every round with ``game.run_game``, so its ledger recomputes
-exactly from its e-values. ``--up-raw`` plays the object-path strategy.
+``cs`` and ``simulate`` run every strategy through the batch kernel
+(``game.run_games_batch``); on data that are all 0 or 1 the universal
+portfolio takes the u-posterior path (one posterior pass per stream, whatever
+``EVBET_BACKEND`` says), which keeps the exact posterior up to rounding, as
+the object-path strategy does. ``simulate`` scores the kernel's bets in bulk
+with ``game.score_bets``, so its ledger recomputes exactly from its e-values.
+``--up-raw`` plays the object-path strategy through ``game.run_game``.
 
 The two large CSV outputs, the ``simulate`` ledger (``game.ledger_to_csv``)
 and the ``cs --membership`` matrix, are joined from f-strings in blocks of
 rows, byte for byte what ``csv.writer`` would write; the other tables and
 every ``--format json`` output go through ``_write_rows``.
+
+Each command imports the modules it runs when it runs, so a command loads no
+other command's modules.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ import sys
 import click
 import numpy as np
 
-from . import confseq, domain, evariables, game, iid_case, multiround
-from .betting import ReplayStrategy, UniversalPortfolioStrategy, make_strategy
 from .errors import EvbetError
 
 
@@ -52,14 +53,14 @@ def _write_text(path, write):
             fh.close()
 
 
-def _membership_csv(fh, result, n):
+def _membership_csv(fh, result, n, block_rows):
     """Round-major ``t,mu,log_wealth,in_set`` rows, byte for byte as ``csv.writer`` would.
 
-    Floats are written by ``repr`` and lines end in CRLF. The text is built a
-    block of rounds at a time, so no list of n x grid rows is ever held.
+    Floats are written by ``repr`` and lines end in CRLF. The text is built
+    about ``block_rows`` rows at a time, so no list of n x grid rows is ever held.
     """
     mu_cols = [f",{mu!r}," for mu in result.mu_grid.tolist()]
-    step = max(1, game.CSV_BLOCK_ROWS // len(mu_cols))
+    step = max(1, block_rows // len(mu_cols))
     fh.write("t,mu,log_wealth,in_set\r\n")
     for t0 in range(0, n, step):
         log_wealth = result.games.log_wealth[:, t0 : t0 + step].T.tolist()
@@ -126,17 +127,21 @@ def main():
 @click.pass_context
 def simulate(ctx, mu, dist, strategy, n, delta, seed, up_raw, out, fmt):
     """Play one testing game and write its ledger plus a summary."""
+    from . import domain, game
+    from .betting import make_strategy
+
     try:
         distribution = domain.parse_distribution(dist)
         strat = make_strategy(strategy, mu, raw=up_raw)
         if n < 1:
             raise ValueError("n must be at least 1")
         xs = domain.sample_stream(distribution, n, seed)
-        if isinstance(strat, UniversalPortfolioStrategy) and not up_raw:
-            # One-row batch: the kernel computes the bets, run_game scores them.
+        if up_raw:
+            ledger = game.run_game(mu, delta, strat, xs)
+        else:
+            # One-row batch: the kernel computes the bets, score_bets scores them.
             batch = game.run_games_batch(np.array([mu]), xs[None, :], strategy, delta)
-            strat = ReplayStrategy(batch.bets[0])
-        ledger = game.run_game(mu, delta, strat, xs)
+            ledger = game.score_bets(mu, delta, batch.bets[0], xs)
     except (ValueError, EvbetError) as exc:
         _fail(str(exc))
     if fmt == "json":
@@ -166,6 +171,9 @@ def simulate(ctx, mu, dist, strategy, n, delta, seed, up_raw, out, fmt):
 @click.pass_context
 def cs(ctx, dist, strategy, n, delta, seed, grid, running_intersect, out, membership, fmt):
     """Confidence sequence for the data mean over a candidate grid."""
+    from . import confseq, domain, game
+    from .betting import make_strategy
+
     try:
         distribution = domain.parse_distribution(dist)
         if n < 1 or grid < 1:
@@ -190,7 +198,7 @@ def cs(ctx, dist, strategy, n, delta, seed, grid, running_intersect, out, member
         )
         _write_rows(membership, ["t", "mu", "log_wealth", "in_set"], mrows, fmt)
     else:
-        _write_text(membership, lambda fh: _membership_csv(fh, result, n))
+        _write_text(membership, lambda fh: _membership_csv(fh, result, n, game.CSV_BLOCK_ROWS))
 
 
 @main.command()
@@ -205,6 +213,8 @@ def cs(ctx, dist, strategy, n, delta, seed, grid, running_intersect, out, member
 @click.pass_context
 def compare(ctx, mu, dist, n, seed, alpha, alpha_file, out, fmt):
     """Run a Hoeffding-schedule game against its dominating coin-bet shadow."""
+    from . import domain, evariables
+
     try:
         if (alpha is None) == (alpha_file is None):
             raise ValueError("provide exactly one of --alpha / --alpha-file")
@@ -240,6 +250,8 @@ def compare(ctx, mu, dist, n, seed, alpha, alpha_file, out, fmt):
 @click.pass_context
 def check(ctx, table, mu, strict):
     """Validity check of a tabulated e-variable, with its domination certificate."""
+    from . import evariables
+
     try:
         tab = evariables.tabulated_from_csv(table, mu)
     except (OSError, ValueError, EvbetError) as exc:
@@ -267,6 +279,8 @@ def check(ctx, table, mu, strict):
 @click.pass_context
 def dominate(ctx, table, mu, t2, strict):
     """Construct a dominating coin-bet (single- or two-round), or refute."""
+    from . import evariables, multiround
+
     if not t2:
         try:
             tab = evariables.tabulated_from_csv(table, mu)
@@ -315,6 +329,8 @@ def dominate(ctx, table, mu, t2, strict):
 
 
 def _load_square_table(path, mu):
+    from . import domain
+
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"x1", "x2", "value"} <= set(reader.fieldnames):
@@ -343,6 +359,8 @@ def _load_square_table(path, mu):
 @click.pass_context
 def audit(ctx, table, mu, depth, coarse_grid, n_random, seed, strict):
     """Search two-point trees and stopping masks for an e-process violation."""
+    from . import multiround
+
     try:
         process = multiround.eprocess_from_csv(table, mu)
         grid = None
@@ -370,6 +388,8 @@ def iid_check(ctx, table, xi, q_steps, strict):
     also whether the table survives the (strictly larger) conditional-mean
     hypothesis via the two-round domination construction.
     """
+    from . import domain, iid_case, multiround
+
     try:
         if (table is None) == (xi is None):
             raise ValueError("provide exactly one of --table / --xi")

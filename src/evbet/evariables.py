@@ -146,8 +146,11 @@ def dominating_lambda(mu: float, alpha: float) -> float:
     """
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
+    alpha = float(alpha)
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
+    if not math.isfinite(alpha * alpha):
+        raise ValueError(f"alpha={alpha} is too large: its square overflows")
     return math.exp(alpha * (1.0 - mu) - alpha**2 / 8.0) - math.exp(-alpha * mu - alpha**2 / 8.0)
 
 

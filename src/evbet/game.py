@@ -7,12 +7,18 @@ rejection of the mean-``mu`` hypothesis, but play continues: full-horizon
 ledgers are what the confidence-sequence layer consumes. A zero e-value
 (betting the boundary against an endpoint observation) saturates the wealth
 at -inf; the game goes on but can never reject.
+
+A ledger is a fixed function of its bets, so it has one scorer,
+``score_bets``: ``run_game`` collects a strategy's bets round by round and
+hands them to it, and the CLI hands it the bets of the batch kernel.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +34,10 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
+def _bet_outside(lam: float, lo: float, hi: float) -> OutOfRange:
+    return OutOfRange(f"strategy emitted lambda={lam} outside I_mu=[{lo}, {hi}]")
+
+
 @dataclass(frozen=True)
 class LedgerRow:
     t: int
@@ -39,9 +49,14 @@ class LedgerRow:
 
 @dataclass(frozen=True)
 class WealthLedger:
+    """A game's ledger as columns, one entry per round (round t at index t - 1)."""
+
     mu: float
     delta: float
-    rows: tuple[LedgerRow, ...] = ()
+    x: tuple[float, ...] = ()
+    lam: tuple[float, ...] = ()
+    e_value: tuple[float, ...] = ()
+    log_wealth: tuple[float, ...] = ()
     rejected_at: int | None = None
 
     def __post_init__(self):
@@ -53,72 +68,93 @@ class WealthLedger:
 
     @property
     def final_log_wealth(self) -> float:
-        return self.rows[-1].log_wealth if self.rows else 0.0
+        return self.log_wealth[-1] if self.log_wealth else 0.0
+
+    @property
+    def rows(self) -> tuple[LedgerRow, ...]:
+        """One ``LedgerRow`` per round, built from the columns on each access."""
+        return tuple(
+            itertools.starmap(
+                LedgerRow,
+                zip(itertools.count(1), self.x, self.lam, self.e_value, self.log_wealth),
+            )
+        )
 
     def log_wealth_series(self) -> np.ndarray:
-        return np.array([r.log_wealth for r in self.rows])
+        return np.array(self.log_wealth)
 
 
-def _score_round(mu: float, prev_wealth: float, lam: float, x: float) -> tuple[float, float]:
+def score_bets(mu: float, delta: float, bets, xs) -> WealthLedger:
+    """The ledger of a game that bet ``bets[t]`` before observing ``xs[t]``.
+
+    Round t pays the e-value ``max(1 + bets[t]*(xs[t] - mu), 0)``; log-wealth
+    is ``recompute_log_wealth`` of the e-values, so a stored ledger recomputes
+    bit for bit. Raises at the first round whose observation lies outside
+    [0, 1] (``ValueError``) or whose bet lies outside ``I_mu``
+    (``OutOfRange``), the observation checked first, as ``run_game`` does.
+    """
+    _check_delta(delta)
     lo, hi = bet_bounds(mu)
-    if not lo <= lam <= hi:
-        raise OutOfRange(f"strategy emitted lambda={lam} outside I_mu=[{lo}, {hi}]")
-    e_value = max(1.0 + float(lam) * (float(x) - mu), 0.0)
-    if e_value == 0.0:
-        return 0.0, -math.inf
-    if prev_wealth == -math.inf:
-        return e_value, -math.inf
-    return e_value, prev_wealth + math.log(e_value)
-
-
-def play_round(ledger: WealthLedger, strategy, x: float) -> WealthLedger:
-    """Advance one round: query the strategy, then reveal ``x`` to it."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")
-    lam = float(strategy.bet())
-    e_value, wealth = _score_round(ledger.mu, ledger.final_log_wealth, lam, x)
-    strategy.observe(x)
-    t = len(ledger.rows) + 1
-    rejected = ledger.rejected_at
-    if rejected is None and wealth > ledger.threshold:
-        rejected = t
-    row = LedgerRow(t=t, x=x, lam=lam, e_value=e_value, log_wealth=wealth)
-    return replace(ledger, rows=ledger.rows + (row,), rejected_at=rejected)
+    bets = np.asarray(bets, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    if bets.ndim != 1 or bets.shape != xs.shape:
+        raise ValueError("bets and xs must be 1-D and of one length")
+    bad_x = ~((xs >= 0.0) & (xs <= 1.0))
+    bad = np.flatnonzero(bad_x | ~((bets >= lo) & (bets <= hi)))
+    if bad.size:
+        t = bad[0]
+        if bad_x[t]:
+            raise ValueError(f"x={xs[t].item()} outside [0, 1]")
+        raise _bet_outside(bets[t].item(), lo, hi)
+    e_value = np.maximum(1.0 + bets * (xs - mu), 0.0).tolist()
+    log_wealth = recompute_log_wealth(e_value)
+    crossed = np.flatnonzero(np.array(log_wealth) > math.log(1.0 / delta))
+    return WealthLedger(
+        mu=mu,
+        delta=delta,
+        x=tuple(xs.tolist()),
+        lam=tuple(bets.tolist()),
+        e_value=tuple(e_value),
+        log_wealth=tuple(log_wealth),
+        rejected_at=int(crossed[0]) + 1 if crossed.size else None,
+    )
 
 
 def run_game(mu: float, delta: float, strategy, xs) -> WealthLedger:
-    """Play a full game over ``xs`` and return the complete ledger."""
-    ledger = WealthLedger(mu=mu, delta=delta)
-    threshold = ledger.threshold
-    rows = []
-    wealth = 0.0
-    rejected_at = None
-    for t, x in enumerate(xs, start=1):
+    """Play a full game over ``xs`` and return the complete ledger.
+
+    Each round checks the observation, asks the strategy for its bet, checks
+    the bet against ``I_mu`` and only then reveals the observation to the
+    strategy; the collected bets are scored by ``score_bets``.
+    """
+    _check_delta(delta)
+    lo, hi = bet_bounds(mu)
+    played, bets = [], []
+    for x in xs:
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"x={x} outside [0, 1]")
         lam = float(strategy.bet())
-        e_value, wealth = _score_round(mu, wealth, lam, x)
+        if not lo <= lam <= hi:
+            raise _bet_outside(lam, lo, hi)
         strategy.observe(x)
-        if rejected_at is None and wealth > threshold:
-            rejected_at = t
-        rows.append(LedgerRow(t=t, x=float(x), lam=lam, e_value=e_value, log_wealth=wealth))
-    return WealthLedger(mu=mu, delta=delta, rows=tuple(rows), rejected_at=rejected_at)
+        played.append(x)
+        bets.append(lam)
+    return score_bets(mu, delta, bets, played)
 
 
 def recompute_log_wealth(e_values) -> list[float]:
-    """Left-fold recomputation of the wealth series from raw e-values.
+    """Log-wealth series of the e-values: the left fold ``w += log(e)`` from 0.
 
-    Matches the incremental ledger bit for bit (same additions in the same
-    order), which is the reproducibility contract for persisted ledgers.
+    Every ledger's log-wealth is this fold, so a persisted ledger recomputes
+    bit for bit from its e-values. A zero e-value makes the wealth -inf from
+    that round on.
     """
-    out = []
-    wealth = 0.0
-    for e in e_values:
-        if e == 0.0:
-            wealth = -math.inf
-        elif wealth != -math.inf:
-            wealth += math.log(e)
-        out.append(wealth)
+    if not isinstance(e_values, (list, tuple)):  # a sequence is read in place, not copied
+        e_values = list(e_values)
+    zero = e_values.index(0.0) if 0.0 in e_values else len(e_values)
+    out = list(itertools.accumulate(map(math.log, itertools.islice(e_values, zero)), initial=0.0))
+    del out[0]
+    out.extend(itertools.repeat(-math.inf, len(e_values) - zero))
     return out
 
 
@@ -180,13 +216,12 @@ LEDGER_HEADER = ("t", "x", "lambda", "e_value", "log_wealth", "rejected")
 CSV_BLOCK_ROWS = 4096
 
 
-def ledger_rows(ledger: WealthLedger) -> list[tuple]:
+def ledger_rows(ledger: WealthLedger) -> Iterator[tuple]:
     """One ``LEDGER_HEADER`` tuple per round; ``rejected`` is 1 from the rejection on."""
-    first = ledger.rejected_at
-    return [
-        (r.t, r.x, r.lam, r.e_value, r.log_wealth, int(first is not None and r.t >= first))
-        for r in ledger.rows
-    ]
+    n = len(ledger.x)
+    before = n if ledger.rejected_at is None else ledger.rejected_at - 1
+    rejected = itertools.chain(itertools.repeat(0, before), itertools.repeat(1, n - before))
+    return zip(range(1, n + 1), ledger.x, ledger.lam, ledger.e_value, ledger.log_wealth, rejected)
 
 
 def ledger_to_csv(ledger: WealthLedger, fh) -> None:
@@ -197,10 +232,10 @@ def ledger_to_csv(ledger: WealthLedger, fh) -> None:
     """
     fh.write(",".join(LEDGER_HEADER) + "\r\n")
     rows = ledger_rows(ledger)
-    for start in range(0, len(rows), CSV_BLOCK_ROWS):
-        fh.write(
-            "".join(
-                f"{t},{x!r},{lam!r},{e!r},{w!r},{rejected}\r\n"
-                for t, x, lam, e, w, rejected in rows[start : start + CSV_BLOCK_ROWS]
-            )
-        )
+    while block := "".join(
+        [
+            f"{t},{x!r},{lam!r},{e!r},{w!r},{rejected}\r\n"
+            for t, x, lam, e, w, rejected in itertools.islice(rows, CSV_BLOCK_ROWS)
+        ]
+    ):
+        fh.write(block)

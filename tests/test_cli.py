@@ -2,13 +2,15 @@ import csv
 import io
 import itertools
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from evbet import kernels
-from evbet.betting import ReplayStrategy, UniversalPortfolioStrategy, make_strategy
+from evbet.betting import UniversalPortfolioStrategy, make_strategy
 from evbet.cli import main
 from evbet.confseq import default_mu_grid, run_cs_batch
 from evbet.domain import SampleSpace, parse_distribution, sample_stream
@@ -125,6 +127,7 @@ CONTRACT_CASES = {
         ("nan", CMP + ["--alpha-file", "{d}/alpha-nan.txt"], "alpha must be finite"),
         ("missing-file", CMP + ["--alpha-file", "{d}/none.txt"], NO_FILE),
         ("literal", CMP + ["--alpha-file", "{d}/alpha-bad.txt"], "could not convert"),
+        ("range", CMP + ["--alpha", "1e300"], "alpha=1e+300 is too large: its square overflows"),
     ],
     "check": [
         ("range", ["check", "--table", "{d}/t1.csv", "--mu", "1.5"], "mu must lie in (0, 1)"),
@@ -190,11 +193,14 @@ CONTRACT_CASES = {
 )
 def test_bad_input_exit_2_with_message(tmp_path, args, message):
     write_contract_inputs(tmp_path)
-    result = CliRunner().invoke(main, [a.format(d=tmp_path) for a in args])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = CliRunner().invoke(main, [a.format(d=tmp_path) for a in args])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert message in result.stderr
     assert "Traceback" not in result.output
+    assert [str(w.message) for w in caught] == []
 
 
 def test_contract_covers_every_command_and_class():
@@ -333,7 +339,7 @@ class TestSimulate:
         ids=["rejected", "minus-inf", "up"],
     )
     def test_ledger_csv_bytes_match_csv_writer(
-        self, runner, tmp_path, mu, dist, strategy, n, seed, to_stdout
+        self, runner, tmp_path, replay, mu, dist, strategy, n, seed, to_stdout
     ):
         out = tmp_path / "ledger.csv"
         result = invoke(runner, ["simulate", "--mu", str(mu), "--dist", dist, "--strategy",
@@ -342,7 +348,7 @@ class TestSimulate:
         xs = sample_stream(parse_distribution(dist), n, seed)
         strat = make_strategy(strategy, mu)
         if isinstance(strat, UniversalPortfolioStrategy):
-            strat = ReplayStrategy(kernels.up_game_batch(xs[None, :], np.array([mu]), 101)[0][0])
+            strat = replay(kernels.up_game_batch(xs[None, :], np.array([mu]), 101)[0][0])
         ledger = run_game(mu, 0.05, strat, xs)
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -366,6 +372,36 @@ class TestSimulate:
         else:
             assert out.read_bytes() == expected.encode()
             assert json.loads(result.output) == summary
+
+    @pytest.mark.parametrize(
+        "strategy, up_raw",
+        [("up:101", False), ("constant:2", False), ("up:101", True)],
+        ids=["up", "constant", "up-raw"],
+    )
+    def test_ledger_json_bytes_match_round_loop(
+        self, runner, tmp_path, loop_game, replay, strategy, up_raw
+    ):
+        # Rejected, then a zero e-value for constant:2 (as in the CSV test's minus-inf case).
+        mu, dist, n, seed = 0.5, "bernoulli:0.7", 300, 6
+        out = tmp_path / "ledger.json"
+        args = ["simulate", "--mu", str(mu), "--dist", dist, "--strategy", strategy, "--n",
+                str(n), "--seed", str(seed), "--format", "json", "--out", str(out)]
+        result = invoke(runner, args + (["--up-raw"] if up_raw else []))
+        xs = sample_stream(parse_distribution(dist), n, seed)
+        strat = make_strategy(strategy, mu, raw=up_raw)
+        if strategy == "up:101" and not up_raw:
+            strat = replay(kernels.up_game_batch(xs[None, :], np.array([mu]), 101)[0][0])
+        rows, rejected_at = loop_game(mu, 0.05, strat, xs)
+        assert rejected_at is not None
+        if strategy == "constant:2":
+            assert rows[-1].log_wealth == -math.inf
+        header = ["t", "x", "lambda", "e_value", "log_wealth", "rejected"]
+        expected = [
+            dict(zip(header, (r.t, r.x, r.lam, r.e_value, r.log_wealth, int(r.t >= rejected_at))))
+            for r in rows
+        ]
+        assert out.read_bytes() == (json.dumps(expected, indent=2) + "\n").encode()
+        assert json.loads(result.output)["rejected_at"] == rejected_at
 
     def test_up_raw_keeps_object_path(self, runner, tmp_path):
         mu, dist, n, seed = 0.5, "bernoulli:0.5", 200, 2

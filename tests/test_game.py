@@ -1,39 +1,40 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from evbet.betting import ConstantStrategy, UniversalPortfolioStrategy
 from evbet.domain import DiscreteDistribution, sample_stream
-from evbet.evariables import dominating_lambda
+from evbet.evariables import bet_bounds, dominating_lambda
+from evbet.errors import OutOfRange
 from evbet.game import (
     WealthLedger,
-    play_round,
     recompute_log_wealth,
     run_game,
     run_games_batch,
+    score_bets,
 )
 
 
 class TestPlayRound:
+    """One- and two-round games through run_game."""
+
     def test_zero_bet_keeps_wealth(self):
-        ledger = WealthLedger(mu=0.5, delta=0.05)
-        out = play_round(ledger, ConstantStrategy(0.5, 0.0), 0.8)
+        out = run_game(0.5, 0.05, ConstantStrategy(0.5, 0.0), [0.8])
         assert out.rows[-1].e_value == 1.0
         assert out.rows[-1].log_wealth == 0.0
 
     def test_boundary_win_doubles(self):
-        ledger = WealthLedger(mu=0.5, delta=0.05)
-        out = play_round(ledger, ConstantStrategy(0.5, 2.0), 1.0)
+        out = run_game(0.5, 0.05, ConstantStrategy(0.5, 2.0), [1.0])
         assert out.rows[-1].e_value == 2.0
         assert out.rows[-1].log_wealth == pytest.approx(math.log(2.0))
 
     def test_boundary_wipeout_saturates(self):
-        ledger = WealthLedger(mu=0.5, delta=0.05)
-        out = play_round(ledger, ConstantStrategy(0.5, 2.0), 0.0)
+        out = run_game(0.5, 0.05, ConstantStrategy(0.5, 2.0), [0.0])
         assert out.rows[-1].e_value == 0.0
         assert out.rows[-1].log_wealth == -math.inf
-        out = play_round(out, ConstantStrategy(0.5, 2.0), 1.0)
+        out = run_game(0.5, 0.05, ConstantStrategy(0.5, 2.0), [0.0, 1.0])
         assert out.rows[-1].log_wealth == -math.inf
         assert out.rejected_at is None
 
@@ -48,8 +49,84 @@ class TestPlayRound:
             def observe(self, x):
                 calls.append(("observe", x))
 
-        play_round(WealthLedger(mu=0.5, delta=0.05), Spy(), 0.3)
+        run_game(0.5, 0.05, Spy(), [0.3])
         assert calls == ["bet", ("observe", 0.3)]
+
+
+def random_game(rng, mu, n):
+    """Bets in I_mu, 1% of them at an endpoint, against half binary, half uniform data."""
+    lo, hi = bet_bounds(mu)
+    xs = np.where(rng.random(n) < 0.5, rng.integers(0, 2, n), rng.uniform(0.0, 1.0, n))
+    bets = rng.uniform(lo, hi, n)
+    ends = rng.random(n) < 0.01
+    bets[ends] = rng.choice([lo, hi], ends.sum())
+    return bets, xs
+
+
+class TestScoreBets:
+    def test_equals_round_loop_on_random_bets(self, loop_game, replay):
+        seen = {"zero": 0, "rejected": 0, "rejected then zero": 0}
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            mu = (0.5, 0.25, 0.1, 0.37)[seed % 4]
+            bets, xs = random_game(rng, mu, 300)
+            ledger = score_bets(mu, 0.05, bets, xs)
+            rows, rejected_at = loop_game(mu, 0.05, replay(bets), xs)
+            assert ledger.rows == rows
+            assert ledger.rejected_at == rejected_at
+            assert recompute_log_wealth(ledger.e_value) == list(ledger.log_wealth)
+            zero = 0.0 in ledger.e_value
+            seen["zero"] += zero
+            seen["rejected"] += rejected_at is not None
+            seen["rejected then zero"] += zero and rejected_at is not None
+        assert all(seen.values()), seen
+
+    def test_run_game_equals_round_loop(self, loop_game, rng):
+        xs = rng.uniform(0.0, 1.0, 500)
+        for make in (
+            lambda: UniversalPortfolioStrategy(0.3, 51),
+            lambda: ConstantStrategy(0.3, 1.2),
+        ):
+            ledger = run_game(0.3, 0.05, make(), xs)
+            assert (ledger.rows, ledger.rejected_at) == loop_game(0.3, 0.05, make(), xs)
+
+    def test_threshold_needs_strict_crossing(self, loop_game, replay):
+        # Two wins of e=2 put the wealth at exactly log 4 = log(1/0.25); the third crosses.
+        bets, xs = [2.0] * 4, [1.0] * 4
+        ledger = score_bets(0.5, 0.25, bets, xs)
+        assert ledger.log_wealth[1] == ledger.threshold
+        assert ledger.rejected_at == 3
+        assert (ledger.rows, ledger.rejected_at) == loop_game(0.5, 0.25, replay(bets), xs)
+
+    def test_minus_inf_after_zero_e_value(self):
+        ledger = score_bets(0.5, 0.05, [1.0, 2.0, 0.5, -2.0], [1.0, 0.0, 1.0, 0.0])
+        assert ledger.e_value == (1.5, 0.0, 1.25, 2.0)
+        assert ledger.log_wealth == (math.log(1.5), -math.inf, -math.inf, -math.inf)
+        assert ledger.rejected_at is None
+
+    @pytest.mark.parametrize(
+        "bets, xs",
+        [
+            ([0.0, 2.0 + 1e-12, 0.0], [0.5, 0.5, 0.5]),  # bet above 1/mu
+            ([0.0, -2.5, 0.0], [0.5, 0.5, 0.5]),  # bet below 1/(mu - 1)
+            ([0.0, math.nan], [0.5, 0.5]),
+            ([0.0, 0.0, 0.0], [0.5, 1.5, 0.5]),  # observation above 1
+            ([0.0, 3.0], [0.5, -0.1]),  # both bad in one round: the observation first
+            ([0.0, 3.0, 0.0], [0.5, 0.5, math.nan]),  # the earlier round first
+        ],
+    )
+    def test_raises_as_round_loop(self, loop_game, replay, bets, xs):
+        with pytest.raises((OutOfRange, ValueError)) as expected:
+            loop_game(0.5, 0.05, replay(bets), xs)
+        with pytest.raises(expected.type, match="^" + re.escape(str(expected.value)) + "$"):
+            score_bets(0.5, 0.05, bets, xs)
+        with pytest.raises(expected.type, match="^" + re.escape(str(expected.value)) + "$"):
+            run_game(0.5, 0.05, replay(bets), xs)
+
+    def test_empty_game(self):
+        ledger = score_bets(0.5, 0.05, [], [])
+        assert ledger == WealthLedger(mu=0.5, delta=0.05)
+        assert ledger.rows == () and ledger.final_log_wealth == 0.0
 
 
 class TestRunGame:

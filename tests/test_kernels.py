@@ -122,6 +122,35 @@ def exact_mixture(xs, mus, n_nodes):
     return bets, log_wealth
 
 
+def full_grid_means(posterior, ones):
+    """``_BinaryPosterior.means`` with every chunk over all K nodes: the reference.
+
+    The kernel restricts each chunk to the nodes between the first and last
+    non-zero weight; the others are exactly 0 and only lengthen the sums.
+    """
+    n_rounds = len(ones)
+    n_one = np.concatenate(([0], np.cumsum(ones)))
+    n_zero = np.arange(n_rounds + 1) - n_one
+    sums = np.empty((n_rounds + 1, 3))
+    start = 0
+    while start < n_rounds:
+        w = posterior.weights(n_one[start], n_zero[start])
+        sums[start] = w @ posterior.moments
+        stop = min(start + posterior.chunk, n_rounds)
+        f = posterior.pow_one[n_one[start + 1 : stop + 1] - n_one[start]]
+        f *= posterior.pow_zero[n_zero[start + 1 : stop + 1] - n_zero[start]]
+        f *= w
+        m = f @ posterior.moments
+        low = np.flatnonzero(m[:, 1] < posterior.restart_below)
+        if low.size:
+            stop = start + 1 + int(low[0])
+            m = m[: low[0]]
+        sums[start + 1 : start + 1 + len(m)] = m
+        start = stop
+    sums = sums[:n_rounds]
+    return sums[:, 0] / sums[:, 1], sums[:, 2] / sums[:, 1]
+
+
 def assert_bets_in_interval(bets, mus):
     """Every bet inside I_mu = [1/(mu - 1), 1/mu], with no slack."""
     lo, hi = 1.0 / (mus - 1.0), 1.0 / mus
@@ -370,6 +399,25 @@ class TestBinaryPath:
             logw[0], [r.log_wealth for r in reference.rows], rtol=0.0, atol=1e-9
         )
 
+    @pytest.mark.parametrize("n_nodes", [3, 11, 101, 1001])
+    @pytest.mark.parametrize(
+        "stream",
+        [
+            sample_stream(DiscreteDistribution.bernoulli(0.4), 20_000, 3),
+            sample_stream(DiscreteDistribution.bernoulli(0.02), 20_000, 5),
+            np.concatenate([np.zeros(190), np.ones(5000)]),
+            np.concatenate([np.zeros(8000), np.ones(40), np.zeros(40)]),
+            np.concatenate([np.ones(3000), np.zeros(3000), np.ones(3000)]),
+        ],
+        ids=["bernoulli-0.4", "bernoulli-0.02", "zeros-then-ones", "long-zeros-switch",
+             "ones-zeros-ones"],
+    )
+    def test_live_span_matches_full_grid(self, stream, n_nodes):
+        posterior = _pykernels._BinaryPosterior(n_nodes)
+        ones = stream == 1.0
+        for live, full in zip(posterior.means(ones), full_grid_means(posterior, ones)):
+            np.testing.assert_allclose(live, full, rtol=1e-12, atol=0.0)
+
     def test_bad_arguments(self):
         xs = np.ones((2, 5))
         with pytest.raises(ValueError):
@@ -378,6 +426,20 @@ class TestBinaryPath:
             _pykernels.up_game_batch_binary(xs, np.array([0.5, 1.0]), 11)
         with pytest.raises(ValueError):
             _pykernels.up_game_batch_binary(xs, np.array([0.5, 0.5]), 2)
+
+
+class TestObjectPath:
+    def test_dead_endpoint_node_stays_dead(self):
+        # At mu = 0.41, fl(fl(1/mu)*mu) != 1, so the lambda form 1 + lam*(x - mu)
+        # left the node lam = 1/mu about 1e-16 of its weight after the zero; the
+        # ones then regrew it (it pays the most on a one) and the bets drifted.
+        mu = 0.41
+        assert (1.0 / mu) * mu != 1.0
+        xs = np.array([[0.0] + [1.0] * 100])
+        ledger = run_game(mu, 0.05, UniversalPortfolioStrategy(mu, 3), xs[0])
+        bets, log_wealth = exact_mixture(xs, np.array([mu]), 3)
+        np.testing.assert_allclose([r.lam for r in ledger.rows], bets[0], rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(ledger.log_wealth, log_wealth[0], rtol=0.0, atol=1e-9)
 
 
 class TestCrossBackend:
