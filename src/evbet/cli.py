@@ -231,10 +231,17 @@ def compare(ctx, mu, dist, n, seed, alpha, alpha_file, out, fmt):
             schedule = np.full(n, alpha)
         lams = np.array([evariables.dominating_lambda(mu, a) for a in schedule])
         xs = domain.sample_stream(distribution, n, seed)
+        with np.errstate(over="ignore"):
+            log_h = np.cumsum(schedule * (xs - mu) - schedule**2 / 8.0)
+        finite = np.isfinite(log_h)
+        if not finite.all():
+            t = int(finite.argmin()) + 1
+            raise ValueError(
+                f"alpha is too large: the Hoeffding log-wealth overflows at round {t}"
+            )
     except (OSError, ValueError, EvbetError) as exc:
         _fail(str(exc))
 
-    log_h = np.cumsum(schedule * (xs - mu) - schedule**2 / 8.0)
     log_cb = np.cumsum(np.log1p(lams * (xs - mu)))
     rows = [
         (t + 1, float(log_h[t]), float(log_cb[t]), float(log_cb[t] - log_h[t]))
@@ -254,12 +261,14 @@ def check(ctx, table, mu, strict):
 
     try:
         tab = evariables.tabulated_from_csv(table, mu)
+        report = evariables.check_evariable(tab)
+        # A valid table whose slope interval is inverted beyond rounding raises.
+        cert = evariables.beta_interval(tab) if report.valid else None
     except (OSError, ValueError, EvbetError) as exc:
         _fail(str(exc))
-    report = evariables.check_evariable(tab)
     verdict = {"valid": report.valid, "witness": None, "certificate": None}
     if report.valid:
-        verdict["certificate"] = evariables.beta_interval(tab).as_dict()
+        verdict["certificate"] = cert.as_dict()
     else:
         verdict["witness"] = {
             "a": report.witness.a,
@@ -279,14 +288,15 @@ def check(ctx, table, mu, strict):
 @click.pass_context
 def dominate(ctx, table, mu, t2, strict):
     """Construct a dominating coin-bet (single- or two-round), or refute."""
-    from . import evariables, multiround
+    from . import domain, evariables, multiround
 
     if not t2:
         try:
             tab = evariables.tabulated_from_csv(table, mu)
+            report = evariables.check_evariable(tab)
+            cert = evariables.beta_interval(tab) if report.valid else None
         except (OSError, ValueError, EvbetError) as exc:
             _fail(str(exc))
-        report = evariables.check_evariable(tab)
         if not report.valid:
             _echo_json(
                 {
@@ -301,13 +311,12 @@ def dominate(ctx, table, mu, t2, strict):
             )
             _strict_exit(ctx, strict, True)
             return
-        cert = evariables.beta_interval(tab)
         _echo_json({"certified": True, **cert.as_dict()})
         return
 
     try:
-        space, values = _load_square_table(table, mu)
-        result = multiround.dominate_T2(values, space)
+        points, values = domain.square_table_from_csv(table)
+        result = multiround.dominate_T2(values, domain.SampleSpace(points, mu))
     except (OSError, ValueError, EvbetError) as exc:
         _fail(str(exc))
     if result.certified:
@@ -326,26 +335,6 @@ def dominate(ctx, table, mu, t2, strict):
             }
         )
         _strict_exit(ctx, strict, True)
-
-
-def _load_square_table(path, mu):
-    from . import domain
-
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"x1", "x2", "value"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected CSV columns x1,x2,value")
-        cells = {(float(r["x1"]), float(r["x2"])): float(r["value"]) for r in reader}
-    points = sorted({x for x, _ in cells} | {y for _, y in cells})
-    space = domain.SampleSpace(tuple(points), mu)
-    n = len(points)
-    values = np.zeros((n, n))
-    for i, x in enumerate(points):
-        for j, y in enumerate(points):
-            if (x, y) not in cells:
-                raise ValueError(f"{path}: missing cell ({x}, {y})")
-            values[i, j] = cells[(x, y)]
-    return space, values
 
 
 @main.command()

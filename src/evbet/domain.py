@@ -40,6 +40,9 @@ class SampleSpace:
             raise ValueError("grid must contain 0 and 1 as its endpoints")
         if not 0.0 < self.mu < 1.0:
             raise ValueError(f"mu must lie in (0, 1), got {self.mu}")
+        arr = np.array(pts, dtype=float)
+        arr.flags.writeable = False
+        object.__setattr__(self, "_array", arr)  # not a field: eq and hash ignore it
 
     @classmethod
     def uniform(cls, n: int, mu: float) -> "SampleSpace":
@@ -47,7 +50,12 @@ class SampleSpace:
         return cls(tuple(np.linspace(0.0, 1.0, n)), mu)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=float)
+        """The grid as a read-only float array, built once per space."""
+        return self._array
+
+    def __reduce__(self):
+        # Copies and pickles rebuild the read-only array through __post_init__.
+        return SampleSpace, (self.points, self.mu)
 
 
 @dataclass(frozen=True)
@@ -205,3 +213,36 @@ def distribution_from_csv(path: str) -> DiscreteDistribution:
             raise ValueError(f"{path}: expected CSV columns point,mass")
         atoms = [(float(row["point"]), float(row["mass"])) for row in reader]
     return DiscreteDistribution(tuple(atoms))
+
+
+def square_table_from_csv(path: str, grid=None) -> tuple[tuple[float, ...], np.ndarray]:
+    """Load an ``x1,x2,value`` CSV as a table over a grid square.
+
+    Returns the grid and the table, ``table[i, j]`` being the value at
+    ``(grid[i], grid[j])``. With ``grid`` None the grid is the sorted set of
+    coordinates in the file; otherwise every coordinate must come from
+    ``grid``. Every cell is required; a repeated cell keeps its last value.
+    Values are parsed, not checked.
+    """
+    allowed = None if grid is None else set(map(float, grid))
+    cells = {}
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not {"x1", "x2", "value"} <= set(reader.fieldnames):
+            raise ValueError(f"{path}: expected CSV columns x1,x2,value")
+        for row in reader:
+            key = float(row["x1"]), float(row["x2"])
+            if allowed is not None and not allowed.issuperset(key):
+                listed = ", ".join(f"{p:g}" for p in grid)
+                raise ValueError(f"{path}: coordinates must come from {{{listed}}}")
+            cells[key] = float(row["value"])
+    if grid is None:
+        grid = sorted({x for x, _ in cells} | {y for _, y in cells})
+    grid = tuple(map(float, grid))
+    table = np.zeros((len(grid), len(grid)))
+    for i, x in enumerate(grid):
+        for j, y in enumerate(grid):
+            if (x, y) not in cells:
+                raise ValueError(f"{path}: missing cell ({x}, {y})")
+            table[i, j] = cells[x, y]
+    return grid, table

@@ -5,11 +5,11 @@ class EvbetError(Exception):
     """Base class for all evbet errors."""
 
 
-class MeanOutsideSpan(EvbetError):
+class MeanOutsideSpan(EvbetError, ValueError):
     """The target mean does not lie between the two support points."""
 
 
-class OutOfRange(EvbetError):
+class OutOfRange(EvbetError, ValueError):
     """A bet or parameter falls outside its admissible interval."""
 
 

@@ -8,6 +8,14 @@ mean-``mu`` expectation equals 1) and every valid e-variable is pointwise
 dominated by one of its members. ``check_evariable`` certifies validity by
 enumerating the two-point extreme measures of the hypothesis, and
 ``beta_interval`` constructs the dominating coin-bet explicitly.
+
+Both run on one private core, ``_certify``. It takes the grid's split around
+mu (``_split_grid``) and a 2-D array of tables, one per row. Per row it
+returns the validity report and either the certificate or the
+``NotAnEVariable`` that ``beta_interval`` raises. ``multiround.dominate_T2``
+certifies its first-round envelope with one call and all its second-round
+rows with another. A row goes through the same elementwise operations as a
+table checked on its own, so batching changes no result.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,6 +127,9 @@ class ValidityReport:
     expectation: float | None = None
 
 
+_VALID = ValidityReport(valid=True)
+
+
 def eval_coinbet(e: CoinBetEVariable, x):
     return e.value(x)
 
@@ -154,13 +166,114 @@ def dominating_lambda(mu: float, alpha: float) -> float:
     return math.exp(alpha * (1.0 - mu) - alpha**2 / 8.0) - math.exp(-alpha * mu - alpha**2 / 8.0)
 
 
-def _split_grid(space: SampleSpace):
-    """Indices of grid points below, at (within snap tolerance), above mu."""
-    pts = space.as_array()
-    at = np.abs(pts - space.mu) <= MU_SNAP_TOL
-    below = (pts < space.mu) & ~at
-    above = (pts > space.mu) & ~at
-    return pts, below, at, above
+class _Split(NamedTuple):
+    """A sorted grid cut around mu: ``pts[:i]`` below, ``pts[i:j]`` at, ``pts[j:]`` above.
+
+    A point is at mu when it lies within ``MU_SNAP_TOL`` of it. ``w[k, l]`` is
+    the mass on ``pts[k]`` of the mean-mu measure on ``{pts[k], pts[j + l]}``
+    and ``omw`` is ``1 - w``.
+    """
+
+    i: int
+    j: int
+    w: np.ndarray
+    omw: np.ndarray
+
+
+def _split_grid(pts: np.ndarray, mu: float) -> _Split:
+    """Cut the increasing grid ``pts`` around mu (see ``_Split``)."""
+    # pts - mu is non-decreasing, so below (pts - mu < -tol), at and above
+    # (pts - mu > tol) are a prefix, a middle run and a suffix of the grid.
+    d = pts - mu
+    i = int(d.searchsorted(-MU_SNAP_TOL, side="left"))
+    j = int(d.searchsorted(MU_SNAP_TOL, side="right"))
+    b = pts[None, j:]
+    w = (b - mu) / (b - pts[:i, None])
+    return _Split(i, j, w, 1.0 - w)
+
+
+def _row_maxima(block: np.ndarray):
+    """``(first maximiser, maximum)`` of each row of a 2-D array."""
+    return zip(block.argmax(axis=1).tolist(), block.max(axis=1).tolist())
+
+
+def _worst_measures(pts: np.ndarray, split: _Split, rows: np.ndarray, floor: float):
+    """Per row of ``rows``, the two-point mean-mu measure of largest expectation.
+
+    The point masses at mu come first, then the straddling pairs in row-major
+    ``(a, b)`` order; a measure replaces the current one only when its
+    expectation is strictly larger, starting from ``floor``. Returns the
+    measures (None where nothing exceeds ``floor``) and their expectations.
+    """
+    i, j, w, omw = split
+    n_rows = len(rows)
+    worst: list[TwoPointMeasure | None] = [None] * n_rows
+    worst_exp = [floor] * n_rows
+    if j > i:
+        for r, (k, v) in enumerate(_row_maxima(rows[:, i:j])):
+            if v > worst_exp[r]:
+                x = float(pts[i + k])
+                worst[r], worst_exp[r] = TwoPointMeasure(x, x, 1.0), v
+    if w.size:
+        expect = (w * rows[:, :i, None] + omw * rows[:, None, j:]).reshape(n_rows, -1)
+        for r, (k, v) in enumerate(_row_maxima(expect)):
+            if v > worst_exp[r]:
+                ka, kb = divmod(k, w.shape[1])
+                worst[r] = TwoPointMeasure(float(pts[ka]), float(pts[j + kb]), float(w[ka, kb]))
+                worst_exp[r] = v
+    return worst, worst_exp
+
+
+def _certify(
+    pts: np.ndarray, mu: float, split: _Split, rows: np.ndarray, tol: float = VALIDITY_TOL
+):
+    """Validity report and dominating coin-bet of each row of ``rows``.
+
+    Each row is a table on the grid ``pts``, and ``split`` is
+    ``_split_grid(pts, mu)``. Returns one ``(report, certificate)`` pair per
+    row; ``certificate`` is the ``NotAnEVariable`` that ``beta_interval``
+    raises, unraised, when the row is invalid or its slope interval is
+    inverted beyond rounding noise. Each row goes through the same
+    elementwise operations, and the same first-maximum tie-breaks, as a
+    table checked on its own, so the results do not depend on the batch.
+    """
+    i, j = split.i, split.j
+    lo, hi = bet_bounds(mu)
+    n_rows = len(rows)
+    worst, worst_exp = _worst_measures(pts, split, rows, 1.0 + tol)
+    beta0, beta1 = [hi] * n_rows, [lo] * n_rows
+    if any(m is None for m in worst):  # slopes are needed for valid rows only
+        if i:
+            beta0 = np.minimum(hi, ((rows[:, :i] - 1.0) / (pts[:i] - mu)).min(axis=1)).tolist()
+        if j < len(pts):
+            beta1 = np.maximum(lo, ((rows[:, j:] - 1.0) / (pts[j:] - mu)).max(axis=1)).tolist()
+    return [_certificate(lo, hi, *row) for row in zip(worst, worst_exp, beta0, beta1)]
+
+
+def _certificate(lo, hi, witness, expectation, beta0, beta1):
+    """The ``(report, certificate)`` pair of one row of ``_certify``."""
+    if witness is not None:
+        report = ValidityReport(valid=False, witness=witness, expectation=expectation)
+        return report, NotAnEVariable(
+            f"table is not an e-variable (two-point expectation {expectation})",
+            witness=witness,
+            expectation=expectation,
+        )
+    beta0 = max(beta0, lo)
+    beta1 = min(beta1, hi)
+    if beta1 > beta0:
+        # Validity bounds the inversion to rounding noise; collapse it.
+        if beta1 - beta0 > 1e-9:
+            return _VALID, NotAnEVariable(
+                f"slope interval inverted beyond tolerance: beta1={beta1} > beta0={beta0}"
+            )
+        beta0 = beta1 = 0.5 * (beta0 + beta1)
+    return _VALID, DominationCertificate(beta0, beta1, 0.5 * (beta0 + beta1))
+
+
+def _certify_table(e: TabulatedEVariable, tol: float = VALIDITY_TOL):
+    pts, mu = e.space.as_array(), e.space.mu
+    return _certify(pts, mu, _split_grid(pts, mu), e.as_array()[None, :], tol)[0]
 
 
 def check_evariable(e: TabulatedEVariable, tol: float = VALIDITY_TOL) -> ValidityReport:
@@ -170,32 +283,7 @@ def check_evariable(e: TabulatedEVariable, tol: float = VALIDITY_TOL) -> Validit
     ``a < mu < b`` satisfies ``W*e(a) + (1-W)*e(b) <= 1 + tol``. On failure the
     report carries the worst violating measure and its expectation.
     """
-    pts, below, at, above = _split_grid(e.space)
-    vals = e.as_array()
-    mu = e.space.mu
-
-    worst: TwoPointMeasure | None = None
-    worst_exp = 1.0 + tol
-    if at.any():
-        v_mu = float(vals[at].max())
-        if v_mu > worst_exp:
-            x_mu = float(pts[at][np.argmax(vals[at])])
-            worst = TwoPointMeasure(x_mu, x_mu, 1.0)
-            worst_exp = v_mu
-
-    if below.any() and above.any():
-        a = pts[below][:, None]
-        b = pts[above][None, :]
-        w = (b - mu) / (b - a)
-        expect = w * vals[below][:, None] + (1.0 - w) * vals[above][None, :]
-        i, j = np.unravel_index(np.argmax(expect), expect.shape)
-        if expect[i, j] > worst_exp:
-            worst = TwoPointMeasure(float(a[i, 0]), float(b[0, j]), float(w[i, j]))
-            worst_exp = float(expect[i, j])
-
-    if worst is None:
-        return ValidityReport(valid=True)
-    return ValidityReport(valid=False, witness=worst, expectation=worst_exp)
+    return _certify_table(e, tol)[0]
 
 
 def beta_interval(e: TabulatedEVariable) -> DominationCertificate:
@@ -204,39 +292,13 @@ def beta_interval(e: TabulatedEVariable) -> DominationCertificate:
     ``beta0`` is the tightest slope admissible from the points below mu,
     ``beta1`` from the points above; validity of the table guarantees
     ``beta1 <= beta0``, and any slope in between (we return the midpoint as
-    ``lambda_hat``) majorises the table on the whole grid.
+    ``lambda_hat``) majorises the table on the whole grid. An invalid table
+    raises ``NotAnEVariable`` with the witness ``check_evariable`` reports.
     """
-    report = check_evariable(e)
-    if not report.valid:
-        raise NotAnEVariable(
-            f"table is not an e-variable (two-point expectation {report.expectation})",
-            witness=report.witness,
-            expectation=report.expectation,
-        )
-    pts, below, at, above = _split_grid(e.space)
-    vals = e.as_array()
-    mu = e.space.mu
-    lo, hi = bet_bounds(mu)
-
-    beta0 = hi
-    if below.any():
-        ratios = (vals[below] - 1.0) / (pts[below] - mu)
-        beta0 = min(hi, float(ratios.min()))
-    beta1 = lo
-    if above.any():
-        ratios = (vals[above] - 1.0) / (pts[above] - mu)
-        beta1 = max(lo, float(ratios.max()))
-    beta0 = max(beta0, lo)
-    beta1 = min(beta1, hi)
-
-    if beta1 > beta0:
-        # Validity bounds the inversion to rounding noise; collapse it.
-        if beta1 - beta0 > 1e-9:
-            raise NotAnEVariable(
-                f"slope interval inverted beyond tolerance: beta1={beta1} > beta0={beta0}"
-            )
-        beta0 = beta1 = 0.5 * (beta0 + beta1)
-    return DominationCertificate(beta0=beta0, beta1=beta1, lambda_hat=0.5 * (beta0 + beta1))
+    cert = _certify_table(e)[1]
+    if isinstance(cert, NotAnEVariable):
+        raise cert
+    return cert
 
 
 def tabulated_from_csv(path: str, mu: float) -> TabulatedEVariable:

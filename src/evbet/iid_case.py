@@ -16,11 +16,12 @@ brute-force maximiser is kept as the independent oracle for that closed form.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .domain import square_table_from_csv
 
 GRID = (0.0, 0.5, 1.0)
 MU = 0.5
@@ -51,16 +52,22 @@ class BruteForceResult:
 
 
 def xi_stats(table) -> XiStats:
-    """Collapse a 3x3 table (rows/cols ordered 0, 1/2, 1) to its cell averages."""
+    """Collapse a 3x3 table (rows/cols ordered 0, 1/2, 1) to its cell averages.
+
+    Each average of four cells is summed left to right, as ``np.mean`` sums
+    four values, then divided by 4.
+    """
     t = np.asarray(table, dtype=float)
     if t.shape != (3, 3):
         raise ValueError("expected a 3x3 table over {0, 1/2, 1}^2")
-    if (t < 0.0).any() or not np.isfinite(t).all():
+    cells = t.tolist()
+    if not all(0.0 <= v < math.inf for row in cells for v in row):
         raise ValueError("table values must be finite and non-negative")
-    xi0 = float(t[1, 1])
-    xi1 = float(np.mean([t[i, j] for i, j in _XI1_CELLS]))
-    xi2 = float(np.mean([t[i, j] for i, j in _XI2_CELLS]))
-    return XiStats(xi0, xi1, xi2)
+    a, b, c, d = (cells[i][j] for i, j in _XI1_CELLS)
+    xi1 = (((a + b) + c) + d) / 4.0
+    a, b, c, d = (cells[i][j] for i, j in _XI2_CELLS)
+    xi2 = (((a + b) + c) + d) / 4.0
+    return XiStats(cells[1][1], xi1, xi2)
 
 
 def iid_expectation(s: XiStats, q: float) -> float:
@@ -118,23 +125,8 @@ def iid_expectation_vec(s: XiStats, qs: np.ndarray) -> np.ndarray:
 
 
 def table_from_csv(path: str) -> np.ndarray:
-    """Load a 9-row ``x1,x2,value`` CSV into a 3x3 table."""
-    index = {0.0: 0, 0.5: 1, 1.0: 2}
-    table = np.zeros((3, 3))
-    seen = np.zeros((3, 3), dtype=bool)  # not NaN-marked: a NaN value is not a missing cell
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"x1", "x2", "value"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected CSV columns x1,x2,value")
-        for row in reader:
-            x1, x2 = float(row["x1"]), float(row["x2"])
-            if x1 not in index or x2 not in index:
-                raise ValueError(f"{path}: coordinates must come from {{0, 0.5, 1}}")
-            table[index[x1], index[x2]] = float(row["value"])
-            seen[index[x1], index[x2]] = True
-    if not seen.all():
-        raise ValueError(f"{path}: all 9 cells of the table are required")
-    return table
+    """Load a 9-row ``x1,x2,value`` CSV over ``GRID`` into a 3x3 table."""
+    return square_table_from_csv(path, GRID)[1]
 
 
 def separation_table() -> np.ndarray:

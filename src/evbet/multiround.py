@@ -35,13 +35,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import SampleSpace, two_point_weight
-from .errors import DepthTooLarge, OutOfRange
-from .evariables import TabulatedEVariable, bet_bounds, beta_interval, check_evariable
+from .errors import DepthTooLarge, NotAnEVariable, OutOfRange
+# check_evariable and beta_interval are not called here, but stay module names:
+# perfbench/tracing.py patches its spans in under them.
+from .evariables import (  # noqa: F401
+    MU_SNAP_TOL,
+    _certify,
+    _split_grid,
+    _worst_measures,
+    bet_bounds,
+    beta_interval,
+    check_evariable,
+)
 
 MAX_MASK_DEPTH = 5
 MAX_AUDIT_DEPTH = 4
 MAX_EXHAUSTIVE = 200_000
-STRADDLE_TOL = 1e-9
+# One tolerance for every split of a grid around mu: pairs straddle mu up to
+# it, and dominate_T2 splits its grid with evariables._split_grid.
+STRADDLE_TOL = MU_SNAP_TOL
 
 
 @dataclass(frozen=True)
@@ -519,49 +531,21 @@ def dominate_T2(values, space: SampleSpace) -> T2DominationResult:
     if (vals < 0.0).any() or not np.isfinite(vals).all():
         raise ValueError("table values must be finite and non-negative")
 
-    at = np.abs(pts - mu) <= STRADDLE_TOL
-    below = (pts < mu) & ~at
-    above = (pts > mu) & ~at
-
+    split = _split_grid(pts, mu)
     # Conditional envelope m(x) with, per row, the maximising two-point measure.
-    m = np.full(n, -np.inf)
-    arg_pair: list[tuple[float, float] | None] = [None] * n
-    if at.any():
-        at_cols = vals[:, at]
-        m = at_cols.max(axis=1)
-        at_pts = pts[at]
-        arg_pair = [
-            (float(at_pts[j]), float(at_pts[j])) for j in at_cols.argmax(axis=1)
-        ]
-    if below.any() and above.any():
-        a = pts[below][:, None]
-        b = pts[above][None, :]
-        w = (b - mu) / (b - a)
-        pair_exp = (
-            w[None, :, :] * vals[:, below][:, :, None]
-            + (1.0 - w)[None, :, :] * vals[:, above][:, None, :]
-        )
-        flat = pair_exp.reshape(n, -1)
-        best = flat.argmax(axis=1)
-        for i in range(n):
-            if flat[i, best[i]] > m[i]:
-                m[i] = flat[i, best[i]]
-                ia, ib = np.unravel_index(best[i], w.shape)
-                arg_pair[i] = (float(a[ia, 0]), float(b[0, ib]))
-
-    m_table = TabulatedEVariable(space, tuple(float(v) for v in m))
-    report = check_evariable(m_table)
+    arg_measure, m = _worst_measures(pts, split, vals, -math.inf)
+    report, cert = _certify(pts, mu, split, np.array([m]))[0]
     if not report.valid:
         root = report.witness
         idx = {float(p): i for i, p in enumerate(pts)}
-        left = arg_pair[idx[root.a]]
-        right = arg_pair[idx[root.b]]
+        left = arg_measure[idx[root.a]]
+        right = arg_measure[idx[root.b]]
         tree = TreeHypothesis(
             mu=mu,
             pairs=(
                 (min(root.a, root.b), max(root.a, root.b)),
-                (min(left), max(left)),
-                (min(right), max(right)),
+                (min(left.a, left.b), max(left.a, left.b)),
+                (min(right.a, right.b), max(right.a, right.b)),
             ),
         )
         return T2DominationResult(
@@ -569,14 +553,25 @@ def dominate_T2(values, space: SampleSpace) -> T2DominationResult:
             refutation=T2Refutation(tree=tree, expectation=report.expectation),
         )
 
-    lam1 = beta_interval(m_table).lambda_hat
+    if isinstance(cert, NotAnEVariable):
+        raise cert
+    lam1 = cert.lambda_hat
+    # Second round: row i divided by the first-round payoff at x_i, all rows
+    # certified in one batch; a row whose payoff is 0 is never reached.
+    denom = 1.0 + lam1 * (pts - mu)
+    live = denom > 0.0
+    rows = vals[live] / denom[live, None]
+    checked = zip(np.isfinite(rows).all(axis=1).tolist(), _certify(pts, mu, split, rows))
     lam2 = {}
-    for i, x in enumerate(pts):
-        denom = 1.0 + lam1 * (x - mu)
-        if denom <= 0.0:
-            lam2[(float(x),)] = 0.0
+    for x, reached in zip(pts.tolist(), live.tolist()):
+        if not reached:
+            lam2[(x,)] = 0.0
             continue
-        row = TabulatedEVariable(space, tuple(float(v) for v in vals[i] / denom))
-        lam2[(float(x),)] = beta_interval(row).lambda_hat
+        finite, (_, row_cert) = next(checked)
+        if not finite:  # a row can overflow when mu is within 1e-9 of 0 or 1
+            raise ValueError("values must be finite and non-negative")
+        if isinstance(row_cert, NotAnEVariable):
+            raise row_cert
+        lam2[(x,)] = row_cert.lambda_hat
     coinbet = MultiRoundCoinBet(mu=mu, tables=({(): lam1}, lam2))
     return T2DominationResult(certified=True, coinbet=coinbet)

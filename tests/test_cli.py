@@ -73,6 +73,9 @@ def write_contract_inputs(d):
         "t1-neg.csv": "point,value\n0.0,-1.0\n0.5,1.0\n1.0,1.0\n",
         "t1-nan.csv": "point,value\n0.0,nan\n0.5,1.0\n1.0,1.0\n",
         "t1-bad.csv": "point,value\n0.0,abc\n0.5,1.0\n1.0,1.0\n",
+        # Valid to 1e-12, but its slope interval is inverted by more than 1e-9.
+        "t1-inverted.csv": "point,value\n0.0,1.7086613301353941\n0.499999997,1.0000000042519739\n"
+        "0.500000003,0.9999999957480281\n1.0,0.2913386698646016\n",
         "sq.csv": square,
         "sq-neg.csv": square.replace("1.0,1.0,1.0", "1.0,1.0,-2.0"),
         "sq-nan.csv": square.replace("1.0,1.0,1.0", "1.0,1.0,nan"),
@@ -128,6 +131,8 @@ CONTRACT_CASES = {
         ("missing-file", CMP + ["--alpha-file", "{d}/none.txt"], NO_FILE),
         ("literal", CMP + ["--alpha-file", "{d}/alpha-bad.txt"], "could not convert"),
         ("range", CMP + ["--alpha", "1e300"], "alpha=1e+300 is too large: its square overflows"),
+        ("range", CMP[:-1] + ["20", "--alpha", "1e154"],
+         "alpha is too large: the Hoeffding log-wealth overflows at round 15"),
     ],
     "check": [
         ("range", ["check", "--table", "{d}/t1.csv", "--mu", "1.5"], "mu must lie in (0, 1)"),
@@ -138,6 +143,8 @@ CONTRACT_CASES = {
         ("literal", ["check", "--table", "{d}/t1-bad.csv", "--mu", "0.5"], "could not convert"),
         ("literal", ["check", "--table", "{d}/sq.csv", "--mu", "0.5"],
          "expected CSV columns point,value"),
+        ("range", ["check", "--table", "{d}/t1-inverted.csv", "--mu", "0.5"],
+         "slope interval inverted beyond tolerance"),
     ],
     "dominate": [
         ("range", ["dominate", "--table", "{d}/t1.csv", "--mu", "1.5"], "mu must lie in (0, 1)"),
@@ -151,6 +158,8 @@ CONTRACT_CASES = {
          "could not convert"),
         ("literal", ["dominate", "--table", "{d}/t1.csv", "--mu", "0.5", "--t2"],
          "expected CSV columns x1,x2,value"),
+        ("range", ["dominate", "--table", "{d}/t1-inverted.csv", "--mu", "0.5"],
+         "slope interval inverted beyond tolerance"),
     ],
     "audit": [
         ("range", AUDIT[:-1] + ["-1"], "audit depth must be at least 1, got -1"),

@@ -10,6 +10,7 @@ from evbet.domain import (
     parse_distribution,
     replicate_seed,
     sample_stream,
+    square_table_from_csv,
     two_point_measure,
     two_point_weight,
 )
@@ -159,3 +160,27 @@ class TestReplicateSeed:
         assert len(seeds) == 1000
         assert replicate_seed(42, 7) == replicate_seed(42, 7)
         assert replicate_seed(42, 7) != replicate_seed(43, 7)
+
+
+class TestSquareTableCsv:
+    def write(self, tmp_path, rows):
+        path = tmp_path / "square.csv"
+        path.write_text("x1,x2,value\n" + "".join(f"{a},{b},{v}\n" for a, b, v in rows))
+        return str(path)
+
+    def test_grid_from_the_file(self, tmp_path):
+        rows = [(1.0, 1.0, 4.0), (0.0, 1.0, 2.0), (1.0, 0.0, 3.0), (0.0, 0.0, 1.0)]
+        grid, table = square_table_from_csv(self.write(tmp_path, rows))
+        assert grid == (0.0, 1.0)
+        assert table.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_fixed_grid_rejects_other_coordinates(self, tmp_path):
+        path = self.write(tmp_path, [(0.0, 0.25, 1.0)])
+        with pytest.raises(ValueError, match=r"coordinates must come from \{0, 0.5, 1\}"):
+            square_table_from_csv(path, (0.0, 0.5, 1.0))
+
+    @pytest.mark.parametrize("grid", [None, (0.0, 1.0)])
+    def test_missing_cell_named(self, tmp_path, grid):
+        path = self.write(tmp_path, [(0.0, 0.0, 1.0), (0.0, 1.0, 1.0), (1.0, 1.0, 1.0)])
+        with pytest.raises(ValueError, match=r"missing cell \(1.0, 0.0\)"):
+            square_table_from_csv(path, grid)

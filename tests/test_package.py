@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import evbet
+from evbet import errors
 
 SRC = str(Path(evbet.__file__).resolve().parents[1])
 
@@ -70,3 +71,22 @@ def test_all_lists_exactly_the_top_level_names():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'play_round'"):
         evbet.play_round
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: evbet.CoinBetEVariable(0.5, 2.5), "OutOfRange"),
+        (lambda: evbet.MultiRoundCoinBet(0.5, ({(): 3.0},)), "OutOfRange"),
+        (lambda: evbet.two_point_weight(0.6, 0.9, 0.5), "MeanOutsideSpan"),
+        (lambda: evbet.enumerate_masks(6), "DepthTooLarge"),
+    ],
+)
+def test_validation_errors_are_value_errors(call, error):
+    """A caller that catches ValueError catches every bad-argument error of the library."""
+    try:
+        call()
+    except ValueError as exc:
+        assert type(exc) is getattr(errors, error)
+    else:
+        pytest.fail("the call raised nothing")
