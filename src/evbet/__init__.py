@@ -27,8 +27,6 @@ _PUBLIC = {
         "beta_interval",
         "check_evariable",
         "dominating_lambda",
-        "eval_coinbet",
-        "eval_hoeffding",
         "eval_majorizer",
     ),
     "betting": (
@@ -39,7 +37,7 @@ _PUBLIC = {
         "up_update",
     ),
     "game": ("WealthLedger", "run_game", "run_games_batch", "score_bets"),
-    "confseq": ("ConfidenceState", "cs_interval", "cs_update", "default_mu_grid", "run_cs_batch"),
+    "confseq": ("default_mu_grid", "run_cs_batch"),
     "multiround": (
         "EProcess",
         "MultiRoundCoinBet",
@@ -48,7 +46,6 @@ _PUBLIC = {
         "audit_eprocess",
         "dominate_T2",
         "enumerate_masks",
-        "eval_multiround",
         "tree_expectation",
     ),
     "iid_case": ("XiStats", "check_iid_bruteforce", "check_iid_closed_form", "xi_stats"),

@@ -4,16 +4,14 @@ Every command is deterministic given its options (including ``--seed``);
 tabular results go to ``--out`` (default stdout) as CSV, verdicts and
 summaries are printed as JSON. Exit codes: 0 on success, 2 on configuration
 or parse errors, 3 when ``--strict`` is set and the command's verdict is a
-refutation. ``EVBET_BACKEND`` forces the python or cython kernel;
-``EVBET_THREADS`` caps the threads of the compiled kernel only, as the numpy
-kernel is single-threaded.
+refutation.
 
 ``cs`` and ``simulate`` run every strategy through the batch kernel
 (``game.run_games_batch``); on data that are all 0 or 1 the universal
-portfolio takes the u-posterior path (one posterior pass per stream, whatever
-``EVBET_BACKEND`` says), which keeps the exact posterior up to rounding, as
-the object-path strategy does. ``simulate`` scores the kernel's bets in bulk
-with ``game.score_bets``, so its ledger recomputes exactly from its e-values.
+portfolio takes the u-posterior path (one posterior pass per stream), which
+keeps the exact posterior up to rounding, as the object-path strategy does.
+``simulate`` scores the kernel's bets in bulk with ``game.score_bets``, so
+its ledger recomputes exactly from its e-values.
 ``--up-raw`` plays the object-path strategy through ``game.run_game``.
 
 The two large CSV outputs, the ``simulate`` ledger (``game.ledger_to_csv``)

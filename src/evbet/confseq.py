@@ -25,68 +25,6 @@ def default_mu_grid(m: int = 99) -> np.ndarray:
     return np.arange(1, m + 1) / (m + 1.0)
 
 
-class ConfidenceState:
-    """Per-candidate games sharing one data stream.
-
-    Strategies are cloned fresh per grid point; each observation advances all
-    games by one round. Kept deliberately simple: the batch path in
-    ``run_cs_batch`` is the high-throughput equivalent.
-    """
-
-    def __init__(self, mu_grid, strategy_factory, delta: float, running_intersect: bool = False):
-        self.mu_grid = np.asarray(mu_grid, dtype=float)
-        if self.mu_grid.ndim != 1 or not ((self.mu_grid > 0) & (self.mu_grid < 1)).all():
-            raise ValueError("mu grid must be a 1-d array inside (0, 1)")
-        self.delta = float(delta)
-        self.running_intersect = running_intersect
-        self.strategies = [strategy_factory(mu) for mu in self.mu_grid]
-        self.threshold = math.log(1.0 / delta)
-        self.log_wealth: list[np.ndarray] = []  # one (M,) row per round
-        self._wealth = np.zeros(len(self.mu_grid))
-        self._ever_out = np.zeros(len(self.mu_grid), dtype=bool)
-        self._ever_out_rows: list[np.ndarray] = []
-
-    @property
-    def rounds(self) -> int:
-        return len(self.log_wealth)
-
-    def in_set(self, n: int) -> np.ndarray:
-        """Membership mask of the confidence set after round ``n``."""
-        if n == 0:
-            return np.ones(len(self.mu_grid), dtype=bool)
-        if self.running_intersect:
-            return ~self._ever_out_rows[n - 1]
-        return self.log_wealth[n - 1] <= self.threshold
-
-
-def cs_update(state: ConfidenceState, x: float) -> ConfidenceState:
-    """Advance every per-candidate game by one observation."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")
-    lams = np.array([s.bet() for s in state.strategies])
-    payoffs = np.maximum(1.0 + lams * (x - state.mu_grid), 0.0)
-    with np.errstate(divide="ignore"):
-        state._wealth = state._wealth + np.log(payoffs)
-    for s in state.strategies:
-        s.observe(x)
-    state.log_wealth.append(state._wealth.copy())
-    state._ever_out |= state._wealth > state.threshold
-    state._ever_out_rows.append(state._ever_out.copy())
-    return state
-
-
-def cs_interval(state: ConfidenceState, n: int) -> tuple[float, float, int]:
-    """Interval hull and size of the confidence set after round ``n``."""
-    if n > state.rounds:
-        raise ValueError(f"round {n} not played yet (have {state.rounds})")
-    mask = state.in_set(n)
-    alive = int(mask.sum())
-    if alive == 0:
-        return math.nan, math.nan, 0
-    pts = state.mu_grid[mask]
-    return float(pts.min()), float(pts.max()), alive
-
-
 @dataclass(frozen=True)
 class CsResult:
     """Full confidence-sequence trace over a data stream."""

@@ -130,14 +130,6 @@ class ValidityReport:
 _VALID = ValidityReport(valid=True)
 
 
-def eval_coinbet(e: CoinBetEVariable, x):
-    return e.value(x)
-
-
-def eval_hoeffding(e: HoeffdingEVariable, x):
-    return e.value(x)
-
-
 def eval_majorizer(mu: float, x):
     """Pointwise upper envelope ``F_mu`` of all e-variables for mean ``mu``.
 

@@ -54,8 +54,9 @@ class BruteForceResult:
 def xi_stats(table) -> XiStats:
     """Collapse a 3x3 table (rows/cols ordered 0, 1/2, 1) to its cell averages.
 
-    Each average of four cells is summed left to right, as ``np.mean`` sums
-    four values, then divided by 4.
+    Each average of four cells is summed left to right from 0.0, as
+    ``np.mean`` sums four values, then divided by 4: four ``-0.0`` cells
+    average to ``0.0``.
     """
     t = np.asarray(table, dtype=float)
     if t.shape != (3, 3):
@@ -64,9 +65,9 @@ def xi_stats(table) -> XiStats:
     if not all(0.0 <= v < math.inf for row in cells for v in row):
         raise ValueError("table values must be finite and non-negative")
     a, b, c, d = (cells[i][j] for i, j in _XI1_CELLS)
-    xi1 = (((a + b) + c) + d) / 4.0
+    xi1 = ((((0.0 + a) + b) + c) + d) / 4.0
     a, b, c, d = (cells[i][j] for i, j in _XI2_CELLS)
-    xi2 = (((a + b) + c) + d) / 4.0
+    xi2 = ((((0.0 + a) + b) + c) + d) / 4.0
     return XiStats(cells[1][1], xi1, xi2)
 
 
@@ -89,7 +90,10 @@ def interior_maximum(s: XiStats) -> tuple[float, float] | None:
     The quadratic ``q^2*xi0 + 2q(1-q)*xi1 + (1-q)^2*xi2`` is concave iff
     ``xi0 + xi2 < 2*xi1``; its critical point is then
     ``q* = (xi2 - xi1) / (xi0 + xi2 - 2*xi1)`` with value
-    ``xi2 + (xi1 - xi2)^2 / (2*xi1 - xi0 - xi2)``.
+    ``xi2 + (xi1 - xi2)^2 / (2*xi1 - xi0 - xi2) = xi2 + (xi1 - xi2)*q*``.
+    The second form is the one computed: as ``0 < q* < 1`` and the xi are
+    non-negative, none of its terms exceeds the largest xi, so it cannot
+    overflow where the square can.
     """
     curvature = s.xi0 + s.xi2 - 2.0 * s.xi1
     if curvature >= 0.0:
@@ -97,7 +101,7 @@ def interior_maximum(s: XiStats) -> tuple[float, float] | None:
     q_star = (s.xi2 - s.xi1) / curvature
     if not 0.0 < q_star < 1.0:
         return None
-    value = s.xi2 + (s.xi1 - s.xi2) ** 2 / (-curvature)
+    value = s.xi2 + (s.xi1 - s.xi2) * q_star
     return q_star, value
 
 

@@ -21,12 +21,11 @@ of the unrounded bet, but it keeps its relative accuracy where the payoff
 nears zero, while 1 + bet*(x - mu) of the rounded bet does not: there one
 ulp of the bet can move the log payoff by 1e-7 or more.
 
-``up_game_batch`` is the general K-node kernel, with the semantics contract
-shared with the compiled kernel. Per round it takes sum(w*u) and sum(w) in
-one (K, 2) product, and builds the payoff row from alpha and beta divided by
-the previous sum, so the weights are renormalised inside the multiply rather
-than by a pass of their own. Renormalising leaves the bets invariant and
-prevents under/overflow over long horizons.
+``up_game_batch`` is the general K-node kernel. Per round it takes sum(w*u)
+and sum(w) in one (K, 2) product, and builds the payoff row from alpha and
+beta divided by the previous sum, so the weights are renormalised inside the
+multiply rather than by a pass of their own. Renormalising leaves the bets
+invariant and prevents under/overflow over long horizons.
 
 ``up_game_batch_binary`` plays the same games on observations that are all
 exactly 0.0 or 1.0, with one posterior pass per distinct stream instead of
@@ -48,13 +47,12 @@ from ..betting import quadrature_coefficients
 from ..errors import DegeneratePosterior
 
 
-def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int, threads: int = 1):
+def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
     """Run one universal-portfolio coin-betting game per row of ``xs``.
 
     Observations must lie in [0, 1]; ``xs`` may be a broadcast view and is
-    not copied. ``threads`` is accepted for the backend contract and ignored:
-    this kernel runs on the calling thread. Returns ``(bets, log_wealth)`` of
-    shape ``(G, n)``; ``log_wealth`` is the running log of the mixture wealth.
+    not copied. Returns ``(bets, log_wealth)`` of shape ``(G, n)``;
+    ``log_wealth`` is the running log of the mixture wealth.
     """
     xs, mus = _check_batch(xs, mus, n_nodes)
     # NaN passes here and raises DegeneratePosterior in the loop.

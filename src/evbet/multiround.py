@@ -93,10 +93,6 @@ class MultiRoundCoinBet:
         return out
 
 
-def eval_multiround(e: MultiRoundCoinBet, xs) -> float:
-    return e.value(xs)
-
-
 @dataclass(frozen=True)
 class StoppingMask:
     """Pruned binary tree: ``children`` is None at a stopped node."""

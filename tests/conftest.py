@@ -3,24 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from evbet import kernels
 from evbet.errors import OutOfRange
 from evbet.evariables import bet_bounds
 from evbet.game import LedgerRow
 from evbet.kernels import _pykernels
 
-_BACKENDS = {"python": _pykernels.up_game_batch}
-try:
-    from evbet.kernels import _ckernels
 
-    _BACKENDS["cython"] = _ckernels.up_game_batch
-except ImportError:
-    pass
-
-
-@pytest.fixture(params=sorted(_BACKENDS))
+@pytest.fixture(params=[kernels.BACKEND])
 def up_batch(request):
-    """The batch UP runner of each available backend."""
-    return _BACKENDS[request.param]
+    """The general batch UP kernel, with the backend's name as its test id."""
+    return _pykernels.up_game_batch
 
 
 @pytest.fixture

@@ -31,8 +31,6 @@ from evbet.evariables import (
     beta_interval,
     check_evariable,
     dominating_lambda,
-    eval_coinbet,
-    eval_hoeffding,
 )
 from evbet.game import run_games_batch
 from evbet.iid_case import (
@@ -81,8 +79,8 @@ def test_criterion_1_hoeffding_domination():
             for alpha in alphas:
                 lam = dominating_lambda(mu, float(alpha))
                 assert lo <= lam <= hi
-                cb = eval_coinbet(CoinBetEVariable(mu, lam), xs)
-                hoeff = eval_hoeffding(HoeffdingEVariable(mu, float(alpha)), xs)
+                cb = CoinBetEVariable(mu, lam).value(xs)
+                hoeff = HoeffdingEVariable(mu, float(alpha)).value(xs)
                 assert (cb >= hoeff - 1e-12).all()
                 if lam != 0.0:
                     if alpha != 0.0:

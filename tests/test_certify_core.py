@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evbet.domain import SampleSpace, TwoPointMeasure
@@ -376,6 +376,7 @@ cell = st.one_of(
 class TestIid:
     @settings(max_examples=300, deadline=None)
     @given(cells=st.lists(cell, min_size=9, max_size=9))
+    @example(cells=[0.0, -0.0] * 4 + [0.0])  # numpy sums -0.0 cells to 0.0
     def test_xi_stats_match_oracle(self, cells):
         table = np.array(cells).reshape(3, 3)
         assert_same(xi_stats, oracle_xi_stats, table)

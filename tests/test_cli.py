@@ -212,6 +212,19 @@ def test_bad_input_exit_2_with_message(tmp_path, args, message):
     assert [str(w.message) for w in caught] == []
 
 
+def test_huge_valid_input_exit_0_without_warning():
+    # A valid input, unlike the contract cases: (xi1 - xi2)^2 overflows a
+    # float, the maximum does not.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = CliRunner().invoke(main, ["iid-check", "--xi", "0,1e300,0"])
+    assert result.exit_code == 0, result.output
+    assert "Traceback" not in result.output
+    brute = json.loads(result.stdout)["brute_force"]
+    assert brute == {"max_expectation": 5e299, "argmax_q": 0.5, "valid": False}
+    assert [str(w.message) for w in caught] == []
+
+
 def test_contract_covers_every_command_and_class():
     assert set(CONTRACT_CASES) == set(main.commands)
     for cases in CONTRACT_CASES.values():
@@ -440,8 +453,8 @@ class TestCs:
         assert 0 < int(final["alive"]) <= 99
 
     def test_seeded_golden_interval(self, runner, tmp_path):
-        # Frozen from the first computation of this exact run (both backends
-        # give the same grid-valued bounds); the interval must contain 0.5.
+        # Frozen from the first computation of this exact run; the interval
+        # must contain 0.5.
         out = tmp_path / "cs.csv"
         result = invoke(
             runner,

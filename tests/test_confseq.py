@@ -4,15 +4,73 @@ import numpy as np
 import pytest
 
 from evbet.betting import ConstantStrategy, UniversalPortfolioStrategy
-from evbet.confseq import (
-    ConfidenceState,
-    cs_interval,
-    cs_update,
-    default_mu_grid,
-    run_cs_batch,
-)
+from evbet.confseq import default_mu_grid, run_cs_batch
 from evbet.domain import DiscreteDistribution, replicate_seed, sample_stream
 from evbet.evariables import dominating_lambda
+
+# --- the reference: one strategy object per candidate, one round at a time ---
+
+
+class ConfidenceState:
+    """Per-candidate games sharing one data stream: the reference for ``run_cs_batch``.
+
+    Strategies are cloned fresh per grid point; each observation advances all
+    games by one round through the strategies' ``bet``/``observe``, with no
+    batch kernel.
+    """
+
+    def __init__(self, mu_grid, strategy_factory, delta: float, running_intersect: bool = False):
+        self.mu_grid = np.asarray(mu_grid, dtype=float)
+        if self.mu_grid.ndim != 1 or not ((self.mu_grid > 0) & (self.mu_grid < 1)).all():
+            raise ValueError("mu grid must be a 1-d array inside (0, 1)")
+        self.delta = float(delta)
+        self.running_intersect = running_intersect
+        self.strategies = [strategy_factory(mu) for mu in self.mu_grid]
+        self.threshold = math.log(1.0 / delta)
+        self.log_wealth: list[np.ndarray] = []  # one (M,) row per round
+        self._wealth = np.zeros(len(self.mu_grid))
+        self._ever_out = np.zeros(len(self.mu_grid), dtype=bool)
+        self._ever_out_rows: list[np.ndarray] = []
+
+    @property
+    def rounds(self) -> int:
+        return len(self.log_wealth)
+
+    def in_set(self, n: int) -> np.ndarray:
+        """Membership mask of the confidence set after round ``n``."""
+        if n == 0:
+            return np.ones(len(self.mu_grid), dtype=bool)
+        if self.running_intersect:
+            return ~self._ever_out_rows[n - 1]
+        return self.log_wealth[n - 1] <= self.threshold
+
+
+def cs_update(state: ConfidenceState, x: float) -> ConfidenceState:
+    """Advance every per-candidate game by one observation."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"x={x} outside [0, 1]")
+    lams = np.array([s.bet() for s in state.strategies])
+    payoffs = np.maximum(1.0 + lams * (x - state.mu_grid), 0.0)
+    with np.errstate(divide="ignore"):
+        state._wealth = state._wealth + np.log(payoffs)
+    for s in state.strategies:
+        s.observe(x)
+    state.log_wealth.append(state._wealth.copy())
+    state._ever_out |= state._wealth > state.threshold
+    state._ever_out_rows.append(state._ever_out.copy())
+    return state
+
+
+def cs_interval(state: ConfidenceState, n: int) -> tuple[float, float, int]:
+    """Interval hull and size of the confidence set after round ``n``."""
+    if n > state.rounds:
+        raise ValueError(f"round {n} not played yet (have {state.rounds})")
+    mask = state.in_set(n)
+    alive = int(mask.sum())
+    if alive == 0:
+        return math.nan, math.nan, 0
+    pts = state.mu_grid[mask]
+    return float(pts.min()), float(pts.max()), alive
 
 
 def small_state(running_intersect=False, grid=9, nodes=51):
@@ -38,11 +96,13 @@ class TestCsUpdate:
         state = ConfidenceState(
             default_mu_grid(9), lambda mu: ConstantStrategy(mu, 0.0), delta=0.05
         )
-        for x in (0.0, 1.0, 0.3, 0.9):
+        xs = (0.0, 1.0, 0.3, 0.9)
+        for x in xs:
             cs_update(state, x)
-        lower, upper, alive = cs_interval(state, 4)
-        assert alive == 9
-        assert (lower, upper) == (pytest.approx(0.1), pytest.approx(0.9))
+        result = run_cs_batch(default_mu_grid(9), xs, "constant:0.0", 0.05)
+        for lower, upper, alive in (cs_interval(state, 4), result.interval(4)):
+            assert alive == 9
+            assert (lower, upper) == (pytest.approx(0.1), pytest.approx(0.9))
 
     def test_sure_ones_reject_small_means_first(self):
         grid = default_mu_grid(99)
@@ -68,10 +128,10 @@ class TestCsUpdate:
 
 class TestCsInterval:
     def test_no_data_full_span(self):
-        state = small_state()
-        lower, upper, alive = cs_interval(state, 0)
-        assert alive == 9
-        assert (lower, upper) == (pytest.approx(0.1), pytest.approx(0.9))
+        result = run_cs_batch(default_mu_grid(9), [0.5], "up:51", 0.05)
+        for lower, upper, alive in (cs_interval(small_state(), 0), result.interval(0)):
+            assert alive == 9
+            assert (lower, upper) == (pytest.approx(0.1), pytest.approx(0.9))
 
     def test_running_intersection_nested(self):
         xs = sample_stream(DiscreteDistribution.bernoulli(0.8), 120, 21)
@@ -93,9 +153,10 @@ class TestCsInterval:
         state = ConfidenceState(np.array([0.5]), lambda mu: ConstantStrategy(mu, 2.0), 0.05)
         for _ in range(10):
             cs_update(state, 1.0)
-        lower, upper, alive = cs_interval(state, 10)
-        assert alive == 0
-        assert math.isnan(lower) and math.isnan(upper)
+        result = run_cs_batch(np.array([0.5]), np.ones(10), "constant:2.0", 0.05)
+        for lower, upper, alive in (cs_interval(state, 10), result.interval(10)):
+            assert alive == 0
+            assert math.isnan(lower) and math.isnan(upper)
 
 
 class TestBatchAgainstObject:

@@ -13,8 +13,6 @@ from evbet.evariables import (
     beta_interval,
     check_evariable,
     dominating_lambda,
-    eval_coinbet,
-    eval_hoeffding,
     eval_majorizer,
 )
 
@@ -27,14 +25,14 @@ def tabulate_coinbet(space, lam):
 
 class TestEvalCoinBet:
     def test_boundary_bet_doubles_at_one(self):
-        assert eval_coinbet(CoinBetEVariable(0.5, 2.0), 1.0) == 2.0
+        assert CoinBetEVariable(0.5, 2.0).value(1.0) == 2.0
 
     def test_value_one_at_mean(self):
         for lam in (-2.0, -0.3, 0.0, 1.7, 2.0):
-            assert eval_coinbet(CoinBetEVariable(0.5, lam), 0.5) == 1.0
+            assert CoinBetEVariable(0.5, lam).value(0.5) == 1.0
 
     def test_zero_bet_is_identity(self):
-        assert eval_coinbet(CoinBetEVariable(0.5, 0.0), 0.7) == 1.0
+        assert CoinBetEVariable(0.5, 0.0).value(0.7) == 1.0
 
     def test_rejects_fraction_outside_interval(self):
         with pytest.raises(OutOfRange):
@@ -44,22 +42,22 @@ class TestEvalCoinBet:
     def test_nonnegative_on_unit_interval(self, mu, x, u):
         lo, hi = bet_bounds(mu)
         lam = min(hi, max(lo, lo + u * (hi - lo)))
-        assert eval_coinbet(CoinBetEVariable(mu, lam), x) >= -1e-12
+        assert CoinBetEVariable(mu, lam).value(x) >= -1e-12
 
 
 class TestEvalHoeffding:
     def test_alpha_zero_is_one(self):
-        assert eval_hoeffding(HoeffdingEVariable(0.5, 0.0), 0.3) == 1.0
+        assert HoeffdingEVariable(0.5, 0.0).value(0.3) == 1.0
 
     def test_value_at_mean(self):
         # exp(-1/8): frozen from the formula at alpha=1, x=mu.
-        assert eval_hoeffding(HoeffdingEVariable(0.5, 1.0), 0.5) == pytest.approx(
+        assert HoeffdingEVariable(0.5, 1.0).value(0.5) == pytest.approx(
             0.8824969025845955, abs=1e-15
         )
 
     @pytest.mark.parametrize("alpha", [-3.0, -0.5, 0.5, 4.0])
     def test_below_one_at_mean_for_nonzero_alpha(self, alpha):
-        assert eval_hoeffding(HoeffdingEVariable(0.4, alpha), 0.4) < 1.0
+        assert HoeffdingEVariable(0.4, alpha).value(0.4) < 1.0
 
 
 class TestMajorizer:
@@ -106,8 +104,8 @@ class TestDominatingLambda:
         lam = dominating_lambda(mu, alpha)
         lo, hi = bet_bounds(mu)
         assert lo <= lam <= hi
-        cb = eval_coinbet(CoinBetEVariable(mu, lam), xs)
-        hoeff = eval_hoeffding(HoeffdingEVariable(mu, alpha), xs)
+        cb = CoinBetEVariable(mu, lam).value(xs)
+        hoeff = HoeffdingEVariable(mu, alpha).value(xs)
         assert (cb >= hoeff - 1e-12).all()
 
     @pytest.mark.parametrize("mu", [0.2, 0.5, 0.8])
@@ -117,7 +115,7 @@ class TestDominatingLambda:
         for lam in (-0.5, 0.7):
             e_lam = CoinBetEVariable(mu, lam)
             for alpha in (-3.0, -1.0, 1.0, 3.0):
-                assert eval_hoeffding(HoeffdingEVariable(mu, alpha), mu) < e_lam.value(mu)
+                assert HoeffdingEVariable(mu, alpha).value(mu) < e_lam.value(mu)
             assert max(e_lam.value(0.0), e_lam.value(1.0)) > 1.0
 
 
@@ -171,7 +169,7 @@ class TestBetaInterval:
         cert = beta_interval(table)
         lam_alpha = dominating_lambda(0.5, 1.0)
         assert cert.beta1 <= lam_alpha <= cert.beta0
-        cb = eval_coinbet(CoinBetEVariable(0.5, cert.lambda_hat), GRID101.as_array())
+        cb = CoinBetEVariable(0.5, cert.lambda_hat).value(GRID101.as_array())
         assert (cb >= table.as_array() - 1e-12).all()
 
     def test_invalid_table_raises_with_witness(self):
@@ -215,5 +213,5 @@ class TestBetaInterval:
         assert check_evariable(table).valid
         cert = beta_interval(table)
         assert cert.beta1 <= cert.beta0
-        dominator = eval_coinbet(CoinBetEVariable(mu, cert.lambda_hat), xs)
+        dominator = CoinBetEVariable(mu, cert.lambda_hat).value(xs)
         assert (dominator >= table.as_array() - 1e-12).all()

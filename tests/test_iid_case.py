@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,14 @@ class TestBruteForce:
     def test_constant(self):
         res = check_iid_bruteforce(XiStats(1.0, 1.0, 1.0))
         assert res.max_expectation == pytest.approx(1.0, abs=1e-12)
+
+    def test_huge_xi1_does_not_overflow(self):
+        # (xi1 - xi2)^2 overflows a float here; the maximum itself is finite.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = check_iid_bruteforce(XiStats(0.0, 1e300, 0.0))
+        assert res.max_expectation == 5e299
+        assert res.argmax_q == 0.5
 
     def test_interior_maximum_formula(self, rng):
         # Against dense-grid maximisation, and against the closed-form value

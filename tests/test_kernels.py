@@ -29,35 +29,28 @@ class TestBackendContract:
 
     def test_shapes_and_saturation(self, up_batch, rng):
         xs, mus = self.make_batch(rng)
-        bets, logw = up_batch(xs, mus, 101, 1)
+        bets, logw = up_batch(xs, mus, 101)
         assert bets.shape == xs.shape and logw.shape == xs.shape
         assert np.isfinite(bets).all()
 
     def test_bets_stay_in_interval(self, up_batch, rng):
         xs, mus = self.make_batch(rng)
-        bets, _ = up_batch(xs, mus, 101, 1)
+        bets, _ = up_batch(xs, mus, 101)
         assert_bets_in_interval(bets, mus)
 
     def test_deterministic(self, up_batch, rng):
         xs, mus = self.make_batch(rng)
-        first = up_batch(xs, mus, 51, 1)
-        second = up_batch(xs, mus, 51, 1)
+        first = up_batch(xs, mus, 51)
+        second = up_batch(xs, mus, 51)
         assert (first[0] == second[0]).all()
         assert (first[1] == second[1]).all()
-
-    def test_threads_do_not_change_results(self, up_batch, rng):
-        xs, mus = self.make_batch(rng)
-        one = up_batch(xs, mus, 51, 1)
-        four = up_batch(xs, mus, 51, 4)
-        assert (one[0] == four[0]).all()
-        assert (one[1] == four[1]).all()
 
     def test_boundary_data_only_kills_endpoint_nodes(self, up_batch):
         # x in {0,1} kills exactly the two endpoint fractions of I_mu; the
         # interior nodes survive, so the game keeps running with sane bets.
         xs = np.array([[0.0, 1.0] * 40])
         mus = np.array([0.5])
-        bets, logw = up_batch(xs, mus, 11, 1)
+        bets, logw = up_batch(xs, mus, 11)
         assert np.isfinite(bets).all()
         assert (np.abs(bets) < 2.0).all()
         assert np.isfinite(logw).all()
@@ -273,7 +266,7 @@ def assert_matches_general_kernel(xs, mus, n_nodes):
     """The dispatcher against the general numpy kernel on a binary batch."""
     mus = np.asarray(mus, dtype=float)
     bets, logw = kernels.up_game_batch(xs, mus, n_nodes)
-    ref_bets, ref_logw = _pykernels.up_game_batch(xs, mus, n_nodes, 1)
+    ref_bets, ref_logw = _pykernels.up_game_batch(xs, mus, n_nodes)
     lo, hi = 1.0 / (mus - 1.0), 1.0 / mus
     assert ((bets >= lo[:, None]) & (bets <= hi[:, None])).all()
     np.testing.assert_allclose(bets, ref_bets, rtol=0.0, atol=1e-9)
@@ -441,28 +434,3 @@ class TestObjectPath:
         np.testing.assert_allclose([r.lam for r in ledger.rows], bets[0], rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(ledger.log_wealth, log_wealth[0], rtol=0.0, atol=1e-9)
 
-
-class TestCrossBackend:
-    def test_backends_agree(self, rng):
-        try:
-            from evbet.kernels import _ckernels
-        except ImportError:
-            pytest.skip("compiled kernel unavailable")
-        xs, mus = make_batch(rng, n_games=8, n_rounds=200)
-        bp, wp = _pykernels.up_game_batch(xs, mus, 101, 1)
-        bc, wc = _ckernels.up_game_batch(xs, mus, 101, 1)
-        assert np.allclose(bp, bc, atol=1e-9)
-        finite = np.isfinite(wp)
-        assert (finite == np.isfinite(wc)).all()
-        assert np.allclose(wp[finite], wc[finite], atol=1e-9)
-
-    def test_long_horizon_no_drift(self):
-        try:
-            from evbet.kernels import _ckernels
-        except ImportError:
-            pytest.skip("compiled kernel unavailable")
-        xs = sample_stream(DiscreteDistribution.bernoulli(0.3), 3000, 5)[None, :]
-        mus = np.array([0.3])
-        bp, wp = _pykernels.up_game_batch(xs, mus, 101, 1)
-        bc, wc = _ckernels.up_game_batch(xs, mus, 101, 1)
-        assert np.allclose(wp, wc, atol=1e-8)

@@ -30,7 +30,6 @@ from evbet.multiround import (
     eprocess_from_csv,
     eprocess_from_tables,
     eprocess_to_csv,
-    eval_multiround,
     full_mask,
     tree_expectation,
 )
@@ -55,20 +54,20 @@ def random_coinbet(space, depth, rng):
 class TestEvalMultiround:
     def test_all_observations_at_mean(self, rng):
         bet = random_coinbet(GRID3, 3, rng)
-        assert eval_multiround(bet, (0.5, 0.5, 0.5)) == 1.0
+        assert bet.value((0.5, 0.5, 0.5)) == 1.0
 
     def test_two_round_product(self):
         bet = MultiRoundCoinBet(
             0.5, ({(): 2.0}, {(0.0,): -2.0, (0.5,): -2.0, (1.0,): -2.0})
         )
-        assert eval_multiround(bet, (1.0, 0.0)) == pytest.approx(4.0)
+        assert bet.value((1.0, 0.0)) == pytest.approx(4.0)
 
     def test_zero_fractions_are_identity(self):
         bet = MultiRoundCoinBet(
             0.5, ({(): 0.0}, {(x,): 0.0 for x in GRID3.points})
         )
         for xs in itertools.product(GRID3.points, repeat=2):
-            assert eval_multiround(bet, xs) == 1.0
+            assert bet.value(xs) == 1.0
 
     def test_fraction_outside_interval_rejected(self):
         with pytest.raises(OutOfRange):

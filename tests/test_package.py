@@ -17,31 +17,34 @@ TOP_LEVEL = {
                "sample_stream", "two_point_weight"],
     "evariables": ["CoinBetEVariable", "DominationCertificate", "HoeffdingEVariable",
                    "TabulatedEVariable", "bet_bounds", "beta_interval", "check_evariable",
-                   "dominating_lambda", "eval_coinbet", "eval_hoeffding", "eval_majorizer"],
+                   "dominating_lambda", "eval_majorizer"],
     "betting": ["ConstantStrategy", "PortfolioPosterior", "UniversalPortfolioStrategy", "up_bet",
                 "up_update"],
     "game": ["WealthLedger", "run_game", "run_games_batch", "score_bets"],
-    "confseq": ["ConfidenceState", "cs_interval", "cs_update", "default_mu_grid", "run_cs_batch"],
+    "confseq": ["default_mu_grid", "run_cs_batch"],
     "multiround": ["EProcess", "MultiRoundCoinBet", "StoppingMask", "TreeHypothesis",
-                   "audit_eprocess", "dominate_T2", "enumerate_masks", "eval_multiround",
-                   "tree_expectation"],
+                   "audit_eprocess", "dominate_T2", "enumerate_masks", "tree_expectation"],
     "iid_case": ["XiStats", "check_iid_bruteforce", "check_iid_closed_form", "xi_stats"],
 }
+
+
+def run_fresh(code, **env):
+    """What a fresh interpreter prints running ``code``, with ``env`` added to its environment."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, **env, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout
 
 
 def loaded_after(statement):
     """The evbet modules a fresh interpreter holds after running ``statement``."""
     listing = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'evbet'))"
-    code = f"import sys; {statement}; {listing}"
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return out.stdout.split()
+    return run_fresh(f"import sys; {statement}; {listing}").split()
 
 
 def test_cli_import_loads_no_command_module():
@@ -53,6 +56,11 @@ def test_cli_import_loads_no_command_module():
 
 def test_package_import_loads_nothing_else():
     assert loaded_after("import evbet") == ["evbet"]
+
+
+def test_no_environment_variable_selects_the_kernel():
+    code = "import evbet.kernels as k; print(k.BACKEND, k.n_threads())"
+    assert run_fresh(code, EVBET_BACKEND="cython", EVBET_THREADS="4").split() == ["python", "1"]
 
 
 @pytest.mark.parametrize("module", sorted(TOP_LEVEL))
