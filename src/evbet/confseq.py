@@ -44,7 +44,14 @@ class CsResult:
         return float(pts.min()), float(pts.max()), alive
 
     def intervals(self) -> list[tuple[int, float, float, int]]:
-        return [(n, *self.interval(n)) for n in range(1, self.in_set.shape[0] + 1)]
+        """``(n, *interval(n))`` for every round n >= 1, in one masked pass."""
+        grid = np.broadcast_to(self.mu_grid, self.in_set.shape)
+        lower = grid.min(axis=1, where=self.in_set, initial=math.inf)
+        upper = grid.max(axis=1, where=self.in_set, initial=-math.inf)
+        alive = self.in_set.sum(axis=1)
+        lower[alive == 0] = upper[alive == 0] = math.nan
+        rounds = range(1, len(alive) + 1)
+        return list(zip(rounds, lower.tolist(), upper.tolist(), alive.tolist()))
 
 
 def run_cs_batch(

@@ -5,8 +5,11 @@ u-posterior routine (``_pykernels.up_game_batch_binary``): one posterior pass
 per distinct stream rather than per game. It keeps the exact posterior up to
 rounding, and matches the general K-node kernel to 1e-9 while that kernel's
 weights do not underflow. Every other batch goes to the general K-node
-kernel (``_pykernels.up_game_batch``). Both are plain numpy on the calling
-thread; ``BACKEND`` and ``n_threads()`` say so in run manifests.
+kernel (``_pykernels.up_game_batch``), which plays a block of rounds per pass
+over its (games, K) weights: within a block it advances a low-degree
+polynomial of the rounds' payoffs and reads each round's bet and payoff from
+moments of the weights taken once per block. Both are plain numpy on the
+calling thread; ``BACKEND`` and ``n_threads()`` say so in run manifests.
 """
 
 from __future__ import annotations

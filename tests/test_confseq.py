@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evbet.betting import ConstantStrategy, UniversalPortfolioStrategy
-from evbet.confseq import default_mu_grid, run_cs_batch
+from evbet.confseq import CsResult, default_mu_grid, run_cs_batch
 from evbet.domain import DiscreteDistribution, replicate_seed, sample_stream
 from evbet.evariables import dominating_lambda
 
@@ -157,6 +157,23 @@ class TestCsInterval:
         for lower, upper, alive in (cs_interval(state, 10), result.interval(10)):
             assert alive == 0
             assert math.isnan(lower) and math.isnan(upper)
+
+
+    @pytest.mark.parametrize(
+        "grid",
+        [default_mu_grid(9), np.array([0.7, 0.2, 0.9, 0.4, 0.1]), np.array([0.3, 0.5, 0.3, 0.8, 0.5])],
+        ids=["sorted", "unsorted", "duplicates"],
+    )
+    def test_intervals_match_each_round(self, grid, rng):
+        in_set = rng.random((60, len(grid))) < 0.4
+        in_set[[0, 17, 59]] = False
+        in_set[5] = True
+        result = CsResult(grid, 0.05, running_intersect=False, games=None, in_set=in_set)
+        rows = result.intervals()
+        np.testing.assert_equal(rows, [(n, *result.interval(n)) for n in range(1, 61)])
+        for n, lower, upper, alive in rows:
+            assert (type(n), type(lower), type(upper), type(alive)) == (int, float, float, int)
+        assert [alive for *_, alive in rows].count(0) >= 3
 
 
 class TestBatchAgainstObject:

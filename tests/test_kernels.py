@@ -252,6 +252,81 @@ class TestGeneralKernel:
             _pykernels.up_game_batch(np.full((2, 5), 1.5), np.array([0.5, 0.5]), 11)
 
 
+BLOCK = _pykernels._BLOCK
+GRID_11 = np.linspace(0.0, 1.0, 11)
+
+
+def assert_matches_exact_mixture(xs, mus, n_nodes):
+    """The general kernel against exact rational arithmetic, at the 1e-9 bounds.
+
+    Bets also get a relative slack of 1e-12: near an endpoint mean they are of
+    size 1/mu, and the affine image of a double ubar is only that accurate.
+    """
+    bets, logw = _pykernels.up_game_batch(xs, mus, n_nodes)
+    ref_bets, ref_logw = exact_mixture(xs, mus, n_nodes)
+    assert bets.shape == logw.shape == np.shape(xs)
+    assert_bets_in_interval(bets, mus)
+    np.testing.assert_allclose(bets, ref_bets, rtol=1e-12, atol=1e-9)
+    np.testing.assert_allclose(logw, ref_logw, rtol=0.0, atol=1e-9)
+
+
+class TestBlockSeams:
+    """The blocked general kernel where rounds meet the edges of its blocks."""
+
+    @pytest.mark.parametrize("n_rounds", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_horizons_around_a_block(self, n_rounds, rng):
+        xs = rng.choice(GRID_11, size=(3, n_rounds))
+        assert_matches_exact_mixture(xs, np.array([0.2, 0.5, 0.85]), 11)
+
+    # The first and last round of the first and of the second block.
+    @pytest.mark.parametrize("position", [0, BLOCK - 1, BLOCK, 2 * BLOCK - 1])
+    @pytest.mark.parametrize("x", [0.0, 1.0])
+    def test_zero_payoff_at_a_block_edge(self, x, position, rng):
+        # x = 0 pays nothing on u = 1, x = 1 nothing on u = 0.
+        xs = rng.choice(GRID_11, size=(2, 2 * BLOCK + 3))
+        xs[:, position] = x
+        assert_matches_exact_mixture(xs, np.array([0.3, 0.7]), 11)
+
+    # The first, a middle and the last round of the second block.
+    @pytest.mark.parametrize("position", [BLOCK, BLOCK + BLOCK // 2, 2 * BLOCK - 1])
+    def test_nan_raises_at_its_own_round(self, position):
+        xs = np.full((3, 3 * BLOCK), 0.4)
+        xs[1, position] = np.nan
+        xs[0, position + 1] = np.nan  # a later round: the earlier one is named
+        with pytest.raises(DegeneratePosterior) as raised:
+            _pykernels.up_game_batch(xs, np.array([0.3, 0.5, 0.7]), 11)
+        assert str(raised.value) == f"game 1: posterior wiped out at round {position + 1}"
+
+    # The killing one on the first and on the last round of a block.
+    @pytest.mark.parametrize("n_zeros", [8000 // BLOCK * BLOCK, 8000 // BLOCK * BLOCK + BLOCK - 1])
+    def test_wipe_out_on_a_block_edge(self, n_zeros):
+        # As in TestGeneralKernel: the zeros underflow the middle node of K = 3.
+        xs = np.concatenate([np.zeros(n_zeros), np.ones(5)])[None, :]
+        with pytest.raises(DegeneratePosterior) as raised:
+            _pykernels.up_game_batch(xs, np.array([0.5]), 3)
+        assert str(raised.value) == f"game 0: posterior wiped out at round {n_zeros + 1}"
+
+    @pytest.mark.parametrize("mu", [1e-6, 1.0 - 1e-6])
+    def test_extreme_means(self, mu, rng):
+        # Node payoffs reach 1/mu or 1/(1 - mu), 1e6; a block of them must
+        # neither overflow nor underflow the mass.
+        xs = np.stack([rng.uniform(0.0, 1.0, 3 * BLOCK), rng.choice(GRID_11, 3 * BLOCK)])
+        with np.errstate(over="raise", invalid="raise"):
+            assert_matches_exact_mixture(xs, np.array([mu, mu]), 11)
+
+    def test_mass_near_underflow_ends_the_block_early(self):
+        # After 6720 zeros the node u = 0.1 weighs about 2e-307 of u = 0, just
+        # above the smallest normal double. The first one kills u = 0, and the
+        # mass left would underflow over a block of rounds. Blocks end early,
+        # down to one round, and the game plays on as the log-space reference.
+        stream = np.concatenate([np.zeros(6720), np.ones(40), np.full(10, 0.5)])
+        xs, mus = stream[None, :], np.array([0.5])
+        bets, logw = _pykernels.up_game_batch(xs, mus, 11)
+        ref_bets, ref_logw = lambda_grid_loop(xs, mus, 11)
+        np.testing.assert_allclose(bets, ref_bets, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(logw, ref_logw, rtol=0.0, atol=1e-9)
+
+
 class TestBinaryDispatchContract(TestBackendContract):
     """The backend contract on binary batches, through the dispatcher."""
 
