@@ -5,6 +5,10 @@ bet fractions, reweighting each node by its realised coin-bet payoff
 ``1 + lam*(x - mu)`` and betting the posterior mean. Because the payoff is
 linear in the fraction, betting the posterior mean makes the player's wealth
 coincide with the wealth of the Bayes mixture over the grid.
+
+This object path, played a round at a time by ``game.run_game``, is the
+reference that the tests and the benchmark's final check compare the batch
+kernels (``kernels.up_game_batch``) against; the CLI runs the kernels.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import check_node_count, check_observation
 from .errors import DegeneratePosterior, OutOfRange
 from .evariables import bet_bounds
 
@@ -21,8 +26,7 @@ DEFAULT_UP_NODES = 1001
 
 def lambda_grid(mu: float, n_nodes: int) -> np.ndarray:
     """Equispaced quadrature nodes spanning ``I_mu`` (endpoints included)."""
-    if n_nodes < 3:
-        raise ValueError("need at least 3 quadrature nodes")
+    check_node_count(n_nodes)
     lo, hi = bet_bounds(mu)
     return np.linspace(lo, hi, n_nodes)
 
@@ -57,7 +61,7 @@ class PortfolioPosterior:
         return cls(grid, np.zeros_like(grid))
 
 
-def up_update(p: PortfolioPosterior, x: float, mu: float, raw: bool = False) -> PortfolioPosterior:
+def up_update(p: PortfolioPosterior, x: float, mu: float) -> PortfolioPosterior:
     """Reweight every node by its payoff on the observation ``x``.
 
     The payoff factor is the coin-bet value ``1 + lam*(x - mu)``, taken in the
@@ -65,19 +69,12 @@ def up_update(p: PortfolioPosterior, x: float, mu: float, raw: bool = False) -> 
     grid on ``I_mu`` sits at u = k/(K-1) of the way along it (``np.linspace``,
     as in the batch kernels). An endpoint node whose payoff is zero then gets
     exactly zero, where the lambda form leaves a rounding error of about 1e-16
-    that lets the node regrow. Nodes whose factor hits zero get log-weight -inf and stay
-    excluded. With ``raw=True`` the factor is the uncentered ``1 + lam*x``;
-    that variant can turn negative on ``I_mu`` and is provided for comparison
-    only, clamping negative factors to zero.
+    that lets the node regrow. Nodes whose factor hits zero get log-weight -inf
+    and stay excluded.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")
-    if raw:
-        factors = 1.0 + p.lambda_grid * x
-        np.maximum(factors, 0.0, out=factors)
-    else:
-        u = np.linspace(0.0, 1.0, len(p.lambda_grid))
-        factors = (1.0 - u) * ((1.0 - x) / (1.0 - mu)) + u * (x / mu)
+    check_observation(x)
+    u = np.linspace(0.0, 1.0, len(p.lambda_grid))
+    factors = (1.0 - u) * ((1.0 - x) / (1.0 - mu)) + u * (x / mu)
     with np.errstate(divide="ignore"):
         log_w = p.log_weights + np.log(factors)
     return PortfolioPosterior(p.lambda_grid, log_w)
@@ -123,37 +120,16 @@ class ConstantStrategy:
 class UniversalPortfolioStrategy:
     """Universal-portfolio betting over a quadrature grid of fractions."""
 
-    def __init__(self, mu: float, n_nodes: int = DEFAULT_UP_NODES, raw: bool = False):
+    def __init__(self, mu: float, n_nodes: int = DEFAULT_UP_NODES):
         self.mu = mu
         self.n_nodes = n_nodes
-        self.raw = raw
         self.posterior = PortfolioPosterior.uniform(mu, n_nodes)
 
     def bet(self) -> float:
         return up_bet(self.posterior)
 
     def observe(self, x: float) -> None:
-        self.posterior = up_update(self.posterior, x, self.mu, raw=self.raw)
+        self.posterior = up_update(self.posterior, x, self.mu)
 
     def fresh(self) -> "UniversalPortfolioStrategy":
-        return UniversalPortfolioStrategy(self.mu, self.n_nodes, self.raw)
-
-
-def make_strategy(literal: str, mu: float, raw: bool = False):
-    """Build a strategy from a CLI literal: ``constant:<lambda>`` or ``up[:K]``."""
-    kind, _, arg = literal.partition(":")
-    if kind == "constant":
-        try:
-            lam = float(arg)
-        except ValueError as exc:
-            raise ValueError(f"bad strategy literal {literal!r}: {exc}") from exc
-        return ConstantStrategy(mu, lam)
-    if kind == "up":
-        n_nodes = DEFAULT_UP_NODES
-        if arg:
-            try:
-                n_nodes = int(arg)
-            except ValueError as exc:
-                raise ValueError(f"bad strategy literal {literal!r}: {exc}") from exc
-        return UniversalPortfolioStrategy(mu, n_nodes, raw=raw)
-    raise ValueError(f"unknown strategy kind {kind!r}")
+        return UniversalPortfolioStrategy(self.mu, self.n_nodes)

@@ -11,8 +11,9 @@ refutation.
 portfolio takes the u-posterior path (one posterior pass per stream), which
 keeps the exact posterior up to rounding, as the object-path strategy does.
 ``simulate`` scores the kernel's bets in bulk with ``game.score_bets``, so
-its ledger recomputes exactly from its e-values.
-``--up-raw`` plays the object-path strategy through ``game.run_game``.
+its ledger recomputes exactly from its e-values. The object path
+(``betting.UniversalPortfolioStrategy`` played by ``game.run_game``) is not
+run here: it is the reference the tests compare the kernels against.
 
 The two large CSV outputs, the ``simulate`` ledger (``game.ledger_to_csv``)
 and the ``cs --membership`` matrix, are joined from f-strings in blocks of
@@ -96,6 +97,12 @@ def _fail(message):
     raise click.UsageError(message)
 
 
+def _witness(report):
+    """The violating two-point measure of an invalid ``ValidityReport``, as JSON."""
+    w = report.witness
+    return {"a": w.a, "b": w.b, "w": w.w, "expectation": report.expectation}
+
+
 def _strict_exit(ctx, strict, refuted):
     if strict and refuted:
         ctx.exit(3)
@@ -119,28 +126,23 @@ def main():
 @click.option("--n", type=int, required=True, help="Number of rounds.")
 @click.option("--delta", type=float, default=0.05, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--up-raw", is_flag=True, help="Uncentered portfolio reweighting (comparison only).")
 @click.option("--out", default=None, help="Ledger CSV path ('-' for stdout).")
 @fmt_option
 @click.pass_context
-def simulate(ctx, mu, dist, strategy, n, delta, seed, up_raw, out, fmt):
+def simulate(ctx, mu, dist, strategy, n, delta, seed, out, fmt):
     """Play one testing game and write its ledger plus a summary."""
     from . import domain, game
-    from .betting import make_strategy
 
     try:
         distribution = domain.parse_distribution(dist)
-        strat = make_strategy(strategy, mu, raw=up_raw)
+        game.parse_strategy(strategy)  # validate the literal early
         if n < 1:
             raise ValueError("n must be at least 1")
         xs = domain.sample_stream(distribution, n, seed)
-        if up_raw:
-            ledger = game.run_game(mu, delta, strat, xs)
-        else:
-            # One-row batch: the kernel computes the bets, score_bets scores them.
-            batch = game.run_games_batch(np.array([mu]), xs[None, :], strategy, delta)
-            ledger = game.score_bets(mu, delta, batch.bets[0], xs)
-    except (ValueError, EvbetError) as exc:
+        # One-row batch: the kernel computes the bets, score_bets scores them.
+        batch = game.run_games_batch(np.array([mu]), xs[None, :], strategy, delta)
+        ledger = game.score_bets(mu, delta, batch.bets[0], xs)
+    except (MemoryError, ValueError, EvbetError) as exc:
         _fail(str(exc))
     if fmt == "json":
         _write_rows(out, game.LEDGER_HEADER, game.ledger_rows(ledger), fmt)
@@ -170,17 +172,16 @@ def simulate(ctx, mu, dist, strategy, n, delta, seed, up_raw, out, fmt):
 def cs(ctx, dist, strategy, n, delta, seed, grid, running_intersect, out, membership, fmt):
     """Confidence sequence for the data mean over a candidate grid."""
     from . import confseq, domain, game
-    from .betting import make_strategy
 
     try:
         distribution = domain.parse_distribution(dist)
         if n < 1 or grid < 1:
             raise ValueError("n and grid must be at least 1")
-        make_strategy(strategy, 0.5)  # validate the literal early
+        game.parse_strategy(strategy)  # validate the literal early
         xs = domain.sample_stream(distribution, n, seed)
         mu_grid = confseq.default_mu_grid(grid)
         result = confseq.run_cs_batch(mu_grid, xs, strategy, delta, running_intersect)
-    except (ValueError, EvbetError) as exc:
+    except (MemoryError, ValueError, EvbetError) as exc:
         _fail(str(exc))
     rows = result.intervals()
     _write_rows(out, ["t", "lower", "upper", "alive"], rows, fmt)
@@ -268,12 +269,7 @@ def check(ctx, table, mu, strict):
     if report.valid:
         verdict["certificate"] = cert.as_dict()
     else:
-        verdict["witness"] = {
-            "a": report.witness.a,
-            "b": report.witness.b,
-            "w": report.witness.w,
-            "expectation": report.expectation,
-        }
+        verdict["witness"] = _witness(report)
     _echo_json(verdict)
     _strict_exit(ctx, strict, not report.valid)
 
@@ -296,17 +292,7 @@ def dominate(ctx, table, mu, t2, strict):
         except (OSError, ValueError, EvbetError) as exc:
             _fail(str(exc))
         if not report.valid:
-            _echo_json(
-                {
-                    "certified": False,
-                    "witness": {
-                        "a": report.witness.a,
-                        "b": report.witness.b,
-                        "w": report.witness.w,
-                        "expectation": report.expectation,
-                    },
-                }
-            )
+            _echo_json({"certified": False, "witness": _witness(report)})
             _strict_exit(ctx, strict, True)
             return
         _echo_json({"certified": True, **cert.as_dict()})

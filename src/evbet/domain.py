@@ -1,10 +1,13 @@
-"""Sample spaces, discrete distributions, and two-point measures.
+"""Sample spaces, discrete distributions, two-point measures and argument checks.
 
 Everything downstream evaluates on a finite grid ``X`` inside [0, 1] that
 contains both endpoints, together with a target mean ``mu`` in (0, 1). The
 extreme points of the set of mean-``mu`` distributions on such a grid are the
 measures supported on at most two points straddling ``mu``; they are what the
 validity oracles enumerate.
+
+The ``check_*`` functions are the one implementation of each argument check
+of a testing game; each raises ``ValueError`` with a fixed message.
 """
 
 from __future__ import annotations
@@ -20,6 +23,52 @@ from .errors import MeanOutsideSpan
 # Absolute tolerance for measure-level invariants (masses, means). Derived
 # quantities elsewhere use 1e-9.
 MEASURE_TOL = 1e-12
+
+
+def check_mu(mu) -> None:
+    """Reject a mean, or an array of per-game means, outside (0, 1); NaN fails."""
+    if isinstance(mu, np.ndarray):
+        bad = mu[~((mu > 0.0) & (mu < 1.0))]
+        if not bad.size:
+            return
+        mu = bad[0].item()
+    if not 0.0 < mu < 1.0:
+        raise ValueError(f"mu must lie in (0, 1), got {mu}")
+
+
+def check_delta(delta: float) -> None:
+    """Reject a significance level outside (0, 1), NaN included."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+
+
+def check_observation(x: float) -> None:
+    """Reject one round's observation unless it is a finite value in [0, 1]."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"x={x} outside [0, 1]")
+
+
+def check_observations(xs: np.ndarray) -> None:
+    """Reject an array of observations unless all are finite values in [0, 1]."""
+    if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):  # NaN fails both
+        raise ValueError("observations must be finite and lie in [0, 1]")
+
+
+def check_node_count(n_nodes: int) -> None:
+    """Reject a universal-portfolio grid of fewer than 3 nodes."""
+    if n_nodes < 3:
+        raise ValueError("need at least 3 quadrature nodes")
+
+
+def check_batch(xs, mus) -> tuple[np.ndarray, np.ndarray]:
+    """``xs`` as a float (games, rounds) array, not copied, and ``mus`` as one
+    contiguous float mean in (0, 1) per game; observations are not checked."""
+    xs = np.asarray(xs, dtype=float)
+    mus = np.ascontiguousarray(mus, dtype=float)
+    if xs.ndim != 2 or mus.shape != (xs.shape[0],):
+        raise ValueError("xs must be (games, rounds) with one mu per game")
+    check_mu(mus)
+    return xs, mus
 
 
 @dataclass(frozen=True)
@@ -38,8 +87,7 @@ class SampleSpace:
             raise ValueError("grid points must be strictly increasing")
         if pts[0] != 0.0 or pts[-1] != 1.0:
             raise ValueError("grid must contain 0 and 1 as its endpoints")
-        if not 0.0 < self.mu < 1.0:
-            raise ValueError(f"mu must lie in (0, 1), got {self.mu}")
+        check_mu(self.mu)
         arr = np.array(pts, dtype=float)
         arr.flags.writeable = False
         object.__setattr__(self, "_array", arr)  # not a field: eq and hash ignore it
@@ -154,8 +202,7 @@ def anchored_two_point(x: float, mu: float) -> TwoPointMeasure:
     landing on ``x`` is exactly ``1 / F_mu(x)`` where ``F_mu`` is the pointwise
     upper envelope of all e-variables for the mean-``mu`` hypothesis.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")
+    check_observation(x)
     if x >= mu:
         return two_point_measure(0.0, x, mu)
     return two_point_measure(x, 1.0, mu)

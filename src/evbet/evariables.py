@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import SampleSpace, TwoPointMeasure
+from .domain import SampleSpace, TwoPointMeasure, check_mu
 from .errors import NotAnEVariable, OutOfRange
 
 # Additive slack on two-point expectations when certifying validity.
@@ -39,8 +39,7 @@ MU_SNAP_TOL = 1e-9
 
 def bet_bounds(mu: float) -> tuple[float, float]:
     """The closed interval ``I_mu`` of bet fractions keeping payoffs >= 0 on [0, 1]."""
-    if not 0.0 < mu < 1.0:
-        raise ValueError(f"mu must lie in (0, 1), got {mu}")
+    check_mu(mu)
     return 1.0 / (mu - 1.0), 1.0 / mu
 
 
@@ -148,8 +147,7 @@ def dominating_lambda(mu: float, alpha: float) -> float:
     it on [0, 1], and the coin-bet with the same slope lies above the secant,
     so ``lam_alpha = E_alpha(1) - E_alpha(0)`` dominates pointwise.
     """
-    if not 0.0 < mu < 1.0:
-        raise ValueError(f"mu must lie in (0, 1), got {mu}")
+    check_mu(mu)
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")

@@ -11,6 +11,8 @@ at -inf; the game goes on but can never reject.
 A ledger is a fixed function of its bets, so it has one scorer,
 ``score_bets``: ``run_game`` collects a strategy's bets round by round and
 hands them to it, and the CLI hands it the bets of the batch kernel.
+
+``parse_strategy`` is the one reader of strategy literals.
 """
 
 from __future__ import annotations
@@ -23,15 +25,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .betting import DEFAULT_UP_NODES
+from .betting import DEFAULT_UP_NODES, constant_bet
+from .domain import check_batch, check_delta, check_node_count, check_observation, check_observations
 from .errors import OutOfRange
 from .evariables import bet_bounds
 
 
-def _check_delta(delta: float) -> None:
-    """Reject a significance level outside (0, 1), NaN included."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+def parse_strategy(literal: str) -> tuple[str, float | int]:
+    """``constant:<lambda>`` as ``("constant", lam)``, ``up[:K]`` as ``("up", K)``.
+
+    K defaults to ``DEFAULT_UP_NODES``; lambda is checked against I_mu by the game.
+    """
+    kind, _, arg = literal.partition(":")
+    if kind not in ("constant", "up"):
+        raise ValueError(f"unknown strategy kind {kind!r}")
+    try:
+        if kind == "constant":
+            return kind, float(arg)
+        n_nodes = int(arg) if arg else DEFAULT_UP_NODES
+    except ValueError as exc:
+        raise ValueError(f"bad strategy literal {literal!r}: {exc}") from exc
+    check_node_count(n_nodes)
+    return kind, n_nodes
 
 
 def _bet_outside(lam: float, lo: float, hi: float) -> OutOfRange:
@@ -60,7 +75,7 @@ class WealthLedger:
     rejected_at: int | None = None
 
     def __post_init__(self):
-        _check_delta(self.delta)
+        check_delta(self.delta)
 
     @property
     def threshold(self) -> float:
@@ -93,18 +108,16 @@ def score_bets(mu: float, delta: float, bets, xs) -> WealthLedger:
     [0, 1] (``ValueError``) or whose bet lies outside ``I_mu``
     (``OutOfRange``), the observation checked first, as ``run_game`` does.
     """
-    _check_delta(delta)
+    check_delta(delta)
     lo, hi = bet_bounds(mu)
     bets = np.asarray(bets, dtype=float)
     xs = np.asarray(xs, dtype=float)
     if bets.ndim != 1 or bets.shape != xs.shape:
         raise ValueError("bets and xs must be 1-D and of one length")
-    bad_x = ~((xs >= 0.0) & (xs <= 1.0))
-    bad = np.flatnonzero(bad_x | ~((bets >= lo) & (bets <= hi)))
+    bad = np.flatnonzero(~((xs >= 0.0) & (xs <= 1.0) & (bets >= lo) & (bets <= hi)))
     if bad.size:
         t = bad[0]
-        if bad_x[t]:
-            raise ValueError(f"x={xs[t].item()} outside [0, 1]")
+        check_observation(xs[t].item())
         raise _bet_outside(bets[t].item(), lo, hi)
     e_value = np.maximum(1.0 + bets * (xs - mu), 0.0).tolist()
     log_wealth = recompute_log_wealth(e_value)
@@ -127,12 +140,11 @@ def run_game(mu: float, delta: float, strategy, xs) -> WealthLedger:
     the bet against ``I_mu`` and only then reveals the observation to the
     strategy; the collected bets are scored by ``score_bets``.
     """
-    _check_delta(delta)
+    check_delta(delta)
     lo, hi = bet_bounds(mu)
     played, bets = [], []
     for x in xs:
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"x={x} outside [0, 1]")
+        check_observation(x)
         lam = float(strategy.bet())
         if not lo <= lam <= hi:
             raise _bet_outside(lam, lo, hi)
@@ -171,43 +183,31 @@ class BatchGameResult:
 
 
 def run_games_batch(mus, xs, strategy: str, delta: float) -> BatchGameResult:
-    """Run one game per row of ``xs`` with a fresh strategy instance each.
+    """Run one game per row of ``xs``, each with the strategy of the literal ``strategy``.
 
-    ``strategy`` is a CLI literal (``constant:<lambda>`` or ``up[:K]``); the
-    universal-portfolio case goes to ``kernels.up_game_batch``. ``xs`` may be
-    a broadcast view (one stream shared by every game); it is not copied.
+    The universal portfolio goes to ``kernels.up_game_batch``. ``xs`` may be a
+    broadcast view (one stream shared by every game); it is not copied.
     """
-    _check_delta(delta)
-    xs = np.asarray(xs, dtype=float)
-    mus = np.ascontiguousarray(mus, dtype=float)
-    if xs.ndim != 2 or mus.shape != (xs.shape[0],):
-        raise ValueError("xs must be (games, rounds) with one mu per game")
-    if not ((xs >= 0.0) & (xs <= 1.0)).all():
-        raise ValueError("observations must be finite and lie in [0, 1]")
-
-    kind, _, arg = strategy.partition(":")
+    check_delta(delta)
+    xs, mus = check_batch(xs, mus)
+    check_observations(xs)
+    kind, arg = parse_strategy(strategy)
     if kind == "constant":
-        lam = float(arg)
+        lam = arg
         for mu in np.unique(mus):
-            lo, hi = bet_bounds(mu)
-            if not lo <= lam <= hi:
-                raise OutOfRange(f"lambda={lam} outside I_mu=[{lo}, {hi}] for mu={mu}")
+            constant_bet(lam, mu)
         bets = np.full_like(xs, lam)
         payoffs = np.maximum(1.0 + lam * (xs - mus[:, None]), 0.0)
         with np.errstate(divide="ignore"):
             log_wealth = np.cumsum(np.log(payoffs), axis=1)
         # cumsum propagates -inf forward on its own (-inf + anything = -inf)
-    elif kind == "up":
-        n_nodes = int(arg) if arg else DEFAULT_UP_NODES
-        bets, log_wealth = kernels.up_game_batch(xs, mus, n_nodes)
     else:
-        raise ValueError(f"unknown strategy kind {kind!r}")
+        bets, log_wealth = kernels.up_game_batch(xs, mus, arg)
 
-    threshold = math.log(1.0 / delta)
-    crossed = log_wealth > threshold
-    any_cross = crossed.any(axis=1)
-    first = crossed.argmax(axis=1) + 1
-    rejected_at = np.where(any_cross, first, 0)
+    crossed = log_wealth > math.log(1.0 / delta)
+    rejected_at = np.zeros(len(mus), dtype=np.intp)
+    if crossed.size:  # argmax needs a round to look at
+        rejected_at = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, 0)
     return BatchGameResult(bets=bets, log_wealth=log_wealth, rejected_at=rejected_at)
 
 

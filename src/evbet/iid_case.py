@@ -71,8 +71,11 @@ def xi_stats(table) -> XiStats:
     return XiStats(cells[1][1], xi1, xi2)
 
 
-def iid_expectation(s: XiStats, q: float) -> float:
-    """Expectation of the table under the i.i.d. measure with mass ``q`` on 1/2."""
+def iid_expectation(s: XiStats, q):
+    """Expectation of the table under the i.i.d. measure with mass ``q`` on 1/2.
+
+    ``q`` may be an array of masses, giving one expectation per mass.
+    """
     return q * q * s.xi0 + 2.0 * q * (1.0 - q) * s.xi1 + (1.0 - q) ** 2 * s.xi2
 
 
@@ -115,17 +118,13 @@ def check_iid_bruteforce(s: XiStats, q_steps: int = 10_000) -> BruteForceResult:
     if q_steps < 2:
         raise ValueError("need at least 2 grid steps")
     qs = np.linspace(0.0, 1.0, q_steps)
-    vals = iid_expectation_vec(s, qs)
+    vals = iid_expectation(s, qs)
     k = int(vals.argmax())
     best_q, best_val = float(qs[k]), float(vals[k])
     interior = interior_maximum(s)
     if interior is not None and interior[1] > best_val:
         best_q, best_val = interior[0], interior[1]
     return BruteForceResult(max_expectation=best_val, argmax_q=best_q)
-
-
-def iid_expectation_vec(s: XiStats, qs: np.ndarray) -> np.ndarray:
-    return qs * qs * s.xi0 + 2.0 * qs * (1.0 - qs) * s.xi1 + (1.0 - qs) ** 2 * s.xi2
 
 
 def table_from_csv(path: str) -> np.ndarray:

@@ -65,6 +65,7 @@ import math
 import numpy as np
 
 from ..betting import quadrature_coefficients
+from ..domain import check_batch, check_node_count, check_observations
 from ..errors import DegeneratePosterior
 
 
@@ -81,10 +82,11 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
     module docstring). A mass that is not positive (NaN included) raises
     ``DegeneratePosterior`` naming its round and the first game there.
     """
-    xs, mus = _check_batch(xs, mus, n_nodes)
-    # NaN passes here and raises DegeneratePosterior below.
-    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
-        raise ValueError("observations must lie in [0, 1]")
+    xs, mus = check_batch(xs, mus)
+    check_node_count(n_nodes)
+    # fmin and fmax skip NaN, which raises DegeneratePosterior at its own round below.
+    extremes = [np.fmin.reduce(xs, None, initial=0.5), np.fmax.reduce(xs, None, initial=0.5)]
+    check_observations(np.array(extremes))
     n_games, n_rounds = xs.shape
     block = _BLOCK
     basis, binomial = _bernstein(n_nodes)
@@ -196,7 +198,8 @@ def up_game_batch_binary(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
     one posterior pass. The mixture pays ubar/mu on a one and vbar/(1 - mu)
     on a zero. Returns ``(bets, log_wealth)`` as ``up_game_batch`` does.
     """
-    xs, mus = _check_batch(xs, mus, n_nodes)
+    xs, mus = check_batch(xs, mus)
+    check_node_count(n_nodes)
     ones = xs == 1.0
     # Streams are grouped by their packed bytes, one opaque item per row:
     # np.unique on that 1-D view sorts as axis=0 would, at a fraction of its cost.
@@ -283,20 +286,6 @@ class _BinaryPosterior:
             start = stop
         sums = sums[:n_rounds]
         return sums[:, 0] / sums[:, 1], sums[:, 2] / sums[:, 1]
-
-
-def _check_batch(xs, mus, n_nodes):
-    xs = np.asarray(xs, dtype=float)
-    mus = np.ascontiguousarray(mus, dtype=float)
-    if xs.ndim != 2:
-        raise ValueError("xs must be (games, rounds)")
-    if mus.shape != (xs.shape[0],):
-        raise ValueError("mus must have one entry per game")
-    if n_nodes < 3:
-        raise ValueError("need at least 3 quadrature nodes")
-    if not ((mus > 0.0) & (mus < 1.0)).all():
-        raise ValueError("every mu must lie in (0, 1)")
-    return xs, mus
 
 
 def _check_mass(total: np.ndarray, n_played: int) -> None:

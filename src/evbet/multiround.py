@@ -87,9 +87,14 @@ class MultiRoundCoinBet:
         xs = tuple(xs)
         if len(xs) != self.horizon:
             raise ValueError(f"expected {self.horizon} observations, got {len(xs)}")
+        return self.wealth(xs)
+
+    def wealth(self, prefix) -> float:
+        """Wealth after the rounds of ``prefix``, any prefix up to the horizon."""
+        prefix = tuple(prefix)
         out = 1.0
-        for t, x in enumerate(xs, start=1):
-            out *= max(1.0 + self.lam(t, xs[: t - 1]) * (x - self.mu), 0.0)
+        for t, x in enumerate(prefix, start=1):
+            out *= max(1.0 + self.lam(t, prefix[: t - 1]) * (x - self.mu), 0.0)
         return out
 
 
@@ -230,14 +235,7 @@ class EProcess:
 
 def coinbet_eprocess(bet: MultiRoundCoinBet, space: SampleSpace | None = None) -> EProcess:
     """Wealth process of a multi-round coin-bet (a martingale, hence an e-process)."""
-
-    def value(prefix):
-        out = 1.0
-        for t, x in enumerate(prefix, start=1):
-            out *= max(1.0 + bet.lam(t, prefix[: t - 1]) * (x - bet.mu), 0.0)
-        return out
-
-    return EProcess(mu=bet.mu, evaluator=value, max_depth=bet.horizon, space=space)
+    return EProcess(mu=bet.mu, evaluator=bet.wealth, max_depth=bet.horizon, space=space)
 
 
 def constant_eprocess(mu: float, level: float = 1.0, max_depth: int = 8) -> EProcess:

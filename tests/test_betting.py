@@ -9,7 +9,6 @@ from evbet.betting import (
     UniversalPortfolioStrategy,
     constant_bet,
     lambda_grid,
-    make_strategy,
     quadrature_coefficients,
     up_bet,
     up_update,
@@ -127,32 +126,3 @@ class TestQuadrature:
         grid = lambda_grid(0.25, 11)
         lo, hi = bet_bounds(0.25)
         assert grid[0] == lo and grid[-1] == hi
-
-
-class TestRawVariant:
-    def test_raw_factors_differ_from_centered(self):
-        p = PortfolioPosterior.uniform(0.5, 101)
-        centered = up_update(p, 0.5, 0.5)
-        raw = up_update(p, 0.5, 0.5, raw=True)
-        assert (centered.log_weights == 0).all()
-        assert not (raw.log_weights == 0).all()
-
-    def test_raw_negative_factors_clamped(self):
-        p = PortfolioPosterior.uniform(0.5, 101)
-        raw = up_update(p, 1.0, 0.5, raw=True)  # 1 + lam < 0 for lam < -1
-        assert (raw.log_weights[p.lambda_grid < -1.0] == -np.inf).all()
-
-
-class TestMakeStrategy:
-    def test_literals(self):
-        assert isinstance(make_strategy("constant:0.5", 0.5), ConstantStrategy)
-        up = make_strategy("up:51", 0.5)
-        assert isinstance(up, UniversalPortfolioStrategy) and up.n_nodes == 51
-        assert make_strategy("up", 0.5).n_nodes == 1001
-
-    def test_bad_literals(self):
-        for lit in ("up:x", "constant:", "kelly:1"):
-            with pytest.raises(ValueError):
-                make_strategy(lit, 0.5)
-        with pytest.raises(OutOfRange):
-            make_strategy("constant:2.1", 0.5)

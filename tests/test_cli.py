@@ -10,11 +10,11 @@ import pytest
 from click.testing import CliRunner
 
 from evbet import kernels
-from evbet.betting import UniversalPortfolioStrategy, make_strategy
+from evbet.betting import ConstantStrategy, UniversalPortfolioStrategy
 from evbet.cli import main
 from evbet.confseq import default_mu_grid, run_cs_batch
 from evbet.domain import SampleSpace, parse_distribution, sample_stream
-from evbet.game import recompute_log_wealth, run_game
+from evbet.game import parse_strategy, recompute_log_wealth, run_game
 from evbet.multiround import (
     MultiRoundCoinBet,
     coinbet_eprocess,
@@ -97,6 +97,7 @@ CS = ["cs", "--dist", "bernoulli:0.5", "--n", "5", "--grid", "9"]
 CMP = ["compare", "--mu", "0.5", "--dist", "bernoulli:0.4", "--n", "5"]
 AUDIT = ["audit", "--table", "{d}/ep.csv", "--mu", "0.5", "--depth", "1"]
 NO_FILE = "No such file or directory"
+HUGE = str(10**17)  # elements: 711 PiB of float64
 
 # (bad-input class, arguments with {d} for the input directory, message on stderr)
 CONTRACT_CASES = {
@@ -112,6 +113,8 @@ CONTRACT_CASES = {
         ("literal", ["simulate", "--mu", "0.5", "--dist", "gauss:1", "--n", "5"],
          "unknown distribution kind"),
         ("literal", SIM + ["--strategy", "up:x"], "bad strategy literal"),
+        # Sizes far past any address space: the allocation fails at once.
+        ("range", SIM[:-1] + [HUGE], "Unable to allocate"),
     ],
     "cs": [
         ("range", CS[:-1] + ["0"], "n and grid must be at least 1"),
@@ -120,6 +123,8 @@ CONTRACT_CASES = {
         ("nan", ["cs", "--dist", "bernoulli:nan", "--n", "5"], "bernoulli parameter nan"),
         ("missing-file", ["cs", "--dist", "table:{d}/none.csv", "--n", "5"], NO_FILE),
         ("literal", CS + ["--strategy", "up:abc"], "bad strategy literal"),
+        ("range", CS + ["--strategy", f"up:{HUGE}"], "Unable to allocate"),
+        ("range", CS[:-1] + [HUGE], "Unable to allocate"),
     ],
     "compare": [
         ("range", ["compare", "--mu", "1.5", "--dist", "bernoulli:0.4", "--n", "5",
@@ -231,6 +236,14 @@ def test_contract_covers_every_command_and_class():
         assert {kind for kind, _, _ in cases} == {"range", "nan", "missing-file", "literal"}
 
 
+def kernel_or_constant(strategy, mu, xs, replay):
+    """The strategy ``simulate`` plays: the kernel's bets on ``xs`` replayed, or the constant."""
+    kind, arg = parse_strategy(strategy)
+    if kind == "constant":
+        return ConstantStrategy(mu, arg)
+    return replay(kernels.up_game_batch(xs[None, :], np.array([mu]), arg)[0][0])
+
+
 class TestSimulate:
     def test_sure_rejection_example(self, runner, tmp_path):
         out = tmp_path / "ledger.csv"
@@ -290,15 +303,6 @@ class TestSimulate:
                    "constant:9", "--n", "5"]
         )
         assert result.exit_code == 2
-
-    def test_up_raw_flag_runs(self, runner, tmp_path):
-        out = tmp_path / "ledger.csv"
-        result = invoke(
-            runner,
-            ["simulate", "--mu", "0.5", "--dist", "bernoulli:0.5", "--strategy", "up:51",
-             "--n", "20", "--seed", "2", "--up-raw", "--out", str(out)],
-        )
-        assert result.exit_code == 0
 
     def test_kernel_fed_ledger_matches_object_path(self, runner, tmp_path):
         mu, dist, n, seed = 0.4, "bernoulli:0.55", 2000, 6
@@ -368,10 +372,7 @@ class TestSimulate:
                                  strategy, "--n", str(n), "--seed", str(seed),
                                  "--out", "-" if to_stdout else str(out)])
         xs = sample_stream(parse_distribution(dist), n, seed)
-        strat = make_strategy(strategy, mu)
-        if isinstance(strat, UniversalPortfolioStrategy):
-            strat = replay(kernels.up_game_batch(xs[None, :], np.array([mu]), 101)[0][0])
-        ledger = run_game(mu, 0.05, strat, xs)
+        ledger = run_game(mu, 0.05, kernel_or_constant(strategy, mu, xs, replay), xs)
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["t", "x", "lambda", "e_value", "log_wealth", "rejected"])
@@ -395,25 +396,18 @@ class TestSimulate:
             assert out.read_bytes() == expected.encode()
             assert json.loads(result.output) == summary
 
-    @pytest.mark.parametrize(
-        "strategy, up_raw",
-        [("up:101", False), ("constant:2", False), ("up:101", True)],
-        ids=["up", "constant", "up-raw"],
-    )
+    @pytest.mark.parametrize("strategy", ["up:101", "constant:2"], ids=["up", "constant"])
     def test_ledger_json_bytes_match_round_loop(
-        self, runner, tmp_path, loop_game, replay, strategy, up_raw
+        self, runner, tmp_path, loop_game, replay, strategy
     ):
         # Rejected, then a zero e-value for constant:2 (as in the CSV test's minus-inf case).
         mu, dist, n, seed = 0.5, "bernoulli:0.7", 300, 6
         out = tmp_path / "ledger.json"
         args = ["simulate", "--mu", str(mu), "--dist", dist, "--strategy", strategy, "--n",
                 str(n), "--seed", str(seed), "--format", "json", "--out", str(out)]
-        result = invoke(runner, args + (["--up-raw"] if up_raw else []))
+        result = invoke(runner, args)
         xs = sample_stream(parse_distribution(dist), n, seed)
-        strat = make_strategy(strategy, mu, raw=up_raw)
-        if strategy == "up:101" and not up_raw:
-            strat = replay(kernels.up_game_batch(xs[None, :], np.array([mu]), 101)[0][0])
-        rows, rejected_at = loop_game(mu, 0.05, strat, xs)
+        rows, rejected_at = loop_game(mu, 0.05, kernel_or_constant(strategy, mu, xs, replay), xs)
         assert rejected_at is not None
         if strategy == "constant:2":
             assert rows[-1].log_wealth == -math.inf
@@ -424,17 +418,6 @@ class TestSimulate:
         ]
         assert out.read_bytes() == (json.dumps(expected, indent=2) + "\n").encode()
         assert json.loads(result.output)["rejected_at"] == rejected_at
-
-    def test_up_raw_keeps_object_path(self, runner, tmp_path):
-        mu, dist, n, seed = 0.5, "bernoulli:0.5", 200, 2
-        out = tmp_path / "ledger.csv"
-        invoke(runner, ["simulate", "--mu", str(mu), "--dist", dist, "--strategy", "up:51",
-                        "--n", str(n), "--seed", str(seed), "--up-raw", "--out", str(out)])
-        xs = sample_stream(parse_distribution(dist), n, seed)
-        reference = run_game(mu, 0.05, UniversalPortfolioStrategy(mu, 51, raw=True), xs)
-        ledger = read_ledger(out)
-        assert ledger["lambda"] == [r.lam for r in reference.rows]
-        assert ledger["log_wealth"] == [r.log_wealth for r in reference.rows]
 
 
 class TestCs:

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from evbet.betting import ConstantStrategy, UniversalPortfolioStrategy
+from evbet.confseq import run_cs_batch
 from evbet.domain import DiscreteDistribution, sample_stream
 from evbet.evariables import bet_bounds, dominating_lambda
 from evbet.errors import OutOfRange
 from evbet.game import (
     WealthLedger,
+    parse_strategy,
     recompute_log_wealth,
     run_game,
     run_games_batch,
@@ -204,8 +206,32 @@ class TestBatch:
         with pytest.raises(ValueError, match="delta"):
             run_games_batch(np.array([0.5]), np.zeros((1, 3)), "up:11", delta)
 
+    @pytest.mark.parametrize("strategy", ["constant:0.5", "up:11"])
+    def test_zero_rounds_give_empty_results(self, strategy):
+        # As run_game, whose ledger of no rounds is empty.
+        res = run_games_batch(np.array([0.3, 0.6]), np.empty((2, 0)), strategy, 0.05)
+        assert res.bets.shape == res.log_wealth.shape == (2, 0)
+        assert res.rejected_at.tolist() == [0, 0]
+        cs = run_cs_batch([0.3], [], strategy, 0.05)
+        assert cs.in_set.shape == (0, 1)
+        assert cs.intervals() == []
+
     def test_wipeout_propagates_minus_inf(self):
         xs = np.array([[0.0, 1.0, 1.0]])
         res = run_games_batch(np.array([0.5]), xs, "constant:2.0", 0.05)
         assert (res.log_wealth[0] == -np.inf).all()
         assert res.rejected_at[0] == 0
+
+
+class TestParseStrategy:
+    def test_literals(self):
+        assert parse_strategy("constant:0.5") == ("constant", 0.5)
+        assert parse_strategy("up:51") == ("up", 51)
+        assert parse_strategy("up") == ("up", 1001)
+
+    def test_bad_literals(self):
+        for lit in ("up:x", "constant:", "kelly:1", "up:2"):
+            with pytest.raises(ValueError):
+                parse_strategy(lit)
+        with pytest.raises(OutOfRange):
+            run_games_batch(np.array([0.5]), np.full((1, 3), 0.5), "constant:2.1", 0.05)
