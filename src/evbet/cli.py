@@ -135,7 +135,7 @@ def simulate(ctx, mu, dist, strategy, n, delta, seed, out, fmt):
 
     try:
         distribution = domain.parse_distribution(dist)
-        game.parse_strategy(strategy)  # validate the literal early
+        game.check_strategy(strategy, np.array([mu]))  # before sampling
         if n < 1:
             raise ValueError("n must be at least 1")
         xs = domain.sample_stream(distribution, n, seed)
@@ -177,9 +177,9 @@ def cs(ctx, dist, strategy, n, delta, seed, grid, running_intersect, out, member
         distribution = domain.parse_distribution(dist)
         if n < 1 or grid < 1:
             raise ValueError("n and grid must be at least 1")
-        game.parse_strategy(strategy)  # validate the literal early
-        xs = domain.sample_stream(distribution, n, seed)
         mu_grid = confseq.default_mu_grid(grid)
+        game.check_strategy(strategy, mu_grid)  # before sampling
+        xs = domain.sample_stream(distribution, n, seed)
         result = confseq.run_cs_batch(mu_grid, xs, strategy, delta, running_intersect)
     except (MemoryError, ValueError, EvbetError) as exc:
         _fail(str(exc))

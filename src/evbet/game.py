@@ -11,8 +11,6 @@ at -inf; the game goes on but can never reject.
 A ledger is a fixed function of its bets, so it has one scorer,
 ``score_bets``: ``run_game`` collects a strategy's bets round by round and
 hands them to it, and the CLI hands it the bets of the batch kernel.
-
-``parse_strategy`` is the one reader of strategy literals.
 """
 
 from __future__ import annotations
@@ -26,16 +24,15 @@ import numpy as np
 
 from . import kernels
 from .betting import DEFAULT_UP_NODES, constant_bet
-from .domain import check_batch, check_delta, check_node_count, check_observation, check_observations
+from .domain import check_batch, check_delta, check_mu, check_node_count
+from .domain import check_observation, check_observations
 from .errors import OutOfRange
 from .evariables import bet_bounds
 
 
 def parse_strategy(literal: str) -> tuple[str, float | int]:
-    """``constant:<lambda>`` as ``("constant", lam)``, ``up[:K]`` as ``("up", K)``.
-
-    K defaults to ``DEFAULT_UP_NODES``; lambda is checked against I_mu by the game.
-    """
+    """The one reader of strategy literals: ``constant:<lambda>`` as ``("constant", lam)``,
+    ``up[:K]`` as ``("up", K)`` with K defaulting to ``DEFAULT_UP_NODES``."""
     kind, _, arg = literal.partition(":")
     if kind not in ("constant", "up"):
         raise ValueError(f"unknown strategy kind {kind!r}")
@@ -47,6 +44,16 @@ def parse_strategy(literal: str) -> tuple[str, float | int]:
         raise ValueError(f"bad strategy literal {literal!r}: {exc}") from exc
     check_node_count(n_nodes)
     return kind, n_nodes
+
+
+def check_strategy(literal: str, mus: np.ndarray) -> tuple[str, float | int]:
+    """``parse_strategy``, with every mean and a constant fraction checked against each I_mu."""
+    kind, arg = parse_strategy(literal)
+    check_mu(mus)
+    if kind == "constant":
+        for mu in np.unique(mus):
+            constant_bet(arg, mu)
+    return kind, arg
 
 
 def _bet_outside(lam: float, lo: float, hi: float) -> OutOfRange:
@@ -191,18 +198,15 @@ def run_games_batch(mus, xs, strategy: str, delta: float) -> BatchGameResult:
     check_delta(delta)
     xs, mus = check_batch(xs, mus)
     check_observations(xs)
-    kind, arg = parse_strategy(strategy)
-    if kind == "constant":
-        lam = arg
-        for mu in np.unique(mus):
-            constant_bet(lam, mu)
-        bets = np.full_like(xs, lam)
-        payoffs = np.maximum(1.0 + lam * (xs - mus[:, None]), 0.0)
+    kind, arg = check_strategy(strategy, mus)
+    if kind == "up":
+        bets, log_wealth = kernels.up_game_batch(xs, mus, arg)
+    else:  # arg is the constant fraction
+        bets = np.full_like(xs, arg)
+        payoffs = np.maximum(1.0 + arg * (xs - mus[:, None]), 0.0)
         with np.errstate(divide="ignore"):
             log_wealth = np.cumsum(np.log(payoffs), axis=1)
         # cumsum propagates -inf forward on its own (-inf + anything = -inf)
-    else:
-        bets, log_wealth = kernels.up_game_batch(xs, mus, arg)
 
     crossed = log_wealth > math.log(1.0 / delta)
     rejected_at = np.zeros(len(mus), dtype=np.intp)

@@ -18,7 +18,7 @@ from evbet.betting import ConstantStrategy, UniversalPortfolioStrategy
 from evbet.confseq import run_cs_batch
 from evbet.domain import SampleSpace
 from evbet.evariables import bet_bounds, dominating_lambda
-from evbet.game import parse_strategy, run_game, run_games_batch, score_bets
+from evbet.game import check_strategy, parse_strategy, run_game, run_games_batch, score_bets
 
 NAN = math.nan
 OBSERVATIONS = "observations must be finite and lie in [0, 1]"
@@ -89,6 +89,13 @@ ROWS = {
     "SampleSpace": (lambda mu=0.5: SampleSpace((0.0, 0.5, 1.0), mu), MU, False),
     "bet_bounds": (lambda mu=0.5: bet_bounds(mu), MU, False),
     "dominating_lambda": (lambda mu=0.5: dominating_lambda(mu, 1.0), MU, False),
+    "check_strategy": (
+        lambda mu=0.5, n_nodes=11, literal=None: check_strategy(
+            strategy(n_nodes, literal), np.array([0.5, mu])
+        ),
+        MU | {"nodes", "literal"},
+        False,
+    ),
     "parse_strategy": (
         lambda n_nodes=11, literal=None: parse_strategy(strategy(n_nodes, literal)),
         {"nodes", "literal"},

@@ -115,6 +115,8 @@ CONTRACT_CASES = {
         ("literal", SIM + ["--strategy", "up:x"], "bad strategy literal"),
         # Sizes far past any address space: the allocation fails at once.
         ("range", SIM[:-1] + [HUGE], "Unable to allocate"),
+        # The strategy is checked before the stream is drawn.
+        ("range", SIM[:-1] + [HUGE, "--strategy", "constant:5"], "lambda=5.0 outside I_mu"),
     ],
     "cs": [
         ("range", CS[:-1] + ["0"], "n and grid must be at least 1"),
@@ -125,6 +127,7 @@ CONTRACT_CASES = {
         ("literal", CS + ["--strategy", "up:abc"], "bad strategy literal"),
         ("range", CS + ["--strategy", f"up:{HUGE}"], "Unable to allocate"),
         ("range", CS[:-1] + [HUGE], "Unable to allocate"),
+        ("range", CS[:3] + ["--n", HUGE, "--strategy", "constant:5"], "lambda=5.0 outside I_mu"),
     ],
     "compare": [
         ("range", ["compare", "--mu", "1.5", "--dist", "bernoulli:0.4", "--n", "5",
