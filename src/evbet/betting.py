@@ -96,7 +96,7 @@ def constant_bet(lam: float, mu: float) -> float:
     """Validate a fixed bet fraction against ``I_mu`` and return it."""
     lo, hi = bet_bounds(mu)
     if not lo <= lam <= hi:
-        raise OutOfRange(f"lambda={lam} outside I_mu=[{lo}, {hi}]")
+        raise OutOfRange(f"lambda={lam} outside I_mu=[{lo}, {hi}] for mu={mu}")
     return lam
 
 
