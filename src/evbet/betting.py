@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import check_node_count, check_observation
-from .errors import DegeneratePosterior, OutOfRange
-from .evariables import bet_bounds
+from .errors import DegeneratePosterior
+from .evariables import bet_bounds, check_bet
 
 DEFAULT_UP_NODES = 1001
 
@@ -94,9 +94,7 @@ def up_bet(p: PortfolioPosterior) -> float:
 
 def constant_bet(lam: float, mu: float) -> float:
     """Validate a fixed bet fraction against ``I_mu`` and return it."""
-    lo, hi = bet_bounds(mu)
-    if not lo <= lam <= hi:
-        raise OutOfRange(f"lambda={lam} outside I_mu=[{lo}, {hi}] for mu={mu}")
+    check_bet(lam, mu)
     return lam
 
 

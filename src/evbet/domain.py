@@ -49,9 +49,29 @@ def check_observation(x: float) -> None:
 
 
 def check_observations(xs: np.ndarray) -> None:
-    """Reject an array of observations unless all are finite values in [0, 1]."""
+    """Reject an array of observations unless all are finite values in [0, 1].
+
+    A stream broadcast to every row is read once (``unbroadcast_rows``).
+    """
+    xs = unbroadcast_rows(xs)
     if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):  # NaN fails both
         raise ValueError("observations must be finite and lie in [0, 1]")
+
+
+def unbroadcast_rows(xs: np.ndarray) -> np.ndarray:
+    """``xs``, or its first row alone where its rows are one broadcast stream.
+
+    A stream shared by G games (stride 0 along the first axis) is then read
+    once rather than G times.
+    """
+    return xs[:1] if xs.ndim and xs.strides[0] == 0 else xs
+
+
+def check_table(values) -> None:
+    """Reject a table of e-variable values unless every one is finite and non-negative."""
+    values = np.asarray(values, dtype=float)
+    if values.size and not (values.min() >= 0.0 and values.max() < math.inf):  # NaN fails both
+        raise ValueError("values must be finite and non-negative")
 
 
 def check_node_count(n_nodes: int) -> None:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import SampleSpace, TwoPointMeasure, check_mu
+from .domain import SampleSpace, TwoPointMeasure, check_mu, check_table
 from .errors import NotAnEVariable, OutOfRange
 
 # Additive slack on two-point expectations when certifying validity.
@@ -43,6 +43,14 @@ def bet_bounds(mu: float) -> tuple[float, float]:
     return 1.0 / (mu - 1.0), 1.0 / mu
 
 
+def check_bet(lam: float, mu: float, t: int | None = None) -> None:
+    """Reject a bet fraction outside ``I_mu`` with ``OutOfRange``, naming its round ``t`` if given."""
+    lo, hi = bet_bounds(mu)
+    if not lo <= lam <= hi:
+        at = "" if t is None else f" at round {t}"
+        raise OutOfRange(f"lambda={lam} outside I_mu=[{lo}, {hi}] for mu={mu}{at}")
+
+
 @dataclass(frozen=True)
 class CoinBetEVariable:
     """Affine payoff ``x -> 1 + lam*(x - mu)``; the exact e-variable family."""
@@ -51,9 +59,7 @@ class CoinBetEVariable:
     lam: float
 
     def __post_init__(self):
-        lo, hi = bet_bounds(self.mu)
-        if not lo <= self.lam <= hi:
-            raise OutOfRange(f"lambda={self.lam} outside I_mu=[{lo}, {hi}]")
+        check_bet(self.lam, self.mu)
 
     def value(self, x):
         if np.ndim(x):
@@ -90,8 +96,7 @@ class TabulatedEVariable:
         object.__setattr__(self, "values", vals)
         if len(vals) != len(self.space.points):
             raise ValueError("one value per grid point required")
-        if any(not math.isfinite(v) or v < 0.0 for v in vals):
-            raise ValueError("values must be finite and non-negative")
+        check_table(vals)
 
     @classmethod
     def tabulate(cls, space: SampleSpace, fn) -> "TabulatedEVariable":

@@ -26,8 +26,7 @@ from . import kernels
 from .betting import DEFAULT_UP_NODES, constant_bet
 from .domain import check_batch, check_delta, check_mu, check_node_count
 from .domain import check_observation, check_observations
-from .errors import OutOfRange
-from .evariables import bet_bounds
+from .evariables import bet_bounds, check_bet
 
 
 def parse_strategy(literal: str) -> tuple[str, float | int]:
@@ -54,10 +53,6 @@ def check_strategy(literal: str, mus: np.ndarray) -> tuple[str, float | int]:
         for mu in np.unique(mus):
             constant_bet(arg, mu)
     return kind, arg
-
-
-def _bet_outside(lam: float, lo: float, hi: float) -> OutOfRange:
-    return OutOfRange(f"strategy emitted lambda={lam} outside I_mu=[{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -125,7 +120,7 @@ def score_bets(mu: float, delta: float, bets, xs) -> WealthLedger:
     if bad.size:
         t = bad[0]
         check_observation(xs[t].item())
-        raise _bet_outside(bets[t].item(), lo, hi)
+        check_bet(bets[t].item(), mu, t + 1)
     e_value = np.maximum(1.0 + bets * (xs - mu), 0.0).tolist()
     log_wealth = recompute_log_wealth(e_value)
     crossed = np.flatnonzero(np.array(log_wealth) > math.log(1.0 / delta))
@@ -148,13 +143,12 @@ def run_game(mu: float, delta: float, strategy, xs) -> WealthLedger:
     strategy; the collected bets are scored by ``score_bets``.
     """
     check_delta(delta)
-    lo, hi = bet_bounds(mu)
+    check_mu(mu)
     played, bets = [], []
-    for x in xs:
+    for t, x in enumerate(xs, start=1):
         check_observation(x)
         lam = float(strategy.bet())
-        if not lo <= lam <= hi:
-            raise _bet_outside(lam, lo, hi)
+        check_bet(lam, mu, t)
         strategy.observe(x)
         played.append(x)
         bets.append(lam)

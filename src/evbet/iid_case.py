@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import square_table_from_csv
+from .domain import check_table, square_table_from_csv
 
 GRID = (0.0, 0.5, 1.0)
 MU = 0.5
@@ -61,9 +61,8 @@ def xi_stats(table) -> XiStats:
     t = np.asarray(table, dtype=float)
     if t.shape != (3, 3):
         raise ValueError("expected a 3x3 table over {0, 1/2, 1}^2")
+    check_table(t)
     cells = t.tolist()
-    if not all(0.0 <= v < math.inf for row in cells for v in row):
-        raise ValueError("table values must be finite and non-negative")
     a, b, c, d = (cells[i][j] for i, j in _XI1_CELLS)
     xi1 = ((((0.0 + a) + b) + c) + d) / 4.0
     a, b, c, d = (cells[i][j] for i, j in _XI2_CELLS)

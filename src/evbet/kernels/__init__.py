@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..domain import unbroadcast_rows
 from . import _pykernels
 
 BACKEND = "python"
@@ -30,6 +31,7 @@ def up_game_batch(xs, mus, n_nodes):
     """Run the batch universal-portfolio games: binary data on the u-posterior
     routine, anything else (NaN included) on the general K-node kernel."""
     xs = np.asarray(xs, dtype=float)
-    if xs.size and ((xs == 0.0) | (xs == 1.0)).all():
+    values = unbroadcast_rows(xs)
+    if values.size and ((values == 0.0) | (values == 1.0)).all():
         return _pykernels.up_game_batch_binary(xs, mus, n_nodes)
     return _pykernels.up_game_batch(xs, mus, n_nodes)

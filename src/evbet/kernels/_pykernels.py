@@ -27,25 +27,36 @@ rounds of a block node k weighs w_k*Q_i(u_k), with w the weights at the block
 start and Q_i = prod_{s<i} (alpha_s*(1 - u) + beta_s*u). In the basis
 u**j (1 - u)**(i - j) the coefficients of Q_i follow
 
-    q_{i+1}[j] = alpha_i*q_i[j] + beta_i*q_i[j-1],
+    q_{i+1}[j] = alpha_i*q_i[j] + beta_i*q_i[j-1].
 
-and the moments m_i[j] = sum_k w_k u_k**j (1 - u_k)**(i - j) all come from
-the one product m_J = w @ P, P[k, l] = u_k**l (1 - u_k)**(J - l), by
-m_i[j] = m_{i+1}[j] + m_{i+1}[j+1]. Then sum(w*Q_i) = sum_j q_i[j]*m_i[j]
-is the mass before round i and sum(w*Q_i*u) = sum_j q_i[j]*m_{i+1}[j+1]
-its first moment; their ratio is ubar, and the ratio of successive masses
-is the round's mixture payoff. Every term of these sums is non-negative, so
-none cancels, which a monomial basis would not give. At the block end
-w <- w*Q_J(u_k)/mass, from the same P. A block thus costs two K-wide
-products and one multiply, and a round a few operations on (J+1, G)
-arrays. P is kept as the Bernstein basis, C(J, l) times the above: the
-Bernstein coefficients q_J[l]/C(J, l) of Q_J lie in [0, 1], so divided by
-any normal mass they stay finite. Each round's alpha and beta are divided
-by max(alpha, beta), the factor going back into that round's payoff, so Q
-stays in range for any mu in (0, 1); a short last block is padded with
-neutral rounds, alpha = beta = 1, which multiply Q by (1 - u) + u = 1.
-Renormalising at each block end leaves the bets invariant and prevents
-under/overflow over long horizons.
+Multiplied by ((1 - u) + u)**(J - i) = 1, Q_i and u*Q_i are polynomials of
+degree J, whose coefficients E_i[l] and F_i[l] in the Bernstein basis
+b_l(u) = C(J, l) u**l (1 - u)**(J - l) are fixed binomial combinations of
+q_i (``_elevation``). With the block's moments M[l] = sum_k w_k b_l(u_k),
+one (J+1, K) product, the mass before round i is sum(w*Q_i) =
+sum_l E_i[l]*M[l] and its first moment sum(w*Q_i*u) = sum_l F_i[l]*M[l];
+their ratio is ubar, and the ratio of successive masses is the round's
+mixture payoff. Every term of these sums is non-negative, so none cancels,
+which a monomial basis would not give. At the block end
+w <- w*Q_J(u_k)/mass = w*sum_l E_J[l]*b_l(u_k)/mass, from the same (J+1, K)
+basis table; a block that ends after n < J rounds uses E_n, Q_n padded with
+neutral rounds. A block thus costs two K-wide products and one multiply.
+
+None of q, E and F depends on the weights, so they are built for a span of
+blocks at a time: the J steps of the recursion run on (J+1, blocks, G)
+arrays, and each step's coefficients go to their E and F rows by one product
+with a fixed (J+1, J+1) matrix. The block loop keeps only the work that
+reads the weights: the moment product, one contraction giving the 2J+1 sums
+of every game, the floor check, the writes and the update. A span has as
+many blocks as its tables fit in ``_SPAN_BYTES``: 8 at 99 games, over 800
+for one game. Each round's alpha and beta are divided by max(alpha, beta),
+the factor going back into that round's payoff, so the Bernstein
+coefficients E of Q lie in [0, 1] and, divided by any normal mass, stay
+finite for any mu in (0, 1). A short last span is padded with neutral
+rounds, alpha = beta = 1, which multiply Q by (1 - u) + u = 1. Renormalising
+at each block end leaves the bets invariant and prevents under/overflow over
+long horizons. A block whose mass nears underflow ends early, and its span
+with it; the next span starts at the round where it stopped.
 
 ``up_game_batch_binary`` plays the same games on observations that are all
 exactly 0.0 or 1.0, with one posterior pass per distinct stream instead of
@@ -65,7 +76,7 @@ import math
 import numpy as np
 
 from ..betting import quadrature_coefficients
-from ..domain import check_batch, check_node_count, check_observations
+from ..domain import check_batch, check_node_count, check_observations, unbroadcast_rows
 from ..errors import DegeneratePosterior
 
 
@@ -77,73 +88,100 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
     ``log_wealth`` is the running log of the mixture wealth.
 
     Plays ``_BLOCK`` rounds per pass over the (G, K) weights: within a block
-    the weights stay put and each round advances the block polynomial Q_i,
-    whose sums against the weights give the round's mass and bet (see the
-    module docstring). A mass that is not positive (NaN included) raises
-    ``DegeneratePosterior`` naming its round and the first game there.
+    the weights stay put, and each round's mass and bet are the block's
+    Bernstein moments of the weights summed against weight-free tables, which
+    are built for a span of blocks at a time (see the module docstring). A
+    mass that is not positive (NaN included) raises ``DegeneratePosterior``
+    naming its round and the first game there.
     """
     xs, mus = check_batch(xs, mus)
     check_node_count(n_nodes)
     # fmin and fmax skip NaN, which raises DegeneratePosterior at its own round below.
-    extremes = [np.fmin.reduce(xs, None, initial=0.5), np.fmax.reduce(xs, None, initial=0.5)]
+    values = unbroadcast_rows(xs)
+    extremes = [np.fmin.reduce(values, None, initial=0.5), np.fmax.reduce(values, None, initial=0.5)]
     check_observations(np.array(extremes))
     n_games, n_rounds = xs.shape
     block = _BLOCK
-    basis, binomial = _bernstein(n_nodes)
+    basis = _bernstein(n_nodes)
     # Terms lost to underflow in a mass total under K * 2**J * tiny, so they
     # are under _EPS of any mass above this floor. A block ends before the
     # first round whose mass falls below it, or after that round if it is
-    # the block's first.
+    # the block's first; its span ends with it.
     floor = n_nodes * 2.0**block * np.finfo(float).tiny / _EPS
     w = np.broadcast_to(quadrature_coefficients(n_nodes), (n_games, n_nodes)).copy()
     scratch = np.empty_like(w)
-    # coef[i, :i+1] holds the coefficients of Q_i, moments[i, :i+1] the m_i,
-    # both per game along the last axis; entries past degree i stay 0.
-    coef = np.zeros((block + 1, block + 1, n_games))
-    coef[0, 0] = 1.0
-    moments = np.zeros_like(coef)
-    alpha, beta = np.empty((2, block, n_games))
+    rows = 2 * block + 1
+    n_blocks = min(_span_blocks(n_games), -(-n_rounds // block))
+    span = n_blocks * block
+    # Round i of block b of a span is row b*J + i.
+    alpha, beta, scale = np.empty((3, span, n_games))
+    a, b = (v.reshape(n_blocks, block, n_games) for v in (alpha, beta))
+    # coef[j, b] holds the coefficient of Q_i on u**j (1 - u)**(i - j) in
+    # block b, per game along the last axis; entries past degree i stay 0.
+    coef, coef_next = np.empty((2, block + 1, n_blocks, n_games))
+    # tables[r, :, b]: rows 0..J the degree-J Bernstein coefficients of
+    # Q_0..Q_J in block b, rows J+1..2J those of u*Q_0..u*Q_{J-1}.
+    tables = np.empty((rows, block + 1, n_blocks, n_games))
+    flat = (block + 1, n_blocks * n_games)
+    moments = np.empty((block + 1, n_games))
+    sums = np.empty((rows, n_games))
+    mass, mean_u = sums[: block + 1], sums[block + 1 :]
+    top = np.empty((block + 1, n_games))
     alpha_at_zero, beta_at_one = 1.0 / (1.0 - mus), 1.0 / mus
 
-    ubar = np.empty((n_games, n_rounds))  # becomes the bets
+    bets = np.empty((n_games, n_rounds))
     payoffs = np.empty((n_games, n_rounds))  # becomes the log-wealth
     start = 0
     while start < n_rounds:
-        x = xs[:, start : start + block].T
-        n_play = len(x)
-        np.multiply(1.0 - x, alpha_at_zero, out=alpha[:n_play])
-        np.multiply(x, beta_at_one, out=beta[:n_play])
-        alpha[n_play:] = beta[n_play:] = 1.0  # neutral rounds pad a short block
-        scale = np.maximum(alpha, beta)  # NaN stays NaN
+        # The span's weight-free work: payoff factors, scaled per round, and tables.
+        x = xs[:, start : start + span].T
+        n_span = len(x)
+        np.subtract(1.0, x, out=alpha[:n_span])
+        alpha[:n_span] *= alpha_at_zero
+        np.multiply(x, beta_at_one, out=beta[:n_span])
+        alpha[n_span:] = beta[n_span:] = 1.0  # neutral rounds pad the span
+        np.maximum(alpha, beta, out=scale)  # NaN stays NaN
         alpha /= scale
         beta /= scale
-        _advance(coef, alpha, beta, 0)
-        np.matmul(basis, w.T, out=moments[block])
-        moments[block] /= binomial
-        for i in range(block - 1, -1, -1):
-            np.add(moments[i + 1, : i + 1], moments[i + 1, 1 : i + 2], out=moments[i, : i + 1])
-        mass = np.einsum("ijg,ijg->ig", coef, moments)
-        low = ~(mass[1 : n_play + 1] >= floor).all(axis=1)  # NaN is low
-        if low.any():
-            first = int(np.argmax(low))
-            if first == 0:
-                _check_mass(mass[1], start + 1)
-            n_play = max(first, 1)
-        mean_u = np.einsum("ijg,ijg->ig", coef[:n_play, :block], moments[1 : n_play + 1, 1:])
-        ubar[:, start : start + n_play] = (mean_u / mass[:n_play]).T
-        step = mass[1 : n_play + 1] / mass[:n_play]
-        step *= scale[:n_play]
-        payoffs[:, start : start + n_play] = step.T
-        start += n_play
-        if start < n_rounds:  # w <- w * Q(u) / mass
-            if n_play < block:  # neutral rounds take Q to degree J
-                alpha[n_play:] = beta[n_play:] = 1.0
-                _advance(coef, alpha, beta, n_play)
-            top = coef[block] / binomial
-            top /= mass[n_play]
+        coef[:] = 0.0
+        coef[0] = 1.0
+        for i in range(block + 1):
+            np.matmul(_ELEVATE[i], coef.reshape(flat), out=tables[i].reshape(flat))
+            if i == block:
+                break
+            np.matmul(_ELEVATE_U[i], coef.reshape(flat), out=tables[block + 1 + i].reshape(flat))
+            # q_{i+1}[j] = alpha_i q_i[j] + beta_i q_i[j-1]
+            np.multiply(coef, a[:, i], out=coef_next)
+            coef[:-1] *= b[:, i]
+            coef_next[1:] += coef[:-1]
+            coef, coef_next = coef_next, coef
+
+        # The weight-dependent work, block by block.
+        for k in range(n_blocks):
+            np.matmul(basis, w.T, out=moments)
+            np.einsum("rlg,lg->rg", tables[:, :, k], moments, out=sums)
+            n_play = min(block, n_rounds - start)
+            if not mass[1 : n_play + 1].min() >= floor:  # NaN is low
+                low = ~(mass[1 : n_play + 1] >= floor).all(axis=1)
+                first = int(np.argmax(low))
+                if first == 0:
+                    _check_mass(mass[1], start + 1)
+                n_play = max(first, 1)
+            played = slice(start, start + n_play)
+            np.divide(mean_u[:n_play], mass[:n_play], out=bets[:, played].T)
+            step = payoffs[:, played].T
+            np.divide(mass[1 : n_play + 1], mass[:n_play], out=step)
+            step *= scale[k * block : k * block + n_play]
+            start += n_play
+            if start == n_rounds:
+                break
+            # w <- w * Q(u) / mass, Q taken to degree J by neutral rounds
+            np.divide(tables[n_play, :, k], mass[n_play], out=top)
             np.matmul(top.T, basis, out=scratch)
             w *= scratch
-    return _bets(ubar, mus), _log_wealth(payoffs)
+            if n_play < block:  # the next span starts where this block ended
+                break
+    return _bets(bets, mus), _log_wealth(payoffs)
 
 
 # Rounds ``up_game_batch`` plays per pass over its weights. On the mc-grid shape
@@ -152,29 +190,52 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
 # 0.2 MB over the per-round kernel's at J = 8 and 0.9 MB at 16, the
 # (J+1, J+1, G) tables growing as J**2. Longer blocks do help one long game.
 _BLOCK = 8
+# Bytes of the (2J+1, J+1, blocks, G) tables of one span: a span has as many
+# blocks as fit, at least one. On the mc-grid shape that is 8 blocks (1 MB);
+# one game gets spans of over 800 blocks.
+_SPAN_BYTES = 2**20
 _EPS = 2.0**-53
 
 
-@functools.lru_cache(maxsize=8)
-def _bernstein(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The degree-J Bernstein basis on the u-grid, J = ``_BLOCK``, read-only.
+def _span_blocks(n_games: int) -> int:
+    """Blocks per span for a batch of ``n_games`` games, as ``_SPAN_BYTES`` allows."""
+    return max(1, _SPAN_BYTES // ((2 * _BLOCK + 1) * (_BLOCK + 1) * n_games * 8))
 
-    Returns the (J+1, K) table C(J, l) u_k**l (1 - u_k)**(J - l) and the
-    (J+1, 1) column of binomials C(J, l).
+
+def _elevation(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices taking block-polynomial coefficients to degree-J Bernstein ones.
+
+    Times ((1 - u) + u)**(J - i), Q_i = sum_j q_i[j] u**j (1 - u)**(i - j)
+    has the coefficient sum_j C(J - i, l - j) q_i[j] on u**l (1 - u)**(J - l),
+    and u*Q_i has sum_j C(J - i - 1, l - j - 1) q_i[j]; divided by C(J, l)
+    these are Bernstein coefficients. Returns, read-only, the (J+1, J+1, J+1)
+    stack [i, l, j] for Q_0..Q_J and the (J, J+1, J+1) stack for u*Q_0..u*Q_{J-1}.
     """
+    def comb(n: int, k: int) -> int:
+        return math.comb(n, k) if k >= 0 else 0
+
+    powers = range(degree + 1)
+    binomial = np.array([[comb(degree, l)] for l in powers], dtype=float)
+    q = [[[comb(degree - i, l - j) * (j <= i) for j in powers] for l in powers] for i in powers]
+    uq = [[[comb(degree - i - 1, l - j - 1) * (j <= i) for j in powers] for l in powers] for i in powers[:-1]]
+    q, uq = np.array(q) / binomial, np.array(uq) / binomial
+    q.flags.writeable = uq.flags.writeable = False
+    return q, uq
+
+
+_ELEVATE, _ELEVATE_U = _elevation(_BLOCK)
+
+
+@functools.lru_cache(maxsize=8)
+def _bernstein(n_nodes: int) -> np.ndarray:
+    """The (J+1, K) degree-J Bernstein basis C(J, l) u_k**l (1 - u_k)**(J - l)
+    on the u-grid, J = ``_BLOCK``, read-only."""
     u = np.linspace(0.0, 1.0, n_nodes)
-    powers = np.arange(_BLOCK + 1)
-    binomial = np.array([math.comb(_BLOCK, l) for l in powers], dtype=float)[:, None]
-    basis = binomial * u ** powers[:, None] * (1.0 - u) ** (_BLOCK - powers[:, None])
-    basis.flags.writeable = binomial.flags.writeable = False
-    return basis, binomial
-
-
-def _advance(coef: np.ndarray, alpha: np.ndarray, beta: np.ndarray, start: int) -> None:
-    """Fill ``coef[i]`` for i > ``start`` by q_{i+1}[j] = alpha_i q_i[j] + beta_i q_i[j-1]."""
-    for i in range(start, len(alpha)):
-        np.multiply(coef[i], alpha[i], out=coef[i + 1])
-        coef[i + 1, 1:] += coef[i, :-1] * beta[i]
+    powers = np.arange(_BLOCK + 1)[:, None]
+    binomial = np.array([math.comb(_BLOCK, l) for l in range(_BLOCK + 1)], dtype=float)[:, None]
+    basis = binomial * u**powers * (1.0 - u) ** (_BLOCK - powers)
+    basis.flags.writeable = False
+    return basis
 
 
 # The binary routine advances its posterior T rounds at a time, from weights
@@ -200,13 +261,13 @@ def up_game_batch_binary(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
     """
     xs, mus = check_batch(xs, mus)
     check_node_count(n_nodes)
-    ones = xs == 1.0
+    ones = unbroadcast_rows(xs) == 1.0  # one row for a stream shared by every game
     # Streams are grouped by their packed bytes, one opaque item per row:
     # np.unique on that 1-D view sorts as axis=0 would, at a fraction of its cost.
     packed = np.ascontiguousarray(np.packbits(ones, axis=1))
     rows = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
     _, first, stream_of = np.unique(rows, return_index=True, return_inverse=True)
-    stream_of = stream_of.reshape(-1)
+    stream_of = np.broadcast_to(stream_of.reshape(-1), len(mus))
     posterior = _BinaryPosterior(n_nodes)
     ubar, vbar = (np.stack(m) for m in zip(*(posterior.means(ones[i]) for i in first)))
     payoffs = vbar[stream_of]

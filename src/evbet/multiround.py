@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import SampleSpace, two_point_weight
-from .errors import DepthTooLarge, NotAnEVariable, OutOfRange
+from .domain import SampleSpace, check_table, two_point_weight
+from .errors import DepthTooLarge, NotAnEVariable
 # check_evariable and beta_interval are not called here, but stay module names:
 # perfbench/tracing.py patches its spans in under them.
 from .evariables import (  # noqa: F401
@@ -43,8 +43,8 @@ from .evariables import (  # noqa: F401
     _certify,
     _split_grid,
     _worst_measures,
-    bet_bounds,
     beta_interval,
+    check_bet,
     check_evariable,
 )
 
@@ -68,13 +68,11 @@ class MultiRoundCoinBet:
     tables: tuple
 
     def __post_init__(self):
-        lo, hi = bet_bounds(self.mu)
         for t, table in enumerate(self.tables, start=1):
             for prefix, lam in table.items():
                 if len(prefix) != t - 1:
                     raise ValueError(f"round {t} table keyed by {len(prefix)}-tuples")
-                if not lo <= lam <= hi:
-                    raise OutOfRange(f"lambda={lam} at round {t} outside I_mu=[{lo}, {hi}]")
+                check_bet(lam, self.mu, t)
 
     @property
     def horizon(self) -> int:
@@ -522,8 +520,7 @@ def dominate_T2(values, space: SampleSpace) -> T2DominationResult:
     n = len(pts)
     if vals.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} table")
-    if (vals < 0.0).any() or not np.isfinite(vals).all():
-        raise ValueError("table values must be finite and non-negative")
+    check_table(vals)
 
     split = _split_grid(pts, mu)
     # Conditional envelope m(x) with, per row, the maximising two-point measure.
@@ -555,15 +552,14 @@ def dominate_T2(values, space: SampleSpace) -> T2DominationResult:
     denom = 1.0 + lam1 * (pts - mu)
     live = denom > 0.0
     rows = vals[live] / denom[live, None]
-    checked = zip(np.isfinite(rows).all(axis=1).tolist(), _certify(pts, mu, split, rows))
+    checked = zip(rows, _certify(pts, mu, split, rows))
     lam2 = {}
     for x, reached in zip(pts.tolist(), live.tolist()):
         if not reached:
             lam2[(x,)] = 0.0
             continue
-        finite, (_, row_cert) = next(checked)
-        if not finite:  # a row can overflow when mu is within 1e-9 of 0 or 1
-            raise ValueError("values must be finite and non-negative")
+        row, (_, row_cert) = next(checked)
+        check_table(row)  # a row can overflow when mu is within 1e-9 of 0 or 1
         if isinstance(row_cert, NotAnEVariable):
             raise row_cert
         lam2[(x,)] = row_cert.lambda_hat

@@ -47,7 +47,7 @@ def loop_game(mu, delta, strategy, xs):
             raise ValueError(f"x={x} outside [0, 1]")
         lam = float(strategy.bet())
         if not lo <= lam <= hi:
-            raise OutOfRange(f"strategy emitted lambda={lam} outside I_mu=[{lo}, {hi}]")
+            raise OutOfRange(f"lambda={lam} outside I_mu=[{lo}, {hi}] for mu={mu} at round {t}")
         e_value = max(1.0 + lam * (float(x) - mu), 0.0)
         if e_value == 0.0:
             wealth = -math.inf

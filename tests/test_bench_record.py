@@ -47,3 +47,28 @@ def test_rejects_traced_runs_and_unknown_sides(tmp_path):
 def test_command_line_reports_bad_input(capsys):
     assert bench_record.main(["--commit", "abc1234", "--side", "change", str(FIXTURE.with_name("missing.json"))]) == 2
     assert "bench_record:" in capsys.readouterr().err
+
+
+def result_file(tmp_path, seed, op_s):
+    """The fixture with its seed and ``op_s`` replaced, written under ``tmp_path``."""
+    run = json.loads(FIXTURE.read_text())
+    run["manifest"]["seed"] = seed
+    run["result"]["metrics"]["op_s"]["value"] = op_s
+    path = tmp_path / f"mc-grid-seed{seed}-op{op_s}-trace0.json"
+    path.write_text(json.dumps(run))
+    return str(path)
+
+
+def test_prints_medians_and_seed_pair_wins(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    parent = [result_file(tmp_path, 1, 0.2), result_file(tmp_path, 2, 0.4)]
+    change = [result_file(tmp_path, 1, 0.1), result_file(tmp_path, 2, 0.4)]  # a win and a tie
+    assert bench_record.main(["--commit", "abc1234", "--side", "parent", *parent]) == 0
+    capsys.readouterr()
+    assert bench_record.main(["--commit", "def5678", "--side", "change", *change]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "BENCH_mc-grid.json: 2 record(s) added",
+        "  abc1234 parent: 2 run(s), medians op_s 0.3  setup_s 0.2046  peak_rss_mb 42.97",
+        "  def5678 change: 2 run(s), medians op_s 0.25  setup_s 0.2046  peak_rss_mb 42.97",
+        "  def5678 against abc1234: 2 seed pair(s), won op_s 1  setup_s 0  peak_rss_mb 0",
+    ]

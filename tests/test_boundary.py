@@ -1,9 +1,10 @@
 """The library's argument checks, entry point by bad-input class.
 
 The library twin of ``test_cli.py::CONTRACT_CASES``: every entry point that
-takes a mean, a level, observations, a node count or a strategy literal
-rejects a bad one with a ``ValueError`` carrying the one message of the
-check in ``domain`` (or of ``game.parse_strategy``) that it shares with the
+takes a mean, a level, observations, a node count, a strategy literal, a bet
+fraction or a table of values rejects a bad one with a ``ValueError``
+carrying the one message of the check in ``domain`` (or of
+``game.parse_strategy`` or ``evariables.check_bet``) that it shares with the
 others.
 """
 
@@ -12,16 +13,21 @@ import re
 
 import numpy as np
 import pytest
+from conftest import ReplayBets
 
 from evbet import kernels
-from evbet.betting import ConstantStrategy, UniversalPortfolioStrategy
+from evbet.betting import UniversalPortfolioStrategy, constant_bet
 from evbet.confseq import run_cs_batch
 from evbet.domain import SampleSpace
-from evbet.evariables import bet_bounds, dominating_lambda
+from evbet.evariables import CoinBetEVariable, TabulatedEVariable, bet_bounds, dominating_lambda
 from evbet.game import check_strategy, parse_strategy, run_game, run_games_batch, score_bets
+from evbet.iid_case import xi_stats
+from evbet.multiround import MultiRoundCoinBet, dominate_T2
 
 NAN = math.nan
 OBSERVATIONS = "observations must be finite and lie in [0, 1]"
+BET = "lambda=3.0 outside I_mu=[-2.0, 2.0] for mu=0.5"
+TABLE = "values must be finite and non-negative"
 
 # class -> (the bad keyword, the message); a round's observation is named in its message.
 CLASSES = {
@@ -35,8 +41,18 @@ CLASSES = {
         {"literal": "up:x"},
         "bad strategy literal 'up:x': invalid literal for int() with base 10: 'x'",
     ),
+    "bet": ({"lam": 3.0}, BET),
+    "bet-literal": ({"literal": "constant:3"}, BET),
+    "table-negative": ({"value": -1.0}, TABLE),
+    "table-nan": ({"value": NAN}, TABLE),
+    "table-inf": ({"value": math.inf}, TABLE),
 }
-ROUND_MESSAGES = {"x-nan": "x=nan outside [0, 1]", "x-range": "x=1.5 outside [0, 1]"}
+# A bet checked round by round is named with its round, the third.
+ROUND_MESSAGES = {
+    "x-nan": "x=nan outside [0, 1]",
+    "x-range": "x=1.5 outside [0, 1]",
+    "bet": BET + " at round 3",
+}
 
 
 def stream(x, games=1):
@@ -58,12 +74,33 @@ def cs_batch(mu=0.5, delta=0.05, x=0.5, n_nodes=11, literal=None):
     run_cs_batch([0.5, mu], stream(x)[0], strategy(n_nodes, literal), delta)
 
 
-def scored(mu=0.5, delta=0.05, x=0.5):
-    score_bets(mu, delta, np.zeros(4), stream(x)[0])
+def bets(lam):
+    """A zero bet on each of four rounds, the third replaced by ``lam``."""
+    fractions = np.zeros(4)
+    fractions[2] = lam
+    return fractions
 
 
-def played(mu=0.5, delta=0.05, x=0.5):
-    run_game(mu, delta, ConstantStrategy(0.5, 0.0), stream(x)[0])
+def scored(mu=0.5, delta=0.05, x=0.5, lam=0.0):
+    score_bets(mu, delta, bets(lam), stream(x)[0])
+
+
+def played(mu=0.5, delta=0.05, x=0.5, lam=0.0):
+    run_game(mu, delta, ReplayBets(bets(lam)), stream(x)[0])
+
+
+def multiround(mu=0.5, lam=0.0):
+    MultiRoundCoinBet(mu, ({(): 0.0}, {(0.5,): 0.0}, {(0.5, 0.5): lam}))
+
+
+def table(value):
+    """A 3x3 table of ones over {0, 1/2, 1}, the middle cell replaced by ``value``."""
+    cells = np.ones((3, 3))
+    cells[1, 1] = value
+    return cells
+
+
+GRID_3 = SampleSpace((0.0, 0.5, 1.0), 0.5)
 
 
 def kernel(mu=0.5, x=0.5, n_nodes=11):
@@ -74,14 +111,21 @@ def portfolio(mu=0.5, x=0.5, n_nodes=11):
     UniversalPortfolioStrategy(mu, n_nodes).observe(x)
 
 
-ALL = set(CLASSES)
+TABLES = {"table-negative", "table-nan", "table-inf"}
+ALL = set(CLASSES) - TABLES - {"bet"}
 MU = {"mu-range", "mu-nan"}
 # entry point -> (its call, the classes it checks, whether it checks observations round by round)
 ROWS = {
     "run_games_batch": (batch, ALL, False),
     "run_cs_batch": (cs_batch, ALL, False),
-    "score_bets": (scored, MU | {"delta", "x-nan", "x-range"}, True),
-    "run_game": (played, MU | {"delta", "x-nan", "x-range"}, True),
+    "score_bets": (scored, MU | {"delta", "x-nan", "x-range", "bet"}, True),
+    "run_game": (played, MU | {"delta", "x-nan", "x-range", "bet"}, True),
+    "constant_bet": (lambda mu=0.5, lam=0.0: constant_bet(lam, mu), MU | {"bet"}, False),
+    "CoinBetEVariable": (lambda mu=0.5, lam=0.0: CoinBetEVariable(mu, lam), MU | {"bet"}, False),
+    "MultiRoundCoinBet": (multiround, MU | {"bet"}, True),
+    "TabulatedEVariable": (lambda value=1.0: TabulatedEVariable(GRID_3, table(value)[1]), TABLES, False),
+    "xi_stats": (lambda value=1.0: xi_stats(table(value)), TABLES, False),
+    "dominate_T2": (lambda value=1.0: dominate_T2(table(value), GRID_3), TABLES, False),
     # The general kernel lets NaN through, to raise DegeneratePosterior at its
     # own round (test_kernels.py::test_nan_raises_at_its_own_round).
     "kernels.up_game_batch": (kernel, MU | {"x-range", "nodes"}, False),
@@ -93,7 +137,7 @@ ROWS = {
         lambda mu=0.5, n_nodes=11, literal=None: check_strategy(
             strategy(n_nodes, literal), np.array([0.5, mu])
         ),
-        MU | {"nodes", "literal"},
+        MU | {"nodes", "literal", "bet-literal"},
         False,
     ),
     "parse_strategy": (

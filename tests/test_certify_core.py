@@ -110,7 +110,7 @@ def oracle_dominate_T2(values, space):
     if vals.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} table")
     if (vals < 0.0).any() or not np.isfinite(vals).all():
-        raise ValueError("table values must be finite and non-negative")
+        raise ValueError("values must be finite and non-negative")
     at = np.abs(pts - mu) <= 1e-9
     below = (pts < mu) & ~at
     above = (pts > mu) & ~at
@@ -173,7 +173,7 @@ def oracle_xi_stats(table):
     if t.shape != (3, 3):
         raise ValueError("expected a 3x3 table over {0, 1/2, 1}^2")
     if (t < 0.0).any() or not np.isfinite(t).all():
-        raise ValueError("table values must be finite and non-negative")
+        raise ValueError("values must be finite and non-negative")
     xi1 = float(np.mean([t[i, j] for i, j in ((2, 1), (1, 2), (1, 0), (0, 1))]))
     xi2 = float(np.mean([t[i, j] for i, j in ((2, 2), (2, 0), (0, 2), (0, 0))]))
     return XiStats(float(t[1, 1]), xi1, xi2)
@@ -342,7 +342,7 @@ class TestTwoRound:
               [0.9066015003487108, 0.9999999920867643, 0.9999999958227042, 1.0933984875607574],
               [1.0639833254686002, 0.6977367224461172, 0.6977367077962527, 0.33149010477376956]],
              "slope interval inverted beyond tolerance"),
-            ([[-1.0] * 4] * 4, "table values must be finite and non-negative"),
+            ([[-1.0] * 4] * 4, "values must be finite and non-negative"),
             ([[1.0] * 3] * 3, "expected a 4x4 table"),
         ],
     )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -327,6 +328,47 @@ class TestBlockSeams:
         np.testing.assert_allclose(logw, ref_logw, rtol=0.0, atol=1e-9)
 
 
+def assert_matches_object_path(xs, mus, n_nodes):
+    """The general kernel against ``run_game`` with the log-space portfolio, game by game, at 1e-9."""
+    bets, logw = _pykernels.up_game_batch(xs, mus, n_nodes)
+    for g, mu in enumerate(mus.tolist()):
+        reference = run_game(mu, 0.05, UniversalPortfolioStrategy(mu, n_nodes), xs[g])
+        np.testing.assert_allclose(bets[g], reference.lam, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(logw[g], reference.log_wealth, rtol=0.0, atol=1e-9)
+
+
+class TestSpanSeams:
+    """The general kernel where its blocks meet the edges of a span of blocks."""
+
+    MUS = np.array([0.2, 0.5, 0.85])
+    SPAN = _pykernels._span_blocks(len(MUS)) * BLOCK  # rounds per span of this batch
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_horizons_around_a_span(self, offset, rng):
+        xs = rng.choice(GRID_11, size=(len(self.MUS), self.SPAN + offset))
+        assert_matches_object_path(xs, self.MUS, 11)
+
+    def test_early_block_end_inside_a_span(self, rng):
+        # The near-underflow stream of TestBlockSeams ends blocks early inside
+        # the first span of a single game; the game then plays on over more
+        # than a span of further rounds. The bets pile on lam = -2, so x = 1
+        # pays 0 on a ledger scored from them: the reference is the log-space
+        # mixture, as in that test.
+        span = _pykernels._span_blocks(1) * BLOCK
+        stream = np.concatenate([np.zeros(6720), np.ones(40), rng.choice(GRID_11, span)])
+        assert 6720 % span > 0 and len(stream) - 6720 > span
+        xs, mus = stream[None, :], np.array([0.5])
+        bets, logw = _pykernels.up_game_batch(xs, mus, 11)
+        ref_bets, ref_logw = lambda_grid_loop(xs, mus, 11)
+        np.testing.assert_allclose(bets, ref_bets, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(logw, ref_logw, rtol=0.0, atol=1e-9)
+
+    def test_one_long_game_crosses_spans(self):
+        stream = sample_stream(DiscreteDistribution.uniform_grid(11), 20_000, 3)
+        assert len(stream) > 2 * _pykernels._span_blocks(1) * BLOCK
+        assert_matches_object_path(stream[None, :], np.array([0.45]), 11)
+
+
 class TestBinaryDispatchContract(TestBackendContract):
     """The backend contract on binary batches, through the dispatcher."""
 
@@ -407,6 +449,21 @@ class TestBinaryPath:
         stream = sample_stream(DiscreteDistribution.bernoulli(0.3), 400, 8)
         mus = np.arange(1, 20) / 20.0
         assert_matches_general_kernel(np.broadcast_to(stream, (len(mus), len(stream))), mus, 1001)
+
+    def test_broadcast_stream_is_read_once(self):
+        # Beyond its two (G, n) outputs, a run on one stream broadcast to 99
+        # games holds no (G, n) temporary: a bool copy of the batch is 4.95 MB,
+        # and the dispatch and the grouping of streams once took 9.9 MB of them.
+        stream = sample_stream(DiscreteDistribution.bernoulli(0.4), 50_000, 7)
+        mus = default_mu_grid(99)
+        view = np.broadcast_to(stream, (len(mus), len(stream)))
+        tracemalloc.start()
+        try:
+            bets, logw = kernels.up_game_batch(view, mus, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - bets.nbytes - logw.nbytes < 2e6
 
     def test_long_horizon(self):
         stream = sample_stream(DiscreteDistribution.bernoulli(0.4), 20_000, 3)

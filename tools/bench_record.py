@@ -11,12 +11,19 @@ one record per line. ``side`` says which commit of a parent/change pair ran:
 
     python3 tools/bench_record.py --commit abc1234 --side change \\
         perfbench/results/mc-grid-seed801-trace0.json ...
+
+It then prints, for each workload it appended to, the median of each metric
+per (commit, side) over the whole trajectory, and for each change commit how
+many of its seed pairs it won on each metric. A seed pair is the parent and
+the change record of one seed; every metric is better lower, and a tie wins
+for neither side.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -54,6 +61,29 @@ def record(paths, commit: str, side: str, out_dir: Path = ROOT) -> dict[str, int
     return {workload: len(entries) for workload, entries in added.items()}
 
 
+def summarize(rows: list[dict]) -> list[str]:
+    """Lines of per-(commit, side) medians and per-change seed-pair wins of ``rows``."""
+    groups: dict[tuple[str, str], list[dict]] = {}
+    pairs: dict[int, dict[str, dict]] = {}
+    for row in rows:
+        groups.setdefault((row["commit"], row["side"]), []).append(row)
+        pairs.setdefault(row["seed"], {})[row["side"]] = row  # the last record of each side
+    lines = []
+    for (commit, side), group in groups.items():
+        medians = "  ".join(f"{name} {statistics.median(r[name] for r in group):.4g}" for name in METRICS)
+        lines.append(f"  {commit} {side}: {len(group)} run(s), medians {medians}")
+    won: dict[tuple[str, str], list[tuple[dict, dict]]] = {}
+    for sides in pairs.values():
+        if len(sides) == 2:
+            won.setdefault((sides["change"]["commit"], sides["parent"]["commit"]), []).append(
+                (sides["parent"], sides["change"])
+            )
+    for (change, parent), matched in won.items():
+        wins = "  ".join(f"{name} {sum(c[name] < p[name] for p, c in matched)}" for name in METRICS)
+        lines.append(f"  {change} against {parent}: {len(matched)} seed pair(s), won {wins}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--commit", required=True, help="the commit the results were measured on")
@@ -61,12 +91,14 @@ def main(argv=None) -> int:
     parser.add_argument("results", nargs="+", type=Path)
     args = parser.parse_args(argv)
     try:
-        added = record(args.results, args.commit, args.side)
+        added = record(args.results, args.commit, args.side, ROOT)
     except (OSError, KeyError, ValueError) as exc:
         print(f"bench_record: {exc!r}", file=sys.stderr)
         return 2
     for workload, count in added.items():
-        print(f"BENCH_{workload}.json: {count} record(s) added")
+        target = ROOT / f"BENCH_{workload}.json"
+        print(f"{target.name}: {count} record(s) added")
+        print("\n".join(summarize(json.loads(target.read_text()))))
     return 0
 
 
