@@ -117,15 +117,16 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
     alpha, beta, scale = np.empty((3, span, n_games))
     a, b = (v.reshape(n_blocks, block, n_games) for v in (alpha, beta))
     # coef[j, b] holds the coefficient of Q_i on u**j (1 - u)**(i - j) in
-    # block b, per game along the last axis; entries past degree i stay 0.
+    # block b, per game along the last axis; rows past degree i are not read.
     coef, coef_next = np.empty((2, block + 1, n_blocks, n_games))
-    # tables[r, :, b]: rows 0..J the degree-J Bernstein coefficients of
-    # Q_0..Q_J in block b, rows J+1..2J those of u*Q_0..u*Q_{J-1}.
+    # tables[2i, :, b] and tables[2i + 1, :, b]: the degree-J Bernstein
+    # coefficients of Q_i and of u*Q_i in block b.
     tables = np.empty((rows, block + 1, n_blocks, n_games))
-    flat = (block + 1, n_blocks * n_games)
+    columns = n_blocks * n_games
     moments = np.empty((block + 1, n_games))
-    sums = np.empty((rows, n_games))
-    mass, mean_u = sums[: block + 1], sums[block + 1 :]
+    # sums[b, 2i] and sums[b, 2i + 1]: the mass and first moment of u before
+    # round i of block b, relative to the weights at the block start.
+    sums = np.empty((n_blocks, rows, n_games))
     top = np.empty((block + 1, n_games))
     alpha_at_zero, beta_at_one = 1.0 / (1.0 - mus), 1.0 / mus
 
@@ -143,23 +144,25 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
         np.maximum(alpha, beta, out=scale)  # NaN stays NaN
         alpha /= scale
         beta /= scale
-        coef[:] = 0.0
         coef[0] = 1.0
-        for i in range(block + 1):
-            np.matmul(_ELEVATE[i], coef.reshape(flat), out=tables[i].reshape(flat))
+        for i, elevate in enumerate(_ELEVATE):  # q_i has i + 1 coefficients
+            q = coef[: i + 1]
+            np.matmul(elevate, q.reshape(i + 1, columns), out=tables[2 * i : 2 * i + 2].reshape(-1, columns))
             if i == block:
                 break
-            np.matmul(_ELEVATE_U[i], coef.reshape(flat), out=tables[block + 1 + i].reshape(flat))
             # q_{i+1}[j] = alpha_i q_i[j] + beta_i q_i[j-1]
-            np.multiply(coef, a[:, i], out=coef_next)
-            coef[:-1] *= b[:, i]
-            coef_next[1:] += coef[:-1]
+            np.multiply(q, b[:, i], out=coef_next[1 : i + 2])
+            q *= a[:, i]
+            coef_next[0] = q[0]
+            coef_next[1 : i + 1] += q[1:]
             coef, coef_next = coef_next, coef
 
         # The weight-dependent work, block by block.
+        first_round = start
         for k in range(n_blocks):
             np.matmul(basis, w.T, out=moments)
-            np.einsum("rlg,lg->rg", tables[:, :, k], moments, out=sums)
+            np.einsum("rlg,lg->rg", tables[:, :, k], moments, out=sums[k])
+            mass = sums[k, 0::2]
             n_play = min(block, n_rounds - start)
             if not mass[1 : n_play + 1].min() >= floor:  # NaN is low
                 low = ~(mass[1 : n_play + 1] >= floor).all(axis=1)
@@ -167,20 +170,16 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
                 if first == 0:
                     _check_mass(mass[1], start + 1)
                 n_play = max(first, 1)
-            played = slice(start, start + n_play)
-            np.divide(mean_u[:n_play], mass[:n_play], out=bets[:, played].T)
-            step = payoffs[:, played].T
-            np.divide(mass[1 : n_play + 1], mass[:n_play], out=step)
-            step *= scale[k * block : k * block + n_play]
             start += n_play
             if start == n_rounds:
                 break
             # w <- w * Q(u) / mass, Q taken to degree J by neutral rounds
-            np.divide(tables[n_play, :, k], mass[n_play], out=top)
+            np.divide(tables[2 * n_play, :, k], mass[n_play], out=top)
             np.matmul(top.T, basis, out=scratch)
             w *= scratch
             if n_play < block:  # the next span starts where this block ended
                 break
+        _write_span(sums, scale, bets, payoffs, first_round, start)
     return _bets(bets, mus), _log_wealth(payoffs)
 
 
@@ -202,28 +201,32 @@ def _span_blocks(n_games: int) -> int:
     return max(1, _SPAN_BYTES // ((2 * _BLOCK + 1) * (_BLOCK + 1) * n_games * 8))
 
 
-def _elevation(degree: int) -> tuple[np.ndarray, np.ndarray]:
+def _elevation(degree: int) -> list[np.ndarray]:
     """Matrices taking block-polynomial coefficients to degree-J Bernstein ones.
 
     Times ((1 - u) + u)**(J - i), Q_i = sum_j q_i[j] u**j (1 - u)**(i - j)
     has the coefficient sum_j C(J - i, l - j) q_i[j] on u**l (1 - u)**(J - l),
     and u*Q_i has sum_j C(J - i - 1, l - j - 1) q_i[j]; divided by C(J, l)
-    these are Bernstein coefficients. Returns, read-only, the (J+1, J+1, J+1)
-    stack [i, l, j] for Q_0..Q_J and the (J, J+1, J+1) stack for u*Q_0..u*Q_{J-1}.
+    these are Bernstein coefficients. Returns, read-only, for i < J the
+    (2(J+1), i+1) matrix taking q_i to those of Q_i stacked on those of u*Q_i,
+    and for i = J the (J+1, J+1) matrix of Q_J alone.
     """
-    def comb(n: int, k: int) -> int:
-        return math.comb(n, k) if k >= 0 else 0
 
-    powers = range(degree + 1)
-    binomial = np.array([[comb(degree, l)] for l in powers], dtype=float)
-    q = [[[comb(degree - i, l - j) * (j <= i) for j in powers] for l in powers] for i in powers]
-    uq = [[[comb(degree - i - 1, l - j - 1) * (j <= i) for j in powers] for l in powers] for i in powers[:-1]]
-    q, uq = np.array(q) / binomial, np.array(uq) / binomial
-    q.flags.writeable = uq.flags.writeable = False
-    return q, uq
+    def entry(n: int, k: int, l: int) -> float:
+        return math.comb(n, k) / math.comb(degree, l) if 0 <= k <= n else 0.0
+
+    matrices = []
+    for i in range(degree + 1):
+        rows = [[entry(degree - i, l - j, l) for j in range(i + 1)] for l in range(degree + 1)]
+        if i < degree:
+            rows += [[entry(degree - i - 1, l - j - 1, l) for j in range(i + 1)] for l in range(degree + 1)]
+        matrix = np.array(rows)
+        matrix.flags.writeable = False
+        matrices.append(matrix)
+    return matrices
 
 
-_ELEVATE, _ELEVATE_U = _elevation(_BLOCK)
+_ELEVATE = _elevation(_BLOCK)
 
 
 @functools.lru_cache(maxsize=8)
@@ -347,6 +350,29 @@ class _BinaryPosterior:
             start = stop
         sums = sums[:n_rounds]
         return sums[:, 0] / sums[:, 1], sums[:, 2] / sums[:, 1]
+
+
+def _write_span(sums, scale, bets, payoffs, first: int, stop: int) -> None:
+    """Write the bets (as posterior means of u) and the scaled mixture payoffs
+    of rounds ``first`` to ``stop`` - 1, the rounds a span played.
+
+    ``sums[b, 2i]`` is the mass before round i of block b and ``sums[b, 2i + 1]``
+    its first moment of u, both relative to the weights at the block start.
+    """
+    n_games = sums.shape[2]
+    full, rest = divmod(stop - first, _BLOCK)
+    for start, n_blocks, n in ((0, full, _BLOCK), (full, int(rest > 0), rest)):  # full blocks, then a short one
+        if not n_blocks:
+            continue
+        blocks = slice(start, start + n_blocks)
+        rounds = slice(first + start * _BLOCK, first + start * _BLOCK + n_blocks * n)
+        before = sums[blocks, 0 : 2 * n : 2]
+        # (blocks, n, G) views of the (G, rounds) outputs
+        out = bets[:, rounds].reshape(n_games, n_blocks, n).transpose(1, 2, 0)
+        np.divide(sums[blocks, 1 : 2 * n : 2], before, out=out)
+        out = payoffs[:, rounds].reshape(n_games, n_blocks, n).transpose(1, 2, 0)
+        np.divide(sums[blocks, 2 : 2 * n + 1 : 2], before, out=out)
+        out *= scale[start * _BLOCK : start * _BLOCK + n_blocks * n].reshape(n_blocks, n, n_games)
 
 
 def _check_mass(total: np.ndarray, n_played: int) -> None:
