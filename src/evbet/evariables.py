@@ -44,7 +44,7 @@ def bet_bounds(mu: float) -> tuple[float, float]:
 
 
 def check_bet(lam: float, mu: float, t: int | None = None) -> None:
-    """Reject a bet fraction outside ``I_mu`` with ``OutOfRange``, naming its round ``t`` if given."""
+    """Reject a bet fraction outside ``I_mu`` with ``OutOfRange``; ``t`` names its round."""
     lo, hi = bet_bounds(mu)
     if not lo <= lam <= hi:
         at = "" if t is None else f" at round {t}"

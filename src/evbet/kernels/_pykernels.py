@@ -43,20 +43,21 @@ basis table; a block that ends after n < J rounds uses E_n, Q_n padded with
 neutral rounds. A block thus costs two K-wide products and one multiply.
 
 None of q, E and F depends on the weights, so they are built for a span of
-blocks at a time: the J steps of the recursion run on (J+1, blocks, G)
-arrays, and each step's coefficients go to their E and F rows by one product
-with a fixed (J+1, J+1) matrix. The block loop keeps only the work that
-reads the weights: the moment product, one contraction giving the 2J+1 sums
-of every game, the floor check, the writes and the update. A span has as
-many blocks as its tables fit in ``_SPAN_BYTES``: 8 at 99 games, over 800
-for one game. Each round's alpha and beta are divided by max(alpha, beta),
-the factor going back into that round's payoff, so the Bernstein
-coefficients E of Q lie in [0, 1] and, divided by any normal mass, stay
-finite for any mu in (0, 1). A short last span is padded with neutral
-rounds, alpha = beta = 1, which multiply Q by (1 - u) + u = 1. Renormalising
-at each block end leaves the bets invariant and prevents under/overflow over
-long horizons. A block whose mass nears underflow ends early, and its span
-with it; the next span starts at the round where it stopped.
+blocks at a time: the J steps of the recursion run on (i+1, blocks, G)
+arrays, and each step's q_i goes to its E_i and F_i rows by one product with
+a fixed (2(J+1), i+1) matrix. The block loop keeps only the work that reads
+the weights: the moment product, one contraction giving the 2J+1 sums of
+every game, the floor check and the update; the span's bets and payoffs are
+written when it ends, straight into the (G, n) outputs. A span has as many
+blocks as its tables fit in ``_SPAN_BYTES``: 8 at 99 games, over 800 for one
+game. Each round's alpha and beta are divided by max(alpha, beta), the
+factor going back into that round's payoff, so the Bernstein coefficients E
+of Q lie in [0, 1] and, divided by any normal mass, stay finite for any mu
+in (0, 1). A short last span is padded with neutral rounds, alpha = beta =
+1, which multiply Q by (1 - u) + u = 1. Renormalising at each block end
+leaves the bets invariant and prevents under/overflow over long horizons. A
+block whose mass nears underflow ends early, and its span with it; the next
+span starts at the round where it stopped.
 
 ``up_game_batch_binary`` plays the same games on observations that are all
 exactly 0.0 or 1.0, with one posterior pass per distinct stream instead of
@@ -145,9 +146,10 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
         alpha /= scale
         beta /= scale
         coef[0] = 1.0
-        for i, elevate in enumerate(_ELEVATE):  # q_i has i + 1 coefficients
+        for i, elevate in enumerate(_elevation()):  # q_i has i + 1 coefficients
             q = coef[: i + 1]
-            np.matmul(elevate, q.reshape(i + 1, columns), out=tables[2 * i : 2 * i + 2].reshape(-1, columns))
+            rows_of_q = tables[2 * i : 2 * i + 2].reshape(-1, columns)
+            np.matmul(elevate, q.reshape(i + 1, columns), out=rows_of_q)
             if i == block:
                 break
             # q_{i+1}[j] = alpha_i q_i[j] + beta_i q_i[j-1]
@@ -201,7 +203,8 @@ def _span_blocks(n_games: int) -> int:
     return max(1, _SPAN_BYTES // ((2 * _BLOCK + 1) * (_BLOCK + 1) * n_games * 8))
 
 
-def _elevation(degree: int) -> list[np.ndarray]:
+@functools.cache
+def _elevation() -> list[np.ndarray]:
     """Matrices taking block-polynomial coefficients to degree-J Bernstein ones.
 
     Times ((1 - u) + u)**(J - i), Q_i = sum_j q_i[j] u**j (1 - u)**(i - j)
@@ -209,24 +212,24 @@ def _elevation(degree: int) -> list[np.ndarray]:
     and u*Q_i has sum_j C(J - i - 1, l - j - 1) q_i[j]; divided by C(J, l)
     these are Bernstein coefficients. Returns, read-only, for i < J the
     (2(J+1), i+1) matrix taking q_i to those of Q_i stacked on those of u*Q_i,
-    and for i = J the (J+1, J+1) matrix of Q_J alone.
+    and for i = J the (J+1, J+1) matrix of Q_J alone; J = ``_BLOCK``.
     """
+    degree = _BLOCK
 
     def entry(n: int, k: int, l: int) -> float:
         return math.comb(n, k) / math.comb(degree, l) if 0 <= k <= n else 0.0
 
     matrices = []
     for i in range(degree + 1):
-        rows = [[entry(degree - i, l - j, l) for j in range(i + 1)] for l in range(degree + 1)]
-        if i < degree:
-            rows += [[entry(degree - i - 1, l - j - 1, l) for j in range(i + 1)] for l in range(degree + 1)]
+        columns = range(i + 1)
+        rows = [[entry(degree - i, l - j, l) for j in columns] for l in range(degree + 1)]
+        if i < degree:  # u*Q_i
+            rows += [[entry(degree - i - 1, l - j - 1, l) for j in columns] for l in range(degree + 1)]
         matrix = np.array(rows)
         matrix.flags.writeable = False
         matrices.append(matrix)
     return matrices
 
-
-_ELEVATE = _elevation(_BLOCK)
 
 
 @functools.lru_cache(maxsize=8)

@@ -329,7 +329,7 @@ class TestBlockSeams:
 
 
 def assert_matches_object_path(xs, mus, n_nodes):
-    """The general kernel against ``run_game`` with the log-space portfolio, game by game, at 1e-9."""
+    """The general kernel against the log-space object path, game by game, at 1e-9."""
     bets, logw = _pykernels.up_game_batch(xs, mus, n_nodes)
     for g, mu in enumerate(mus.tolist()):
         reference = run_game(mu, 0.05, UniversalPortfolioStrategy(mu, n_nodes), xs[g])
