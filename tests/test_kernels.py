@@ -349,14 +349,15 @@ class TestSpanSeams:
         assert_matches_object_path(xs, self.MUS, 11)
 
     def test_early_block_end_inside_a_span(self, rng):
-        # The near-underflow stream of TestBlockSeams ends blocks early inside
-        # the first span of a single game; the game then plays on over more
-        # than a span of further rounds. The bets pile on lam = -2, so x = 1
-        # pays 0 on a ledger scored from them: the reference is the log-space
-        # mixture, as in that test.
+        # As in TestBlockSeams, the first one after the zeros ends a block
+        # early, here in the middle of a block inside the first span of a
+        # single game; varied rounds follow, within that span and over more
+        # than a span after it. The bets pile on lam = -2, so x = 1 pays 0 on
+        # a ledger scored from them: the reference is the log-space mixture,
+        # as in that test.
         span = _pykernels._span_blocks(1) * BLOCK
-        stream = np.concatenate([np.zeros(6720), np.ones(40), rng.choice(GRID_11, span)])
-        assert 6720 % span > 0 and len(stream) - 6720 > span
+        stream = np.concatenate([np.zeros(6723), np.ones(2), rng.choice(GRID_11, span)])
+        assert 6723 % BLOCK > 0 and 6723 < span and len(stream) - 6723 > span
         xs, mus = stream[None, :], np.array([0.5])
         bets, logw = _pykernels.up_game_batch(xs, mus, 11)
         ref_bets, ref_logw = lambda_grid_loop(xs, mus, 11)
@@ -452,8 +453,8 @@ class TestBinaryPath:
 
     def test_broadcast_stream_is_read_once(self):
         # Beyond its two (G, n) outputs, a run on one stream broadcast to 99
-        # games holds no (G, n) temporary: a bool copy of the batch is 4.95 MB,
-        # and the dispatch and the grouping of streams once took 9.9 MB of them.
+        # games holds no (G, n) temporary: a bool copy of the batch alone is
+        # 4.95 MB, over twice the bound.
         stream = sample_stream(DiscreteDistribution.bernoulli(0.4), 50_000, 7)
         mus = default_mu_grid(99)
         view = np.broadcast_to(stream, (len(mus), len(stream)))
