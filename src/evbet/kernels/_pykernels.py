@@ -148,7 +148,7 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
         coef[0] = 1.0
         for i, elevate in enumerate(_elevation()):  # q_i has i + 1 coefficients
             q = coef[: i + 1]
-            rows_of_q = tables[2 * i : 2 * i + 2].reshape(-1, columns)
+            rows_of_q = tables[2 * i : 2 * i + 2].reshape(len(elevate), columns)
             np.matmul(elevate, q.reshape(i + 1, columns), out=rows_of_q)
             if i == block:
                 break
@@ -166,7 +166,7 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
             np.einsum("rlg,lg->rg", tables[:, :, k], moments, out=sums[k])
             mass = sums[k, 0::2]
             n_play = min(block, n_rounds - start)
-            if not mass[1 : n_play + 1].min() >= floor:  # NaN is low
+            if not mass[1 : n_play + 1].min(initial=math.inf) >= floor:  # NaN is low
                 low = ~(mass[1 : n_play + 1] >= floor).all(axis=1)
                 first = int(np.argmax(low))
                 if first == 0:
@@ -200,7 +200,7 @@ _EPS = 2.0**-53
 
 def _span_blocks(n_games: int) -> int:
     """Blocks per span for a batch of ``n_games`` games, as ``_SPAN_BYTES`` allows."""
-    return max(1, _SPAN_BYTES // ((2 * _BLOCK + 1) * (_BLOCK + 1) * n_games * 8))
+    return max(1, _SPAN_BYTES // ((2 * _BLOCK + 1) * (_BLOCK + 1) * max(n_games, 1) * 8))
 
 
 @functools.cache

@@ -364,6 +364,10 @@ class TestSpanSeams:
         np.testing.assert_allclose(bets, ref_bets, rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(logw, ref_logw, rtol=0.0, atol=1e-9)
 
+    def test_no_games(self):
+        bets, logw = _pykernels.up_game_batch(np.empty((0, 3 * BLOCK)), np.empty(0), 11)
+        assert bets.shape == logw.shape == (0, 3 * BLOCK)
+
     def test_one_long_game_crosses_spans(self):
         stream = sample_stream(DiscreteDistribution.uniform_grid(11), 20_000, 3)
         assert len(stream) > 2 * _pykernels._span_blocks(1) * BLOCK
