@@ -187,9 +187,11 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
 
 # Rounds ``up_game_batch`` plays per pass over its weights. On the mc-grid shape
 # (99 games x 1000 rounds, K = 1001; 2-vCPU VM) J = 8, 12, 16, 24 and 32 ran
-# within run-to-run spread of one another, while the benchmark's peak RSS rose
-# 0.2 MB over the per-round kernel's at J = 8 and 0.9 MB at 16, the
-# (J+1, J+1, G) tables growing as J**2. Longer blocks do help one long game.
+# within run-to-run spread of one another when each block built its own
+# tables, while the benchmark's peak RSS rose 0.2 MB over the per-round
+# kernel's at J = 8 and 0.9 MB at 16, the tables growing as J**2. With span
+# tables J = 12 and 16 still ran within spread on mc-grid; longer blocks do
+# help one long game (20,000 rounds: 0.048 s at J = 16, 0.077 s at 8).
 _BLOCK = 8
 # Bytes of the (2J+1, J+1, blocks, G) tables of one span: a span has as many
 # blocks as fit, at least one. On the mc-grid shape that is 8 blocks (1 MB);
