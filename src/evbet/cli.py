@@ -103,6 +103,25 @@ def _witness(report):
     return {"a": w.a, "b": w.b, "w": w.w, "expectation": report.expectation}
 
 
+def _tree_witness(refutation):
+    """The violating depth-2 tree of a ``T2Refutation``, as JSON."""
+    return {"d": [list(p) for p in refutation.tree.pairs], "expectation": refutation.expectation}
+
+
+def _checked_table(table, mu):
+    """Load a ``point,value`` table and check it: ``(report, certificate or None)``."""
+    from . import evariables
+
+    try:
+        tab = evariables.tabulated_from_csv(table, mu)
+        report = evariables.check_evariable(tab)
+        # A valid table whose slope interval is inverted beyond rounding raises.
+        cert = evariables.beta_interval(tab) if report.valid else None
+    except (OSError, ValueError, EvbetError) as exc:
+        _fail(str(exc))
+    return report, cert
+
+
 def _strict_exit(ctx, strict, refuted):
     if strict and refuted:
         ctx.exit(3)
@@ -256,15 +275,7 @@ def compare(ctx, mu, dist, n, seed, alpha, alpha_file, out, fmt):
 @click.pass_context
 def check(ctx, table, mu, strict):
     """Validity check of a tabulated e-variable, with its domination certificate."""
-    from . import evariables
-
-    try:
-        tab = evariables.tabulated_from_csv(table, mu)
-        report = evariables.check_evariable(tab)
-        # A valid table whose slope interval is inverted beyond rounding raises.
-        cert = evariables.beta_interval(tab) if report.valid else None
-    except (OSError, ValueError, EvbetError) as exc:
-        _fail(str(exc))
+    report, cert = _checked_table(table, mu)
     verdict = {"valid": report.valid, "witness": None, "certificate": None}
     if report.valid:
         verdict["certificate"] = cert.as_dict()
@@ -282,15 +293,10 @@ def check(ctx, table, mu, strict):
 @click.pass_context
 def dominate(ctx, table, mu, t2, strict):
     """Construct a dominating coin-bet (single- or two-round), or refute."""
-    from . import domain, evariables, multiround
+    from . import domain, multiround
 
     if not t2:
-        try:
-            tab = evariables.tabulated_from_csv(table, mu)
-            report = evariables.check_evariable(tab)
-            cert = evariables.beta_interval(tab) if report.valid else None
-        except (OSError, ValueError, EvbetError) as exc:
-            _fail(str(exc))
+        report, cert = _checked_table(table, mu)
         if not report.valid:
             _echo_json({"certified": False, "witness": _witness(report)})
             _strict_exit(ctx, strict, True)
@@ -309,15 +315,7 @@ def dominate(ctx, table, mu, t2, strict):
             {"certified": True, "lambda1": result.coinbet.tables[0][()], "lambda2": lam2}
         )
     else:
-        _echo_json(
-            {
-                "certified": False,
-                "witness": {
-                    "d": [list(p) for p in result.refutation.tree.pairs],
-                    "expectation": result.refutation.expectation,
-                },
-            }
-        )
+        _echo_json({"certified": False, "witness": _tree_witness(result.refutation)})
         _strict_exit(ctx, strict, True)
 
 
@@ -325,13 +323,20 @@ def dominate(ctx, table, mu, t2, strict):
 @click.option("--table", required=True, help="depth,path,value CSV of the e-process.")
 @click.option("--mu", type=float, required=True)
 @click.option("--depth", type=int, default=3, show_default=True)
-@click.option("--coarse-grid", default=None, help="Comma-separated points (default 0,mu,1).")
-@click.option("--random", "n_random", type=int, default=1000, show_default=True)
+@click.option("--coarse-grid", default=None,
+              help="Comma-separated points (default 0,mu,1); only for a table without 0 and 1.")
+@click.option("--random", "n_random", type=int, default=1000, show_default=True,
+              help="Random trees on [0, 1]; only for a table without 0 and 1.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--strict", is_flag=True)
 @click.pass_context
 def audit(ctx, table, mu, depth, coarse_grid, n_random, seed, strict):
-    """Search two-point trees and stopping masks for an e-process violation."""
+    """Search two-point trees and stopping masks for an e-process violation.
+
+    A table whose points include 0 and 1 is searched over every pair of its
+    points, so the verdict is exact on that grid; any other table over the
+    coarse grid and the random trees, and a pass covers only those.
+    """
     from . import multiround
 
     try:
@@ -395,10 +400,7 @@ def iid_check(ctx, table, xi, q_steps, strict):
     if conditional is not None:
         verdict["conditional_valid"] = conditional.certified
         if not conditional.certified:
-            verdict["conditional_witness"] = {
-                "d": [list(p) for p in conditional.refutation.tree.pairs],
-                "expectation": conditional.refutation.expectation,
-            }
+            verdict["conditional_witness"] = _tree_witness(conditional.refutation)
     _echo_json(verdict)
     _strict_exit(ctx, strict, not closed)
 

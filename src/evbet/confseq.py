@@ -3,9 +3,12 @@
 One independent game per candidate mean on a grid; after each observation the
 confidence set collects the grid points whose game wealth has not crossed
 ``log(1/delta)``. The headline output is the interval hull of the surviving
-points (wealth need not be quasi-convex in the candidate mean round by
-round). With running intersection enabled the reported sets are the
-intersection over all rounds so far, hence nested.
+points. For both strategies each round's set of means is one interval: the
+universal portfolio's wealth is a sum of terms ``C_j mu**-j (1-mu)**-(t-j)``
+with ``C_j >= 0``, so it is log-convex in the mean, and a constant bet's
+wealth is monotone in it. The grid hull lies inside that interval, so it can
+drop an off-grid mean that the set keeps. With running intersection enabled
+the reported sets are the intersection over all rounds so far, hence nested.
 """
 
 from __future__ import annotations

@@ -5,24 +5,22 @@ conditional laws are two-point mean-``mu`` measures. A depth-``T`` instance is
 a full binary tree with one straddling pair per node; a bounded stopping time
 acts on it as a pruned-tree mask. The stopped expectation of a payoff
 sequence is a weighted sum over the mask's frontier, with the branch weights
-``W(a,b) = (b-mu)/(b-a)``. Auditing an e-process means maximising that
-stopped expectation over trees and masks: any value above 1 is a concrete
-refutation; staying at or below 1 over the searched family is heuristic
-certification.
+``W(a,b) = (b-mu)/(b-a)``.
 
-The exhaustive part of that search never lists the trees. Each heap node picks
-its pair on its own, so the best stopped expectation below a prefix ``p`` obeys
-the backward induction (the Snell envelope of the process over the coarse
-pairs)
+On a finite grid the mean-``mu`` laws are mixtures of the two-point laws that
+straddle mu, so the largest stopped expectation of a process over every
+mean-``mu`` sequential law on the grid, up to depth ``T``, is a maximum over
+those trees and masks. Each node picks its pair and each prefix stops or
+branches on its own, so the maximum below a prefix ``p`` obeys the backward
+induction (the Snell envelope of the process)
 
     V(p) = max(e(p), max over pairs (a, b) of W*V(p + (a,)) + (1-W)*V(p + (b,)))
 
-with ``V(p) = e(p)`` at full depth, and one value per distinct prefix
-replaces one walk per tree. Rounding to nearest is monotone, so ``V(())`` is
-bit for bit the largest value the enumeration of every tree would find. The
-reported tree is the enumeration's first maximiser in
-``itertools.product`` order, recovered node by node in heap order: each node
-takes the first pair with which the recursion still reaches ``V(())``.
+with ``V(p) = e(p)`` at depth ``T``: one value per distinct prefix, and no
+tree is ever listed. ``audit_eprocess`` runs it over every pair of the
+process's own grid, so its verdict is exact there; a value above 1 is a
+concrete refutation. A process without a grid gets the same induction over
+coarse pairs and over sampled trees, and a pass certifies only that family.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import SampleSpace, check_table, two_point_weight
+from .domain import SampleSpace, check_table
 from .errors import DepthTooLarge, NotAnEVariable
 # check_evariable and beta_interval are not called here, but stay module names:
 # perfbench/tracing.py patches its spans in under them.
@@ -50,7 +48,6 @@ from .evariables import (  # noqa: F401
 
 MAX_MASK_DEPTH = 5
 MAX_AUDIT_DEPTH = 4
-MAX_EXHAUSTIVE = 200_000
 # One tolerance for every split of a grid around mu: pairs straddle mu up to
 # it, and dominate_T2 splits its grid with evariables._split_grid.
 STRADDLE_TOL = MU_SNAP_TOL
@@ -161,7 +158,20 @@ class TreeHypothesis:
 
     def weight(self, node: int) -> float:
         a, b = self.pairs[node]
-        return two_point_weight(a, b, self.mu)
+        return _pair_weight(a, b, self.mu)
+
+
+def _pair_weight(a: float, b: float, mu: float) -> float:
+    """Mass on ``a`` of the mean-``mu`` measure on {a, b}, clipped into [0, 1].
+
+    ``(b - mu) / (b - a)``, and 1 when ``a == b``. Pairs straddle mu only up
+    to ``STRADDLE_TOL``, so a point just past mu gets the nearest weight in
+    [0, 1] where ``domain.two_point_weight`` raises; a strictly straddling
+    pair gets the same weight from both.
+    """
+    if a == b:
+        return 1.0
+    return min(max((b - mu) / (b - a), 0.0), 1.0)
 
 
 def _payoff_fn(payoffs):
@@ -318,36 +328,6 @@ def _straddling_pairs(points, mu) -> list[tuple[float, float]]:
     return [(a, b) for a in lows for b in highs if a <= b]
 
 
-def _max_over_masks(d: TreeHypothesis, value, budget: int):
-    """Maximum stopped expectation over all masks of depth <= budget, with argmax.
-
-    ``value`` maps a prefix to the process's value there. Masks decide
-    stop/branch per node independently and the branch weights are
-    non-negative, so the maximum distributes over the recursion. Unreachable
-    (weight-zero) subtrees are treated as stopped.
-    """
-
-    def walk(node: int, prefix: tuple, budget: int):
-        stop_val = value(prefix)
-        if budget == 0 or node >= len(d.pairs):
-            return stop_val, STOP
-        a, b = d.pairs[node]
-        w = d.weight(node)
-        branch_val = 0.0
-        left_mask = right_mask = STOP
-        if w > 0.0:
-            v, left_mask = walk(2 * node + 1, prefix + (a,), budget - 1)
-            branch_val += w * v
-        if w < 1.0:
-            v, right_mask = walk(2 * node + 2, prefix + (b,), budget - 1)
-            branch_val += (1.0 - w) * v
-        if branch_val > stop_val:
-            return branch_val, StoppingMask((left_mask, right_mask))
-        return stop_val, STOP
-
-    return walk(0, (), budget)
-
-
 def _memoised(fn):
     """``fn`` called once per distinct argument; exceptions are not stored."""
     memo = {}
@@ -362,46 +342,57 @@ def _memoised(fn):
     return call
 
 
-def _first_best_pairs(value, pairs, mu: float, depth: int) -> tuple:
-    """Heap-ordered pairs of the first best tree over ``pairs`` at every node.
+def _snell_envelope(value, allowed):
+    """Largest stopped expectation over trees whose node ``i`` takes a pair of ``allowed[i]``.
 
-    "First" is ``itertools.product(pairs, repeat=2**depth - 1)`` order and
-    "best" the largest maximum over masks, found by backward induction over
-    prefixes (see the module docstring) instead of one walk per tree.
+    ``allowed`` has one entry per heap node of a full tree. Each is a
+    sequence of ``(a, b, w)`` with ``w`` the pair's ``_pair_weight``: the
+    same pairs at every node, or one pair per node.
+    Either way a reached prefix fixes its node's pairs, so the backward
+    induction of the module docstring runs once per reached prefix. Returns
+    ``(V(()), pairs, mask)``: the heap-ordered pairs and the stopping mask of
+    a tree reaching ``V(())``. A prefix branches on the first pair with the
+    largest branch value, and only when that value exceeds ``value(prefix)``.
+    Weight-zero branches are never evaluated. A node that stops, lies under a
+    stop or is never reached keeps its first allowed pair.
     """
-    weighted = [(a, b, two_point_weight(a, b, mu)) for a, b in pairs]
-    fixed = []  # pairs of heap nodes 0..len(fixed)-1; the rest range over all pairs
-    envelope = {}  # prefix -> V(prefix), valid below a free node
+    choices = {}  # prefix -> the chosen (a, b, w), or None to stop
 
-    def walk(node: int, prefix: tuple) -> float:
-        free = node >= len(fixed)
-        if free and prefix in envelope:
-            return envelope[prefix]
-        best = value(prefix)
-        if len(prefix) < depth:
-            for a, b, w in weighted if free else fixed[node : node + 1]:
-                # Same operations, in the same order, as _max_over_masks.
+    def envelope(node: int, prefix: tuple) -> float:
+        v, choice = value(prefix), None
+        if node < len(allowed):
+            below = {}  # point -> V(prefix + (point,)), each found once
+            for a, b, w in allowed[node]:
                 branch = 0.0
                 if w > 0.0:
-                    branch += w * walk(2 * node + 1, prefix + (a,))
+                    if a not in below:
+                        below[a] = envelope(2 * node + 1, prefix + (a,))
+                    branch += w * below[a]
                 if w < 1.0:
-                    branch += (1.0 - w) * walk(2 * node + 2, prefix + (b,))
-                if branch > best:
-                    best = branch
-        if free:
-            envelope[prefix] = best
-        return best
+                    if b not in below:
+                        below[b] = envelope(2 * node + 2, prefix + (b,))
+                    branch += (1.0 - w) * below[b]
+                if branch > v:
+                    v, choice = branch, (a, b, w)
+        choices[prefix] = choice
+        return v
 
-    top = walk(0, ())
-    # A free node's descendants are free, so with nodes 0..i fixed the walk
-    # is the best over every completion; some pair of node i keeps it at top.
-    for _ in range(2**depth - 1):
-        for pair in weighted:
-            fixed.append(pair)
-            if walk(0, ()) == top:
-                break
-            fixed.pop()
-    return tuple((a, b) for a, b, _ in fixed)
+    pairs = [None] * len(allowed)
+
+    def witness(node: int, prefix) -> StoppingMask:
+        """Fills ``pairs`` below ``node`` (``prefix`` None if not reached); returns its mask."""
+        if node >= len(pairs):
+            return STOP
+        choice = None if prefix is None else choices[prefix]
+        a, b, w = allowed[node][0] if choice is None else choice
+        pairs[node] = (a, b)
+        left = witness(2 * node + 1, None if choice is None or w == 0.0 else prefix + (a,))
+        right = witness(2 * node + 2, None if choice is None or w == 1.0 else prefix + (b,))
+        return STOP if choice is None else StoppingMask((left, right))
+
+    top = envelope(0, ())
+    mask = witness(0, ())
+    return top, tuple(pairs), mask
 
 
 def audit_eprocess(
@@ -412,23 +403,29 @@ def audit_eprocess(
     seed: int = 0,
     tol: float = 1e-9,
 ) -> AuditReport:
-    """Search trees x masks for a stopped expectation above 1.
+    """Largest stopped expectation of ``e`` over two-point trees and masks.
 
-    The tree coefficients range over an exhaustive grid of straddling pairs
-    built from ``coarse_grid`` (default {0, mu, 1}), when its
-    ``pairs**(2**depth - 1)`` tuples number at most ``MAX_EXHAUSTIVE``, plus
-    ``n_random`` tuples sampled uniformly from the e-process's sample space
-    (or from [0,1] if it has none). A reported violation is always real; a
-    pass certifies only the searched family.
+    A process with a sample space is searched over every straddling pair of
+    its own points at every node: the report is then exact for every
+    mean-``mu`` sequential law on that grid up to ``depth`` and says
+    ``exhaustive_complete``. ``coarse_grid``, ``n_random`` and ``seed`` are
+    validated but apply only to a process without a sample space: it is
+    searched over every tree of straddling pairs from ``coarse_grid``
+    (default {0, mu, 1}), then over ``n_random`` trees with pairs drawn
+    uniformly from [0, mu) x [mu, 1); a pass then certifies only that
+    family. A reported violation is always real, and ``tree_expectation``
+    replays the reported tree and mask.
 
-    The exhaustive family is searched by backward induction over prefixes,
-    not tree by tree (see the module docstring); the report, tie-breaks
-    included, is the one a walk over every tree in ``itertools.product``
-    order followed by the random trees would give: the first tree reaching
-    the largest value. The process is evaluated once per distinct prefix.
+    ``n_trees`` is the size of the family searched:
+    ``pairs**(2**depth - 1)`` (plus ``n_random``). The search never lists
+    it. The process is evaluated once per distinct prefix, and every prefix
+    shorter than ``depth`` tries every pair: a grid of ``g`` points costs
+    about ``g**(depth - 1)`` prefixes times ``pairs`` branches. On one
+    2-vCPU VM that took 1 ms for 5 points at depth 3, 0.1 s for 21 points
+    at depth 3 and 1.6 s for 21 points at depth 4.
     Raises ``ValueError`` for a depth outside [1, ``MAX_AUDIT_DEPTH``]
-    (``DepthTooLarge`` above it), a negative ``n_random``, coarse-grid
-    points outside [0, 1] and a search with no tree in it.
+    (``DepthTooLarge`` above it), a negative ``n_random`` and coarse-grid
+    points outside [0, 1] or with no pair straddling mu.
     """
     if depth > MAX_AUDIT_DEPTH:
         raise DepthTooLarge(f"audit capped at depth {MAX_AUDIT_DEPTH}")
@@ -445,46 +442,33 @@ def audit_eprocess(
     pairs = _straddling_pairs(coarse_grid, mu)
     if not pairs:
         raise ValueError("coarse grid has no pairs straddling mu")
-    n_nodes = 2**depth - 1
-    n_exhaustive = len(pairs) ** n_nodes
-    exhaustive_complete = n_exhaustive <= MAX_EXHAUSTIVE
-    if not exhaustive_complete and n_random == 0:
-        raise ValueError(
-            f"nothing to search: the {n_exhaustive} coarse trees exceed "
-            f"MAX_EXHAUSTIVE={MAX_EXHAUSTIVE} and no random trees were asked for"
-        )
-
-    rng = np.random.default_rng(seed)
     if e.space is not None:
-        pts = np.asarray(e.space.points)
-        lows = pts[pts <= mu + STRADDLE_TOL]
-        highs = pts[pts >= mu - STRADDLE_TOL]
-        a_draws = rng.choice(lows, size=(n_random, n_nodes))
-        b_draws = rng.choice(highs, size=(n_random, n_nodes))
-    else:
+        pairs = _straddling_pairs(e.space.points, mu)
+
+    n_nodes = 2**depth - 1
+    value = _memoised(e.value)
+    weighted = [(a, b, _pair_weight(a, b, mu)) for a, b in pairs]
+    best = _snell_envelope(value, [weighted] * n_nodes)
+    n_trees = len(pairs) ** n_nodes
+    if e.space is None:
+        rng = np.random.default_rng(seed)
         a_draws = rng.uniform(0.0, mu, size=(n_random, n_nodes))
         b_draws = rng.uniform(mu, 1.0, size=(n_random, n_nodes))
+        for a_row, b_row in zip(a_draws.tolist(), b_draws.tolist()):
+            drawn = [((a, b, _pair_weight(a, b, mu)),) for a, b in zip(a_row, b_row)]
+            found = _snell_envelope(value, drawn)
+            if found[0] > best[0]:
+                best = found
+        n_trees += n_random
 
-    value = _memoised(e.value)
-    best_val = -math.inf
-    best_tree = best_mask = None
-    if exhaustive_complete:
-        best_tree = TreeHypothesis(mu=mu, pairs=_first_best_pairs(value, pairs, mu, depth))
-        best_val, best_mask = _max_over_masks(best_tree, value, depth)
-    for a_row, b_row in zip(a_draws.tolist(), b_draws.tolist()):
-        drawn = tuple((min(a, b), max(a, b)) for a, b in zip(a_row, b_row))
-        tree = TreeHypothesis(mu=mu, pairs=drawn)
-        val, mask = _max_over_masks(tree, value, depth)
-        if val > best_val:
-            best_val, best_tree, best_mask = val, tree, mask
-
+    best_val, best_pairs, best_mask = best
     return AuditReport(
         max_expectation=best_val,
-        argmax_tree=best_tree,
+        argmax_tree=TreeHypothesis(mu=mu, pairs=best_pairs),
         argmax_mask=best_mask,
         passed=best_val <= 1.0 + tol,
-        n_trees=(n_exhaustive if exhaustive_complete else 0) + n_random,
-        exhaustive_complete=exhaustive_complete,
+        n_trees=n_trees,
+        exhaustive_complete=e.space is not None,
         tol=tol,
     )
 

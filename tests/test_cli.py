@@ -174,8 +174,7 @@ CONTRACT_CASES = {
         ("range", AUDIT[:-1] + ["0"], "audit depth must be at least 1, got 0"),
         ("range", AUDIT[:-1] + ["5"], "audit capped at depth 4"),
         ("range", AUDIT + ["--random", "-1"], "must be non-negative, got -1"),
-        ("range", ["audit", "--table", "{d}/ep3.csv", "--mu", "0.5", "--depth", "3",
-                   "--coarse-grid", "0,0.25,0.5,0.75,1", "--random", "0"], "nothing to search"),
+        ("range", AUDIT[:-1] + ["2"], "e-process only defined to depth 1"),
         ("range", AUDIT + ["--coarse-grid", "0,0.5,1.5"], "must lie in [0, 1]"),
         ("nan", AUDIT + ["--coarse-grid", "nan,0.5,1"], "must lie in [0, 1]"),
         ("nan", ["audit", "--table", "{d}/ep-nan.csv", "--mu", "0.5", "--depth", "1"],
@@ -708,6 +707,32 @@ class TestAudit:
         report = json.loads(result.output)
         assert report["pass"] is False
         assert report["max"] >= 1.5 - 1e-9
+
+    @pytest.mark.parametrize(
+        "points, mu, extra",
+        [
+            # The grid lacks mu: the default coarse grid {0, mu, 1} would need (0.3,).
+            ((0.0, 0.25, 0.5, 0.75, 1.0), 0.3, []),
+            # 1/3 straddles mu only within the tolerance; each of its pairs has a weight.
+            ((0.0, 1 / 3, 2 / 3, 1.0), 0.333333333, []),
+            ((0.0, 1 / 3, 2 / 3, 1.0), 0.333333333, ["--coarse-grid", "0,0.5,1"]),
+        ],
+        ids=["grid-without-mu", "near-mu", "near-mu-coarse-grid"],
+    )
+    def test_grid_table_audited_on_its_own_points(self, tmp_path, points, mu, extra):
+        space = SampleSpace(points, mu)
+        path = tmp_path / "ep.csv"
+        with open(path, "w", newline="") as fh:
+            eprocess_to_csv(constant_eprocess(mu), space, 2, fh)
+        result = CliRunner().invoke(
+            main, ["audit", "--table", str(path), "--mu", repr(mu), "--depth", "2", *extra]
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert report["pass"] is True
+        assert report["max"] == 1.0
+        assert report["exhaustive_complete"] is True
+        assert all(a in points and b in points for a, b in report["d"])
 
 
 class TestIidCheck:

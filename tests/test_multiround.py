@@ -1,11 +1,12 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evbet.cli import main
@@ -14,7 +15,6 @@ from evbet.errors import DepthTooLarge, OutOfRange
 from evbet.iid_case import separation_table
 from evbet.multiround import (
     MAX_AUDIT_DEPTH,
-    MAX_EXHAUSTIVE,
     STOP,
     STRADDLE_TOL,
     AuditReport,
@@ -252,13 +252,12 @@ class TestAudit:
             ({"depth": 0}, "audit depth must be at least 1, got 0"),
             ({"depth": -1}, "audit depth must be at least 1, got -1"),
             ({"depth": 1, "n_random": -1}, "must be non-negative, got -1"),
-            ({"depth": 3, "coarse_grid": (0.0, 0.25, 0.5, 0.75, 1.0), "n_random": 0},
-             "nothing to search"),
             ({"depth": 1, "coarse_grid": (0.0, float("nan"), 1.0)}, "must lie in \\[0, 1\\]"),
             ({"depth": 1, "coarse_grid": (-0.5, 0.5, 1.0)}, "must lie in \\[0, 1\\]"),
+            ({"depth": 1, "coarse_grid": (0.75, 1.0)}, "no pairs straddling mu"),
         ],
-        ids=["depth-5", "depth-0", "depth-negative", "random-negative", "empty-search",
-             "grid-nan", "grid-outside"],
+        ids=["depth-5", "depth-0", "depth-negative", "random-negative",
+             "grid-nan", "grid-outside", "grid-no-pair"],
     )
     def test_bad_arguments_raise_value_error(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -270,6 +269,28 @@ class TestAudit:
         assert set(d) == {"max", "d", "mask", "pass", "n_trees", "exhaustive_complete"}
         assert d["n_trees"] == report.n_trees
         assert d["exhaustive_complete"] is report.exhaustive_complete
+
+    def test_near_mu_grid_point_weighs_its_pairs(self):
+        # 0.5000000005 straddles mu = 0.5 only within STRADDLE_TOL: its pairs
+        # take the nearest weight in [0, 1] instead of raising.
+        near = 0.5 + STRADDLE_TOL / 2
+        tree = TreeHypothesis(0.5, ((0.0, near), (near, near), (near, 1.0)))
+        assert [tree.weight(i) for i in range(3)] == [(near - 0.5) / near, 1.0, 1.0]
+        space = SampleSpace((0.0, near, 1.0), 0.5)
+        e = coinbet_eprocess(random_coinbet(space, 2, np.random.default_rng(4)), space)
+        report = audit_eprocess(e, 2)
+        # The point mass at 0.5000000005 moves a coin-bet's wealth by about 1e-9.
+        assert report.max_expectation == pytest.approx(1.0, abs=1e-8)
+        replay = tree_expectation(report.argmax_tree, report.argmax_mask, e)
+        assert replay == report.max_expectation
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.25, 0.5), (0.5, 0.75), (0.1, 0.9)])
+    def test_strictly_straddling_weight_is_two_point_weight(self, a, b):
+        assert TreeHypothesis(0.5, ((a, b),)).weight(0) == two_point_weight(a, b, 0.5)
+
+
+# The enumeration oracle's own cap on the number of trees it walks.
+ENUMERATION_CAP = 200_000
 
 
 def _oracle_max_over_masks(d, e, budget):
@@ -297,7 +318,11 @@ def _oracle_max_over_masks(d, e, budget):
 
 
 def audit_by_enumeration(e, depth, coarse_grid=None, n_random=1000, seed=0, tol=1e-9):
-    """Reference audit: every coarse tree in product order, then the random ones."""
+    """Reference audit: every coarse tree in product order, then random trees on [0, 1].
+
+    With ``coarse_grid`` the process's own points and ``n_random=0`` it walks
+    every tree on that grid: the full-grid oracle.
+    """
     if depth > MAX_AUDIT_DEPTH:
         raise DepthTooLarge(f"audit capped at depth {MAX_AUDIT_DEPTH}")
     if depth > e.max_depth:
@@ -311,20 +336,13 @@ def audit_by_enumeration(e, depth, coarse_grid=None, n_random=1000, seed=0, tol=
     n_nodes = 2**depth - 1
 
     candidates = []
-    exhaustive_complete = len(pairs) ** n_nodes <= MAX_EXHAUSTIVE
+    exhaustive_complete = len(pairs) ** n_nodes <= ENUMERATION_CAP
     if exhaustive_complete:
         candidates.extend(itertools.product(pairs, repeat=n_nodes))
 
     rng = np.random.default_rng(seed)
-    if e.space is not None:
-        pts = np.asarray(e.space.points)
-        lows = pts[pts <= mu + STRADDLE_TOL]
-        highs = pts[pts >= mu - STRADDLE_TOL]
-        a_draws = rng.choice(lows, size=(n_random, n_nodes))
-        b_draws = rng.choice(highs, size=(n_random, n_nodes))
-    else:
-        a_draws = rng.uniform(0.0, mu, size=(n_random, n_nodes))
-        b_draws = rng.uniform(mu, 1.0, size=(n_random, n_nodes))
+    a_draws = rng.uniform(0.0, mu, size=(n_random, n_nodes))
+    b_draws = rng.uniform(mu, 1.0, size=(n_random, n_nodes))
     for i in range(n_random):
         candidates.append(tuple(zip(a_draws[i].tolist(), b_draws[i].tolist())))
 
@@ -348,18 +366,57 @@ def audit_by_enumeration(e, depth, coarse_grid=None, n_random=1000, seed=0, tol=
 
 
 def assert_same_report(e, depth, **kwargs):
-    """The audit's report equals the enumeration's, its JSON byte for byte."""
+    """The audit's report equals the enumeration's, its JSON byte for byte.
+
+    The audit calls its search exhaustive only on a process's own grid, so
+    ``exhaustive_complete`` is compared against that meaning instead.
+    """
     expected = audit_by_enumeration(e, depth, **kwargs)
+    assert expected.exhaustive_complete
+    expected = replace(expected, exhaustive_complete=e.space is not None)
     got = audit_eprocess(e, depth, **kwargs)
     assert got == expected
     assert json.dumps(got.as_dict()) == json.dumps(expected.as_dict())
 
 
+def branching_nodes(mask, node=0):
+    """Heap indices of the nodes where ``mask`` branches."""
+    if mask.is_stop:
+        return set()
+    left, right = mask.children
+    return {node} | branching_nodes(left, 2 * node + 1) | branching_nodes(right, 2 * node + 2)
+
+
+def assert_full_grid_exact(e, depth):
+    """The audit is exact against the enumeration of every tree on the process's grid.
+
+    Max, verdict and tree count are equal. Trees that tie in exact
+    arithmetic can be ranked differently by rounding in the two searches, so
+    the reported tree need not be the enumeration's first maximiser; it must
+    be a maximiser, with the enumeration's mask for it, and every node where
+    that mask does not branch carries the grid's first pair.
+    """
+    expected = audit_by_enumeration(e, depth, coarse_grid=e.space.points, n_random=0)
+    got = audit_eprocess(e, depth)
+    fields = ("max_expectation", "passed", "n_trees", "exhaustive_complete")
+    assert [getattr(got, f) for f in fields] == [getattr(expected, f) for f in fields]
+    mask_search = _oracle_max_over_masks(got.argmax_tree, e, depth)
+    assert mask_search == (got.max_expectation, got.argmax_mask)
+    first = _straddling_pairs(e.space.points, e.mu)[0]
+    branching = branching_nodes(got.argmax_mask)
+    assert all(pair == first for i, pair in enumerate(got.argmax_tree.pairs) if i not in branching)
+    return got
+
+
 @st.composite
-def lattice_processes(draw):
-    """Tie-heavy e-processes: every value on the 0.5 lattice, the root at most 1."""
+def lattice_processes(draw, space=None, max_points=6, max_depth=3):
+    """Tie-heavy e-processes: every value on the 0.5 lattice, the root at most 1.
+
+    ``space`` True or False fixes whether the process has a sample space;
+    a space has at most ``max_points`` points.
+    """
     mu = draw(st.sampled_from((0.25, 0.4, 0.5)))
-    depth = draw(st.integers(1, 3))
+    depth = draw(st.integers(1, max_depth))
     inner = set(draw(st.sets(st.sampled_from((0.25, 0.4, 0.5, 0.75)), max_size=3))) - {mu}
     if draw(st.booleans()):
         inner.add(mu)
@@ -370,7 +427,7 @@ def lattice_processes(draw):
         return (0.5 * rng.integers(0, 5, size=size)).tolist()
 
     root = float(draw(st.sampled_from((0.0, 0.5, 1.0))))
-    if draw(st.booleans()):
+    if draw(st.booleans()) if space is None else not space:
         # No sample space: a value for every prefix, from its length and its
         # number of points below mu, so random trees drawn on [0, 1] hit it too.
         rows = [lattice(t + 1) for t in range(depth + 1)]
@@ -380,11 +437,28 @@ def lattice_processes(draw):
             return rows[len(prefix)][sum(x < mu for x in prefix)]
 
         return EProcess(mu=mu, evaluator=evaluate, max_depth=depth), depth
+    assume(len(points) <= max_points)
     tables = {(): root}
     for t in range(1, depth + 1):
         prefixes = list(itertools.product(points, repeat=t))
         tables.update(zip(prefixes, lattice(len(prefixes))))
     return eprocess_from_tables(mu, tables, space=SampleSpace(points, mu)), depth
+
+
+def false_pass_process():
+    """A coin-bet on 21 points whose depth-3 values under (0.25, 0.75) are x1.3 at 0.1 and 0.9.
+
+    A search over coarse pairs and 1000 random trees on the grid passed it
+    at every seed; the largest stopped expectation on the grid is 1.1273.
+    """
+    space = SampleSpace.uniform(21, 0.5)
+    base = coinbet_eprocess(random_coinbet(space, 3, np.random.default_rng(0)), space)
+
+    def evaluate(prefix):
+        hit = len(prefix) == 3 and prefix[:2] == (0.25, 0.75) and prefix[2] in (0.1, 0.9)
+        return (1.3 if hit else 1.0) * base.value(prefix)
+
+    return EProcess(mu=0.5, evaluator=evaluate, max_depth=3, space=space)
 
 
 class TestAuditMatchesEnumeration:
@@ -397,22 +471,15 @@ class TestAuditMatchesEnumeration:
     )
     def test_same_report_as_enumeration(self, process_depth, full_grid, n_random, seed):
         e, depth = process_depth
-        grid = e.space.points if full_grid and e.space is not None else None
-        kwargs = {"coarse_grid": grid, "n_random": n_random, "seed": seed}
-        try:
-            expected = audit_by_enumeration(e, depth, **kwargs)
-        except ValueError:
-            # A coarse point the table lacks, e.g. mu off the grid.
-            with pytest.raises(ValueError, match="no entry for prefix"):
-                audit_eprocess(e, depth, **kwargs)
+        if e.space is not None:
+            # The grid search ignores the coarse grid and the random trees.
+            grid = e.space.points if full_grid else None
+            got = audit_eprocess(e, depth, coarse_grid=grid, n_random=n_random, seed=seed)
+            assert got == audit_eprocess(e, depth)
+            if len(_straddling_pairs(e.space.points, e.mu)) ** (2**depth - 1) <= 5000:
+                assert_full_grid_exact(e, depth)
             return
-        if not expected.exhaustive_complete and n_random == 0:
-            with pytest.raises(ValueError, match="nothing to search"):
-                audit_eprocess(e, depth, **kwargs)
-            return
-        got = audit_eprocess(e, depth, **kwargs)
-        assert got == expected
-        assert json.dumps(got.as_dict()) == json.dumps(expected.as_dict())
+        assert_same_report(e, depth, n_random=n_random, seed=seed)
 
     def test_depth_four_on_two_pairs(self, rng):
         # (0, 0.8, 1) at mu = 0.5 straddles as (0, 0.8) and (0, 1): 2**15 trees.
@@ -424,14 +491,21 @@ class TestAuditMatchesEnumeration:
         e = eprocess_from_tables(0.5, tables, space=space)
         report = audit_eprocess(e, 4, coarse_grid=space.points, n_random=20, seed=3)
         assert report.exhaustive_complete
-        assert report.n_trees == 2**15 + 20
-        assert_same_report(e, 4, coarse_grid=space.points, n_random=20, seed=3)
+        assert report.n_trees == 2**15
+        assert report == audit_eprocess(e, 4)
+        assert_full_grid_exact(e, 4)
 
     def test_coinbet_processes_and_scaled(self, rng):
         bet = random_coinbet(GRID5, 3, rng)
-        for e in (coinbet_eprocess(bet, GRID5), coinbet_eprocess(bet, GRID5).scale_at(2, 1.5)):
-            assert_same_report(e, 3, n_random=300, seed=5)
-            assert_same_report(e, 2, coarse_grid=GRID5.points, n_random=50, seed=6)
+        honest = coinbet_eprocess(bet, GRID5)
+        scaled = honest.scale_at(2, 1.5)
+        for e in (honest, scaled):
+            assert_full_grid_exact(e, 2)
+            report = audit_eprocess(e, 3, n_random=300, seed=5)
+            assert report.passed is (e is honest)
+            assert report.n_trees == 9**7
+            replay = tree_expectation(report.argmax_tree, report.argmax_mask, e)
+            assert replay == report.max_expectation
 
     def test_missing_prefix_raises(self):
         tables = {(): 1.0, (0.0,): 1.0, (1.0,): 1.0}
@@ -446,10 +520,11 @@ class TestAuditMatchesEnumeration:
             calls.append(prefix)
             return 1.0
 
-        e = EProcess(mu=0.5, evaluator=evaluate, max_depth=3, space=GRID5)
-        calls.clear()
-        audit_eprocess(e, 3, n_random=200, seed=1)
-        assert len(calls) == len(set(calls))
+        for space in (GRID5, None):
+            e = EProcess(mu=0.5, evaluator=evaluate, max_depth=3, space=space)
+            calls.clear()
+            audit_eprocess(e, 3, n_random=200, seed=1)
+            assert len(calls) == len(set(calls))
 
     @pytest.mark.parametrize("passes", [True, False], ids=["pass", "fail"])
     @pytest.mark.parametrize("seed", [1, 2])
@@ -467,13 +542,38 @@ class TestAuditMatchesEnumeration:
         path = tmp_path / "ep.csv"
         with open(path, "w", newline="") as fh:
             eprocess_to_csv(e, GRID5, 3, fh)
-        result = CliRunner().invoke(
-            main, ["audit", "--table", str(path), "--mu", "0.5", "--depth", "3", "--seed", "7"]
-        )
+        args = ["audit", "--table", str(path), "--mu", "0.5", "--seed", "7"]
+        result = CliRunner().invoke(main, args + ["--depth", "2"])
         assert result.exit_code == 0
-        expected = audit_by_enumeration(eprocess_from_csv(str(path), 0.5), 3, seed=7)
-        assert expected.passed is passes
-        assert result.output == json.dumps(expected.as_dict(), indent=2) + "\n"
+        report = assert_full_grid_exact(eprocess_from_csv(str(path), 0.5), 2)
+        assert report.passed is passes
+        assert result.output == json.dumps(report.as_dict(), indent=2) + "\n"
+        result = CliRunner().invoke(main, args + ["--depth", "3"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["pass"] is passes
+
+
+class TestAuditExactOnGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(lattice_processes(space=True, max_points=4, max_depth=2))
+    def test_equals_full_grid_enumeration(self, process_depth):
+        e, depth = process_depth
+        assert_full_grid_exact(e, depth)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_coarse_and_random_false_pass_fails(self, seed):
+        report = audit_eprocess(false_pass_process(), 3, seed=seed)
+        assert not report.passed
+        assert report.exhaustive_complete
+        assert report.max_expectation == pytest.approx(1.1273, abs=1e-4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lattice_processes(), st.integers(0, 6), st.integers(0, 2**16))
+    def test_witness_replays_the_max(self, process_depth, n_random, seed):
+        e, depth = process_depth
+        report = audit_eprocess(e, depth, n_random=n_random, seed=seed)
+        replay = tree_expectation(report.argmax_tree, report.argmax_mask, e)
+        assert abs(replay - report.max_expectation) <= 1e-12
 
 
 class TestEProcessCsv:
