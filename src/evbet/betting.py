@@ -20,8 +20,7 @@ import numpy as np
 from .domain import check_node_count, check_observation
 from .errors import DegeneratePosterior
 from .evariables import bet_bounds, check_bet
-
-DEFAULT_UP_NODES = 1001
+from .kernels import DEFAULT_UP_NODES, quadrature_coefficients
 
 
 def lambda_grid(mu: float, n_nodes: int) -> np.ndarray:
@@ -29,23 +28,6 @@ def lambda_grid(mu: float, n_nodes: int) -> np.ndarray:
     check_node_count(n_nodes)
     lo, hi = bet_bounds(mu)
     return np.linspace(lo, hi, n_nodes)
-
-
-def quadrature_coefficients(n_nodes: int) -> np.ndarray:
-    """Composite Simpson coefficients (trapezoid when the node count is even).
-
-    The step size is omitted: the posterior mean is a ratio of two integrals
-    over the same grid, so constant factors cancel. Simpson is used because it
-    integrates the cubic-and-below posterior moments exactly, which the
-    trapezoid rule misses at the default grid size.
-    """
-    c = np.ones(n_nodes)
-    if n_nodes % 2 == 1:
-        c[1:-1:2] = 4.0
-        c[2:-1:2] = 2.0
-    else:
-        c[0] = c[-1] = 0.5
-    return c
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,18 +74,13 @@ def up_bet(p: PortfolioPosterior) -> float:
     return float(cw @ p.lambda_grid / cw.sum())
 
 
-def constant_bet(lam: float, mu: float) -> float:
-    """Validate a fixed bet fraction against ``I_mu`` and return it."""
-    check_bet(lam, mu)
-    return lam
-
-
 class ConstantStrategy:
     """Always bets the same fraction."""
 
     def __init__(self, mu: float, lam: float):
+        check_bet(lam, mu)
         self.mu = mu
-        self.lam = constant_bet(lam, mu)
+        self.lam = lam
 
     def bet(self) -> float:
         return self.lam

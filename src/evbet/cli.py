@@ -15,6 +15,12 @@ its ledger recomputes exactly from its e-values. The object path
 (``betting.UniversalPortfolioStrategy`` played by ``game.run_game``) is not
 run here: it is the reference the tests compare the kernels against.
 
+``audit`` takes a table's grid from the points of its paths and runs the
+exact search of ``multiround.audit_eprocess`` on it, so its verdict holds for
+every mean-``mu`` sequential law on that grid up to ``--depth``. Its
+``--seed`` has no effect and is kept only so that scripts passing it still
+run.
+
 The two large CSV outputs, the ``simulate`` ledger (``game.ledger_to_csv``)
 and the ``cs --membership`` matrix, are joined from f-strings in blocks of
 rows, byte for byte what ``csv.writer`` would write; the other tables and
@@ -323,30 +329,22 @@ def dominate(ctx, table, mu, t2, strict):
 @click.option("--table", required=True, help="depth,path,value CSV of the e-process.")
 @click.option("--mu", type=float, required=True)
 @click.option("--depth", type=int, default=3, show_default=True)
-@click.option("--coarse-grid", default=None,
-              help="Comma-separated points (default 0,mu,1); only for a table without 0 and 1.")
-@click.option("--random", "n_random", type=int, default=1000, show_default=True,
-              help="Random trees on [0, 1]; only for a table without 0 and 1.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Has no effect: the search draws nothing at random.")
 @click.option("--strict", is_flag=True)
 @click.pass_context
-def audit(ctx, table, mu, depth, coarse_grid, n_random, seed, strict):
+def audit(ctx, table, mu, depth, seed, strict):
     """Search two-point trees and stopping masks for an e-process violation.
 
-    A table whose points include 0 and 1 is searched over every pair of its
-    points, so the verdict is exact on that grid; any other table over the
-    coarse grid and the random trees, and a pass covers only those.
+    The table's points, which must include 0 and 1, are its grid. Every
+    stopping time up to --depth under every mean-mu law on that grid is
+    searched, so the verdict is exact there.
     """
     from . import multiround
 
     try:
         process = multiround.eprocess_from_csv(table, mu)
-        grid = None
-        if coarse_grid is not None:
-            grid = tuple(float(p) for p in coarse_grid.split(","))
-        report = multiround.audit_eprocess(
-            process, depth, coarse_grid=grid, n_random=n_random, seed=seed
-        )
+        report = multiround.audit_eprocess(process, depth)
     except (OSError, ValueError, EvbetError) as exc:
         _fail(str(exc))
     _echo_json(report.as_dict())

@@ -103,7 +103,7 @@ class SampleSpace:
         object.__setattr__(self, "points", pts)
         if len(pts) < 2:
             raise ValueError("sample space needs at least two points")
-        if any(b <= a for a, b in zip(pts, pts[1:])):
+        if not all(a < b for a, b in zip(pts, pts[1:])):  # NaN fails too
             raise ValueError("grid points must be strictly increasing")
         if pts[0] != 0.0 or pts[-1] != 1.0:
             raise ValueError("grid must contain 0 and 1 as its endpoints")
@@ -189,11 +189,6 @@ class TwoPointMeasure:
 
     def expectation(self, value_a: float, value_b: float) -> float:
         return self.w * value_a + (1.0 - self.w) * value_b
-
-    def as_distribution(self) -> DiscreteDistribution:
-        if self.a == self.b:
-            return DiscreteDistribution(((self.a, 1.0),))
-        return DiscreteDistribution(((self.a, self.w), (self.b, 1.0 - self.w)))
 
 
 def two_point_weight(a: float, b: float, mu: float) -> float:

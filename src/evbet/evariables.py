@@ -32,8 +32,9 @@ from .errors import NotAnEVariable, OutOfRange
 
 # Additive slack on two-point expectations when certifying validity.
 VALIDITY_TOL = 1e-12
-# Grid points within this distance of mu are handled by the e(mu) <= 1
-# constraint instead of the slope ratios, whose denominators would blow up.
+# Grid points within this distance of mu are handled as point masses, by
+# e(p) <= eval_majorizer(mu, p), instead of by the slope ratios, whose
+# denominators would blow up.
 MU_SNAP_TOL = 1e-9
 
 
@@ -166,13 +167,16 @@ class _Split(NamedTuple):
 
     A point is at mu when it lies within ``MU_SNAP_TOL`` of it. ``w[k, l]`` is
     the mass on ``pts[k]`` of the mean-mu measure on ``{pts[k], pts[j + l]}``
-    and ``omw`` is ``1 - w``.
+    and ``omw`` is ``1 - w``. ``excess[k]`` is ``eval_majorizer(mu, p) - 1``
+    at the point ``p = pts[i + k]`` at mu: the most a coin-bet pays there, less
+    1, which is 0 at mu itself.
     """
 
     i: int
     j: int
     w: np.ndarray
     omw: np.ndarray
+    excess: tuple[float, ...]
 
 
 def _split_grid(pts: np.ndarray, mu: float) -> _Split:
@@ -184,7 +188,8 @@ def _split_grid(pts: np.ndarray, mu: float) -> _Split:
     j = int(d.searchsorted(MU_SNAP_TOL, side="right"))
     b = pts[None, j:]
     w = (b - mu) / (b - pts[:i, None])
-    return _Split(i, j, w, 1.0 - w)
+    excess = tuple(max(x / mu, x / (mu - 1.0)) for x in d[i:j].tolist())
+    return _Split(i, j, w, 1.0 - w, excess)
 
 
 def _row_maxima(block: np.ndarray):
@@ -197,15 +202,22 @@ def _worst_measures(pts: np.ndarray, split: _Split, rows: np.ndarray, floor: flo
 
     The point masses at mu come first, then the straddling pairs in row-major
     ``(a, b)`` order; a measure replaces the current one only when its
-    expectation is strictly larger, starting from ``floor``. Returns the
-    measures (None where nothing exceeds ``floor``) and their expectations.
+    expectation is strictly larger, starting from ``floor``. A point at mu
+    but not equal to it counts only where its value exceeds ``floor`` by more
+    than its ``excess``: a coin-bet may pay up to ``1 + excess`` there, so
+    with ``floor = 1 + tol`` no exact coin-bet is refuted by a point that is
+    not quite mu. Returns the measures (None where nothing exceeds
+    ``floor``) and their expectations.
     """
-    i, j, w, omw = split
+    i, j, w, omw, excess = split
     n_rows = len(rows)
     worst: list[TwoPointMeasure | None] = [None] * n_rows
     worst_exp = [floor] * n_rows
     if j > i:
-        for r, (k, v) in enumerate(_row_maxima(rows[:, i:j])):
+        at = rows[:, i:j]
+        if any(excess):  # at mu itself the bar is floor
+            at = np.where(at > floor + np.array(excess), at, -np.inf)
+        for r, (k, v) in enumerate(_row_maxima(at)):
             if v > worst_exp[r]:
                 x = float(pts[i + k])
                 worst[r], worst_exp[r] = TwoPointMeasure(x, x, 1.0), v
@@ -274,9 +286,11 @@ def _certify_table(e: TabulatedEVariable, tol: float = VALIDITY_TOL):
 def check_evariable(e: TabulatedEVariable, tol: float = VALIDITY_TOL) -> ValidityReport:
     """Certify a table against every two-point mean-``mu`` measure on its grid.
 
-    Valid iff the value at mu (when on the grid) is at most 1 and every pair
-    ``a < mu < b`` satisfies ``W*e(a) + (1-W)*e(b) <= 1 + tol``. On failure the
-    report carries the worst violating measure and its expectation.
+    Valid iff the value at each point ``p`` within ``MU_SNAP_TOL`` of mu is
+    at most ``eval_majorizer(mu, p) + tol`` (``1 + tol`` at mu itself) and
+    every pair ``a < mu < b`` satisfies ``W*e(a) + (1-W)*e(b) <= 1 + tol``.
+    On failure the report carries the worst violating measure and its
+    expectation.
     """
     return _certify_table(e, tol)[0]
 

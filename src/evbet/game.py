@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .betting import DEFAULT_UP_NODES, constant_bet
 from .domain import check_batch, check_delta, check_mu, check_node_count
 from .domain import check_observation, check_observations
 from .evariables import bet_bounds, check_bet
@@ -31,14 +30,14 @@ from .evariables import bet_bounds, check_bet
 
 def parse_strategy(literal: str) -> tuple[str, float | int]:
     """The one reader of strategy literals: ``constant:<lambda>`` as ``("constant", lam)``,
-    ``up[:K]`` as ``("up", K)`` with K defaulting to ``DEFAULT_UP_NODES``."""
+    ``up[:K]`` as ``("up", K)`` with K defaulting to ``kernels.DEFAULT_UP_NODES``."""
     kind, _, arg = literal.partition(":")
     if kind not in ("constant", "up"):
         raise ValueError(f"unknown strategy kind {kind!r}")
     try:
         if kind == "constant":
             return kind, float(arg)
-        n_nodes = int(arg) if arg else DEFAULT_UP_NODES
+        n_nodes = int(arg) if arg else kernels.DEFAULT_UP_NODES
     except ValueError as exc:
         raise ValueError(f"bad strategy literal {literal!r}: {exc}") from exc
     check_node_count(n_nodes)
@@ -51,7 +50,7 @@ def check_strategy(literal: str, mus: np.ndarray) -> tuple[str, float | int]:
     check_mu(mus)
     if kind == "constant":
         for mu in np.unique(mus):
-            constant_bet(arg, mu)
+            check_bet(arg, mu)
     return kind, arg
 
 
@@ -171,6 +170,11 @@ def recompute_log_wealth(e_values) -> list[float]:
     return out
 
 
+# Bytes of the bool block run_games_batch compares against the threshold at a
+# time: one block for 99 games of up to 2,600 rounds, 5 games at 50,000 rounds.
+_CROSSING_BYTES = 2**18
+
+
 @dataclass(frozen=True)
 class BatchGameResult:
     """Per-game bets, wealth trajectories and first rejection rounds."""
@@ -202,10 +206,15 @@ def run_games_batch(mus, xs, strategy: str, delta: float) -> BatchGameResult:
             log_wealth = np.cumsum(np.log(payoffs), axis=1)
         # cumsum propagates -inf forward on its own (-inf + anything = -inf)
 
-    crossed = log_wealth > math.log(1.0 / delta)
+    # First crossings a block of games at a time, so no (G, n) array is built
+    # beside the outputs.
+    threshold = math.log(1.0 / delta)
     rejected_at = np.zeros(len(mus), dtype=np.intp)
-    if crossed.size:  # argmax needs a round to look at
-        rejected_at = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, 0)
+    if log_wealth.size:
+        step = max(1, _CROSSING_BYTES // log_wealth.shape[1])
+        for g in range(0, len(mus), step):
+            crossed = log_wealth[g : g + step] > threshold
+            rejected_at[g : g + step] = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, 0)
     return BatchGameResult(bets=bets, log_wealth=log_wealth, rejected_at=rejected_at)
 
 

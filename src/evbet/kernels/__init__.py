@@ -18,8 +18,11 @@ import numpy as np
 
 from ..domain import unbroadcast_rows
 from . import _pykernels
+from ._pykernels import quadrature_coefficients  # noqa: F401
 
 BACKEND = "python"
+# Quadrature nodes of the universal portfolio unless a strategy names its own.
+DEFAULT_UP_NODES = 1001
 
 
 def n_threads() -> int:
@@ -29,7 +32,8 @@ def n_threads() -> int:
 
 def up_game_batch(xs, mus, n_nodes):
     """Run the batch universal-portfolio games: binary data on the u-posterior
-    routine, anything else (NaN included) on the general K-node kernel."""
+    routine, anything else on the general K-node kernel, which rejects NaN
+    and values outside [0, 1]."""
     xs = np.asarray(xs, dtype=float)
     values = unbroadcast_rows(xs)
     if values.size and ((values == 0.0) | (values == 1.0)).all():

@@ -76,31 +76,45 @@ import math
 
 import numpy as np
 
-from ..betting import quadrature_coefficients
 from ..domain import check_batch, check_node_count, check_observations, unbroadcast_rows
 from ..errors import DegeneratePosterior
+
+
+def quadrature_coefficients(n_nodes: int) -> np.ndarray:
+    """Composite Simpson coefficients (trapezoid when the node count is even).
+
+    The step size is omitted: the posterior mean is a ratio of two integrals
+    over the same grid, so constant factors cancel. Simpson is used because it
+    integrates the cubic-and-below posterior moments exactly, which the
+    trapezoid rule misses at the default grid size.
+    """
+    c = np.ones(n_nodes)
+    if n_nodes % 2 == 1:
+        c[1:-1:2] = 4.0
+        c[2:-1:2] = 2.0
+    else:
+        c[0] = c[-1] = 0.5
+    return c
 
 
 def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
     """Run one universal-portfolio coin-betting game per row of ``xs``.
 
-    Observations must lie in [0, 1]; ``xs`` may be a broadcast view and is
-    not copied. Returns ``(bets, log_wealth)`` of shape ``(G, n)``;
-    ``log_wealth`` is the running log of the mixture wealth.
+    Observations must be finite and lie in [0, 1] (``check_observations``);
+    ``xs`` may be a broadcast view and is not copied. Returns
+    ``(bets, log_wealth)`` of shape ``(G, n)``; ``log_wealth`` is the running
+    log of the mixture wealth.
 
     Plays ``_BLOCK`` rounds per pass over the (G, K) weights: within a block
     the weights stay put, and each round's mass and bet are the block's
     Bernstein moments of the weights summed against weight-free tables, which
     are built for a span of blocks at a time (see the module docstring). A
-    mass that is not positive (NaN included) raises ``DegeneratePosterior``
-    naming its round and the first game there.
+    mass that underflows to zero raises ``DegeneratePosterior`` naming its
+    round and the first game there.
     """
     xs, mus = check_batch(xs, mus)
     check_node_count(n_nodes)
-    # fmin and fmax skip NaN, which raises DegeneratePosterior at its own round below.
-    values = unbroadcast_rows(xs)
-    extremes = [np.fmin.reduce(values, None, initial=0.5), np.fmax.reduce(values, None, initial=0.5)]
-    check_observations(np.array(extremes))
+    check_observations(xs)
     n_games, n_rounds = xs.shape
     block = _BLOCK
     basis = _bernstein(n_nodes)
@@ -142,7 +156,7 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
         alpha[:n_span] *= alpha_at_zero
         np.multiply(x, beta_at_one, out=beta[:n_span])
         alpha[n_span:] = beta[n_span:] = 1.0  # neutral rounds pad the span
-        np.maximum(alpha, beta, out=scale)  # NaN stays NaN
+        np.maximum(alpha, beta, out=scale)
         alpha /= scale
         beta /= scale
         coef[0] = 1.0
@@ -166,8 +180,8 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
             np.einsum("rlg,lg->rg", tables[:, :, k], moments, out=sums[k])
             mass = sums[k, 0::2]
             n_play = min(block, n_rounds - start)
-            if not mass[1 : n_play + 1].min(initial=math.inf) >= floor:  # NaN is low
-                low = ~(mass[1 : n_play + 1] >= floor).all(axis=1)
+            if mass[1 : n_play + 1].min(initial=math.inf) < floor:
+                low = (mass[1 : n_play + 1] < floor).any(axis=1)
                 first = int(np.argmax(low))
                 if first == 0:
                     _check_mass(mass[1], start + 1)
@@ -382,7 +396,7 @@ def _write_span(sums, scale, bets, payoffs, first: int, stop: int) -> None:
 
 def _check_mass(total: np.ndarray, n_played: int) -> None:
     """Raise unless every game's posterior mass after ``n_played`` rounds is positive."""
-    if not (total > 0.0).all():  # NaN fails too
+    if not (total > 0.0).all():
         dead = int(np.flatnonzero(~(total > 0.0))[0])
         raise DegeneratePosterior(f"game {dead}: posterior wiped out at round {n_played}")
 

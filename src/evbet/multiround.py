@@ -19,8 +19,11 @@ induction (the Snell envelope of the process)
 with ``V(p) = e(p)`` at depth ``T``: one value per distinct prefix, and no
 tree is ever listed. ``audit_eprocess`` runs it over every pair of the
 process's own grid, so its verdict is exact there; a value above 1 is a
-concrete refutation. A process without a grid gets the same induction over
-coarse pairs and over sampled trees, and a pass certifies only that family.
+concrete refutation. A pair straddles mu exactly (``a <= mu <= b``), so its
+weight is a probability and its law has mean mu. A process loaded by
+``eprocess_from_csv`` always has its grid. A process built without one
+gets the same induction over coarse pairs and over sampled trees, and a
+pass certifies only that family.
 """
 
 from __future__ import annotations
@@ -48,8 +51,9 @@ from .evariables import (  # noqa: F401
 
 MAX_MASK_DEPTH = 5
 MAX_AUDIT_DEPTH = 4
-# One tolerance for every split of a grid around mu: pairs straddle mu up to
-# it, and dominate_T2 splits its grid with evariables._split_grid.
+# How far a TreeHypothesis pair may miss mu: the snap tolerance of
+# evariables._split_grid, so a dominate_T2 refutation may hold the point pair
+# (p, p) of a grid point p snapped to mu. The audit's pairs straddle mu exactly.
 STRADDLE_TOL = MU_SNAP_TOL
 
 
@@ -164,10 +168,11 @@ class TreeHypothesis:
 def _pair_weight(a: float, b: float, mu: float) -> float:
     """Mass on ``a`` of the mean-``mu`` measure on {a, b}, clipped into [0, 1].
 
-    ``(b - mu) / (b - a)``, and 1 when ``a == b``. Pairs straddle mu only up
-    to ``STRADDLE_TOL``, so a point just past mu gets the nearest weight in
-    [0, 1] where ``domain.two_point_weight`` raises; a strictly straddling
-    pair gets the same weight from both.
+    ``(b - mu) / (b - a)``, and 1 when ``a == b``. The audit's pairs straddle
+    mu exactly, so the clip never acts on them; it acts only on a hand-built
+    ``TreeHypothesis`` pair that misses mu by at most ``STRADDLE_TOL``, which
+    gets the nearest weight in [0, 1] where ``domain.two_point_weight``
+    raises. A strictly straddling pair gets the same weight from both.
     """
     if a == b:
         return 1.0
@@ -271,7 +276,11 @@ def eprocess_from_tables(mu: float, tables: dict, space: SampleSpace | None = No
 
 
 def eprocess_from_csv(path: str, mu: float) -> EProcess:
-    """Load a ``depth,path,value`` CSV (path = comma-joined grid points)."""
+    """Load a ``depth,path,value`` CSV (path = comma-joined grid points).
+
+    The process's sample space is the set of points its paths use, so that
+    set must include 0 and 1 (``SampleSpace`` rejects it otherwise).
+    """
     tables = {}
     points = set()
     with open(path, newline="") as fh:
@@ -285,10 +294,7 @@ def eprocess_from_csv(path: str, mu: float) -> EProcess:
                 raise ValueError(f"{path}: path {row['path']!r} does not have depth {depth}")
             points.update(prefix)
             tables[prefix] = float(row["value"])
-    space = None
-    if {0.0, 1.0} <= points:
-        space = SampleSpace(tuple(sorted(points)), mu)
-    return eprocess_from_tables(mu, tables, space=space)
+    return eprocess_from_tables(mu, tables, space=SampleSpace(tuple(sorted(points)), mu))
 
 
 def eprocess_to_csv(e: EProcess, space: SampleSpace, depth: int, fh) -> None:
@@ -323,9 +329,9 @@ class AuditReport:
 
 def _straddling_pairs(points, mu) -> list[tuple[float, float]]:
     pts = sorted(set(float(p) for p in points))
-    lows = [p for p in pts if p <= mu + STRADDLE_TOL]
-    highs = [p for p in pts if p >= mu - STRADDLE_TOL]
-    return [(a, b) for a in lows for b in highs if a <= b]
+    lows = [p for p in pts if p <= mu]
+    highs = [p for p in pts if p >= mu]
+    return [(a, b) for a in lows for b in highs]
 
 
 def _memoised(fn):
@@ -405,9 +411,10 @@ def audit_eprocess(
 ) -> AuditReport:
     """Largest stopped expectation of ``e`` over two-point trees and masks.
 
-    A process with a sample space is searched over every straddling pair of
-    its own points at every node: the report is then exact for every
-    mean-``mu`` sequential law on that grid up to ``depth`` and says
+    A process with a sample space (every one ``eprocess_from_csv`` loads,
+    and so every audit the CLI runs) is searched over every pair ``a <= mu <= b`` of its own
+    points at every node: the report is then exact for every mean-``mu``
+    sequential law on that grid up to ``depth`` and says
     ``exhaustive_complete``. ``coarse_grid``, ``n_random`` and ``seed`` are
     validated but apply only to a process without a sample space: it is
     searched over every tree of straddling pairs from ``coarse_grid``

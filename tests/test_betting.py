@@ -7,7 +7,6 @@ from evbet.betting import (
     ConstantStrategy,
     PortfolioPosterior,
     UniversalPortfolioStrategy,
-    constant_bet,
     lambda_grid,
     quadrature_coefficients,
     up_bet,
@@ -101,14 +100,14 @@ class TestUpBet:
 
 class TestConstant:
     def test_identity(self):
-        assert constant_bet(0.0, 0.5) == 0.0
+        assert ConstantStrategy(0.5, 0.0).bet() == 0.0
 
     def test_boundary_allowed(self):
-        assert constant_bet(2.0, 0.5) == 2.0
+        assert ConstantStrategy(0.5, 2.0).bet() == 2.0
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
-            constant_bet(2.1, 0.5)
+            ConstantStrategy(0.5, 2.1)
 
     def test_strategy_fresh_clone(self):
         s = ConstantStrategy(0.5, 1.0)

@@ -16,7 +16,7 @@ import pytest
 from conftest import ReplayBets
 
 from evbet import kernels
-from evbet.betting import UniversalPortfolioStrategy, constant_bet
+from evbet.betting import ConstantStrategy, UniversalPortfolioStrategy
 from evbet.confseq import run_cs_batch
 from evbet.domain import SampleSpace
 from evbet.evariables import CoinBetEVariable, TabulatedEVariable, bet_bounds, dominating_lambda
@@ -120,15 +120,13 @@ ROWS = {
     "run_cs_batch": (cs_batch, ALL, False),
     "score_bets": (scored, MU | {"delta", "x-nan", "x-range", "bet"}, True),
     "run_game": (played, MU | {"delta", "x-nan", "x-range", "bet"}, True),
-    "constant_bet": (lambda mu=0.5, lam=0.0: constant_bet(lam, mu), MU | {"bet"}, False),
+    "ConstantStrategy": (lambda mu=0.5, lam=0.0: ConstantStrategy(mu, lam), MU | {"bet"}, False),
     "CoinBetEVariable": (lambda mu=0.5, lam=0.0: CoinBetEVariable(mu, lam), MU | {"bet"}, False),
     "MultiRoundCoinBet": (multiround, MU | {"bet"}, True),
     "TabulatedEVariable": (lambda value=1.0: TabulatedEVariable(GRID_3, table(value)[1]), TABLES, False),
     "xi_stats": (lambda value=1.0: xi_stats(table(value)), TABLES, False),
     "dominate_T2": (lambda value=1.0: dominate_T2(table(value), GRID_3), TABLES, False),
-    # The general kernel lets NaN through, to raise DegeneratePosterior at its
-    # own round (test_kernels.py::test_nan_raises_at_its_own_round).
-    "kernels.up_game_batch": (kernel, MU | {"x-range", "nodes"}, False),
+    "kernels.up_game_batch": (kernel, MU | {"x-nan", "x-range", "nodes"}, False),
     "UniversalPortfolioStrategy": (portfolio, MU | {"x-nan", "x-range", "nodes"}, True),
     "SampleSpace": (lambda mu=0.5: SampleSpace((0.0, 0.5, 1.0), mu), MU, False),
     "bet_bounds": (lambda mu=0.5: bet_bounds(mu), MU, False),

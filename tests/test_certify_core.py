@@ -54,9 +54,13 @@ def oracle_check_evariable(e, tol=1e-12):
     worst = None
     worst_exp = 1.0 + tol
     if at.any():
-        v_mu = float(vals[at].max())
+        # A point within the snap of mu refutes only above tol plus the most a
+        # coin-bet pays there (1 at mu itself).
+        d = pts[at] - mu
+        v_at = np.where(vals[at] > worst_exp + np.maximum(d / mu, d / (mu - 1.0)), vals[at], -np.inf)
+        v_mu = float(v_at.max())
         if v_mu > worst_exp:
-            x_mu = float(pts[at][np.argmax(vals[at])])
+            x_mu = float(pts[at][np.argmax(v_at)])
             worst = TwoPointMeasure(x_mu, x_mu, 1.0)
             worst_exp = v_mu
     if below.any() and above.any():

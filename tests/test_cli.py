@@ -83,6 +83,10 @@ def write_contract_inputs(d):
         "ep.csv": "depth,path,value\n0,,1.0\n1,0.0,1.0\n1,0.5,1.0\n1,1.0,1.0\n",
         "ep-nan.csv": "depth,path,value\n0,,1.0\n1,0.0,nan\n1,0.5,1.0\n1,1.0,1.0\n",
         "ep-bad.csv": "depth,path,value\n0,,1.0\n1,0.0,x\n1,0.5,1.0\n1,1.0,1.0\n",
+        "ep-no-one.csv": "depth,path,value\n0,,1.0\n1,0.0,1.0\n1,0.5,1.0\n1,0.75,1.0\n",
+        "ep-outside.csv": "depth,path,value\n0,,1.0\n1,0.0,1.0\n1,1.0,1.0\n1,1.5,1.0\n",
+        "ep-nan-root.csv": "depth,path,value\n0,,nan\n1,0.0,1.0\n1,0.5,1.0\n1,1.0,1.0\n",
+        "ep-bad-path.csv": "depth,path,value\n0,,1.0\n1,0.0,1.0\n1,x,1.0\n1,1.0,1.0\n",
         "alpha-nan.txt": "0.5\nnan\n0.5\n0.5\n0.5\n",
         "alpha-bad.txt": "0.5\nx\n0.5\n0.5\n0.5\n",
     }
@@ -173,15 +177,20 @@ CONTRACT_CASES = {
         ("range", AUDIT[:-1] + ["-1"], "audit depth must be at least 1, got -1"),
         ("range", AUDIT[:-1] + ["0"], "audit depth must be at least 1, got 0"),
         ("range", AUDIT[:-1] + ["5"], "audit capped at depth 4"),
-        ("range", AUDIT + ["--random", "-1"], "must be non-negative, got -1"),
+        # The table's points are its grid, so they must include 0 and 1.
+        ("range", ["audit", "--table", "{d}/ep-no-one.csv", "--mu", "0.5", "--depth", "1"],
+         "grid must contain 0 and 1 as its endpoints"),
         ("range", AUDIT[:-1] + ["2"], "e-process only defined to depth 1"),
-        ("range", AUDIT + ["--coarse-grid", "0,0.5,1.5"], "must lie in [0, 1]"),
-        ("nan", AUDIT + ["--coarse-grid", "nan,0.5,1"], "must lie in [0, 1]"),
+        ("range", ["audit", "--table", "{d}/ep-outside.csv", "--mu", "0.5", "--depth", "1"],
+         "grid must contain 0 and 1 as its endpoints"),
+        ("nan", ["audit", "--table", "{d}/ep-nan-root.csv", "--mu", "0.5", "--depth", "1"],
+         "e-process value nan at ()"),
         ("nan", ["audit", "--table", "{d}/ep-nan.csv", "--mu", "0.5", "--depth", "1"],
          "e-process value nan"),
         ("nan", ["audit", "--table", "{d}/ep.csv", "--mu", "nan"], "mu must lie in (0, 1)"),
         ("missing-file", ["audit", "--table", "{d}/none.csv", "--mu", "0.5"], NO_FILE),
-        ("literal", AUDIT + ["--coarse-grid", "0,x,1"], "could not convert"),
+        ("literal", ["audit", "--table", "{d}/ep-bad-path.csv", "--mu", "0.5", "--depth", "1"],
+         "could not convert"),
         ("literal", ["audit", "--table", "{d}/ep-bad.csv", "--mu", "0.5", "--depth", "1"],
          "could not convert"),
     ],
@@ -677,8 +686,7 @@ class TestAudit:
     def test_coinbet_process_passes(self, runner, coinbet_csv):
         result = invoke(
             runner,
-            ["audit", "--table", str(coinbet_csv), "--mu", "0.5", "--depth", "3",
-             "--random", "200", "--seed", "7"],
+            ["audit", "--table", str(coinbet_csv), "--mu", "0.5", "--depth", "3", "--seed", "7"],
         )
         report = json.loads(result.output)
         assert report["pass"] is True
@@ -686,6 +694,12 @@ class TestAudit:
         assert set(report) == {"max", "d", "mask", "pass", "n_trees", "exhaustive_complete"}
         assert report["exhaustive_complete"] is True
         assert report["n_trees"] > 0
+
+    def test_options_are_those_of_the_grid_search(self, runner):
+        # --seed stays for scripts that pass it; nothing in the search is random.
+        options = {opt for param in main.commands["audit"].params for opt in param.opts}
+        assert options == {"--table", "--mu", "--depth", "--seed", "--strict"}
+        assert "Has no effect" in invoke(runner, ["audit", "--help"]).output
 
     def test_strict_refutation_exit_3(self, runner, tmp_path, coinbet_csv):
         # scale the depth-2 values by 1.5 in the CSV to break the process
@@ -700,8 +714,7 @@ class TestAudit:
                     v *= 1.5
                 w.writerow([r["depth"], r["path"], repr(v)])
         result = CliRunner().invoke(
-            main, ["audit", "--table", str(bad), "--mu", "0.5", "--depth", "2",
-                   "--random", "50", "--strict"]
+            main, ["audit", "--table", str(bad), "--mu", "0.5", "--depth", "2", "--strict"]
         )
         assert result.exit_code == 3
         report = json.loads(result.output)
@@ -709,23 +722,22 @@ class TestAudit:
         assert report["max"] >= 1.5 - 1e-9
 
     @pytest.mark.parametrize(
-        "points, mu, extra",
+        "points, mu",
         [
-            # The grid lacks mu: the default coarse grid {0, mu, 1} would need (0.3,).
-            ((0.0, 0.25, 0.5, 0.75, 1.0), 0.3, []),
-            # 1/3 straddles mu only within the tolerance; each of its pairs has a weight.
-            ((0.0, 1 / 3, 2 / 3, 1.0), 0.333333333, []),
-            ((0.0, 1 / 3, 2 / 3, 1.0), 0.333333333, ["--coarse-grid", "0,0.5,1"]),
+            # The grid lacks mu: every pair straddles it strictly.
+            ((0.0, 0.25, 0.5, 0.75, 1.0), 0.3),
+            # 1/3 lies 3e-10 above mu, so it pairs only with the points below mu.
+            ((0.0, 1 / 3, 2 / 3, 1.0), 0.333333333),
         ],
-        ids=["grid-without-mu", "near-mu", "near-mu-coarse-grid"],
+        ids=["grid-without-mu", "near-mu"],
     )
-    def test_grid_table_audited_on_its_own_points(self, tmp_path, points, mu, extra):
+    def test_grid_table_audited_on_its_own_points(self, tmp_path, points, mu):
         space = SampleSpace(points, mu)
         path = tmp_path / "ep.csv"
         with open(path, "w", newline="") as fh:
             eprocess_to_csv(constant_eprocess(mu), space, 2, fh)
         result = CliRunner().invoke(
-            main, ["audit", "--table", str(path), "--mu", repr(mu), "--depth", "2", *extra]
+            main, ["audit", "--table", str(path), "--mu", repr(mu), "--depth", "2"]
         )
         assert result.exit_code == 0, result.output
         report = json.loads(result.output)

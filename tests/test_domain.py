@@ -107,6 +107,8 @@ class TestValidation:
     def test_sample_space_requires_sorted_unique(self):
         with pytest.raises(ValueError):
             SampleSpace((0.0, 0.5, 0.5, 1.0), 0.5)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SampleSpace((0.0, float("nan"), 1.0), 0.5)
 
     def test_sample_space_mu_open_interval(self):
         for mu in (0.0, 1.0, -0.1):

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evbet.betting import lambda_grid
 from evbet.domain import SampleSpace
 from evbet.errors import NotAnEVariable, OutOfRange
 from evbet.evariables import (
+    MU_SNAP_TOL,
     CoinBetEVariable,
     HoeffdingEVariable,
     TabulatedEVariable,
@@ -143,6 +145,21 @@ class TestCheckEVariable:
         w = (b - 0.5) / (b - a)
         expect = w * vals[below][:, None] + (1 - w) * vals[above][None, :]
         assert np.abs(expect - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("offset", [MU_SNAP_TOL / 2, -MU_SNAP_TOL / 2], ids=["above", "below"])
+    @pytest.mark.parametrize("mu", [0.3, 0.5, 0.7])
+    def test_coinbets_certify_on_a_point_snapped_to_mu(self, mu, offset):
+        # The point mu + offset is handled as mu, where a coin-bet pays up to
+        # eval_majorizer(mu, mu + offset), not 1: no exact coin-bet is refuted there.
+        space = SampleSpace((0.0, 0.2, mu + offset, 0.8, 1.0), mu)
+        for lam in lambda_grid(mu, 21):
+            table = tabulate_coinbet(space, lam)
+            assert check_evariable(table).valid
+            cert = beta_interval(table)
+            majorant = CoinBetEVariable(mu, cert.lambda_hat).value(space.as_array())
+            assert (majorant >= table.as_array() - 1e-9).all()
+            scaled = TabulatedEVariable(space, tuple(1.05 * table.as_array()))
+            assert not check_evariable(scaled).valid
 
     def test_value_above_one_at_mean_rejected(self):
         space = SampleSpace((0.0, 0.5, 1.0), 0.5)

@@ -12,7 +12,7 @@ from evbet.betting import UniversalPortfolioStrategy, lambda_grid, quadrature_co
 from evbet.confseq import default_mu_grid
 from evbet.domain import DiscreteDistribution, sample_stream
 from evbet.errors import DegeneratePosterior
-from evbet.game import run_game
+from evbet.game import run_game, run_games_batch
 from evbet.kernels import _pykernels
 
 
@@ -291,12 +291,12 @@ class TestBlockSeams:
     # The first, a middle and the last round of the second block.
     @pytest.mark.parametrize("position", [BLOCK, BLOCK + BLOCK // 2, 2 * BLOCK - 1])
     def test_nan_raises_at_its_own_round(self, position):
+        # NaN anywhere in the batch is rejected before any round is played.
         xs = np.full((3, 3 * BLOCK), 0.4)
         xs[1, position] = np.nan
-        xs[0, position + 1] = np.nan  # a later round: the earlier one is named
-        with pytest.raises(DegeneratePosterior) as raised:
+        xs[0, position + 1] = np.nan
+        with pytest.raises(ValueError, match=r"^observations must be finite and lie in \[0, 1\]$"):
             _pykernels.up_game_batch(xs, np.array([0.3, 0.5, 0.7]), 11)
-        assert str(raised.value) == f"game 1: posterior wiped out at round {position + 1}"
 
     # The killing one on the first and on the last round of a block.
     @pytest.mark.parametrize("n_zeros", [8000 // BLOCK * BLOCK, 8000 // BLOCK * BLOCK + BLOCK - 1])
@@ -470,6 +470,26 @@ class TestBinaryPath:
             tracemalloc.stop()
         assert peak - bets.nbytes - logw.nbytes < 2e6
 
+    def test_batch_first_crossings_hold_no_round_array(self):
+        # The game layer over the same broadcast batch: finding each game's
+        # first crossing adds no (G, n) array to the kernel's outputs (a
+        # bool one is 4.95 MB).
+        stream = sample_stream(DiscreteDistribution.bernoulli(0.4), 50_000, 7)
+        mus = default_mu_grid(99)
+        view = np.broadcast_to(stream, (len(mus), len(stream)))
+        tracemalloc.start()
+        try:
+            result = run_games_batch(mus, view, "up:11", 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - result.bets.nbytes - result.log_wealth.nbytes < 1e6
+        # Games are scanned in blocks; the first crossings are those of the whole array.
+        crossed = result.log_wealth > math.log(1.0 / 0.05)
+        expected = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, 0)
+        assert 0 < np.count_nonzero(expected) < len(mus)
+        np.testing.assert_array_equal(result.rejected_at, expected)
+
     def test_long_horizon(self):
         stream = sample_stream(DiscreteDistribution.bernoulli(0.4), 20_000, 3)
         mus = np.array([0.05, 0.4, 0.5, 0.95])
@@ -501,7 +521,7 @@ class TestBinaryPath:
             graded[2, 7] = odd
             kernels.up_game_batch(graded, mus, 51)
         graded[2, 7] = np.nan
-        with pytest.raises(DegeneratePosterior):
+        with pytest.raises(ValueError, match="observations must be finite"):
             kernels.up_game_batch(graded, mus, 51)
         assert len(calls) == 1
 

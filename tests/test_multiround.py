@@ -271,18 +271,24 @@ class TestAudit:
         assert d["exhaustive_complete"] is report.exhaustive_complete
 
     def test_near_mu_grid_point_weighs_its_pairs(self):
-        # 0.5000000005 straddles mu = 0.5 only within STRADDLE_TOL: its pairs
-        # take the nearest weight in [0, 1] instead of raising.
+        # A hand-built tree may pair 0.5000000005 with itself, straddling
+        # mu = 0.5 only within STRADDLE_TOL: its pairs take the nearest weight
+        # in [0, 1] instead of raising.
         near = 0.5 + STRADDLE_TOL / 2
         tree = TreeHypothesis(0.5, ((0.0, near), (near, near), (near, 1.0)))
         assert [tree.weight(i) for i in range(3)] == [(near - 0.5) / near, 1.0, 1.0]
+        # The audit pairs it only with 0, below mu: each pair is a mean-mu law,
+        # so an honest coin-bet is a martingale on every tree searched.
         space = SampleSpace((0.0, near, 1.0), 0.5)
-        e = coinbet_eprocess(random_coinbet(space, 2, np.random.default_rng(4)), space)
-        report = audit_eprocess(e, 2)
-        # The point mass at 0.5000000005 moves a coin-bet's wealth by about 1e-9.
-        assert report.max_expectation == pytest.approx(1.0, abs=1e-8)
-        replay = tree_expectation(report.argmax_tree, report.argmax_mask, e)
-        assert replay == report.max_expectation
+        assert _straddling_pairs(space.points, 0.5) == [(0.0, near), (0.0, 1.0)]
+        for seed in range(6):
+            e = coinbet_eprocess(random_coinbet(space, 2, np.random.default_rng(seed)), space)
+            report = audit_eprocess(e, 2)
+            assert report.passed
+            assert report.n_trees == 2**3
+            assert abs(report.max_expectation - 1.0) <= 1e-12
+            replay = tree_expectation(report.argmax_tree, report.argmax_mask, e)
+            assert replay == report.max_expectation
 
     @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.25, 0.5), (0.5, 0.75), (0.1, 0.9)])
     def test_strictly_straddling_weight_is_two_point_weight(self, a, b):
@@ -593,6 +599,16 @@ class TestEProcessCsv:
     def test_tables_require_root(self):
         with pytest.raises(ValueError):
             eprocess_from_tables(0.5, {(0.0,): 1.0})
+
+    @pytest.mark.parametrize("points", [(0.0, 0.25, 0.5, 0.75), (0.25, 0.5, 1.0), ()])
+    def test_points_without_both_endpoints_rejected(self, tmp_path, points):
+        # The points of a table's paths are its grid, so they must include 0 and 1.
+        path = tmp_path / "ep.csv"
+        rows = ["depth,path,value", "0,,1.0"] + [f"1,{p!r},1.0" for p in points]
+        path.write_text("\n".join(rows) + "\n")
+        message = "grid must contain 0 and 1" if points else "needs at least two points"
+        with pytest.raises(ValueError, match=message):
+            eprocess_from_csv(str(path), 0.5)
 
 
 class TestDominateT2:

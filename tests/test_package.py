@@ -54,6 +54,12 @@ def test_cli_import_loads_no_command_module():
         assert f"evbet.{module}" not in loaded
 
 
+@pytest.mark.parametrize("module", ["game", "confseq"])
+def test_kernel_path_loads_no_reference_path(module):
+    # The object path (betting) is the tests' reference; the kernels do not need it.
+    assert "evbet.betting" not in loaded_after(f"import evbet.{module}")
+
+
 def test_package_import_loads_nothing_else():
     assert loaded_after("import evbet") == ["evbet"]
 
