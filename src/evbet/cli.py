@@ -27,7 +27,10 @@ rows, byte for byte what ``csv.writer`` would write; the other tables and
 every ``--format json`` output go through ``_write_rows``.
 
 Each command imports the modules it runs when it runs, so a command loads no
-other command's modules.
+other command's modules. numpy is loaded only by the commands that compute
+on arrays (``cs``, ``simulate``, ``compare``, ``check``, ``dominate`` and
+``iid-check``), when they first do: ``import evbet.cli``, ``--help``,
+``--version``, usage errors and ``audit`` never load it.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ import json
 import sys
 
 import click
-import numpy as np
 
+from . import __version__
 from .errors import EvbetError
 
 
@@ -69,7 +72,7 @@ def _membership_csv(fh, result, n, block_rows):
     fh.write("t,mu,log_wealth,in_set\r\n")
     for t0 in range(0, n, step):
         log_wealth = result.games.log_wealth[:, t0 : t0 + step].T.tolist()
-        in_set = result.in_set[t0 : t0 + step].view(np.uint8).tolist()
+        in_set = result.in_set[t0 : t0 + step].view("uint8").tolist()
         fh.write(
             "".join(
                 f"{t}{mu_col}{w!r},{alive}\r\n"
@@ -139,7 +142,7 @@ fmt_option = click.option(
 
 
 @click.group()
-@click.version_option()
+@click.version_option(__version__)  # also when run from a source tree
 def main():
     """Anytime-valid mean testing via coin-betting e-variables."""
 
@@ -156,6 +159,8 @@ def main():
 @click.pass_context
 def simulate(ctx, mu, dist, strategy, n, delta, seed, out, fmt):
     """Play one testing game and write its ledger plus a summary."""
+    import numpy as np
+
     from . import domain, game
 
     try:
@@ -196,6 +201,8 @@ def simulate(ctx, mu, dist, strategy, n, delta, seed, out, fmt):
 @click.pass_context
 def cs(ctx, dist, strategy, n, delta, seed, grid, running_intersect, out, membership, fmt):
     """Confidence sequence for the data mean over a candidate grid."""
+    import numpy as np
+
     from . import confseq, domain, game
 
     try:
@@ -237,6 +244,8 @@ def cs(ctx, dist, strategy, n, delta, seed, grid, running_intersect, out, member
 @click.pass_context
 def compare(ctx, mu, dist, n, seed, alpha, alpha_file, out, fmt):
     """Run a Hoeffding-schedule game against its dominating coin-bet shadow."""
+    import numpy as np
+
     from . import domain, evariables
 
     try:

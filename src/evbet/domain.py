@@ -16,8 +16,7 @@ import csv
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import MeanOutsideSpan
 
 # Absolute tolerance for measure-level invariants (masses, means). Derived
@@ -27,7 +26,8 @@ MEASURE_TOL = 1e-12
 
 def check_mu(mu) -> None:
     """Reject a mean, or an array of per-game means, outside (0, 1); NaN fails."""
-    if isinstance(mu, np.ndarray):
+    # A Python number is never an array; asking would load numpy on the audit path.
+    if not isinstance(mu, (float, int)) and isinstance(mu, np.ndarray):
         bad = mu[~((mu > 0.0) & (mu < 1.0))]
         if not bad.size:
             return
@@ -108,9 +108,6 @@ class SampleSpace:
         if pts[0] != 0.0 or pts[-1] != 1.0:
             raise ValueError("grid must contain 0 and 1 as its endpoints")
         check_mu(self.mu)
-        arr = np.array(pts, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "_array", arr)  # not a field: eq and hash ignore it
 
     @classmethod
     def uniform(cls, n: int, mu: float) -> "SampleSpace":
@@ -118,11 +115,21 @@ class SampleSpace:
         return cls(tuple(np.linspace(0.0, 1.0, n)), mu)
 
     def as_array(self) -> np.ndarray:
-        """The grid as a read-only float array, built once per space."""
-        return self._array
+        """The grid as a read-only float array, built on the first call and kept.
+
+        It is not a field, so equality and hashing ignore it.
+        """
+        try:
+            return self._array
+        except AttributeError:
+            arr = np.array(self.points, dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, "_array", arr)
+            return arr
 
     def __reduce__(self):
-        # Copies and pickles rebuild the read-only array through __post_init__.
+        # Copies and pickles hold the fields only; a copy builds its own
+        # array on its first as_array() call.
         return SampleSpace, (self.points, self.mu)
 
 
@@ -230,7 +237,12 @@ def sample_stream(dist: DiscreteDistribution, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     masses = dist.masses()
     masses = masses / masses.sum()
-    return rng.choice(dist.points(), size=n, p=masses)
+    if masses.min() < 0.0:  # a mass within MEASURE_TOL below 0, refused as rng.choice did
+        raise ValueError("Probabilities are not non-negative")
+    # The inverse CDF that rng.choice(points, size=n, p=masses) computes: the same draws.
+    cdf = masses.cumsum()
+    cdf /= cdf[-1]
+    return dist.points()[cdf.searchsorted(rng.random(n), side="right")]
 
 
 def replicate_seed(master: int, index: int) -> int:

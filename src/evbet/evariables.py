@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
+from ._lazy import np
 from .domain import SampleSpace, TwoPointMeasure, check_mu, check_table
 from .errors import NotAnEVariable, OutOfRange
 

@@ -33,8 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .domain import SampleSpace, check_table
 from .errors import DepthTooLarge, NotAnEVariable
 # check_evariable and beta_interval are not called here, but stay module names:
@@ -232,8 +231,8 @@ class EProcess:
         if len(prefix) > self.max_depth:
             raise ValueError(f"prefix longer than max depth {self.max_depth}")
         v = float(self.evaluator(prefix))
-        if v < 0.0 or math.isnan(v):
-            raise ValueError(f"e-process value {v} at {prefix} is not non-negative")
+        if v < 0.0 or not math.isfinite(v):
+            raise ValueError(f"e-process value {v} at {prefix} is not finite and non-negative")
         return v
 
     def scale_at(self, depth: int, factor: float) -> "EProcess":

@@ -22,7 +22,7 @@ from evbet.domain import SampleSpace
 from evbet.evariables import CoinBetEVariable, TabulatedEVariable, bet_bounds, dominating_lambda
 from evbet.game import check_strategy, parse_strategy, run_game, run_games_batch, score_bets
 from evbet.iid_case import xi_stats
-from evbet.multiround import MultiRoundCoinBet, dominate_T2
+from evbet.multiround import MultiRoundCoinBet, audit_eprocess, dominate_T2, eprocess_from_tables
 
 NAN = math.nan
 OBSERVATIONS = "observations must be finite and lie in [0, 1]"
@@ -167,3 +167,15 @@ def test_valid_arguments_pass(call):
 def test_bad_argument_raises_the_shared_message(call, bad, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         call(**bad)
+
+
+@pytest.mark.parametrize("value", [-1.0, NAN, math.inf], ids=["negative", "nan", "inf"])
+def test_eprocess_value_must_be_finite_and_non_negative(value):
+    """The twin of the CLI's ``audit`` row: a bad value is refused when the audit reads it."""
+    tables = {(): 1.0, (0.0,): value, (0.5,): 1.0, (1.0,): 1.0}
+    e = eprocess_from_tables(0.5, tables, SampleSpace((0.0, 0.5, 1.0), 0.5))
+    message = f"e-process value {value} at (0.0,) is not finite and non-negative"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        audit_eprocess(e, 1)
+    with pytest.raises(ValueError, match="^" + re.escape(message.replace("(0.0,)", "()")) + "$"):
+        eprocess_from_tables(0.5, {(): value})

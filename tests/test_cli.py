@@ -82,6 +82,7 @@ def write_contract_inputs(d):
         "sq-bad.csv": square.replace("1.0,1.0,1.0", "1.0,1.0,x"),
         "ep.csv": "depth,path,value\n0,,1.0\n1,0.0,1.0\n1,0.5,1.0\n1,1.0,1.0\n",
         "ep-nan.csv": "depth,path,value\n0,,1.0\n1,0.0,nan\n1,0.5,1.0\n1,1.0,1.0\n",
+        "ep-inf.csv": "depth,path,value\n0,,1.0\n1,0.0,inf\n1,0.5,1.0\n1,1.0,1.0\n",
         "ep-bad.csv": "depth,path,value\n0,,1.0\n1,0.0,x\n1,0.5,1.0\n1,1.0,1.0\n",
         "ep-no-one.csv": "depth,path,value\n0,,1.0\n1,0.0,1.0\n1,0.5,1.0\n1,0.75,1.0\n",
         "ep-outside.csv": "depth,path,value\n0,,1.0\n1,0.0,1.0\n1,1.0,1.0\n1,1.5,1.0\n",
@@ -193,6 +194,8 @@ CONTRACT_CASES = {
          "could not convert"),
         ("literal", ["audit", "--table", "{d}/ep-bad.csv", "--mu", "0.5", "--depth", "1"],
          "could not convert"),
+        ("nan", ["audit", "--table", "{d}/ep-inf.csv", "--mu", "0.5", "--depth", "1"],
+         "e-process value inf at (0.0,) is not finite and non-negative"),
     ],
     "iid-check": [
         ("range", ["iid-check", "--xi", "-1,0,0"], "finite and non-negative"),

@@ -96,6 +96,24 @@ class TestSampleStream:
         c = sample_stream(d, 100, 8)
         assert (a != c).any()
 
+    @pytest.mark.parametrize("literal", ["uniform-grid:11", "uniform-grid:3", "bernoulli:0.3",
+                                         "bernoulli:0.4"])
+    def test_draws_are_rng_choice_draws(self, literal):
+        # sample_stream inverts the CDF as rng.choice does, so the draws must agree exactly.
+        dist = parse_distribution(literal)
+        masses = dist.masses() / dist.masses().sum()
+        for seed in range(300):
+            for n in (0, 1, 7, 1000):
+                ref = np.random.default_rng(seed).choice(dist.points(), size=n, p=masses)
+                xs = sample_stream(dist, n, seed)
+                assert xs.shape == ref.shape and xs.dtype == ref.dtype
+                assert (xs == ref).all()
+
+    def test_rejects_a_tolerated_negative_mass_as_rng_choice_does(self):
+        dist = DiscreteDistribution(((0.0, -1e-13), (0.5, 0.5), (1.0, 0.5 + 1e-13)))
+        with pytest.raises(ValueError, match="Probabilities are not non-negative"):
+            sample_stream(dist, 5, 0)
+
 
 class TestValidation:
     def test_sample_space_requires_endpoints(self):
@@ -131,6 +149,14 @@ class TestValidation:
     def test_distribution_rejects_non_finite_total(self):
         with pytest.raises(ValueError, match="masses sum to inf"):
             DiscreteDistribution(((0.0, 1e308), (0.5, 1e308), (1.0, 1.0)))
+
+    def test_sample_space_builds_its_array_on_first_use(self):
+        space = SampleSpace((0.0, 0.25, 1.0), 0.5)
+        assert "_array" not in vars(space)
+        arr = space.as_array()
+        assert space.as_array() is arr
+        assert arr.tolist() == [0.0, 0.25, 1.0] and not arr.flags.writeable
+        assert space == SampleSpace((0.0, 0.25, 1.0), 0.5)
 
     def test_two_point_measure_mean(self):
         m = two_point_measure(0.2, 0.8, 0.5)

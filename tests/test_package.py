@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -45,6 +46,76 @@ def loaded_after(statement):
     """The evbet modules a fresh interpreter holds after running ``statement``."""
     listing = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'evbet'))"
     return run_fresh(f"import sys; {statement}; {listing}").split()
+
+
+def numpy_ran_after(code):
+    """Whether a fresh interpreter has executed numpy after running ``code``.
+
+    numpy's own code imports its submodules (``numpy._core`` among them), so
+    any ``numpy.*`` entry of ``sys.modules`` means numpy ran; a ``numpy``
+    entry alone is the module bound lazily, not yet executed.
+    """
+    check = "print(any(m.startswith('numpy.') for m in sys.modules))"
+    return run_fresh(f"import sys\n{code}\n{check}").split()[-1] == "True"
+
+
+def cli_call(args):
+    """Code running ``evbet <args>`` in a fresh interpreter; a non-zero exit fails the run."""
+    return (
+        "from evbet.cli import main\n"
+        f"try:\n    main({args!r})\n"
+        "except SystemExit as exc:\n    assert not exc.code, exc.code\n"
+    )
+
+
+def test_cli_import_runs_no_numpy():
+    assert not numpy_ran_after("import evbet.cli")
+
+
+def test_help_runs_no_numpy():
+    assert not numpy_ran_after(cli_call(["--help"]))
+
+
+def test_version_runs_no_numpy():
+    code = cli_call(["--version"])
+    assert run_fresh(code).split()[-2:] == ["version", "0.1.0"]
+    assert not numpy_ran_after(code)
+
+
+def test_grid_audit_runs_no_numpy(tmp_path):
+    from evbet.domain import SampleSpace
+    from evbet.multiround import constant_eprocess, eprocess_to_csv
+
+    table = tmp_path / "ep3.csv"
+    with open(table, "w", newline="") as fh:
+        eprocess_to_csv(constant_eprocess(0.5), SampleSpace.uniform(5, 0.5), 3, fh)
+    audit = ["audit", "--table", str(table), "--mu", "0.5", "--depth", "3"]
+    assert not numpy_ran_after(cli_call(audit))
+
+
+def test_cs_runs_numpy():
+    cs = ["cs", "--dist", "bernoulli:0.5", "--n", "5", "--grid", "9", "--strategy", "up:11"]
+    assert numpy_ran_after(cli_call(cs))
+
+
+def test_trace_patch_targets_are_module_globals(monkeypatch):
+    """Every name the benchmark's tracer patches is an entry of its owner's ``__dict__``.
+
+    ``perfbench/tracing.install`` reads ``owner.__dict__[leaf]``, so a name
+    that stopped being a module global (or class attribute) would break
+    traced runs.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up there
+    spec.loader.exec_module(tracing)
+    for module, attr, *_ in tracing.PATCHES:
+        owner = importlib.import_module(module)
+        *parents, leaf = attr.split(".")
+        for part in parents:
+            owner = getattr(owner, part)
+        assert leaf in owner.__dict__, f"{module}.{attr}"
 
 
 def test_cli_import_loads_no_command_module():
