@@ -3,9 +3,15 @@
 ``from ._lazy import np`` gives the module object that ``import numpy``
 would give, but numpy's code runs only at the first attribute access
 (``importlib.util.LazyLoader``). From then on ``np`` is numpy itself, so a
-hot path pays nothing. ``domain``, ``evariables`` and ``multiround`` bind it
-this way, which lets ``import evbet.cli``, ``--help`` and ``evbet audit`` run
-without executing numpy. The first access should not race between threads.
+hot path pays nothing. Every library module binds numpy this way, so
+importing any of them runs no numpy code; the first array operation does. A
+caller that has already imported numpy gets that module back unchanged.
+
+The first access is not safe between threads: on Python versions whose
+``LazyLoader`` takes no lock, two threads that first touch a not-yet-loaded
+numpy at the same moment (for example by passing plain lists to the kernels)
+can see a half-initialised module. Importing numpy before starting the
+threads, as every caller that passes arrays has, avoids it.
 """
 
 import importlib.util

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .domain import check_node_count, check_observation
 from .errors import DegeneratePosterior
 from .evariables import bet_bounds, check_bet

@@ -3,7 +3,8 @@
 Every command is deterministic given its options (including ``--seed``);
 tabular results go to ``--out`` (default stdout) as CSV, verdicts and
 summaries are printed as JSON. Exit codes: 0 on success, 2 on configuration
-or parse errors, 3 when ``--strict`` is set and the command's verdict is a
+or parse errors, unreadable inputs, unwritable outputs and failed
+allocations, 3 when ``--strict`` is set and the command's verdict is a
 refutation.
 
 ``cs`` and ``simulate`` run every strategy through the batch kernel
@@ -27,10 +28,11 @@ rows, byte for byte what ``csv.writer`` would write; the other tables and
 every ``--format json`` output go through ``_write_rows``.
 
 Each command imports the modules it runs when it runs, so a command loads no
-other command's modules. numpy is loaded only by the commands that compute
-on arrays (``cs``, ``simulate``, ``compare``, ``check``, ``dominate`` and
-``iid-check``), when they first do: ``import evbet.cli``, ``--help``,
-``--version``, usage errors and ``audit`` never load it.
+other command's modules. Every library module binds numpy lazily
+(``evbet._lazy``), so numpy runs only when a command first computes on arrays
+(``cs``, ``simulate``, ``compare``, ``check``, ``dominate`` and
+``iid-check``): ``import evbet.cli``, ``--help``, ``--version``, usage errors
+and ``audit`` never run it.
 """
 
 from __future__ import annotations
@@ -45,10 +47,18 @@ from . import __version__
 from .errors import EvbetError
 
 
+# What a command turns into exit 2 with its message: bad arguments and data,
+# unreadable inputs and allocations that fail.
+_BOUNDARY_ERRORS = (MemoryError, OSError, ValueError, EvbetError)
+
+
 def _open_out(path):
     if path is None or path == "-":
         return sys.stdout, False
-    return open(path, "w", newline=""), True
+    try:
+        return open(path, "w", newline=""), True
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc.strerror}")
 
 
 def _write_text(path, write):
@@ -126,7 +136,7 @@ def _checked_table(table, mu):
         report = evariables.check_evariable(tab)
         # A valid table whose slope interval is inverted beyond rounding raises.
         cert = evariables.beta_interval(tab) if report.valid else None
-    except (OSError, ValueError, EvbetError) as exc:
+    except _BOUNDARY_ERRORS as exc:
         _fail(str(exc))
     return report, cert
 
@@ -172,7 +182,7 @@ def simulate(ctx, mu, dist, strategy, n, delta, seed, out, fmt):
         # One-row batch: the kernel computes the bets, score_bets scores them.
         batch = game.run_games_batch(np.array([mu]), xs[None, :], strategy, delta)
         ledger = game.score_bets(mu, delta, batch.bets[0], xs)
-    except (MemoryError, ValueError, EvbetError) as exc:
+    except _BOUNDARY_ERRORS as exc:
         _fail(str(exc))
     if fmt == "json":
         _write_rows(out, game.LEDGER_HEADER, game.ledger_rows(ledger), fmt)
@@ -213,7 +223,7 @@ def cs(ctx, dist, strategy, n, delta, seed, grid, running_intersect, out, member
         game.check_strategy(strategy, mu_grid)  # before sampling
         xs = domain.sample_stream(distribution, n, seed)
         result = confseq.run_cs_batch(mu_grid, xs, strategy, delta, running_intersect)
-    except (MemoryError, ValueError, EvbetError) as exc:
+    except _BOUNDARY_ERRORS as exc:
         _fail(str(exc))
     rows = result.intervals()
     _write_rows(out, ["t", "lower", "upper", "alive"], rows, fmt)
@@ -272,7 +282,7 @@ def compare(ctx, mu, dist, n, seed, alpha, alpha_file, out, fmt):
             raise ValueError(
                 f"alpha is too large: the Hoeffding log-wealth overflows at round {t}"
             )
-    except (OSError, ValueError, EvbetError) as exc:
+    except _BOUNDARY_ERRORS as exc:
         _fail(str(exc))
 
     log_cb = np.cumsum(np.log1p(lams * (xs - mu)))
@@ -322,7 +332,7 @@ def dominate(ctx, table, mu, t2, strict):
     try:
         points, values = domain.square_table_from_csv(table)
         result = multiround.dominate_T2(values, domain.SampleSpace(points, mu))
-    except (OSError, ValueError, EvbetError) as exc:
+    except _BOUNDARY_ERRORS as exc:
         _fail(str(exc))
     if result.certified:
         lam2 = {repr(k[0]): v for k, v in result.coinbet.tables[1].items()}
@@ -354,7 +364,7 @@ def audit(ctx, table, mu, depth, seed, strict):
     try:
         process = multiround.eprocess_from_csv(table, mu)
         report = multiround.audit_eprocess(process, depth)
-    except (OSError, ValueError, EvbetError) as exc:
+    except _BOUNDARY_ERRORS as exc:
         _fail(str(exc))
     _echo_json(report.as_dict())
     _strict_exit(ctx, strict, not report.passed)
@@ -390,7 +400,7 @@ def iid_check(ctx, table, xi, q_steps, strict):
                 raise ValueError("--xi needs exactly three values")
             stats = iid_case.XiStats(*parts)
         brute = iid_case.check_iid_bruteforce(stats, q_steps)
-    except (OSError, ValueError, EvbetError) as exc:
+    except _BOUNDARY_ERRORS as exc:
         _fail(str(exc))
 
     closed = iid_case.check_iid_closed_form(stats)

@@ -20,8 +20,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from . import kernels
 from .domain import check_batch, check_delta, check_mu, check_node_count
 from .domain import check_observation, check_observations

@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .domain import check_table, square_table_from_csv
 
 GRID = (0.0, 0.5, 1.0)

@@ -14,8 +14,7 @@ calling thread; ``BACKEND`` and ``n_threads()`` say so in run manifests.
 
 from __future__ import annotations
 
-import numpy as np
-
+from .._lazy import np
 from ..domain import unbroadcast_rows
 from . import _pykernels
 from ._pykernels import quadrature_coefficients  # noqa: F401

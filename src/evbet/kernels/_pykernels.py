@@ -74,8 +74,7 @@ from __future__ import annotations
 import functools
 import math
 
-import numpy as np
-
+from .._lazy import np
 from ..domain import check_batch, check_node_count, check_observations, unbroadcast_rows
 from ..errors import DegeneratePosterior
 

@@ -68,7 +68,9 @@ def test_prints_medians_and_seed_pair_wins(tmp_path, monkeypatch, capsys):
     assert bench_record.main(["--commit", "def5678", "--side", "change", *change]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "BENCH_mc-grid.json: 2 record(s) added",
-        "  abc1234 parent: 2 run(s), medians op_s 0.3  setup_s 0.2046  peak_rss_mb 42.97",
-        "  def5678 change: 2 run(s), medians op_s 0.25  setup_s 0.2046  peak_rss_mb 42.97",
+        "  abc1234 parent: 2 run(s), medians op_s 0.3  setup_s 0.2046  peak_rss_mb 42.97,"
+        " quartiles op_s 0.15..0.45  setup_s 0.2046..0.2046  peak_rss_mb 42.97..42.97",
+        "  def5678 change: 2 run(s), medians op_s 0.25  setup_s 0.2046  peak_rss_mb 42.97,"
+        " quartiles op_s 0.025..0.475  setup_s 0.2046..0.2046  peak_rss_mb 42.97..42.97",
         "  def5678 against abc1234: 2 seed pair(s), won op_s 1  setup_s 0  peak_rss_mb 0",
     ]

@@ -122,6 +122,9 @@ CONTRACT_CASES = {
         ("range", SIM[:-1] + [HUGE], "Unable to allocate"),
         # The strategy is checked before the stream is drawn.
         ("range", SIM[:-1] + [HUGE, "--strategy", "constant:5"], "lambda=5.0 outside I_mu"),
+        # An output path that cannot be opened fails once the result is computed.
+        ("missing-file", SIM + ["--out", "{d}/none/ledger.csv"],
+         "none/ledger.csv: No such file or directory"),
     ],
     "cs": [
         ("range", CS[:-1] + ["0"], "n and grid must be at least 1"),
@@ -133,6 +136,8 @@ CONTRACT_CASES = {
         ("range", CS + ["--strategy", f"up:{HUGE}"], "Unable to allocate"),
         ("range", CS[:-1] + [HUGE], "Unable to allocate"),
         ("range", CS[:3] + ["--n", HUGE, "--strategy", "constant:5"], "lambda=5.0 outside I_mu"),
+        ("missing-file", CS + ["--out", "{d}/none/cs.csv"], "none/cs.csv: No such file or directory"),
+        ("missing-file", CS + ["--membership", "{d}"], "Is a directory"),
     ],
     "compare": [
         ("range", ["compare", "--mu", "1.5", "--dist", "bernoulli:0.4", "--n", "5",
@@ -146,6 +151,9 @@ CONTRACT_CASES = {
         ("range", CMP + ["--alpha", "1e300"], "alpha=1e+300 is too large: its square overflows"),
         ("range", CMP[:-1] + ["20", "--alpha", "1e154"],
          "alpha is too large: the Hoeffding log-wealth overflows at round 15"),
+        ("range", CMP[:-1] + [HUGE, "--alpha", "0.1"], "Unable to allocate"),
+        ("missing-file", CMP + ["--alpha", "1", "--out", "{d}/none/cmp.csv"],
+         "none/cmp.csv: No such file or directory"),
     ],
     "check": [
         ("range", ["check", "--table", "{d}/t1.csv", "--mu", "1.5"], "mu must lie in (0, 1)"),
@@ -207,6 +215,7 @@ CONTRACT_CASES = {
         ("missing-file", ["iid-check", "--table", "{d}/none.csv"], NO_FILE),
         ("literal", ["iid-check", "--xi", "a,b,c"], "could not convert"),
         ("literal", ["iid-check", "--table", "{d}/t1.csv"], "expected CSV columns x1,x2,value"),
+        ("range", ["iid-check", "--xi", "0.5,0.5,0.5", "--q-steps", HUGE], "Unable to allocate"),
     ],
 }
 

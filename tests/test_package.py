@@ -93,6 +93,16 @@ def test_grid_audit_runs_no_numpy(tmp_path):
     assert not numpy_ran_after(cli_call(audit))
 
 
+@pytest.mark.parametrize("module", sorted(TOP_LEVEL) + ["kernels"])
+def test_library_module_import_runs_no_numpy(module):
+    # Every library module binds numpy through evbet._lazy.
+    assert not numpy_ran_after(f"import evbet.{module}")
+
+
+def test_first_array_call_runs_numpy():
+    assert numpy_ran_after("import evbet.confseq\nevbet.confseq.default_mu_grid(9)")
+
+
 def test_cs_runs_numpy():
     cs = ["cs", "--dist", "bernoulli:0.5", "--n", "5", "--grid", "9", "--strategy", "up:11"]
     assert numpy_ran_after(cli_call(cs))

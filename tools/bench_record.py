@@ -13,10 +13,11 @@ one record per line. ``side`` says which commit of a parent/change pair ran:
         perfbench/results/mc-grid-seed801-trace0.json ...
 
 It then prints, for each workload it appended to, the median of each metric
-per (commit, side) over the whole trajectory, and for each change commit how
-many of its seed pairs it won on each metric. A seed pair is the parent and
-the change record of one seed; every metric is better lower, and a tie wins
-for neither side.
+per (commit, side) over the whole trajectory, with the first and third
+quartiles (``statistics.quantiles``, ``n=4``) of every group of two or more
+runs, and for each change commit how many of its seed pairs it won on each
+metric. A seed pair is the parent and the change record of one seed; every
+metric is better lower, and a tie wins for neither side.
 """
 
 from __future__ import annotations
@@ -71,7 +72,14 @@ def summarize(rows: list[dict]) -> list[str]:
     lines = []
     for (commit, side), group in groups.items():
         medians = "  ".join(f"{name} {statistics.median(r[name] for r in group):.4g}" for name in METRICS)
-        lines.append(f"  {commit} {side}: {len(group)} run(s), medians {medians}")
+        line = f"  {commit} {side}: {len(group)} run(s), medians {medians}"
+        if len(group) >= 2:
+            quartiles = []
+            for name in METRICS:
+                q1, _, q3 = statistics.quantiles([r[name] for r in group], n=4)
+                quartiles.append(f"{name} {q1:.4g}..{q3:.4g}")
+            line += ", quartiles " + "  ".join(quartiles)
+        lines.append(line)
     won: dict[tuple[str, str], list[tuple[dict, dict]]] = {}
     for sides in pairs.values():
         if len(sides) == 2:
