@@ -63,7 +63,7 @@ def record(paths, commit: str, side: str, out_dir: Path = ROOT) -> dict[str, int
 
 
 def summarize(rows: list[dict]) -> list[str]:
-    """Lines of per-(commit, side) medians and per-change seed-pair wins of ``rows``."""
+    """Lines of per-(commit, side) medians and quartiles and per-change seed-pair wins of ``rows``."""
     groups: dict[tuple[str, str], list[dict]] = {}
     pairs: dict[int, dict[str, dict]] = {}
     for row in rows:
