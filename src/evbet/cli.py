@@ -5,7 +5,10 @@ tabular results go to ``--out`` (default stdout) as CSV, verdicts and
 summaries are printed as JSON. Exit codes: 0 on success, 2 on configuration
 or parse errors, unreadable inputs, unwritable outputs and failed
 allocations, 3 when ``--strict`` is set and the command's verdict is a
-refutation.
+refutation. ``simulate``, ``cs`` and ``compare`` open every output once
+their arguments are checked and before they sample, so an unwritable path
+costs no computation; when such a run exits 2, the files it created are
+removed (a file that already existed is left truncated).
 
 ``cs`` and ``simulate`` run every strategy through the batch kernel
 (``game.run_games_batch``); on data that are all 0 or 1 the universal
@@ -37,8 +40,10 @@ and ``audit`` never run it.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 import sys
 
 import click
@@ -52,23 +57,38 @@ from .errors import EvbetError
 _BOUNDARY_ERRORS = (MemoryError, OSError, ValueError, EvbetError)
 
 
-def _open_out(path):
-    if path is None or path == "-":
-        return sys.stdout, False
-    try:
-        return open(path, "w", newline=""), True
-    except OSError as exc:
-        _fail(f"cannot write {path}: {exc.strerror}")
+@contextlib.contextmanager
+def _outputs(*paths):
+    """Open each output path for writing, before the command computes.
 
-
-def _write_text(path, write):
-    """Call ``write(fh)`` on the output named by ``path`` (stdout for None or '-')."""
-    fh, close = _open_out(path)
+    Yields one handle per path, stdout for None or '-'. If the command then
+    fails, every file this run created is removed; a file that existed
+    before stays, truncated, as shell redirection would leave it.
+    """
+    handles, created, done = [], [], False
     try:
-        write(fh)
+        for path in paths:
+            if path is None or path == "-":
+                handles.append(sys.stdout)
+                continue
+            try:
+                try:
+                    handles.append(open(path, "x", newline=""))
+                    created.append(path)
+                except FileExistsError:
+                    handles.append(open(path, "w", newline=""))
+            except OSError as exc:
+                _fail(f"cannot write {path}: {exc.strerror}")
+        yield handles
+        done = True
     finally:
-        if close:
-            fh.close()
+        for fh in handles:
+            if fh is not sys.stdout:
+                fh.close()
+        if not done:
+            for path in created:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
 
 
 def _membership_csv(fh, result, n, block_rows):
@@ -92,20 +112,15 @@ def _membership_csv(fh, result, n, block_rows):
         )
 
 
-def _write_rows(path, header, rows, fmt):
-    fh, close = _open_out(path)
-    try:
-        if fmt == "json":
-            payload = [dict(zip(header, row)) for row in rows]
-            fh.write(json.dumps(payload, indent=2))
-            fh.write("\n")
-        else:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    finally:
-        if close:
-            fh.close()
+def _write_rows(fh, header, rows, fmt):
+    if fmt == "json":
+        payload = [dict(zip(header, row)) for row in rows]
+        fh.write(json.dumps(payload, indent=2))
+        fh.write("\n")
+    else:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _echo_json(obj):
@@ -178,16 +193,20 @@ def simulate(ctx, mu, dist, strategy, n, delta, seed, out, fmt):
         game.check_strategy(strategy, np.array([mu]))  # before sampling
         if n < 1:
             raise ValueError("n must be at least 1")
-        xs = domain.sample_stream(distribution, n, seed)
-        # One-row batch: the kernel computes the bets, score_bets scores them.
-        batch = game.run_games_batch(np.array([mu]), xs[None, :], strategy, delta)
-        ledger = game.score_bets(mu, delta, batch.bets[0], xs)
     except _BOUNDARY_ERRORS as exc:
         _fail(str(exc))
-    if fmt == "json":
-        _write_rows(out, game.LEDGER_HEADER, game.ledger_rows(ledger), fmt)
-    else:
-        _write_text(out, lambda fh: game.ledger_to_csv(ledger, fh))
+    with _outputs(out) as (fh,):
+        try:
+            xs = domain.sample_stream(distribution, n, seed)
+            # One-row batch: the kernel computes the bets, score_bets scores them.
+            batch = game.run_games_batch(np.array([mu]), xs[None, :], strategy, delta)
+            ledger = game.score_bets(mu, delta, batch.bets[0], xs)
+        except _BOUNDARY_ERRORS as exc:
+            _fail(str(exc))
+        if fmt == "json":
+            _write_rows(fh, game.LEDGER_HEADER, game.ledger_rows(ledger), fmt)
+        else:
+            game.ledger_to_csv(ledger, fh)
     _echo_json(
         {
             "rejected_at": ledger.rejected_at,
@@ -221,25 +240,29 @@ def cs(ctx, dist, strategy, n, delta, seed, grid, running_intersect, out, member
             raise ValueError("n and grid must be at least 1")
         mu_grid = confseq.default_mu_grid(grid)
         game.check_strategy(strategy, mu_grid)  # before sampling
-        xs = domain.sample_stream(distribution, n, seed)
-        result = confseq.run_cs_batch(mu_grid, xs, strategy, delta, running_intersect)
     except _BOUNDARY_ERRORS as exc:
         _fail(str(exc))
-    rows = result.intervals()
-    _write_rows(out, ["t", "lower", "upper", "alive"], rows, fmt)
-    if membership is None:
-        return
-    if fmt == "json":
-        # Round-major rows (t, mu, log_wealth, in_set), one per round and candidate.
-        mrows = zip(
-            np.repeat(np.arange(1, n + 1), grid).tolist(),
-            np.tile(mu_grid, n).tolist(),
-            result.games.log_wealth.T.ravel().tolist(),
-            result.in_set.ravel().astype(int).tolist(),
-        )
-        _write_rows(membership, ["t", "mu", "log_wealth", "in_set"], mrows, fmt)
-    else:
-        _write_text(membership, lambda fh: _membership_csv(fh, result, n, game.CSV_BLOCK_ROWS))
+    paths = [out] if membership is None else [out, membership]
+    with _outputs(*paths) as handles:
+        try:
+            xs = domain.sample_stream(distribution, n, seed)
+            result = confseq.run_cs_batch(mu_grid, xs, strategy, delta, running_intersect)
+        except _BOUNDARY_ERRORS as exc:
+            _fail(str(exc))
+        _write_rows(handles[0], ["t", "lower", "upper", "alive"], result.intervals(), fmt)
+        if membership is None:
+            return
+        if fmt == "json":
+            # Round-major rows (t, mu, log_wealth, in_set), one per round and candidate.
+            mrows = zip(
+                np.repeat(np.arange(1, n + 1), grid).tolist(),
+                np.tile(mu_grid, n).tolist(),
+                result.games.log_wealth.T.ravel().tolist(),
+                result.in_set.ravel().astype(int).tolist(),
+            )
+            _write_rows(handles[1], ["t", "mu", "log_wealth", "in_set"], mrows, fmt)
+        else:
+            _membership_csv(handles[1], result, n, game.CSV_BLOCK_ROWS)
 
 
 @main.command()
@@ -273,24 +296,27 @@ def compare(ctx, mu, dist, n, seed, alpha, alpha_file, out, fmt):
         else:
             schedule = np.full(n, alpha)
         lams = np.array([evariables.dominating_lambda(mu, a) for a in schedule])
-        xs = domain.sample_stream(distribution, n, seed)
-        with np.errstate(over="ignore"):
-            log_h = np.cumsum(schedule * (xs - mu) - schedule**2 / 8.0)
-        finite = np.isfinite(log_h)
-        if not finite.all():
-            t = int(finite.argmin()) + 1
-            raise ValueError(
-                f"alpha is too large: the Hoeffding log-wealth overflows at round {t}"
-            )
     except _BOUNDARY_ERRORS as exc:
         _fail(str(exc))
-
-    log_cb = np.cumsum(np.log1p(lams * (xs - mu)))
-    rows = [
-        (t + 1, float(log_h[t]), float(log_cb[t]), float(log_cb[t] - log_h[t]))
-        for t in range(n)
-    ]
-    _write_rows(out, ["t", "logW_hoeffding", "logW_coinbet", "gap"], rows, fmt)
+    with _outputs(out) as (fh,):
+        try:
+            xs = domain.sample_stream(distribution, n, seed)
+            with np.errstate(over="ignore"):
+                log_h = np.cumsum(schedule * (xs - mu) - schedule**2 / 8.0)
+            finite = np.isfinite(log_h)
+            if not finite.all():
+                t = int(finite.argmin()) + 1
+                raise ValueError(
+                    f"alpha is too large: the Hoeffding log-wealth overflows at round {t}"
+                )
+        except _BOUNDARY_ERRORS as exc:
+            _fail(str(exc))
+        log_cb = np.cumsum(np.log1p(lams * (xs - mu)))
+        rows = [
+            (t + 1, float(log_h[t]), float(log_cb[t]), float(log_cb[t] - log_h[t]))
+            for t in range(n)
+        ]
+        _write_rows(fh, ["t", "logW_hoeffding", "logW_coinbet", "gap"], rows, fmt)
 
 
 @main.command()

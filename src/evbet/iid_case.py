@@ -12,10 +12,18 @@ The table is a valid two-draw i.i.d. e-variable iff the quadratic stays at or
 below 1 on [0, 1], which reduces to the closed form
 ``xi0 <= 1``, ``xi2 <= 1``, ``xi1 <= 1 + sqrt((1-xi0)(1-xi2))``. The
 brute-force maximiser is kept as the independent oracle for that closed form.
+
+The brute force's grid of masses ``q`` and its basis ``q^2``, ``2q(1-q)``,
+``(1-q)^2`` depend only on ``q_steps``, so ``_q_grid`` builds them once with
+``iid_expectation``'s expressions and keeps those of the last ``q_steps``
+asked for: four read-only arrays, 32 bytes per step (320 KB at the default
+10,000). The basis terms are summed in ``iid_expectation``'s order, so every
+value is the one ``iid_expectation`` gives on a fresh grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,6 +85,21 @@ def iid_expectation(s: XiStats, q):
     return q * q * s.xi0 + 2.0 * q * (1.0 - q) * s.xi1 + (1.0 - q) ** 2 * s.xi2
 
 
+# typed: after 10 is kept, q_steps=10.0 must still raise, as np.linspace does.
+@functools.lru_cache(maxsize=1, typed=True)
+def _q_grid(q_steps: int):
+    """The brute force's masses ``qs`` and its basis ``q^2``, ``2q(1-q)``, ``(1-q)^2``.
+
+    Built by ``iid_expectation``'s expressions, read-only, and kept for the
+    last ``q_steps`` asked for.
+    """
+    qs = np.linspace(0.0, 1.0, q_steps)
+    grid = (qs, qs * qs, 2.0 * qs * (1.0 - qs), (1.0 - qs) ** 2)
+    for arr in grid:
+        arr.flags.writeable = False
+    return grid
+
+
 def check_iid_closed_form(s: XiStats, tol: float = 1e-12) -> bool:
     """The three-inequality characterisation of two-draw i.i.d. validity."""
     if s.xi0 > 1.0 + tol or s.xi2 > 1.0 + tol:
@@ -115,8 +138,11 @@ def check_iid_bruteforce(s: XiStats, q_steps: int = 10_000) -> BruteForceResult:
     """
     if q_steps < 2:
         raise ValueError("need at least 2 grid steps")
-    qs = np.linspace(0.0, 1.0, q_steps)
-    vals = iid_expectation(s, qs)
+    qs, b0, b1, b2 = _q_grid(q_steps)
+    # iid_expectation's sum on the kept basis, term by term in its order.
+    vals = b0 * s.xi0
+    vals += b1 * s.xi1
+    vals += b2 * s.xi2
     k = int(vals.argmax())
     best_q, best_val = float(qs[k]), float(vals[k])
     interior = interior_maximum(s)

@@ -41,7 +41,7 @@ from .errors import DepthTooLarge, NotAnEVariable
 from .evariables import (  # noqa: F401
     MU_SNAP_TOL,
     _certify,
-    _split_grid,
+    _space_split,
     _worst_measures,
     beta_interval,
     check_bet,
@@ -512,7 +512,7 @@ def dominate_T2(values, space: SampleSpace) -> T2DominationResult:
         raise ValueError(f"expected a {n}x{n} table")
     check_table(vals)
 
-    split = _split_grid(pts, mu)
+    split = _space_split(space)
     # Conditional envelope m(x) with, per row, the maximising two-point measure.
     arg_measure, m = _worst_measures(pts, split, vals, -math.inf)
     report, cert = _certify(pts, mu, split, np.array([m]))[0]

@@ -73,4 +73,83 @@ def test_prints_medians_and_seed_pair_wins(tmp_path, monkeypatch, capsys):
         "  def5678 change: 2 run(s), medians op_s 0.25  setup_s 0.2046  peak_rss_mb 42.97,"
         " quartiles op_s 0.025..0.475  setup_s 0.2046..0.2046  peak_rss_mb 42.97..42.97",
         "  def5678 against abc1234: 2 seed pair(s), won op_s 1  setup_s 0  peak_rss_mb 0",
+        "    op_s: won 1/2, at least 9/10: no; median gap 0.05 > parent quartile spread 0.3: no;"
+        " within the 25% bound: yes",
+        "    setup_s: won 0/2, at least 9/10: no; median gap 0 > parent quartile spread 0: no;"
+        " within the 25% bound: yes",
+        "    peak_rss_mb: won 0/2, at least 9/10: no; median gap 0 > parent quartile spread 0: no;"
+        " within the 10% bound: yes",
     ]
+
+
+def records(commit, side, op_s_by_seed):
+    """Trajectory records of one side: the fixture's metrics with the given ``op_s``."""
+    base = {k: v for k, v in EXPECTED.items() if k not in ("commit", "side", "seed", "op_s")}
+    return [
+        {"commit": commit, "side": side, "seed": seed, "op_s": op_s, **base}
+        for seed, op_s in op_s_by_seed.items()
+    ]
+
+
+BOUNDS = {"op_s": ("lower", 0.25), "setup_s": ("lower", 0.25), "peak_rss_mb": ("lower", 0.1)}
+
+
+def test_a_reused_seed_pairs_with_the_latest_earlier_parent():
+    seeds = {1: 0.4, 2: 0.5}
+    rows = (
+        records("p1", "parent", seeds)
+        + records("c1", "change", {1: 0.3, 2: 0.6})
+        + records("p2", "parent", {1: 0.2})  # the next change reuses seed 1
+        + records("c2", "change", {1: 0.1})
+    )
+    pairs = bench_record.seed_pairs(rows)
+    assert list(pairs) == [("c1", "p1"), ("c2", "p2")]
+    assert [(p["op_s"], c["op_s"]) for p, c in pairs[("c1", "p1")]] == [(0.4, 0.3), (0.5, 0.6)]
+    assert [(p["op_s"], c["op_s"]) for p, c in pairs[("c2", "p2")]] == [(0.2, 0.1)]
+    lines = bench_record.summarize(rows, BOUNDS)
+    assert "  c1 against p1: 2 seed pair(s), won op_s 1  setup_s 0  peak_rss_mb 0" in lines
+    assert "  c2 against p2: 1 seed pair(s), won op_s 1  setup_s 0  peak_rss_mb 0" in lines
+    assert (
+        "    op_s: won 1/1, at least 9/10: yes; median gap 0.1 > parent quartile spread n/a"
+        " (one pair); within the 25% bound: yes"
+    ) in lines
+
+
+def test_claim_rule_needs_nine_of_ten_and_a_gap_beyond_the_spread():
+    parent = {seed: 1.0 + 0.01 * seed for seed in range(10)}  # median 1.045, quartiles 1.0175..1.0725
+    faster = {seed: v - 0.1 for seed, v in parent.items()}
+    one_loss = {**faster, 0: 2.0}
+    two_losses = {**one_loss, 1: 2.0}
+    cases = [
+        (faster, "won 10/10, at least 9/10: yes; median gap 0.1 > parent quartile spread 0.055: yes"),
+        (one_loss, "won 9/10, at least 9/10: yes; median gap 0.09 > parent quartile spread 0.055: yes"),
+        (two_losses, "won 8/10, at least 9/10: no; median gap 0.08 > parent quartile spread 0.055: yes"),
+        ({seed: v - 0.05 for seed, v in parent.items()},
+         "won 10/10, at least 9/10: yes; median gap 0.05 > parent quartile spread 0.055: no"),
+        ({seed: 1.2 * v for seed, v in parent.items()},
+         "won 0/10, at least 9/10: no; median gap -0.209 > parent quartile spread 0.055: no"),
+    ]
+    for change, expected in cases:
+        matched = list(zip(records("p", "parent", parent), records("c", "change", change)))
+        line = bench_record.claim_line("op_s", matched, "lower", 0.25)
+        assert line == f"    op_s: {expected}; within the 25% bound: yes"
+    slower = {seed: 1.3 * v for seed, v in parent.items()}
+    matched = list(zip(records("p", "parent", parent), records("c", "change", slower)))
+    assert bench_record.claim_line("op_s", matched, "lower", 0.25).endswith(
+        "median gap -0.3135 > parent quartile spread 0.055: no; within the 25% bound: no"
+    )
+    # A higher-is-better metric counts the other way.
+    assert bench_record.claim_line("op_s", matched, "higher", 0.25) == (
+        "    op_s: won 10/10, at least 9/10: yes; median gap 0.3135 > parent quartile spread 0.055:"
+        " yes; within the 25% bound: yes"
+    )
+
+
+def test_bounds_come_from_the_benchmark_file_which_is_left_unchanged(tmp_path, monkeypatch, capsys):
+    before = bench_record.BENCHMARK.read_bytes()
+    declared = {m["name"]: (m["better"], m["bound"]) for m in json.loads(before)["end_to_end"]}
+    assert bench_record.read_bounds() == declared
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    assert bench_record.main(["--commit", "abc1234", "--side", "parent", str(FIXTURE)]) == 0
+    assert bench_record.BENCHMARK.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_mc-grid.json"]

@@ -1,11 +1,13 @@
 """The one-pass certification core against per-table oracles.
 
 ``check_evariable``, ``beta_interval`` and ``dominate_T2`` share one batched
-validity-and-slope pass, and ``xi_stats`` sums its cells in plain Python.
-The functions below are the per-table implementations of the same routines
-(one validity check, grid split and slope pass per table), kept as oracles:
-the library must return ``==`` results, with the same floats down to the sign
-of zero (compared through ``repr``), and raise the same errors.
+validity-and-slope pass on a grid split built once per space,
+``xi_stats`` sums its cells in plain Python and ``check_iid_bruteforce``
+reuses one q-grid and basis per ``q_steps``. The functions below are the
+per-table implementations of the same routines (one validity check, grid
+split, slope pass and q-grid per call), kept as oracles: the library must
+return ``==`` results, with the same floats down to the sign of zero
+(compared through ``repr``), and raise the same errors.
 """
 
 import copy
@@ -23,11 +25,20 @@ from evbet.evariables import (
     DominationCertificate,
     TabulatedEVariable,
     ValidityReport,
+    _cached_split,
+    _space_split,
     bet_bounds,
     beta_interval,
     check_evariable,
 )
-from evbet.iid_case import XiStats, xi_stats
+from evbet.iid_case import (
+    BruteForceResult,
+    XiStats,
+    _q_grid,
+    check_iid_bruteforce,
+    interior_maximum,
+    xi_stats,
+)
 from evbet.multiround import (
     MultiRoundCoinBet,
     T2DominationResult,
@@ -181,6 +192,19 @@ def oracle_xi_stats(table):
     xi1 = float(np.mean([t[i, j] for i, j in ((2, 1), (1, 2), (1, 0), (0, 1))]))
     xi2 = float(np.mean([t[i, j] for i, j in ((2, 2), (2, 0), (0, 2), (0, 0))]))
     return XiStats(float(t[1, 1]), xi1, xi2)
+
+
+def oracle_check_iid_bruteforce(s, q_steps=10_000):
+    if q_steps < 2:
+        raise ValueError("need at least 2 grid steps")
+    qs = np.linspace(0.0, 1.0, q_steps)
+    vals = qs * qs * s.xi0 + 2.0 * qs * (1.0 - qs) * s.xi1 + (1.0 - qs) ** 2 * s.xi2
+    k = int(vals.argmax())
+    best_q, best_val = float(qs[k]), float(vals[k])
+    interior = interior_maximum(s)
+    if interior is not None and interior[1] > best_val:
+        best_q, best_val = interior[0], interior[1]
+    return BruteForceResult(max_expectation=best_val, argmax_q=best_q)
 
 
 # --- comparison ----------------------------------------------------------------------
@@ -377,7 +401,39 @@ cell = st.one_of(
 )
 
 
+# xi statistics from 1e-300 to 1e300, with exact 0.0 and 1.0 entries.
+xi_value = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.floats(0.0, 4.0),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.0), st.integers(-300, 299)),
+)
+xis = st.builds(XiStats, xi_value, xi_value, xi_value)
+Q_STEPS = (2, 3, 7, 10_000)
+
+
 class TestIid:
+    @settings(max_examples=200, deadline=None)
+    @given(s=xis, q_steps=st.sampled_from(Q_STEPS))
+    def test_bruteforce_matches_oracle(self, s, q_steps):
+        assert_same(check_iid_bruteforce, oracle_check_iid_bruteforce, s, q_steps)
+
+    @settings(max_examples=50, deadline=None)
+    @given(stats=st.lists(xis, min_size=1, max_size=4), order=st.permutations(Q_STEPS))
+    def test_bruteforce_matches_oracle_as_q_steps_alternate(self, stats, order):
+        # One q-grid is kept, so each change of q_steps evicts the last.
+        for s in stats:
+            for q_steps in order + order[:1]:
+                assert_same(check_iid_bruteforce, oracle_check_iid_bruteforce, s, q_steps)
+
+    @pytest.mark.parametrize("q_steps", [1, 0, -3])
+    def test_bruteforce_rejects_as_oracle(self, q_steps):
+        assert_same(check_iid_bruteforce, oracle_check_iid_bruteforce, XiStats(1, 1, 1), q_steps)
+
+    def test_float_steps_raise_even_after_equal_int_steps(self):
+        check_iid_bruteforce(XiStats(1, 1, 1), 10)
+        with pytest.raises(TypeError):
+            check_iid_bruteforce(XiStats(1, 1, 1), 10.0)
+
     @settings(max_examples=300, deadline=None)
     @given(cells=st.lists(cell, min_size=9, max_size=9))
     @example(cells=[0.0, -0.0] * 4 + [0.0])  # numpy sums -0.0 cells to 0.0
@@ -411,3 +467,66 @@ class TestCachedGridIsReadOnly:
         for clone in (copy.copy(space), copy.deepcopy(space), pickle.loads(pickle.dumps(space))):
             assert clone == space
             assert not clone.as_array().flags.writeable
+
+    def test_split_and_q_grid_are_kept_read_only(self):
+        space = SampleSpace.uniform(5, 0.3)
+        split = _space_split(space)
+        assert split is _space_split(SampleSpace.uniform(5, 0.3))
+        grid = _q_grid(7)
+        assert grid is _q_grid(7)
+        for arr in (split.w, split.omw, *grid):
+            assert arr.size and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0.5
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), space=grids(), negative_zero_first=st.booleans())
+    def test_equal_spaces_built_apart_match_oracles(self, data, space, negative_zero_first):
+        # -0.0 == 0.0, so a grid starting at -0.0 shares its split with the
+        # grid starting at 0.0; the reports must still carry its own points.
+        _cached_split.cache_clear()
+        twins = [
+            space,
+            SampleSpace(tuple(space.points), space.mu),
+            SampleSpace((-0.0, *space.points[1:]), space.mu),
+        ]
+        if negative_zero_first:
+            twins.reverse()
+        rows = data.draw(rows_on(space, 1))[0]
+        square = data.draw(rows_on(space, len(space.points)))
+        for twin in twins:
+            table = TabulatedEVariable(twin, tuple(rows.tolist()))
+            assert_same(check_evariable, oracle_check_evariable, table)
+            assert_same(beta_interval, oracle_beta_interval, table)
+            assert_same(dominate_T2, oracle_dominate_T2, square, twin)
+        assert _cached_split.cache_info().currsize == 1
+
+    def test_more_spaces_than_the_cache_holds_match_oracles(self):
+        spaces = [SampleSpace.uniform(n, mu) for n in (3, 4, 5, 7) for mu in (0.3, 0.5, 0.7)]
+        assert len(spaces) > _cached_split.cache_info().maxsize
+        rng = np.random.default_rng(3)
+        cases = []
+        for space in spaces:
+            x = space.as_array()
+            lam = rng.uniform(*bet_bounds(space.mu))
+            first = 1.0 + lam * (x - space.mu)
+            scale = rng.choice([0.9, 1.05])
+            cases.append((space, first * scale, first[:, None] * rng.uniform(0.8, 1.0, (len(x),) * 2)))
+        for space, row, square in cases * 3:
+            table = TabulatedEVariable(space, tuple(row.tolist()))
+            assert_same(check_evariable, oracle_check_evariable, table)
+            assert_same(beta_interval, oracle_beta_interval, table)
+            assert_same(dominate_T2, oracle_dominate_T2, square, space)
+
+    def test_equal_means_of_other_types_split_apart(self):
+        # 0.5 == np.float32(0.5) and they hash alike, but a point within the
+        # snap of mu gets its bar in the mean's precision: in float32 the bar
+        # 1 + 1e-12 + 1e-9 rounds to 1, so the same table is refuted.
+        points, values = (0.0, 0.5 + 5e-10, 1.0), (1.0, 1.0000000005, 1.0)
+        reports = []
+        for mu in (0.5, np.float32(0.5), 0.5):
+            reports.append(check_evariable(TabulatedEVariable(SampleSpace(points, mu), values)))
+        assert [r.valid for r in reports] == [True, False, True]
+        # An unhashable 0-d mean is split without the cache.
+        by_array = check_evariable(TabulatedEVariable(SampleSpace(points, np.array(0.5)), values))
+        assert repr(by_array) == repr(reports[0])

@@ -122,7 +122,7 @@ CONTRACT_CASES = {
         ("range", SIM[:-1] + [HUGE], "Unable to allocate"),
         # The strategy is checked before the stream is drawn.
         ("range", SIM[:-1] + [HUGE, "--strategy", "constant:5"], "lambda=5.0 outside I_mu"),
-        # An output path that cannot be opened fails once the result is computed.
+        # An output path that cannot be opened fails before the stream is drawn.
         ("missing-file", SIM + ["--out", "{d}/none/ledger.csv"],
          "none/ledger.csv: No such file or directory"),
     ],
@@ -620,6 +620,76 @@ class TestCompare:
                    "--alpha-file", str(sched)]
         )
         assert result.exit_code == 2
+
+
+class TestOutputsOpenedFirst:
+    """``simulate``, ``cs`` and ``compare`` open their outputs before they compute,
+    and an exit 2 leaves no file the run created."""
+
+    COMMANDS = {"simulate": SIM, "cs": CS, "compare": CMP + ["--alpha", "1"]}
+
+    @staticmethod
+    def refuse(calls):
+        def call(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("computed before the outputs were opened")
+
+        return call
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_bad_out_exits_before_sampling(self, tmp_path, monkeypatch, command):
+        from evbet import confseq, domain
+
+        calls = []
+        monkeypatch.setattr(domain, "sample_stream", self.refuse(calls))
+        monkeypatch.setattr(confseq, "run_cs_batch", self.refuse(calls))
+        bad = tmp_path / "none" / "out.csv"
+        result = CliRunner().invoke(main, self.COMMANDS[command] + ["--out", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert f"cannot write {bad}: No such file or directory" in result.stderr
+        assert calls == []
+
+    def test_failed_membership_leaves_no_out(self, tmp_path, monkeypatch):
+        from evbet import confseq
+
+        calls = []
+        monkeypatch.setattr(confseq, "run_cs_batch", self.refuse(calls))
+        out = tmp_path / "cs.csv"
+        result = CliRunner().invoke(main, CS + ["--out", str(out), "--membership", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert f"cannot write {tmp_path}: Is a directory" in result.stderr
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    # Runs that fail after their outputs are open: a stream of 10^17 rounds
+    # cannot be allocated, and a Hoeffding log-wealth that overflows.
+    FAIL_LATE = {
+        "simulate": (SIM[:-1] + [HUGE], "Unable to allocate"),
+        "cs": (CS[:3] + ["--n", HUGE], "Unable to allocate"),
+        "compare": (CMP[:-1] + ["20", "--alpha", "1e154"], "overflows at round 15"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(FAIL_LATE))
+    def test_failure_after_opening_removes_created_files(self, tmp_path, command):
+        args, message = self.FAIL_LATE[command]
+        args = args + ["--out", str(tmp_path / "out.csv")]
+        if command == "cs":
+            args += ["--membership", str(tmp_path / "m.csv")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert message in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_keeps_a_file_that_existed(self, tmp_path):
+        out = tmp_path / "cs.csv"
+        out.write_text("kept\n")
+        args, _ = self.FAIL_LATE["cs"]
+        result = CliRunner().invoke(
+            main, args + ["--out", str(out), "--membership", str(tmp_path / "m.csv")]
+        )
+        assert result.exit_code == 2, result.output
+        assert [p.name for p in tmp_path.iterdir()] == ["cs.csv"]
+        assert out.read_text() == ""  # truncated, as shell redirection leaves it
 
 
 class TestCheckAndDominate:

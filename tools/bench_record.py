@@ -16,8 +16,16 @@ It then prints, for each workload it appended to, the median of each metric
 per (commit, side) over the whole trajectory, with the first and third
 quartiles (``statistics.quantiles``, ``n=4``) of every group of two or more
 runs, and for each change commit how many of its seed pairs it won on each
-metric. A seed pair is the parent and the change record of one seed; every
-metric is better lower, and a tie wins for neither side.
+metric. A seed pair is a change record and the latest parent record of the
+same seed written before it, so a seed reused by a later change pairs with
+that change's own parent runs. A tie wins for neither side.
+
+For each metric of each change it then applies the claim rule: the pairs won
+out of n and whether that is at least 9 in 10; the gap between the parent's
+and the change's median over those pairs (positive when the change is
+better) against the distance between the parent's quartiles; and whether the
+change's median stays within the metric's bound, read from the ``better``
+and ``bound`` of ``BENCHMARK.json``'s ``end_to_end`` list.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = ROOT / "BENCHMARK.json"
 SIDES = ("parent", "change")
 METRICS = ("op_s", "setup_s", "peak_rss_mb")
 
@@ -62,13 +71,66 @@ def record(paths, commit: str, side: str, out_dir: Path = ROOT) -> dict[str, int
     return {workload: len(entries) for workload, entries in added.items()}
 
 
-def summarize(rows: list[dict]) -> list[str]:
-    """Lines of per-(commit, side) medians and quartiles and per-change seed-pair wins of ``rows``."""
+def read_bounds(path: Path = BENCHMARK) -> dict[str, tuple[str, float]]:
+    """``{metric: (better, bound)}`` of the end-to-end metrics of ``BENCHMARK.json``."""
+    with open(path) as fh:
+        return {m["name"]: (m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]}
+
+
+def seed_pairs(rows: list[dict]) -> dict[tuple[str, str], list[tuple[dict, dict]]]:
+    """``(parent, change)`` record pairs per (change commit, parent commit), in file order.
+
+    Each change record pairs with the latest parent record of its seed
+    written before it; a change record with no such parent is left out.
+    """
+    latest_parent: dict[int, dict] = {}
+    pairs: dict[tuple[str, str], list[tuple[dict, dict]]] = {}
+    for row in rows:
+        if row["side"] == "parent":
+            latest_parent[row["seed"]] = row
+        elif row["seed"] in latest_parent:
+            parent = latest_parent[row["seed"]]
+            pairs.setdefault((row["commit"], parent["commit"]), []).append((parent, row))
+    return pairs
+
+
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _sign(better: str) -> float:
+    """+1 where lower is better, -1 where higher is: a signed gap is positive when the change is better."""
+    return 1.0 if better == "lower" else -1.0
+
+
+def won(matched: list[tuple[dict, dict]], name: str, better: str) -> int:
+    """Seed pairs in which the change beats the parent on ``name``; a tie wins for neither."""
+    return sum(_sign(better) * (p[name] - c[name]) > 0 for p, c in matched)
+
+
+def claim_line(name: str, matched: list[tuple[dict, dict]], better: str, bound: float) -> str:
+    """The claim rule on one metric over the seed pairs ``matched``."""
+    parent = [p[name] for p, _ in matched]
+    p_med = statistics.median(parent)
+    gap = _sign(better) * (p_med - statistics.median(c[name] for _, c in matched))
+    n, wins = len(matched), won(matched, name, better)
+    if n >= 2:
+        q1, _, q3 = statistics.quantiles(parent, n=4)
+        spread = f"{q3 - q1:.4g}: {_yes(gap > q3 - q1)}"
+    else:
+        spread = "n/a (one pair)"
+    return (
+        f"    {name}: won {wins}/{n}, at least 9/10: {_yes(10 * wins >= 9 * n)};"
+        f" median gap {gap:.4g} > parent quartile spread {spread};"
+        f" within the {bound:.0%} bound: {_yes(-gap <= bound * abs(p_med))}"
+    )
+
+
+def summarize(rows: list[dict], bounds: dict[str, tuple[str, float]]) -> list[str]:
+    """Per-(commit, side) medians and quartiles of ``rows``, then each change's seed pairs and claim rule."""
     groups: dict[tuple[str, str], list[dict]] = {}
-    pairs: dict[int, dict[str, dict]] = {}
     for row in rows:
         groups.setdefault((row["commit"], row["side"]), []).append(row)
-        pairs.setdefault(row["seed"], {})[row["side"]] = row  # the last record of each side
     lines = []
     for (commit, side), group in groups.items():
         medians = "  ".join(f"{name} {statistics.median(r[name] for r in group):.4g}" for name in METRICS)
@@ -80,15 +142,10 @@ def summarize(rows: list[dict]) -> list[str]:
                 quartiles.append(f"{name} {q1:.4g}..{q3:.4g}")
             line += ", quartiles " + "  ".join(quartiles)
         lines.append(line)
-    won: dict[tuple[str, str], list[tuple[dict, dict]]] = {}
-    for sides in pairs.values():
-        if len(sides) == 2:
-            won.setdefault((sides["change"]["commit"], sides["parent"]["commit"]), []).append(
-                (sides["parent"], sides["change"])
-            )
-    for (change, parent), matched in won.items():
-        wins = "  ".join(f"{name} {sum(c[name] < p[name] for p, c in matched)}" for name in METRICS)
+    for (change, parent), matched in seed_pairs(rows).items():
+        wins = "  ".join(f"{name} {won(matched, name, bounds[name][0])}" for name in METRICS)
         lines.append(f"  {change} against {parent}: {len(matched)} seed pair(s), won {wins}")
+        lines += [claim_line(name, matched, *bounds[name]) for name in METRICS]
     return lines
 
 
@@ -99,6 +156,7 @@ def main(argv=None) -> int:
     parser.add_argument("results", nargs="+", type=Path)
     args = parser.parse_args(argv)
     try:
+        bounds = read_bounds()
         added = record(args.results, args.commit, args.side, ROOT)
     except (OSError, KeyError, ValueError) as exc:
         print(f"bench_record: {exc!r}", file=sys.stderr)
@@ -106,7 +164,7 @@ def main(argv=None) -> int:
     for workload, count in added.items():
         target = ROOT / f"BENCH_{workload}.json"
         print(f"{target.name}: {count} record(s) added")
-        print("\n".join(summarize(json.loads(target.read_text()))))
+        print("\n".join(summarize(json.loads(target.read_text()), bounds)))
     return 0
 
 
