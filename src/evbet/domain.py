@@ -93,7 +93,12 @@ def check_batch(xs, mus) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SampleSpace:
-    """A finite grid in [0, 1] (containing 0 and 1) plus a target mean."""
+    """A finite grid in [0, 1] (containing 0 and 1) plus a target mean.
+
+    The mean is kept as a Python float, so equal means give equal spaces
+    that compute alike whatever their type (``0.5``, ``np.float32(0.5)``,
+    a 0-d array); an array of means is rejected.
+    """
 
     points: tuple[float, ...]
     mu: float
@@ -107,7 +112,11 @@ class SampleSpace:
             raise ValueError("grid points must be strictly increasing")
         if pts[0] != 0.0 or pts[-1] != 1.0:
             raise ValueError("grid must contain 0 and 1 as its endpoints")
+        # A Python number is never an array; asking would load numpy on the audit path.
+        if not isinstance(self.mu, (float, int)) and np.ndim(self.mu):
+            raise ValueError(f"mu must be a scalar, got an array of shape {np.shape(self.mu)}")
         check_mu(self.mu)
+        object.__setattr__(self, "mu", float(self.mu))
 
     @classmethod
     def uniform(cls, n: int, mu: float) -> "SampleSpace":

@@ -19,8 +19,8 @@ table checked on its own, so batching changes no result.
 
 The split depends only on the grid and mu, never on a table, so
 ``_space_split`` builds it once per space and keeps the last 8, as the
-kernel keeps its Bernstein bases (an ``lru_cache`` keyed by the space and
-the type of its mean). Its pair weights ``w`` and ``1 - w`` are shared by
+kernel keeps its Bernstein bases (an ``lru_cache`` keyed by the space, whose
+mean is always a float). Its pair weights ``w`` and ``1 - w`` are shared by
 every later call and read-only. A kept split holds the two weight arrays,
 at most ``4 n**2`` bytes for an n-point grid (under 2 KB on 21 points),
 and the first space seen with that grid and mean.
@@ -200,22 +200,13 @@ def _split_grid(pts: np.ndarray, mu: float) -> _Split:
     return _Split(i, j, w, 1.0 - w, excess)
 
 
+@functools.lru_cache(maxsize=8)
 def _space_split(space: SampleSpace) -> _Split:
     """``_split_grid`` of a space's grid around its mean, built once and kept.
 
     The split depends only on the grid and mu, never on a table, so the
     certification calls share it; its ``w`` and ``omw`` are read-only.
     """
-    try:
-        return _cached_split(space, type(space.mu))
-    except TypeError:  # an unhashable mu, such as a 0-d array: split uncached
-        return _split_grid(space.as_array(), space.mu)
-
-
-@functools.lru_cache(maxsize=8)
-def _cached_split(space: SampleSpace, mu_type: type) -> _Split:
-    # mu's type joins the key: equal means of different types (0.5 and
-    # np.float32(0.5)) hash alike but need not compute alike.
     split = _split_grid(space.as_array(), space.mu)
     split.w.flags.writeable = False
     split.omw.flags.writeable = False

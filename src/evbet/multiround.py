@@ -17,13 +17,12 @@ induction (the Snell envelope of the process)
     V(p) = max(e(p), max over pairs (a, b) of W*V(p + (a,)) + (1-W)*V(p + (b,)))
 
 with ``V(p) = e(p)`` at depth ``T``: one value per distinct prefix, and no
-tree is ever listed. ``audit_eprocess`` runs it over every pair of the
-process's own grid, so its verdict is exact there; a value above 1 is a
-concrete refutation. A pair straddles mu exactly (``a <= mu <= b``), so its
-weight is a probability and its law has mean mu. A process loaded by
-``eprocess_from_csv`` always has its grid. A process built without one
-gets the same induction over coarse pairs and over sampled trees, and a
-pass certifies only that family.
+tree is ever listed. ``audit_eprocess`` runs it over every pair of one
+grid, so its verdict is exact there; a value above 1 is a concrete
+refutation. A pair straddles mu exactly (``a <= mu <= b``), so its weight is
+a probability and its law has mean mu. The grid is the process's own points
+(a process loaded by ``eprocess_from_csv`` always has them), or a coarse
+grid for a process built without a sample space.
 """
 
 from __future__ import annotations
@@ -278,7 +277,8 @@ def eprocess_from_csv(path: str, mu: float) -> EProcess:
     """Load a ``depth,path,value`` CSV (path = comma-joined grid points).
 
     The process's sample space is the set of points its paths use, so that
-    set must include 0 and 1 (``SampleSpace`` rejects it otherwise).
+    set must include 0 and 1 (``SampleSpace`` rejects it otherwise). A path
+    given twice is rejected.
     """
     tables = {}
     points = set()
@@ -291,6 +291,8 @@ def eprocess_from_csv(path: str, mu: float) -> EProcess:
             prefix = tuple(float(p) for p in row["path"].split(",")) if row["path"] else ()
             if len(prefix) != depth:
                 raise ValueError(f"{path}: path {row['path']!r} does not have depth {depth}")
+            if prefix in tables:
+                raise ValueError(f"{path}: path {row['path']!r} appears twice")
             points.update(prefix)
             tables[prefix] = float(row["value"])
     return eprocess_from_tables(mu, tables, space=SampleSpace(tuple(sorted(points)), mu))
@@ -333,71 +335,56 @@ def _straddling_pairs(points, mu) -> list[tuple[float, float]]:
     return [(a, b) for a in lows for b in highs]
 
 
-def _memoised(fn):
-    """``fn`` called once per distinct argument; exceptions are not stored."""
-    memo = {}
+def _snell_envelope(value, pairs, depth: int):
+    """Largest stopped expectation up to ``depth`` over every tree of ``pairs``.
 
-    def call(arg):
-        try:
-            return memo[arg]
-        except KeyError:
-            out = memo[arg] = fn(arg)
-            return out
-
-    return call
-
-
-def _snell_envelope(value, allowed):
-    """Largest stopped expectation over trees whose node ``i`` takes a pair of ``allowed[i]``.
-
-    ``allowed`` has one entry per heap node of a full tree. Each is a
-    sequence of ``(a, b, w)`` with ``w`` the pair's ``_pair_weight``: the
-    same pairs at every node, or one pair per node.
-    Either way a reached prefix fixes its node's pairs, so the backward
-    induction of the module docstring runs once per reached prefix. Returns
-    ``(V(()), pairs, mask)``: the heap-ordered pairs and the stopping mask of
-    a tree reaching ``V(())``. A prefix branches on the first pair with the
-    largest branch value, and only when that value exceeds ``value(prefix)``.
-    Weight-zero branches are never evaluated. A node that stops, lies under a
-    stop or is never reached keeps its first allowed pair.
+    ``pairs`` is a sequence of ``(a, b, w)`` with ``w`` the pair's
+    ``_pair_weight``, offered at every node. The backward induction of the
+    module docstring runs once per reached prefix, so ``value`` is called
+    once per prefix. Returns ``(V(()), tree, mask)``: the heap-ordered pairs
+    and the stopping mask of a tree reaching ``V(())``. A prefix branches on
+    the first pair with the largest branch value, and only when that value
+    exceeds ``value(prefix)``. Weight-zero branches are never evaluated. A
+    node that stops, lies under a stop or is never reached keeps the first
+    pair.
     """
     choices = {}  # prefix -> the chosen (a, b, w), or None to stop
 
-    def envelope(node: int, prefix: tuple) -> float:
+    def envelope(prefix: tuple) -> float:
         v, choice = value(prefix), None
-        if node < len(allowed):
+        if len(prefix) < depth:
             below = {}  # point -> V(prefix + (point,)), each found once
-            for a, b, w in allowed[node]:
+            for a, b, w in pairs:
                 branch = 0.0
                 if w > 0.0:
                     if a not in below:
-                        below[a] = envelope(2 * node + 1, prefix + (a,))
+                        below[a] = envelope(prefix + (a,))
                     branch += w * below[a]
                 if w < 1.0:
                     if b not in below:
-                        below[b] = envelope(2 * node + 2, prefix + (b,))
+                        below[b] = envelope(prefix + (b,))
                     branch += (1.0 - w) * below[b]
                 if branch > v:
                     v, choice = branch, (a, b, w)
         choices[prefix] = choice
         return v
 
-    pairs = [None] * len(allowed)
+    tree = [None] * (2**depth - 1)
 
     def witness(node: int, prefix) -> StoppingMask:
-        """Fills ``pairs`` below ``node`` (``prefix`` None if not reached); returns its mask."""
-        if node >= len(pairs):
+        """Fills ``tree`` below ``node`` (``prefix`` None if not reached); returns its mask."""
+        if node >= len(tree):
             return STOP
         choice = None if prefix is None else choices[prefix]
-        a, b, w = allowed[node][0] if choice is None else choice
-        pairs[node] = (a, b)
+        a, b, w = pairs[0] if choice is None else choice
+        tree[node] = (a, b)
         left = witness(2 * node + 1, None if choice is None or w == 0.0 else prefix + (a,))
         right = witness(2 * node + 2, None if choice is None or w == 1.0 else prefix + (b,))
         return STOP if choice is None else StoppingMask((left, right))
 
-    top = envelope(0, ())
+    top = envelope(())
     mask = witness(0, ())
-    return top, tuple(pairs), mask
+    return top, tuple(tree), mask
 
 
 def audit_eprocess(
@@ -408,27 +395,28 @@ def audit_eprocess(
     seed: int = 0,
     tol: float = 1e-9,
 ) -> AuditReport:
-    """Largest stopped expectation of ``e`` over two-point trees and masks.
+    """Largest stopped expectation of ``e`` over two-point trees and masks on one grid.
 
-    A process with a sample space (every one ``eprocess_from_csv`` loads,
-    and so every audit the CLI runs) is searched over every pair ``a <= mu <= b`` of its own
-    points at every node: the report is then exact for every mean-``mu``
-    sequential law on that grid up to ``depth`` and says
-    ``exhaustive_complete``. ``coarse_grid``, ``n_random`` and ``seed`` are
-    validated but apply only to a process without a sample space: it is
-    searched over every tree of straddling pairs from ``coarse_grid``
-    (default {0, mu, 1}), then over ``n_random`` trees with pairs drawn
-    uniformly from [0, mu) x [mu, 1); a pass then certifies only that
-    family. A reported violation is always real, and ``tree_expectation``
+    Every node may take any pair ``a <= mu <= b`` of the grid, and every
+    prefix may stop, so the report is exact for every mean-``mu`` sequential
+    law on that grid up to ``depth``. The grid is the process's own points
+    when it has a sample space (every one ``eprocess_from_csv`` loads, and
+    so every audit the CLI runs); the report then says
+    ``exhaustive_complete``. A process without one is searched on
+    ``coarse_grid`` (default {0, mu, 1}), which is validated either way; a
+    pass then holds on that grid only, and ``exhaustive_complete`` is
+    false. ``n_random`` and ``seed`` have no effect: nothing is drawn at
+    random. A reported violation is always real, and ``tree_expectation``
     replays the reported tree and mask.
 
-    ``n_trees`` is the size of the family searched:
-    ``pairs**(2**depth - 1)`` (plus ``n_random``). The search never lists
-    it. The process is evaluated once per distinct prefix, and every prefix
-    shorter than ``depth`` tries every pair: a grid of ``g`` points costs
-    about ``g**(depth - 1)`` prefixes times ``pairs`` branches. On one
-    2-vCPU VM that took 1 ms for 5 points at depth 3, 0.1 s for 21 points
-    at depth 3 and 1.6 s for 21 points at depth 4.
+    ``n_trees`` is the size of the family searched,
+    ``pairs**(2**depth - 1)``; the search never lists it. The process is
+    evaluated once per distinct prefix, and every prefix shorter than
+    ``depth`` tries every pair: a grid of ``g`` points costs about
+    ``g**(depth - 1)`` prefixes times ``pairs`` branches. On one 2-vCPU VM,
+    for a process tabulated on its grid, that took under 1 ms for 5 points
+    at depth 3, 0.02-0.04 s for 21 points at depth 3 and 0.5-0.9 s for 21
+    points at depth 4. No numpy runs.
     Raises ``ValueError`` for a depth outside [1, ``MAX_AUDIT_DEPTH``]
     (``DepthTooLarge`` above it), a negative ``n_random`` and coarse-grid
     points outside [0, 1] or with no pair straddling mu.
@@ -451,29 +439,14 @@ def audit_eprocess(
     if e.space is not None:
         pairs = _straddling_pairs(e.space.points, mu)
 
-    n_nodes = 2**depth - 1
-    value = _memoised(e.value)
     weighted = [(a, b, _pair_weight(a, b, mu)) for a, b in pairs]
-    best = _snell_envelope(value, [weighted] * n_nodes)
-    n_trees = len(pairs) ** n_nodes
-    if e.space is None:
-        rng = np.random.default_rng(seed)
-        a_draws = rng.uniform(0.0, mu, size=(n_random, n_nodes))
-        b_draws = rng.uniform(mu, 1.0, size=(n_random, n_nodes))
-        for a_row, b_row in zip(a_draws.tolist(), b_draws.tolist()):
-            drawn = [((a, b, _pair_weight(a, b, mu)),) for a, b in zip(a_row, b_row)]
-            found = _snell_envelope(value, drawn)
-            if found[0] > best[0]:
-                best = found
-        n_trees += n_random
-
-    best_val, best_pairs, best_mask = best
+    best_val, best_pairs, best_mask = _snell_envelope(e.value, weighted, depth)
     return AuditReport(
         max_expectation=best_val,
         argmax_tree=TreeHypothesis(mu=mu, pairs=best_pairs),
         argmax_mask=best_mask,
         passed=best_val <= 1.0 + tol,
-        n_trees=n_trees,
+        n_trees=len(pairs) ** (2**depth - 1),
         exhaustive_complete=e.space is not None,
         tol=tol,
     )

@@ -79,6 +79,7 @@ def test_prints_medians_and_seed_pair_wins(tmp_path, monkeypatch, capsys):
         " within the 25% bound: yes",
         "    peak_rss_mb: won 0/2, at least 9/10: no; median gap 0 > parent quartile spread 0: no;"
         " within the 10% bound: yes",
+        "    failed share: parent 0/78 = 0, change 0/78 = 0; above the parent's: no",
     ]
 
 
@@ -153,3 +154,21 @@ def test_bounds_come_from_the_benchmark_file_which_is_left_unchanged(tmp_path, m
     assert bench_record.main(["--commit", "abc1234", "--side", "parent", str(FIXTURE)]) == 0
     assert bench_record.BENCHMARK.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["BENCH_mc-grid.json"]
+
+
+def test_failed_share_per_side_flags_a_rise():
+    parent = records("p", "parent", {1: 0.4, 2: 0.5})
+    change = records("c", "change", {1: 0.3, 2: 0.4})
+    parent[0].update(failed=1, attempted=40)
+    change[0].update(failed=1, attempted=20)
+    matched = list(zip(parent, change))
+    assert bench_record.failed_line(matched) == (
+        "    failed share: parent 1/79 = 0.01266, change 1/59 = 0.01695; above the parent's: yes"
+    )
+    change[0].update(failed=0)
+    assert bench_record.failed_line(matched).endswith("change 0/59 = 0; above the parent's: no")
+    assert bench_record.summarize(parent + change, BOUNDS)[-1] == bench_record.failed_line(matched)
+    none = [({**p, "failed": 0, "attempted": 0}, {**c, "attempted": 0}) for p, c in matched]
+    assert bench_record.failed_line(none) == (
+        "    failed share: parent 0/0 = 0, change 0/0 = 0; above the parent's: no"
+    )

@@ -25,7 +25,6 @@ from evbet.evariables import (
     DominationCertificate,
     TabulatedEVariable,
     ValidityReport,
-    _cached_split,
     _space_split,
     bet_bounds,
     beta_interval,
@@ -484,7 +483,7 @@ class TestCachedGridIsReadOnly:
     def test_equal_spaces_built_apart_match_oracles(self, data, space, negative_zero_first):
         # -0.0 == 0.0, so a grid starting at -0.0 shares its split with the
         # grid starting at 0.0; the reports must still carry its own points.
-        _cached_split.cache_clear()
+        _space_split.cache_clear()
         twins = [
             space,
             SampleSpace(tuple(space.points), space.mu),
@@ -499,11 +498,11 @@ class TestCachedGridIsReadOnly:
             assert_same(check_evariable, oracle_check_evariable, table)
             assert_same(beta_interval, oracle_beta_interval, table)
             assert_same(dominate_T2, oracle_dominate_T2, square, twin)
-        assert _cached_split.cache_info().currsize == 1
+        assert _space_split.cache_info().currsize == 1
 
     def test_more_spaces_than_the_cache_holds_match_oracles(self):
         spaces = [SampleSpace.uniform(n, mu) for n in (3, 4, 5, 7) for mu in (0.3, 0.5, 0.7)]
-        assert len(spaces) > _cached_split.cache_info().maxsize
+        assert len(spaces) > _space_split.cache_info().maxsize
         rng = np.random.default_rng(3)
         cases = []
         for space in spaces:
@@ -518,15 +517,17 @@ class TestCachedGridIsReadOnly:
             assert_same(beta_interval, oracle_beta_interval, table)
             assert_same(dominate_T2, oracle_dominate_T2, square, space)
 
-    def test_equal_means_of_other_types_split_apart(self):
-        # 0.5 == np.float32(0.5) and they hash alike, but a point within the
-        # snap of mu gets its bar in the mean's precision: in float32 the bar
-        # 1 + 1e-12 + 1e-9 rounds to 1, so the same table is refuted.
+    def test_equal_means_of_other_types_give_one_verdict(self):
+        # A space keeps its mean as a float, so a point within the snap of mu
+        # gets its bar 1 + 1e-12 + 1e-9 in double precision whatever the
+        # mean's type: in float32 the bar would round to 1 and refute the table.
         points, values = (0.0, 0.5 + 5e-10, 1.0), (1.0, 1.0000000005, 1.0)
+        _space_split.cache_clear()
         reports = []
-        for mu in (0.5, np.float32(0.5), 0.5):
-            reports.append(check_evariable(TabulatedEVariable(SampleSpace(points, mu), values)))
-        assert [r.valid for r in reports] == [True, False, True]
-        # An unhashable 0-d mean is split without the cache.
-        by_array = check_evariable(TabulatedEVariable(SampleSpace(points, np.array(0.5)), values))
-        assert repr(by_array) == repr(reports[0])
+        for mu in (0.5, np.float32(0.5), np.array(0.5)):
+            space = SampleSpace(points, mu)
+            assert type(space.mu) is float
+            reports.append(check_evariable(TabulatedEVariable(space, values)))
+        assert [r.valid for r in reports] == [True, True, True]
+        assert len({repr(r) for r in reports}) == 1
+        assert _space_split.cache_info().currsize == 1

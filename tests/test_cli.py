@@ -88,6 +88,8 @@ def write_contract_inputs(d):
         "ep-outside.csv": "depth,path,value\n0,,1.0\n1,0.0,1.0\n1,1.0,1.0\n1,1.5,1.0\n",
         "ep-nan-root.csv": "depth,path,value\n0,,nan\n1,0.0,1.0\n1,0.5,1.0\n1,1.0,1.0\n",
         "ep-bad-path.csv": "depth,path,value\n0,,1.0\n1,0.0,1.0\n1,x,1.0\n1,1.0,1.0\n",
+        # Path 1.0 twice: read last-wins, it would pass at depth 1 with max 3.0.
+        "ep-repeat.csv": "depth,path,value\n0,,1.0\n1,0.0,1.0\n1,0.5,1.0\n1,1.0,1.0\n1,1.0,5.0\n",
         "alpha-nan.txt": "0.5\nnan\n0.5\n0.5\n0.5\n",
         "alpha-bad.txt": "0.5\nx\n0.5\n0.5\n0.5\n",
     }
@@ -204,6 +206,8 @@ CONTRACT_CASES = {
          "could not convert"),
         ("nan", ["audit", "--table", "{d}/ep-inf.csv", "--mu", "0.5", "--depth", "1"],
          "e-process value inf at (0.0,) is not finite and non-negative"),
+        ("literal", ["audit", "--table", "{d}/ep-repeat.csv", "--mu", "0.5", "--depth", "1"],
+         "ep-repeat.csv: path '1.0' appears twice"),
     ],
     "iid-check": [
         ("range", ["iid-check", "--xi", "-1,0,0"], "finite and non-negative"),

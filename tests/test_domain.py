@@ -133,6 +133,13 @@ class TestValidation:
             with pytest.raises(ValueError):
                 SampleSpace((0.0, 1.0), mu)
 
+    def test_sample_space_mean_is_one_float(self):
+        for mu in (0.5, np.float32(0.5), np.array(0.5), np.float64(0.5)):
+            space = SampleSpace((0.0, 1.0), mu)
+            assert type(space.mu) is float and space.mu == 0.5
+        with pytest.raises(ValueError, match="mu must be a scalar, got an array of shape \\(2,\\)"):
+            SampleSpace((0.0, 1.0), np.array([0.5, 0.5]))
+
     def test_distribution_mass_checks(self):
         with pytest.raises(ValueError):
             DiscreteDistribution(((0.0, 0.6), (1.0, 0.6)))

@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -323,11 +322,12 @@ def _oracle_max_over_masks(d, e, budget):
     return walk(0, (), budget)
 
 
-def audit_by_enumeration(e, depth, coarse_grid=None, n_random=1000, seed=0, tol=1e-9):
-    """Reference audit: every coarse tree in product order, then random trees on [0, 1].
+def audit_by_enumeration(e, depth, coarse_grid=None, tol=1e-9):
+    """Reference audit: every tree of straddling pairs from ``coarse_grid``, in product order.
 
-    With ``coarse_grid`` the process's own points and ``n_random=0`` it walks
-    every tree on that grid: the full-grid oracle.
+    ``coarse_grid`` defaults to {0, mu, 1}; with the process's own points it
+    walks every tree on that grid, the full-grid oracle. ``exhaustive_complete``
+    says whether the process has a grid, as the audit's does.
     """
     if depth > MAX_AUDIT_DEPTH:
         raise DepthTooLarge(f"audit capped at depth {MAX_AUDIT_DEPTH}")
@@ -340,22 +340,14 @@ def audit_by_enumeration(e, depth, coarse_grid=None, n_random=1000, seed=0, tol=
     if not pairs:
         raise ValueError("coarse grid has no pairs straddling mu")
     n_nodes = 2**depth - 1
-
-    candidates = []
-    exhaustive_complete = len(pairs) ** n_nodes <= ENUMERATION_CAP
-    if exhaustive_complete:
-        candidates.extend(itertools.product(pairs, repeat=n_nodes))
-
-    rng = np.random.default_rng(seed)
-    a_draws = rng.uniform(0.0, mu, size=(n_random, n_nodes))
-    b_draws = rng.uniform(mu, 1.0, size=(n_random, n_nodes))
-    for i in range(n_random):
-        candidates.append(tuple(zip(a_draws[i].tolist(), b_draws[i].tolist())))
+    n_trees = len(pairs) ** n_nodes
+    if n_trees > ENUMERATION_CAP:
+        raise ValueError(f"{n_trees} trees exceed the enumeration cap {ENUMERATION_CAP}")
 
     best_val = -math.inf
     best_tree = best_mask = None
-    for cand in candidates:
-        tree = TreeHypothesis(mu=mu, pairs=tuple((min(a, b), max(a, b)) for a, b in cand))
+    for cand in itertools.product(pairs, repeat=n_nodes):
+        tree = TreeHypothesis(mu=mu, pairs=cand)
         val, mask = _oracle_max_over_masks(tree, e, depth)
         if val > best_val:
             best_val, best_tree, best_mask = val, tree, mask
@@ -365,22 +357,16 @@ def audit_by_enumeration(e, depth, coarse_grid=None, n_random=1000, seed=0, tol=
         argmax_tree=best_tree,
         argmax_mask=best_mask,
         passed=best_val <= 1.0 + tol,
-        n_trees=len(candidates),
-        exhaustive_complete=exhaustive_complete,
+        n_trees=n_trees,
+        exhaustive_complete=e.space is not None,
         tol=tol,
     )
 
 
-def assert_same_report(e, depth, **kwargs):
-    """The audit's report equals the enumeration's, its JSON byte for byte.
-
-    The audit calls its search exhaustive only on a process's own grid, so
-    ``exhaustive_complete`` is compared against that meaning instead.
-    """
-    expected = audit_by_enumeration(e, depth, **kwargs)
-    assert expected.exhaustive_complete
-    expected = replace(expected, exhaustive_complete=e.space is not None)
-    got = audit_eprocess(e, depth, **kwargs)
+def assert_same_report(e, depth):
+    """The audit's report equals the enumeration's, its JSON byte for byte."""
+    expected = audit_by_enumeration(e, depth)
+    got = audit_eprocess(e, depth)
     assert got == expected
     assert json.dumps(got.as_dict()) == json.dumps(expected.as_dict())
 
@@ -402,7 +388,7 @@ def assert_full_grid_exact(e, depth):
     be a maximiser, with the enumeration's mask for it, and every node where
     that mask does not branch carries the grid's first pair.
     """
-    expected = audit_by_enumeration(e, depth, coarse_grid=e.space.points, n_random=0)
+    expected = audit_by_enumeration(e, depth, coarse_grid=e.space.points)
     got = audit_eprocess(e, depth)
     fields = ("max_expectation", "passed", "n_trees", "exhaustive_complete")
     assert [getattr(got, f) for f in fields] == [getattr(expected, f) for f in fields]
@@ -435,7 +421,7 @@ def lattice_processes(draw, space=None, max_points=6, max_depth=3):
     root = float(draw(st.sampled_from((0.0, 0.5, 1.0))))
     if draw(st.booleans()) if space is None else not space:
         # No sample space: a value for every prefix, from its length and its
-        # number of points below mu, so random trees drawn on [0, 1] hit it too.
+        # number of points below mu.
         rows = [lattice(t + 1) for t in range(depth + 1)]
         rows[0][0] = root
 
@@ -454,9 +440,9 @@ def lattice_processes(draw, space=None, max_points=6, max_depth=3):
 def false_pass_process():
     """A coin-bet on 21 points whose depth-3 values under (0.25, 0.75) are x1.3 at 0.1 and 0.9.
 
-    Coarse pairs plus 1000 random trees drawn on its grid miss the
-    violation at every seed; the largest stopped expectation on the grid is
-    1.1273.
+    A search of coarse pairs plus 1000 random trees drawn on its grid misses
+    the violation at every seed; the largest stopped expectation on the grid
+    is 1.1273.
     """
     space = SampleSpace.uniform(21, 0.5)
     base = coinbet_eprocess(random_coinbet(space, 3, np.random.default_rng(0)), space)
@@ -478,15 +464,16 @@ class TestAuditMatchesEnumeration:
     )
     def test_same_report_as_enumeration(self, process_depth, full_grid, n_random, seed):
         e, depth = process_depth
+        # Nothing is drawn at random: n_random and seed change no report.
+        assert audit_eprocess(e, depth, n_random=n_random, seed=seed) == audit_eprocess(e, depth)
         if e.space is not None:
-            # The grid search ignores the coarse grid and the random trees.
+            # The grid search ignores the coarse grid.
             grid = e.space.points if full_grid else None
-            got = audit_eprocess(e, depth, coarse_grid=grid, n_random=n_random, seed=seed)
-            assert got == audit_eprocess(e, depth)
+            assert audit_eprocess(e, depth, coarse_grid=grid) == audit_eprocess(e, depth)
             if len(_straddling_pairs(e.space.points, e.mu)) ** (2**depth - 1) <= 5000:
                 assert_full_grid_exact(e, depth)
             return
-        assert_same_report(e, depth, n_random=n_random, seed=seed)
+        assert_same_report(e, depth)
 
     def test_depth_four_on_two_pairs(self, rng):
         # (0, 0.8, 1) at mu = 0.5 straddles as (0, 0.8) and (0, 1): 2**15 trees.

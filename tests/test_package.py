@@ -93,6 +93,14 @@ def test_grid_audit_runs_no_numpy(tmp_path):
     assert not numpy_ran_after(cli_call(audit))
 
 
+def test_audit_without_a_space_runs_no_numpy():
+    code = (
+        "from evbet.multiround import audit_eprocess, constant_eprocess\n"
+        "audit_eprocess(constant_eprocess(0.5), 3)"
+    )
+    assert not numpy_ran_after(code)
+
+
 @pytest.mark.parametrize("module", sorted(TOP_LEVEL) + ["kernels"])
 def test_library_module_import_runs_no_numpy(module):
     # Every library module binds numpy through evbet._lazy.

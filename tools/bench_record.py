@@ -25,7 +25,10 @@ out of n and whether that is at least 9 in 10; the gap between the parent's
 and the change's median over those pairs (positive when the change is
 better) against the distance between the parent's quartiles; and whether the
 change's median stays within the metric's bound, read from the ``better``
-and ``bound`` of ``BENCHMARK.json``'s ``end_to_end`` list.
+and ``bound`` of ``BENCHMARK.json``'s ``end_to_end`` list. Last, it prints
+each side's share of failed operations over those pairs (failed over
+attempted, summed) and flags a change whose share is above its parent's,
+which the acceptance rule rejects.
 """
 
 from __future__ import annotations
@@ -126,6 +129,18 @@ def claim_line(name: str, matched: list[tuple[dict, dict]], better: str, bound: 
     )
 
 
+def failed_line(matched: list[tuple[dict, dict]]) -> str:
+    """Each side's failed/attempted share over the seed pairs ``matched``, flagging a rise."""
+    shares = {}
+    for i, side in enumerate(SIDES):
+        failed = sum(pair[i]["failed"] for pair in matched)
+        attempted = sum(pair[i]["attempted"] for pair in matched)
+        shares[side] = (failed, attempted, failed / attempted if attempted else 0.0)
+    listed = ", ".join(f"{side} {f}/{a} = {share:.4g}" for side, (f, a, share) in shares.items())
+    rose = shares["change"][2] > shares["parent"][2]
+    return f"    failed share: {listed}; above the parent's: {_yes(rose)}"
+
+
 def summarize(rows: list[dict], bounds: dict[str, tuple[str, float]]) -> list[str]:
     """Per-(commit, side) medians and quartiles of ``rows``, then each change's seed pairs and claim rule."""
     groups: dict[tuple[str, str], list[dict]] = {}
@@ -146,6 +161,7 @@ def summarize(rows: list[dict], bounds: dict[str, tuple[str, float]]) -> list[st
         wins = "  ".join(f"{name} {won(matched, name, bounds[name][0])}" for name in METRICS)
         lines.append(f"  {change} against {parent}: {len(matched)} seed pair(s), won {wins}")
         lines += [claim_line(name, matched, *bounds[name]) for name in METRICS]
+        lines.append(failed_line(matched))
     return lines
 
 
