@@ -3,9 +3,11 @@
 Every command is deterministic given its options (including ``--seed``);
 tabular results go to ``--out`` (default stdout) as CSV, verdicts and
 summaries are printed as JSON. Exit codes: 0 on success, 2 on configuration
-or parse errors, unreadable inputs, unwritable outputs and failed
-allocations, 3 when ``--strict`` is set and the command's verdict is a
-refutation. ``simulate``, ``cs`` and ``compare`` open every output once
+or parse errors, unreadable inputs, outputs that fail to open, write, flush
+or close, and failed allocations (one handler, ``_Command.invoke``, for
+every command), 3 when ``--strict`` is set and the verdict is a refutation.
+A broken pipe on stdout (``evbet cs ... | head -1``) exits 1 quietly, as
+click does. ``simulate``, ``cs`` and ``compare`` open every output once
 their arguments are checked and before they sample, so an unwritable path
 costs no computation; when such a run exits 2, the files it created are
 removed (a file that already existed is left truncated).
@@ -53,42 +55,67 @@ from .errors import EvbetError
 
 
 # What a command turns into exit 2 with its message: bad arguments and data,
-# unreadable inputs and allocations that fail.
+# unreadable inputs, unwritable outputs and allocations that fail.
 _BOUNDARY_ERRORS = (MemoryError, OSError, ValueError, EvbetError)
+
+
+class _Command(click.Command):
+    """A command whose boundary errors exit 2 with their message and its usage line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # click's own quiet exit 1
+        except _BOUNDARY_ERRORS as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
+@contextlib.contextmanager
+def _naming(path):
+    """Re-raise an ``OSError`` on output ``path`` as one that names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 @contextlib.contextmanager
 def _outputs(*paths):
     """Open each output path for writing, before the command computes.
 
-    Yields one handle per path, stdout for None or '-'. If the command then
-    fails, every file this run created is removed; a file that existed
-    before stays, truncated, as shell redirection would leave it.
+    Yields one handle per path, stdout for None or '-'. Afterwards stdout is
+    flushed and the files closed here, so a failed write fails the command.
+    If the command fails, every file this run created is removed; a file that
+    existed before stays, truncated, as shell redirection would leave it.
     """
-    handles, created, done = [], [], False
+    handles, created = [], []
     try:
         for path in paths:
             if path is None or path == "-":
                 handles.append(sys.stdout)
                 continue
-            try:
+            with _naming(path):
                 try:
                     handles.append(open(path, "x", newline=""))
                     created.append(path)
                 except FileExistsError:
                     handles.append(open(path, "w", newline=""))
-            except OSError as exc:
-                _fail(f"cannot write {path}: {exc.strerror}")
         yield handles
-        done = True
-    finally:
+        sys.stdout.flush()
+        for path, fh in zip(paths, handles):
+            if fh is not sys.stdout:
+                with _naming(path):
+                    fh.close()
+    except BaseException:
         for fh in handles:
             if fh is not sys.stdout:
-                fh.close()
-        if not done:
-            for path in created:
                 with contextlib.suppress(OSError):
-                    os.remove(path)
+                    fh.close()
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def _membership_csv(fh, result, n, block_rows):
@@ -127,10 +154,6 @@ def _echo_json(obj):
     click.echo(json.dumps(obj, indent=2))
 
 
-def _fail(message):
-    raise click.UsageError(message)
-
-
 def _witness(report):
     """The violating two-point measure of an invalid ``ValidityReport``, as JSON."""
     w = report.witness
@@ -146,13 +169,10 @@ def _checked_table(table, mu):
     """Load a ``point,value`` table and check it: ``(report, certificate or None)``."""
     from . import evariables
 
-    try:
-        tab = evariables.tabulated_from_csv(table, mu)
-        report = evariables.check_evariable(tab)
-        # A valid table whose slope interval is inverted beyond rounding raises.
-        cert = evariables.beta_interval(tab) if report.valid else None
-    except _BOUNDARY_ERRORS as exc:
-        _fail(str(exc))
+    tab = evariables.tabulated_from_csv(table, mu)
+    report = evariables.check_evariable(tab)
+    # A valid table whose slope interval is inverted beyond rounding raises.
+    cert = evariables.beta_interval(tab) if report.valid else None
     return report, cert
 
 
@@ -166,7 +186,7 @@ fmt_option = click.option(
 )
 
 
-@click.group()
+@click.group(cls=type("_Group", (click.Group,), {"command_class": _Command}))
 @click.version_option(__version__)  # also when run from a source tree
 def main():
     """Anytime-valid mean testing via coin-betting e-variables."""
@@ -188,21 +208,15 @@ def simulate(ctx, mu, dist, strategy, n, delta, seed, out, fmt):
 
     from . import domain, game
 
-    try:
-        distribution = domain.parse_distribution(dist)
-        game.check_strategy(strategy, np.array([mu]))  # before sampling
-        if n < 1:
-            raise ValueError("n must be at least 1")
-    except _BOUNDARY_ERRORS as exc:
-        _fail(str(exc))
+    distribution = domain.parse_distribution(dist)
+    game.check_strategy(strategy, np.array([mu]))  # before sampling
+    if n < 1:
+        raise ValueError("n must be at least 1")
     with _outputs(out) as (fh,):
-        try:
-            xs = domain.sample_stream(distribution, n, seed)
-            # One-row batch: the kernel computes the bets, score_bets scores them.
-            batch = game.run_games_batch(np.array([mu]), xs[None, :], strategy, delta)
-            ledger = game.score_bets(mu, delta, batch.bets[0], xs)
-        except _BOUNDARY_ERRORS as exc:
-            _fail(str(exc))
+        xs = domain.sample_stream(distribution, n, seed)
+        # One-row batch: the kernel computes the bets, score_bets scores them.
+        batch = game.run_games_batch(np.array([mu]), xs[None, :], strategy, delta)
+        ledger = game.score_bets(mu, delta, batch.bets[0], xs)
         if fmt == "json":
             _write_rows(fh, game.LEDGER_HEADER, game.ledger_rows(ledger), fmt)
         else:
@@ -234,21 +248,15 @@ def cs(ctx, dist, strategy, n, delta, seed, grid, running_intersect, out, member
 
     from . import confseq, domain, game
 
-    try:
-        distribution = domain.parse_distribution(dist)
-        if n < 1 or grid < 1:
-            raise ValueError("n and grid must be at least 1")
-        mu_grid = confseq.default_mu_grid(grid)
-        game.check_strategy(strategy, mu_grid)  # before sampling
-    except _BOUNDARY_ERRORS as exc:
-        _fail(str(exc))
+    distribution = domain.parse_distribution(dist)
+    if n < 1 or grid < 1:
+        raise ValueError("n and grid must be at least 1")
+    mu_grid = confseq.default_mu_grid(grid)
+    game.check_strategy(strategy, mu_grid)  # before sampling
     paths = [out] if membership is None else [out, membership]
     with _outputs(*paths) as handles:
-        try:
-            xs = domain.sample_stream(distribution, n, seed)
-            result = confseq.run_cs_batch(mu_grid, xs, strategy, delta, running_intersect)
-        except _BOUNDARY_ERRORS as exc:
-            _fail(str(exc))
+        xs = domain.sample_stream(distribution, n, seed)
+        result = confseq.run_cs_batch(mu_grid, xs, strategy, delta, running_intersect)
         _write_rows(handles[0], ["t", "lower", "upper", "alive"], result.intervals(), fmt)
         if membership is None:
             return
@@ -281,36 +289,28 @@ def compare(ctx, mu, dist, n, seed, alpha, alpha_file, out, fmt):
 
     from . import domain, evariables
 
-    try:
-        if (alpha is None) == (alpha_file is None):
-            raise ValueError("provide exactly one of --alpha / --alpha-file")
-        distribution = domain.parse_distribution(dist)
-        if n < 1:
-            raise ValueError("n must be at least 1")
-        if alpha_file is not None:
-            with open(alpha_file) as fh:
-                schedule = [float(line) for line in fh if line.strip()]
-            if len(schedule) < n:
-                raise ValueError(f"alpha file has {len(schedule)} entries, need {n}")
-            schedule = np.asarray(schedule[:n])
-        else:
-            schedule = np.full(n, alpha)
-        lams = np.array([evariables.dominating_lambda(mu, a) for a in schedule])
-    except _BOUNDARY_ERRORS as exc:
-        _fail(str(exc))
+    if (alpha is None) == (alpha_file is None):
+        raise ValueError("provide exactly one of --alpha / --alpha-file")
+    distribution = domain.parse_distribution(dist)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if alpha_file is not None:
+        with open(alpha_file) as fh:
+            schedule = [float(line) for line in fh if line.strip()]
+        if len(schedule) < n:
+            raise ValueError(f"alpha file has {len(schedule)} entries, need {n}")
+        schedule = np.asarray(schedule[:n])
+    else:
+        schedule = np.full(n, alpha)
+    lams = np.array([evariables.dominating_lambda(mu, a) for a in schedule])
     with _outputs(out) as (fh,):
-        try:
-            xs = domain.sample_stream(distribution, n, seed)
-            with np.errstate(over="ignore"):
-                log_h = np.cumsum(schedule * (xs - mu) - schedule**2 / 8.0)
-            finite = np.isfinite(log_h)
-            if not finite.all():
-                t = int(finite.argmin()) + 1
-                raise ValueError(
-                    f"alpha is too large: the Hoeffding log-wealth overflows at round {t}"
-                )
-        except _BOUNDARY_ERRORS as exc:
-            _fail(str(exc))
+        xs = domain.sample_stream(distribution, n, seed)
+        with np.errstate(over="ignore"):
+            log_h = np.cumsum(schedule * (xs - mu) - schedule**2 / 8.0)
+        finite = np.isfinite(log_h)
+        if not finite.all():
+            t = int(finite.argmin()) + 1
+            raise ValueError(f"alpha is too large: the Hoeffding log-wealth overflows at round {t}")
         log_cb = np.cumsum(np.log1p(lams * (xs - mu)))
         rows = [
             (t + 1, float(log_h[t]), float(log_cb[t]), float(log_cb[t] - log_h[t]))
@@ -355,11 +355,8 @@ def dominate(ctx, table, mu, t2, strict):
         _echo_json({"certified": True, **cert.as_dict()})
         return
 
-    try:
-        points, values = domain.square_table_from_csv(table)
-        result = multiround.dominate_T2(values, domain.SampleSpace(points, mu))
-    except _BOUNDARY_ERRORS as exc:
-        _fail(str(exc))
+    points, values = domain.square_table_from_csv(table)
+    result = multiround.dominate_T2(values, domain.SampleSpace(points, mu))
     if result.certified:
         lam2 = {repr(k[0]): v for k, v in result.coinbet.tables[1].items()}
         _echo_json(
@@ -387,11 +384,8 @@ def audit(ctx, table, mu, depth, seed, strict):
     """
     from . import multiround
 
-    try:
-        process = multiround.eprocess_from_csv(table, mu)
-        report = multiround.audit_eprocess(process, depth)
-    except _BOUNDARY_ERRORS as exc:
-        _fail(str(exc))
+    process = multiround.eprocess_from_csv(table, mu)
+    report = multiround.audit_eprocess(process, depth)
     _echo_json(report.as_dict())
     _strict_exit(ctx, strict, not report.passed)
 
@@ -411,24 +405,20 @@ def iid_check(ctx, table, xi, q_steps, strict):
     """
     from . import domain, iid_case, multiround
 
-    try:
-        if (table is None) == (xi is None):
-            raise ValueError("provide exactly one of --table / --xi")
-        conditional = None
-        if table is not None:
-            values = iid_case.table_from_csv(table)
-            stats = iid_case.xi_stats(values)
-            space = domain.SampleSpace(iid_case.GRID, iid_case.MU)
-            conditional = multiround.dominate_T2(values, space)
-        else:
-            parts = [float(v) for v in xi.split(",")]
-            if len(parts) != 3:
-                raise ValueError("--xi needs exactly three values")
-            stats = iid_case.XiStats(*parts)
-        brute = iid_case.check_iid_bruteforce(stats, q_steps)
-    except _BOUNDARY_ERRORS as exc:
-        _fail(str(exc))
-
+    if (table is None) == (xi is None):
+        raise ValueError("provide exactly one of --table / --xi")
+    conditional = None
+    if table is not None:
+        values = domain.square_table_from_csv(table, iid_case.GRID)[1]
+        stats = iid_case.xi_stats(values)
+        space = domain.SampleSpace(iid_case.GRID, iid_case.MU)
+        conditional = multiround.dominate_T2(values, space)
+    else:
+        parts = [float(v) for v in xi.split(",")]
+        if len(parts) != 3:
+            raise ValueError("--xi needs exactly three values")
+        stats = iid_case.XiStats(*parts)
+    brute = iid_case.check_iid_bruteforce(stats, q_steps)
     closed = iid_case.check_iid_closed_form(stats)
     verdict = {
         "xi": [stats.xi0, stats.xi1, stats.xi2],

@@ -289,13 +289,39 @@ def parse_distribution(literal: str) -> DiscreteDistribution:
     raise ValueError(f"unknown distribution kind {kind!r}")
 
 
-def distribution_from_csv(path: str) -> DiscreteDistribution:
+def read_table(path: str, columns: dict, name) -> dict:
+    """The one reader of table files: ``{key: value}`` in file order.
+
+    ``columns`` maps each column the file must have, in schema order, to the
+    parser of its fields; other columns and blank lines are ignored. A row's
+    last column is its value, the others its key (a tuple). Each error is a
+    ``ValueError`` naming ``path``: a missing column, a field that does not
+    parse (with its line) and a key given twice (named by ``name(key)``).
+    """
+    table = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"point", "mass"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected CSV columns point,mass")
-        atoms = [(float(row["point"]), float(row["mass"])) for row in reader]
-    return DiscreteDistribution(tuple(atoms))
+        rows = csv.DictReader(fh, restval="")  # a short row's missing fields read as ""
+        try:
+            if not columns.keys() <= set(rows.fieldnames or ()):
+                raise ValueError(f"{path}: expected CSV columns {','.join(columns)}")
+            for row in rows:
+                try:
+                    *key, value = [parse(row[col]) for col, parse in columns.items()]
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {rows.line_num}: {exc}") from exc
+                key = tuple(key)
+                if key in table:
+                    raise ValueError(f"{path}: {name(key)} appears twice")
+                table[key] = value
+        except csv.Error as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    return table
+
+
+def distribution_from_csv(path: str) -> DiscreteDistribution:
+    """Load a ``point,mass`` CSV, each point given once, as a distribution."""
+    table = read_table(path, {"point": float, "mass": float}, lambda key: f"point {key[0]!r}")
+    return DiscreteDistribution(tuple((p, m) for (p,), m in table.items()))
 
 
 def square_table_from_csv(path: str, grid=None) -> tuple[tuple[float, ...], np.ndarray]:
@@ -304,23 +330,15 @@ def square_table_from_csv(path: str, grid=None) -> tuple[tuple[float, ...], np.n
     Returns the grid and the table, ``table[i, j]`` being the value at
     ``(grid[i], grid[j])``. With ``grid`` None the grid is the sorted set of
     coordinates in the file; otherwise every coordinate must come from
-    ``grid``. Every cell is required; a repeated cell keeps its last value.
-    Values are parsed, not checked.
+    ``grid``. Every cell is required, and given once. Values are parsed, not
+    checked.
     """
-    allowed = None if grid is None else set(map(float, grid))
-    cells = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"x1", "x2", "value"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected CSV columns x1,x2,value")
-        for row in reader:
-            key = float(row["x1"]), float(row["x2"])
-            if allowed is not None and not allowed.issuperset(key):
-                listed = ", ".join(f"{p:g}" for p in grid)
-                raise ValueError(f"{path}: coordinates must come from {{{listed}}}")
-            cells[key] = float(row["value"])
+    cells = read_table(path, {"x1": float, "x2": float, "value": float}, lambda key: f"cell {key}")
     if grid is None:
         grid = sorted({x for x, _ in cells} | {y for _, y in cells})
+    elif not set(map(float, grid)).issuperset(x for cell in cells for x in cell):
+        listed = ", ".join(f"{p:g}" for p in grid)
+        raise ValueError(f"{path}: coordinates must come from {{{listed}}}")
     grid = tuple(map(float, grid))
     table = np.zeros((len(grid), len(grid)))
     for i, x in enumerate(grid):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._lazy import np
-from .domain import SampleSpace, TwoPointMeasure, check_mu, check_table
+from .domain import SampleSpace, TwoPointMeasure, check_mu, check_table, read_table
 from .errors import NotAnEVariable, OutOfRange
 
 # Additive slack on two-point expectations when certifying validity.
@@ -332,13 +332,9 @@ def beta_interval(e: TabulatedEVariable) -> DominationCertificate:
 
 
 def tabulated_from_csv(path: str, mu: float) -> TabulatedEVariable:
-    """Load a ``point,value`` CSV as a tabulated e-variable candidate."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"point", "value"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected CSV columns point,value")
-        rows = [(float(r["point"]), float(r["value"])) for r in reader]
-    rows.sort()
+    """Load a ``point,value`` CSV, each point given once, as a tabulated e-variable candidate."""
+    table = read_table(path, {"point": float, "value": float}, lambda key: f"point {key[0]!r}")
+    rows = sorted((p, v) for (p,), v in table.items())
     space = SampleSpace(tuple(p for p, _ in rows), mu)
     return TabulatedEVariable(space, tuple(v for _, v in rows))
 

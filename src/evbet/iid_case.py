@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from ._lazy import np
-from .domain import check_table, square_table_from_csv
+from .domain import check_table
 
 GRID = (0.0, 0.5, 1.0)
 MU = 0.5
@@ -149,11 +149,6 @@ def check_iid_bruteforce(s: XiStats, q_steps: int = 10_000) -> BruteForceResult:
     if interior is not None and interior[1] > best_val:
         best_q, best_val = interior[0], interior[1]
     return BruteForceResult(max_expectation=best_val, argmax_q=best_q)
-
-
-def table_from_csv(path: str) -> np.ndarray:
-    """Load a 9-row ``x1,x2,value`` CSV over ``GRID`` into a 3x3 table."""
-    return square_table_from_csv(path, GRID)[1]
 
 
 def separation_table() -> np.ndarray:

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from ._lazy import np
-from .domain import SampleSpace, check_table
+from .domain import SampleSpace, check_table, read_table
 from .errors import DepthTooLarge, NotAnEVariable
 # check_evariable and beta_interval are not called here, but stay module names:
 # perfbench/tracing.py patches its spans in under them.
@@ -280,21 +280,19 @@ def eprocess_from_csv(path: str, mu: float) -> EProcess:
     set must include 0 and 1 (``SampleSpace`` rejects it otherwise). A path
     given twice is rejected.
     """
-    tables = {}
-    points = set()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"depth", "path", "value"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected CSV columns depth,path,value")
-        for row in reader:
-            depth = int(row["depth"])
-            prefix = tuple(float(p) for p in row["path"].split(",")) if row["path"] else ()
-            if len(prefix) != depth:
-                raise ValueError(f"{path}: path {row['path']!r} does not have depth {depth}")
-            if prefix in tables:
-                raise ValueError(f"{path}: path {row['path']!r} appears twice")
-            points.update(prefix)
-            tables[prefix] = float(row["value"])
+
+    def parse_path(text):
+        return tuple(float(p) for p in text.split(",")) if text else ()
+
+    def name(key):
+        return f"path {','.join(map(repr, key[1]))!r}"
+
+    rows = read_table(path, {"depth": int, "path": parse_path, "value": float}, name)
+    for depth, prefix in rows:
+        if len(prefix) != depth:
+            raise ValueError(f"{path}: {name((depth, prefix))} does not have depth {depth}")
+    tables = {prefix: value for (_, prefix), value in rows.items()}
+    points = {p for prefix in tables for p in prefix}
     return eprocess_from_tables(mu, tables, space=SampleSpace(tuple(sorted(points)), mu))
 
 

@@ -1,15 +1,21 @@
 import csv
+import errno
 import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from evbet import kernels
+import evbet
+from evbet import cli, kernels
 from evbet.betting import ConstantStrategy, UniversalPortfolioStrategy
 from evbet.cli import main
 from evbet.confseq import default_mu_grid, run_cs_batch
@@ -20,6 +26,11 @@ from evbet.multiround import (
     coinbet_eprocess,
     constant_eprocess,
     eprocess_to_csv,
+)
+
+
+SRC = os.pathsep.join(
+    filter(None, (str(Path(evbet.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")))
 )
 
 
@@ -80,6 +91,10 @@ def write_contract_inputs(d):
         "sq-neg.csv": square.replace("1.0,1.0,1.0", "1.0,1.0,-2.0"),
         "sq-nan.csv": square.replace("1.0,1.0,1.0", "1.0,1.0,nan"),
         "sq-bad.csv": square.replace("1.0,1.0,1.0", "1.0,1.0,x"),
+        # Cell (1, 1) twice: read last-wins, it would be refuted with expectation 3.0.
+        "sq-repeat.csv": square + "1.0,1.0,9.0\n",
+        "t1-repeat.csv": "point,value\n0.0,1.0\n0.5,1.0\n0.5,1.0\n1.0,1.0\n",
+        "dist-repeat.csv": "point,mass\n0.0,0.5\n1.0,0.25\n1.0,0.25\n",
         "ep.csv": "depth,path,value\n0,,1.0\n1,0.0,1.0\n1,0.5,1.0\n1,1.0,1.0\n",
         "ep-nan.csv": "depth,path,value\n0,,1.0\n1,0.0,nan\n1,0.5,1.0\n1,1.0,1.0\n",
         "ep-inf.csv": "depth,path,value\n0,,1.0\n1,0.0,inf\n1,0.5,1.0\n1,1.0,1.0\n",
@@ -127,6 +142,8 @@ CONTRACT_CASES = {
         # An output path that cannot be opened fails before the stream is drawn.
         ("missing-file", SIM + ["--out", "{d}/none/ledger.csv"],
          "none/ledger.csv: No such file or directory"),
+        ("literal", ["simulate", "--mu", "0.5", "--dist", "table:{d}/dist-repeat.csv", "--n", "5"],
+         "dist-repeat.csv: point 1.0 appears twice"),
     ],
     "cs": [
         ("range", CS[:-1] + ["0"], "n and grid must be at least 1"),
@@ -168,6 +185,8 @@ CONTRACT_CASES = {
          "expected CSV columns point,value"),
         ("range", ["check", "--table", "{d}/t1-inverted.csv", "--mu", "0.5"],
          "slope interval inverted beyond tolerance"),
+        ("literal", ["check", "--table", "{d}/t1-repeat.csv", "--mu", "0.5"],
+         "t1-repeat.csv: point 0.5 appears twice"),
     ],
     "dominate": [
         ("range", ["dominate", "--table", "{d}/t1.csv", "--mu", "1.5"], "mu must lie in (0, 1)"),
@@ -183,6 +202,10 @@ CONTRACT_CASES = {
          "expected CSV columns x1,x2,value"),
         ("range", ["dominate", "--table", "{d}/t1-inverted.csv", "--mu", "0.5"],
          "slope interval inverted beyond tolerance"),
+        ("literal", ["dominate", "--table", "{d}/t1-repeat.csv", "--mu", "0.5"],
+         "t1-repeat.csv: point 0.5 appears twice"),
+        ("literal", ["dominate", "--table", "{d}/sq-repeat.csv", "--mu", "0.5", "--t2"],
+         "sq-repeat.csv: cell (1.0, 1.0) appears twice"),
     ],
     "audit": [
         ("range", AUDIT[:-1] + ["-1"], "audit depth must be at least 1, got -1"),
@@ -220,6 +243,8 @@ CONTRACT_CASES = {
         ("literal", ["iid-check", "--xi", "a,b,c"], "could not convert"),
         ("literal", ["iid-check", "--table", "{d}/t1.csv"], "expected CSV columns x1,x2,value"),
         ("range", ["iid-check", "--xi", "0.5,0.5,0.5", "--q-steps", HUGE], "Unable to allocate"),
+        ("literal", ["iid-check", "--table", "{d}/sq-repeat.csv"],
+         "sq-repeat.csv: cell (1.0, 1.0) appears twice"),
     ],
 }
 
@@ -694,6 +719,60 @@ class TestOutputsOpenedFirst:
         assert result.exit_code == 2, result.output
         assert [p.name for p in tmp_path.iterdir()] == ["cs.csv"]
         assert out.read_text() == ""  # truncated, as shell redirection leaves it
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_full_device_exit_2(self, command):
+        # Every write to /dev/full fails with ENOSPC, here when the output is closed.
+        result = CliRunner().invoke(main, self.COMMANDS[command] + ["--out", "/dev/full"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "cannot write /dev/full: No space left on device" in result.stderr
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_failed_write_removes_created_files(self, tmp_path, monkeypatch, command):
+        class FullFile:
+            """An output file whose writes fail as on a full disk."""
+
+            def __init__(self, *args, **kwargs):
+                self.fh = open(*args, **kwargs)
+
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def close(self):
+                self.fh.close()
+
+        monkeypatch.setattr(cli, "open", FullFile, raising=False)
+        args = self.COMMANDS[command] + ["--out", str(tmp_path / "out.csv")]
+        if command == "cs":
+            args += ["--membership", str(tmp_path / "m.csv")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "No space left on device" in result.stderr
+        assert "Traceback" not in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    def test_closed_stdout_pipe_exits_1_quietly(self):
+        # Python ignores SIGPIPE, so a write to a pipe with no reader raises
+        # BrokenPipeError; click exits 1 without a message, as `| head -1` expects.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "evbet.cli", *CS[:3], "--n", "2000", "--grid", "9"],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": SRC},
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
 
 
 class TestCheckAndDominate:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -7,6 +9,7 @@ from evbet.domain import (
     DiscreteDistribution,
     SampleSpace,
     anchored_two_point,
+    distribution_from_csv,
     parse_distribution,
     replicate_seed,
     sample_stream,
@@ -15,7 +18,8 @@ from evbet.domain import (
     two_point_weight,
 )
 from evbet.errors import MeanOutsideSpan
-from evbet.evariables import eval_majorizer
+from evbet.evariables import eval_majorizer, tabulated_from_csv
+from evbet.multiround import eprocess_from_csv
 
 
 class TestTwoPointWeight:
@@ -219,3 +223,57 @@ class TestSquareTableCsv:
         path = self.write(tmp_path, [(0.0, 0.0, 1.0), (0.0, 1.0, 1.0), (1.0, 1.0, 1.0)])
         with pytest.raises(ValueError, match=r"missing cell \(1.0, 0.0\)"):
             square_table_from_csv(path, grid)
+
+
+class TestTableFiles:
+    """Every table file is read by ``read_table``: its errors name the file,
+    and the line of a field that does not parse, and each key is given once."""
+
+    # loader, header, rows, how the last row's key is named
+    LOADERS = {
+        "distribution": (distribution_from_csv, "point,mass", ["0.0,0.5", "1.0,0.5"], "point 1.0"),
+        "e-variable": (lambda path: tabulated_from_csv(path, 0.5), "point,value",
+                       ["0.0,1.0", "1.0,1.0"], "point 1.0"),
+        "square": (square_table_from_csv, "x1,x2,value",
+                   ["0.0,0.0,1.0", "0.0,1.0,1.0", "1.0,0.0,1.0", "1.0,1.0,1.0"], "cell (1.0, 1.0)"),
+        "e-process": (lambda path: eprocess_from_csv(path, 0.5), "depth,path,value",
+                      ["0,,1.0", "1,0.0,1.0", "1,1.0,1.0"], "path '1.0'"),
+    }
+
+    @staticmethod
+    def load(tmp_path, kind, rows):
+        loader, header, _, _ = TestTableFiles.LOADERS[kind]
+        path = tmp_path / "table.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        return loader(str(path))
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_non_number_names_file_and_line(self, tmp_path, kind):
+        rows = self.LOADERS[kind][2]
+        bad = rows[-1].rsplit(",", 1)[0] + ",abc"
+        line = len(rows) + 2  # the header, a blank line that counts, then the rows
+        with pytest.raises(ValueError, match=rf"table.csv: line {line}: could not convert .*'abc'"):
+            self.load(tmp_path, kind, ["", *rows[:-1], bad])
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_short_row_names_file_and_line(self, tmp_path, kind):
+        rows = self.LOADERS[kind][2]
+        short = rows[-1].split(",")[0]
+        with pytest.raises(ValueError, match=rf"table.csv: line {len(rows) + 1}: "):
+            self.load(tmp_path, kind, [*rows[:-1], short])
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_repeated_key_rejected(self, tmp_path, kind):
+        _, _, rows, name = self.LOADERS[kind]
+        again = rows[-1].rsplit(",", 1)[0] + ",0.0"
+        with pytest.raises(ValueError, match=re.escape(f"table.csv: {name} appears twice")):
+            self.load(tmp_path, kind, [*rows, again])
+
+    def test_keys_compare_as_numbers(self, tmp_path):
+        with pytest.raises(ValueError, match=re.escape("table.csv: point 1.0 appears twice")):
+            self.load(tmp_path, "e-variable", ["0,1", "1,1", "1.00,1"])
+
+    def test_malformed_csv_is_a_value_error(self, tmp_path):
+        # An unclosed quote runs the field past the csv module's size limit.
+        with pytest.raises(ValueError, match="table.csv: field larger than field limit"):
+            self.load(tmp_path, "square", ['0,0,"1' + "0" * 200_000])

@@ -4,15 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from evbet.domain import SampleSpace
+from evbet.domain import SampleSpace, square_table_from_csv
 from evbet.iid_case import (
+    GRID,
     XiStats,
     check_iid_bruteforce,
     check_iid_closed_form,
     iid_expectation,
     interior_maximum,
     separation_table,
-    table_from_csv,
     xi_stats,
 )
 from evbet.multiround import MultiRoundCoinBet, dominate_T2
@@ -136,10 +136,10 @@ class TestCsv:
         for x1, x2 in itertools.product((0.0, 0.5, 1.0), repeat=2):
             rows.append(f"{x1},{x2},{4.0 if (x1, x2) == (1.0, 0.5) else 0.0}")
         path.write_text("\n".join(rows) + "\n")
-        assert (table_from_csv(str(path)) == separation_table()).all()
+        assert (square_table_from_csv(str(path), GRID)[1] == separation_table()).all()
 
     def test_missing_cell_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("x1,x2,value\n0.0,0.0,1.0\n")
         with pytest.raises(ValueError):
-            table_from_csv(str(path))
+            square_table_from_csv(str(path), GRID)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import os
@@ -147,6 +148,36 @@ def test_cli_import_loads_no_command_module():
 def test_kernel_path_loads_no_reference_path(module):
     # The object path (betting) is the tests' reference; the kernels do not need it.
     assert "evbet.betting" not in loaded_after(f"import evbet.{module}")
+
+
+def test_cli_has_one_boundary_handler():
+    """Only one ``except`` clause in the CLI turns boundary errors into exit 2."""
+    tree = ast.parse((Path(SRC) / "evbet" / "cli.py").read_text())
+    handlers = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        and any(isinstance(n, ast.Name) and n.id == "_BOUNDARY_ERRORS" for n in ast.walk(node.type))
+    ]
+    assert len(handlers) == 1
+
+
+def csv_readers(path):
+    """The places in a module that build a ``csv.reader`` or ``csv.DictReader``."""
+    readers = {"reader", "DictReader"}
+    return [
+        node for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in readers
+        and isinstance(node.value, ast.Name) and node.value.id == "csv"
+        or isinstance(node, ast.ImportFrom) and node.module == "csv"
+        and readers & {alias.name for alias in node.names}
+    ]
+
+
+def test_only_domain_reads_table_files():
+    package = Path(SRC) / "evbet"
+    found = {str(p.relative_to(package)): len(csv_readers(p)) for p in package.rglob("*.py")}
+    assert found.pop("domain.py") == 1
+    assert found and not any(found.values()), found
 
 
 def test_package_import_loads_nothing_else():
