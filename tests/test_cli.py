@@ -29,11 +29,6 @@ from evbet.multiround import (
 )
 
 
-SRC = os.pathsep.join(
-    filter(None, (str(Path(evbet.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")))
-)
-
-
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -758,6 +753,8 @@ class TestOutputsOpenedFirst:
     def test_closed_stdout_pipe_exits_1_quietly(self):
         # Python ignores SIGPIPE, so a write to a pipe with no reader raises
         # BrokenPipeError; click exits 1 without a message, as `| head -1` expects.
+        src = str(Path(evbet.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         read, write = os.pipe()
         os.close(read)
         try:
@@ -765,7 +762,7 @@ class TestOutputsOpenedFirst:
                 [sys.executable, "-m", "evbet.cli", *CS[:3], "--n", "2000", "--grid", "9"],
                 stdout=write,
                 stderr=subprocess.PIPE,
-                env={**os.environ, "PYTHONPATH": SRC},
+                env={**os.environ, "PYTHONPATH": path},
                 text=True,
                 timeout=120,
             )

@@ -166,10 +166,10 @@ def csv_readers(path):
     readers = {"reader", "DictReader"}
     return [
         node for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and node.attr in readers
-        and isinstance(node.value, ast.Name) and node.value.id == "csv"
-        or isinstance(node, ast.ImportFrom) and node.module == "csv"
-        and readers & {alias.name for alias in node.names}
+        if (isinstance(node, ast.Attribute) and node.attr in readers
+            and isinstance(node.value, ast.Name) and node.value.id == "csv")
+        or (isinstance(node, ast.ImportFrom) and node.module == "csv"
+            and readers & {alias.name for alias in node.names})
     ]
 
 
