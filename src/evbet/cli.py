@@ -27,10 +27,10 @@ every mean-``mu`` sequential law on that grid up to ``--depth``. Its
 ``--seed`` has no effect and is kept only so that scripts passing it still
 run.
 
-The two large CSV outputs, the ``simulate`` ledger (``game.ledger_to_csv``)
-and the ``cs --membership`` matrix, are joined from f-strings in blocks of
-rows, byte for byte what ``csv.writer`` would write; the other tables and
-every ``--format json`` output go through ``_write_rows``.
+Every table (the ``simulate`` ledger, the ``cs`` intervals and membership
+matrix, ``compare``'s rows) has one row source and one writer, ``_write_table``:
+``--format json`` records, or CSV lines from the table's own f-string, joined
+in blocks of rows, byte for byte what ``csv.writer`` writes.
 
 Each command imports the modules it runs when it runs, so a command loads no
 other command's modules. Every library module binds numpy lazily
@@ -43,7 +43,7 @@ and ``audit`` never run it.
 from __future__ import annotations
 
 import contextlib
-import csv
+import itertools
 import json
 import os
 import sys
@@ -51,7 +51,7 @@ import sys
 import click
 
 from . import __version__
-from .errors import EvbetError
+from .errors import EvbetError, NotAnEVariable
 
 
 # What a command turns into exit 2 with its message: bad arguments and data,
@@ -72,43 +72,46 @@ class _Command(click.Command):
 
 
 @contextlib.contextmanager
-def _naming(path):
-    """Re-raise an ``OSError`` on output ``path`` as one that names it."""
+def _naming(name):
+    """Re-raise an ``OSError`` on output ``name`` as one that names it; a broken pipe passes."""
     try:
         yield
+    except BrokenPipeError:
+        raise
     except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc.strerror}") from exc
+        raise OSError(f"cannot write {name}: {exc.strerror}") from exc
 
 
 @contextlib.contextmanager
 def _outputs(*paths):
     """Open each output path for writing, before the command computes.
 
-    Yields one handle per path, stdout for None or '-'. Afterwards stdout is
-    flushed and the files closed here, so a failed write fails the command.
-    If the command fails, every file this run created is removed; a file that
-    existed before stays, truncated, as shell redirection would leave it.
+    Yields a ``(name, handle)`` pair per path, ``("stdout", sys.stdout)`` for None
+    or '-'. Afterwards stdout is flushed and the files closed here, so a failed
+    write fails the command. If the command fails, every file this run created
+    is removed; one that existed stays, truncated, as shell redirection leaves it.
     """
-    handles, created = [], []
+    outputs, created = [], []
     try:
         for path in paths:
             if path is None or path == "-":
-                handles.append(sys.stdout)
+                outputs.append(("stdout", sys.stdout))
                 continue
             with _naming(path):
                 try:
-                    handles.append(open(path, "x", newline=""))
+                    outputs.append((path, open(path, "x", newline="")))
                     created.append(path)
                 except FileExistsError:
-                    handles.append(open(path, "w", newline=""))
-        yield handles
-        sys.stdout.flush()
-        for path, fh in zip(paths, handles):
+                    outputs.append((path, open(path, "w", newline="")))
+        yield outputs
+        with _naming("stdout"):
+            sys.stdout.flush()
+        for name, fh in outputs:
             if fh is not sys.stdout:
-                with _naming(path):
+                with _naming(name):
                     fh.close()
     except BaseException:
-        for fh in handles:
+        for _, fh in outputs:
             if fh is not sys.stdout:
                 with contextlib.suppress(OSError):
                     fh.close()
@@ -118,46 +121,62 @@ def _outputs(*paths):
         raise
 
 
-def _membership_csv(fh, result, n, block_rows):
-    """Round-major ``t,mu,log_wealth,in_set`` rows, byte for byte as ``csv.writer`` would.
+# Rows joined per write of a CSV table.
+_BLOCK_ROWS = 4096
 
-    Floats are written by ``repr`` and lines end in CRLF. The text is built
-    about ``block_rows`` rows at a time, so no list of n x grid rows is ever held.
+
+def _write_table(out, header, rows, fmt, csv_lines):
+    """Write the tuples ``rows`` to a ``(name, handle)`` output; a failed write names it.
+
+    JSON is a list of records; CSV is the header, then one write per ``_BLOCK_ROWS``
+    rows of the lines ``csv_lines`` makes, byte for byte what ``csv.writer`` writes.
     """
-    mu_cols = [f",{mu!r}," for mu in result.mu_grid.tolist()]
-    step = max(1, block_rows // len(mu_cols))
-    fh.write("t,mu,log_wealth,in_set\r\n")
-    for t0 in range(0, n, step):
-        log_wealth = result.games.log_wealth[:, t0 : t0 + step].T.tolist()
-        in_set = result.in_set[t0 : t0 + step].view("uint8").tolist()
-        fh.write(
-            "".join(
-                f"{t}{mu_col}{w!r},{alive}\r\n"
-                for t, w_row, in_row in zip(range(t0 + 1, n + 1), log_wealth, in_set)
-                for mu_col, w, alive in zip(mu_cols, w_row, in_row)
-            )
+    name, fh = out
+    rows = iter(rows)
+    with _naming(name):
+        if fmt == "json":
+            fh.write(json.dumps([dict(zip(header, row)) for row in rows], indent=2))
+            fh.write("\n")
+            return
+        fh.write(",".join(header) + "\r\n")
+        while block := "".join(csv_lines(itertools.islice(rows, _BLOCK_ROWS))):
+            fh.write(block)
+
+
+LEDGER_HEADER = ("t", "x", "lambda", "e_value", "log_wealth", "rejected")
+
+
+def ledger_rows(ledger):
+    """One ``LEDGER_HEADER`` tuple per round; ``rejected`` is 1 from the rejection on."""
+    n = len(ledger.x)
+    before = n if ledger.rejected_at is None else ledger.rejected_at - 1
+    rejected = itertools.chain(itertools.repeat(0, before), itertools.repeat(1, n - before))
+    return zip(range(1, n + 1), ledger.x, ledger.lam, ledger.e_value, ledger.log_wealth, rejected)
+
+
+def _membership_rows(result, mus):
+    """Round-major ``(t, mu, log_wealth, in_set)`` rows, ``mu`` from ``mus``, read a
+    block of rounds at a time, so no list of n x grid rows is ever held."""
+    step = max(1, _BLOCK_ROWS // len(mus))
+    return itertools.chain.from_iterable(  # row by row in C, no generator frame per row
+        zip(itertools.repeat(t), mus, w_row, in_row)
+        for t0 in range(0, len(result.in_set), step)
+        for t, w_row, in_row in zip(
+            itertools.count(t0 + 1),
+            result.games.log_wealth[:, t0 : t0 + step].T.tolist(),
+            result.in_set[t0 : t0 + step].view("uint8").tolist(),
         )
-
-
-def _write_rows(fh, header, rows, fmt):
-    if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        fh.write(json.dumps(payload, indent=2))
-        fh.write("\n")
-    else:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    )
 
 
 def _echo_json(obj):
     click.echo(json.dumps(obj, indent=2))
 
 
-def _witness(report):
-    """The violating two-point measure of an invalid ``ValidityReport``, as JSON."""
-    w = report.witness
-    return {"a": w.a, "b": w.b, "w": w.w, "expectation": report.expectation}
+def _witness(refutation):
+    """The violating two-point measure of a ``NotAnEVariable`` refutation, as JSON."""
+    w = refutation.witness
+    return {"a": w.a, "b": w.b, "w": w.w, "expectation": refutation.expectation}
 
 
 def _tree_witness(refutation):
@@ -166,14 +185,16 @@ def _tree_witness(refutation):
 
 
 def _checked_table(table, mu):
-    """Load a ``point,value`` table and check it: ``(report, certificate or None)``."""
+    """Load and certify a ``point,value`` table: ``(cert, None)`` or ``(None, refutation)``."""
     from . import evariables
 
     tab = evariables.tabulated_from_csv(table, mu)
-    report = evariables.check_evariable(tab)
-    # A valid table whose slope interval is inverted beyond rounding raises.
-    cert = evariables.beta_interval(tab) if report.valid else None
-    return report, cert
+    try:
+        return evariables.beta_interval(tab), None
+    except NotAnEVariable as exc:
+        if exc.witness is None:  # valid, but its slope interval is inverted beyond rounding
+            raise
+        return None, exc
 
 
 def _strict_exit(ctx, strict, refuted):
@@ -212,15 +233,15 @@ def simulate(ctx, mu, dist, strategy, n, delta, seed, out, fmt):
     game.check_strategy(strategy, np.array([mu]))  # before sampling
     if n < 1:
         raise ValueError("n must be at least 1")
-    with _outputs(out) as (fh,):
+    with _outputs(out) as (dest,):
         xs = domain.sample_stream(distribution, n, seed)
         # One-row batch: the kernel computes the bets, score_bets scores them.
         batch = game.run_games_batch(np.array([mu]), xs[None, :], strategy, delta)
         ledger = game.score_bets(mu, delta, batch.bets[0], xs)
-        if fmt == "json":
-            _write_rows(fh, game.LEDGER_HEADER, game.ledger_rows(ledger), fmt)
-        else:
-            game.ledger_to_csv(ledger, fh)
+        _write_table(
+            dest, LEDGER_HEADER, ledger_rows(ledger), fmt,
+            lambda rows: [f"{t},{x!r},{lam!r},{e!r},{w!r},{r}\r\n" for t, x, lam, e, w, r in rows],
+        )
     _echo_json(
         {
             "rejected_at": ledger.rejected_at,
@@ -244,8 +265,6 @@ def simulate(ctx, mu, dist, strategy, n, delta, seed, out, fmt):
 @click.pass_context
 def cs(ctx, dist, strategy, n, delta, seed, grid, running_intersect, out, membership, fmt):
     """Confidence sequence for the data mean over a candidate grid."""
-    import numpy as np
-
     from . import confseq, domain, game
 
     distribution = domain.parse_distribution(dist)
@@ -254,23 +273,22 @@ def cs(ctx, dist, strategy, n, delta, seed, grid, running_intersect, out, member
     mu_grid = confseq.default_mu_grid(grid)
     game.check_strategy(strategy, mu_grid)  # before sampling
     paths = [out] if membership is None else [out, membership]
-    with _outputs(*paths) as handles:
+    with _outputs(*paths) as dests:
         xs = domain.sample_stream(distribution, n, seed)
         result = confseq.run_cs_batch(mu_grid, xs, strategy, delta, running_intersect)
-        _write_rows(handles[0], ["t", "lower", "upper", "alive"], result.intervals(), fmt)
+        _write_table(
+            dests[0], ("t", "lower", "upper", "alive"), result.intervals(), fmt,
+            lambda rows: [f"{t},{lo!r},{hi!r},{alive}\r\n" for t, lo, hi, alive in rows],
+        )
         if membership is None:
             return
-        if fmt == "json":
-            # Round-major rows (t, mu, log_wealth, in_set), one per round and candidate.
-            mrows = zip(
-                np.repeat(np.arange(1, n + 1), grid).tolist(),
-                np.tile(mu_grid, n).tolist(),
-                result.games.log_wealth.T.ravel().tolist(),
-                result.in_set.ravel().astype(int).tolist(),
-            )
-            _write_rows(handles[1], ["t", "mu", "log_wealth", "in_set"], mrows, fmt)
-        else:
-            _membership_csv(handles[1], result, n, game.CSV_BLOCK_ROWS)
+        mus = mu_grid.tolist()
+        if fmt == "csv":
+            mus = list(map(repr, mus))  # each mu formatted once per run, not once per row
+        _write_table(
+            dests[1], ("t", "mu", "log_wealth", "in_set"), _membership_rows(result, mus), fmt,
+            lambda rows: [f"{t},{mu},{w!r},{alive}\r\n" for t, mu, w, alive in rows],
+        )
 
 
 @main.command()
@@ -295,15 +313,14 @@ def compare(ctx, mu, dist, n, seed, alpha, alpha_file, out, fmt):
     if n < 1:
         raise ValueError("n must be at least 1")
     if alpha_file is not None:
-        with open(alpha_file) as fh:
-            schedule = [float(line) for line in fh if line.strip()]
+        schedule = domain.read_numbers(alpha_file)
         if len(schedule) < n:
             raise ValueError(f"alpha file has {len(schedule)} entries, need {n}")
         schedule = np.asarray(schedule[:n])
     else:
         schedule = np.full(n, alpha)
     lams = np.array([evariables.dominating_lambda(mu, a) for a in schedule])
-    with _outputs(out) as (fh,):
+    with _outputs(out) as (dest,):
         xs = domain.sample_stream(distribution, n, seed)
         with np.errstate(over="ignore"):
             log_h = np.cumsum(schedule * (xs - mu) - schedule**2 / 8.0)
@@ -312,11 +329,11 @@ def compare(ctx, mu, dist, n, seed, alpha, alpha_file, out, fmt):
             t = int(finite.argmin()) + 1
             raise ValueError(f"alpha is too large: the Hoeffding log-wealth overflows at round {t}")
         log_cb = np.cumsum(np.log1p(lams * (xs - mu)))
-        rows = [
-            (t + 1, float(log_h[t]), float(log_cb[t]), float(log_cb[t] - log_h[t]))
-            for t in range(n)
-        ]
-        _write_rows(fh, ["t", "logW_hoeffding", "logW_coinbet", "gap"], rows, fmt)
+        rows = zip(range(1, n + 1), log_h.tolist(), log_cb.tolist(), (log_cb - log_h).tolist())
+        _write_table(
+            dest, ("t", "logW_hoeffding", "logW_coinbet", "gap"), rows, fmt,
+            lambda rows: [f"{t},{h!r},{cb!r},{gap!r}\r\n" for t, h, cb, gap in rows],
+        )
 
 
 @main.command()
@@ -326,14 +343,14 @@ def compare(ctx, mu, dist, n, seed, alpha, alpha_file, out, fmt):
 @click.pass_context
 def check(ctx, table, mu, strict):
     """Validity check of a tabulated e-variable, with its domination certificate."""
-    report, cert = _checked_table(table, mu)
-    verdict = {"valid": report.valid, "witness": None, "certificate": None}
-    if report.valid:
+    cert, refutation = _checked_table(table, mu)
+    verdict = {"valid": cert is not None, "witness": None, "certificate": None}
+    if cert is not None:
         verdict["certificate"] = cert.as_dict()
     else:
-        verdict["witness"] = _witness(report)
+        verdict["witness"] = _witness(refutation)
     _echo_json(verdict)
-    _strict_exit(ctx, strict, not report.valid)
+    _strict_exit(ctx, strict, cert is None)
 
 
 @main.command()
@@ -347,9 +364,9 @@ def dominate(ctx, table, mu, t2, strict):
     from . import domain, multiround
 
     if not t2:
-        report, cert = _checked_table(table, mu)
-        if not report.valid:
-            _echo_json({"certified": False, "witness": _witness(report)})
+        cert, refutation = _checked_table(table, mu)
+        if cert is None:
+            _echo_json({"certified": False, "witness": _witness(refutation)})
             _strict_exit(ctx, strict, True)
             return
         _echo_json({"certified": True, **cert.as_dict()})

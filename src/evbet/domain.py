@@ -289,6 +289,14 @@ def parse_distribution(literal: str) -> DiscreteDistribution:
     raise ValueError(f"unknown distribution kind {kind!r}")
 
 
+def _parsed(path: str, line: int, parse, text: str):
+    """``parse(text)``; a ``ValueError`` is prefixed ``<path>: line <line>:``."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {line}: {exc}") from exc
+
+
 def read_table(path: str, columns: dict, name) -> dict:
     """The one reader of table files: ``{key: value}`` in file order.
 
@@ -305,10 +313,9 @@ def read_table(path: str, columns: dict, name) -> dict:
             if not columns.keys() <= set(rows.fieldnames or ()):
                 raise ValueError(f"{path}: expected CSV columns {','.join(columns)}")
             for row in rows:
-                try:
-                    *key, value = [parse(row[col]) for col, parse in columns.items()]
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {rows.line_num}: {exc}") from exc
+                *key, value = [
+                    _parsed(path, rows.line_num, parse, row[col]) for col, parse in columns.items()
+                ]
                 key = tuple(key)
                 if key in table:
                     raise ValueError(f"{path}: {name(key)} appears twice")
@@ -316,6 +323,12 @@ def read_table(path: str, columns: dict, name) -> dict:
         except csv.Error as exc:
             raise ValueError(f"{path}: {exc}") from exc
     return table
+
+
+def read_numbers(path: str) -> list[float]:
+    """The numbers of a file, one per line, blank lines skipped; a bad one names its line."""
+    with open(path) as fh:
+        return [_parsed(path, n, float, line) for n, line in enumerate(fh, start=1) if line.strip()]
 
 
 def distribution_from_csv(path: str) -> DiscreteDistribution:

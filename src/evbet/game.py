@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ._lazy import np
@@ -215,33 +214,3 @@ def run_games_batch(mus, xs, strategy: str, delta: float) -> BatchGameResult:
             crossed = log_wealth[g : g + step] > threshold
             rejected_at[g : g + step] = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, 0)
     return BatchGameResult(bets=bets, log_wealth=log_wealth, rejected_at=rejected_at)
-
-
-LEDGER_HEADER = ("t", "x", "lambda", "e_value", "log_wealth", "rejected")
-# Rows per write of the block-built CSV writers.
-CSV_BLOCK_ROWS = 4096
-
-
-def ledger_rows(ledger: WealthLedger) -> Iterator[tuple]:
-    """One ``LEDGER_HEADER`` tuple per round; ``rejected`` is 1 from the rejection on."""
-    n = len(ledger.x)
-    before = n if ledger.rejected_at is None else ledger.rejected_at - 1
-    rejected = itertools.chain(itertools.repeat(0, before), itertools.repeat(1, n - before))
-    return zip(range(1, n + 1), ledger.x, ledger.lam, ledger.e_value, ledger.log_wealth, rejected)
-
-
-def ledger_to_csv(ledger: WealthLedger, fh) -> None:
-    """Write the ledger as ``LEDGER_HEADER`` CSV, byte for byte as ``csv.writer`` would.
-
-    Floats are written by ``repr`` and lines end in CRLF; the text is joined
-    in blocks of ``CSV_BLOCK_ROWS`` rows, one write each.
-    """
-    fh.write(",".join(LEDGER_HEADER) + "\r\n")
-    rows = ledger_rows(ledger)
-    while block := "".join(
-        [
-            f"{t},{x!r},{lam!r},{e!r},{w!r},{rejected}\r\n"
-            for t, x, lam, e, w, rejected in itertools.islice(rows, CSV_BLOCK_ROWS)
-        ]
-    ):
-        fh.write(block)

@@ -20,6 +20,7 @@ from evbet.betting import ConstantStrategy, UniversalPortfolioStrategy
 from evbet.cli import main
 from evbet.confseq import default_mu_grid, run_cs_batch
 from evbet.domain import SampleSpace, parse_distribution, sample_stream
+from evbet.evariables import dominating_lambda
 from evbet.game import parse_strategy, recompute_log_wealth, run_game
 from evbet.multiround import (
     MultiRoundCoinBet,
@@ -49,6 +50,17 @@ def write_separation_table(path):
 def read_ledger(path):
     rows = list(csv.DictReader(path.open()))
     return {k: [float(r[k]) for r in rows] for k in ("x", "lambda", "e_value", "log_wealth")}
+
+
+def reference_table(header, rows, fmt):
+    """The bytes of a table as ``csv.writer`` or ``json.dumps`` writes it."""
+    if fmt == "json":
+        return (json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n").encode()
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
 
 
 @pytest.mark.parametrize("delta", ["0", "1.5"])
@@ -168,6 +180,8 @@ CONTRACT_CASES = {
         ("range", CMP[:-1] + [HUGE, "--alpha", "0.1"], "Unable to allocate"),
         ("missing-file", CMP + ["--alpha", "1", "--out", "{d}/none/cmp.csv"],
          "none/cmp.csv: No such file or directory"),
+        ("literal", CMP + ["--alpha-file", "{d}/alpha-bad.txt"],
+         "alpha-bad.txt: line 2: could not convert"),
     ],
     "check": [
         ("range", ["check", "--table", "{d}/t1.csv", "--mu", "1.5"], "mu must lie in (0, 1)"),
@@ -557,6 +571,33 @@ class TestCs:
             expected = buf.getvalue()
         assert member.read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize("to_stdout", [False, True], ids=["file", "stdout"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "dist, strategy, grid, running_intersect",
+        [
+            ("bernoulli:0.4", "up:101", 7, True),
+            # Every candidate is rejected by round 14, so the later sets are empty.
+            ("point:1", "constant:1", 3, False),
+        ],
+        ids=["up", "empty-set"],
+    )
+    def test_interval_bytes_match_csv_writer(
+        self, runner, tmp_path, dist, strategy, grid, running_intersect, fmt, to_stdout
+    ):
+        n, seed = 30, 5
+        out = tmp_path / "cs.out"
+        args = ["cs", "--dist", dist, "--strategy", strategy, "--n", str(n), "--grid", str(grid),
+                "--seed", str(seed), "--format", fmt, "--out", "-" if to_stdout else str(out)]
+        result = invoke(runner, args + ["--running-intersect"] * running_intersect)
+        xs = sample_stream(parse_distribution(dist), n, seed)
+        cs = run_cs_batch(default_mu_grid(grid), xs, strategy, 0.05, running_intersect)
+        rows = [(t, *cs.interval(t)) for t in range(1, n + 1)]
+        if strategy == "constant:1":
+            assert math.isnan(rows[-1][1]) and rows[-1][3] == 0
+        expected = reference_table(["t", "lower", "upper", "alive"], rows, fmt)
+        assert (result.stdout_bytes if to_stdout else out.read_bytes()) == expected
+
     def test_nan_mass_in_table_exit_2(self, tmp_path):
         table = tmp_path / "dist.csv"
         table.write_text("point,mass\n0.0,nan\n1.0,1.0\n")
@@ -635,6 +676,29 @@ class TestCompare:
         )
         assert result.exit_code == 0
         assert len(list(csv.DictReader(out.open()))) == 10
+
+    @pytest.mark.parametrize("to_stdout", [False, True], ids=["file", "stdout"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("from_file", [False, True], ids=["alpha", "alpha-file"])
+    def test_bytes_match_csv_writer(self, runner, tmp_path, from_file, fmt, to_stdout):
+        mu, dist, n, seed = 0.5, "bernoulli:0.4", 40, 6
+        alphas = [0.1 + 0.05 * (t % 7) for t in range(n)] if from_file else [1.0] * n
+        sched = tmp_path / "alphas.txt"
+        sched.write_text("\n".join(map(repr, alphas)) + "\n")
+        out = tmp_path / "cmp.out"
+        schedule = ["--alpha-file", str(sched)] if from_file else ["--alpha", "1.0"]
+        result = invoke(runner, ["compare", "--mu", str(mu), "--dist", dist, "--n", str(n),
+                                 "--seed", str(seed), "--format", fmt, *schedule,
+                                 "--out", "-" if to_stdout else str(out)])
+        xs = sample_stream(parse_distribution(dist), n, seed)
+        a = np.array(alphas)
+        log_h = np.cumsum(a * (xs - mu) - a**2 / 8.0)
+        lams = np.array([dominating_lambda(mu, alpha) for alpha in alphas])
+        log_cb = np.cumsum(np.log1p(lams * (xs - mu)))
+        rows = [(t + 1, float(log_h[t]), float(log_cb[t]), float(log_cb[t] - log_h[t]))
+                for t in range(n)]
+        expected = reference_table(["t", "logW_hoeffding", "logW_coinbet", "gap"], rows, fmt)
+        assert (result.stdout_bytes if to_stdout else out.read_bytes()) == expected
 
     def test_short_alpha_file_exit_2(self, runner, tmp_path):
         sched = tmp_path / "alphas.txt"
@@ -750,6 +814,28 @@ class TestOutputsOpenedFirst:
         assert "Traceback" not in result.output
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_membership_write_names_its_file(self, tmp_path, monkeypatch):
+        member = tmp_path / "m.csv"
+
+        def full_membership(path, *args, **kwargs):
+            """Open ``path``; the membership file's writes fail as on a full disk."""
+            fh = open(path, *args, **kwargs)
+            if path == str(member):
+                def write(text):
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+                fh.write = write
+            return fh
+
+        monkeypatch.setattr(cli, "open", full_membership, raising=False)
+        result = CliRunner().invoke(
+            main, CS + ["--out", str(tmp_path / "cs.csv"), "--membership", str(member)]
+        )
+        assert result.exit_code == 2, result.output
+        assert f"cannot write {member}: No space left on device" in result.stderr
+        assert "Traceback" not in result.output
+        assert list(tmp_path.iterdir()) == []
+
     def test_closed_stdout_pipe_exits_1_quietly(self):
         # Python ignores SIGPIPE, so a write to a pipe with no reader raises
         # BrokenPipeError; click exits 1 without a message, as `| head -1` expects.
@@ -801,6 +887,27 @@ class TestCheckAndDominate:
         verdict = json.loads(result.output)
         assert verdict["certified"] is True
         assert verdict["lambda_hat"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("command", ["check", "dominate"])
+    @pytest.mark.parametrize(
+        "values", ["1.0\n0.5,1.0\n1.0,1.0", "2.0\n0.5,1.0\n1.0,2.0"], ids=["valid", "invalid"]
+    )
+    def test_table_certified_once(self, tmp_path, monkeypatch, command, values):
+        from evbet import evariables
+
+        calls = []
+        certify = evariables._certify
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(evariables, "_certify", spy)
+        table = tmp_path / "t.csv"
+        table.write_text(f"point,value\n0.0,{values}\n")
+        result = CliRunner().invoke(main, [command, "--table", str(table), "--mu", "0.5"])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
 
     def test_dominate_t2_refutes_separation_table(self, runner, tmp_path):
         table = tmp_path / "sep.csv"

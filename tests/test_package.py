@@ -161,6 +161,28 @@ def test_cli_has_one_boundary_handler():
     assert len(handlers) == 1
 
 
+def write_calls(node):
+    """The ``.write(...)`` calls under an AST node."""
+    return [
+        n for n in ast.walk(node)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "write"
+    ]
+
+
+def test_cli_has_one_table_writer():
+    """Every ``.write`` call in the package is in ``cli._write_table``.
+
+    The library's table-file writers (``eprocess_to_csv``, ``tabulated_to_csv``)
+    use ``csv.writer``, whose ``writerow`` this does not count.
+    """
+    package = Path(SRC) / "evbet"
+    found = {str(p.relative_to(package)): ast.parse(p.read_text()) for p in package.rglob("*.py")}
+    cli = found.pop("cli.py")
+    writer = [n for n in cli.body if isinstance(n, ast.FunctionDef) and n.name == "_write_table"]
+    assert len(write_calls(cli)) == len(write_calls(writer[0])) > 0
+    assert found and not any(write_calls(tree) for tree in found.values())
+
+
 def csv_readers(path):
     """The places in a module that build a ``csv.reader`` or ``csv.DictReader``."""
     readers = {"reader", "DictReader"}
