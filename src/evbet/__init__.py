@@ -15,6 +15,7 @@ _PUBLIC = {
         "SampleSpace",
         "TwoPointMeasure",
         "anchored_two_point",
+        "bet_bounds",
         "sample_stream",
         "two_point_weight",
     ),
@@ -23,7 +24,6 @@ _PUBLIC = {
         "DominationCertificate",
         "HoeffdingEVariable",
         "TabulatedEVariable",
-        "bet_bounds",
         "beta_interval",
         "check_evariable",
         "dominating_lambda",

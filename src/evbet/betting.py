@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._lazy import np
-from .domain import check_node_count, check_observation
+from .domain import bet_bounds, check_bet, check_node_count, check_observation
 from .errors import DegeneratePosterior
-from .evariables import bet_bounds, check_bet
 from .kernels import DEFAULT_UP_NODES, quadrature_coefficients
 
 

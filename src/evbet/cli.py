@@ -128,15 +128,22 @@ _BLOCK_ROWS = 4096
 def _write_table(out, header, rows, fmt, csv_lines):
     """Write the tuples ``rows`` to a ``(name, handle)`` output; a failed write names it.
 
-    JSON is a list of records; CSV is the header, then one write per ``_BLOCK_ROWS``
-    rows of the lines ``csv_lines`` makes, byte for byte what ``csv.writer`` writes.
+    Both formats write one block of ``_BLOCK_ROWS`` rows at a time, so no table
+    is held whole. JSON is a list of records, byte for byte what
+    ``json.dumps(records, indent=2)`` writes: each block is dumped as a list
+    and written without its brackets. CSV is the header, then the lines
+    ``csv_lines`` makes, byte for byte what ``csv.writer`` writes.
     """
     name, fh = out
     rows = iter(rows)
     with _naming(name):
         if fmt == "json":
-            fh.write(json.dumps([dict(zip(header, row)) for row in rows], indent=2))
-            fh.write("\n")
+            fh.write("[")
+            separator = ""
+            while block := [dict(zip(header, row)) for row in itertools.islice(rows, _BLOCK_ROWS)]:
+                fh.write(separator + json.dumps(block, indent=2)[1:-2])  # "\n  {...},\n  {...}"
+                separator = ","
+            fh.write("\n]\n" if separator else "]\n")
             return
         fh.write(",".join(header) + "\r\n")
         while block := "".join(csv_lines(itertools.islice(rows, _BLOCK_ROWS))):

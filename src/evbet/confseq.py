@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from ._lazy import np
+from .domain import rejection_threshold
 from .game import BatchGameResult, run_games_batch
 
 
@@ -68,7 +69,7 @@ def run_cs_batch(
     xs = np.asarray(xs, dtype=float)
     tiled = np.broadcast_to(xs, (len(mu_grid), len(xs)))
     games = run_games_batch(mu_grid, tiled, strategy, delta)
-    threshold = math.log(1.0 / delta)
+    threshold = rejection_threshold(delta)
     in_set = (games.log_wealth <= threshold).T.copy()
     if running_intersect:
         np.logical_and.accumulate(in_set, axis=0, out=in_set)

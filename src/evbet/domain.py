@@ -7,7 +7,11 @@ measures supported on at most two points straddling ``mu``; they are what the
 validity oracles enumerate.
 
 The ``check_*`` functions are the one implementation of each argument check
-of a testing game; each raises ``ValueError`` with a fixed message.
+of a testing game; each raises ``ValueError`` with a fixed message. The
+decisions that the game and the certification oracles share live here too:
+the bet interval ``I_mu`` (``bet_bounds``), the rejection threshold
+``log(1/delta)`` (``rejection_threshold``) and the weight of a two-point
+mean-``mu`` law (``two_point_weight``, ``straddle_weights``).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from ._lazy import np
-from .errors import MeanOutsideSpan
+from .errors import MeanOutsideSpan, OutOfRange
 
 # Absolute tolerance for measure-level invariants (masses, means). Derived
 # quantities elsewhere use 1e-9.
@@ -36,10 +40,33 @@ def check_mu(mu) -> None:
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
 
 
+def bet_bounds(mu: float) -> tuple[float, float]:
+    """The closed interval ``I_mu`` of bet fractions keeping payoffs >= 0 on [0, 1].
+
+    An array of per-game means gives the arrays of their bounds.
+    """
+    check_mu(mu)
+    return 1.0 / (mu - 1.0), 1.0 / mu
+
+
+def check_bet(lam: float, mu: float, t: int | None = None) -> None:
+    """Reject a bet fraction outside ``I_mu`` with ``OutOfRange``; ``t`` names its round."""
+    lo, hi = bet_bounds(mu)
+    if not lo <= lam <= hi:
+        at = "" if t is None else f" at round {t}"
+        raise OutOfRange(f"lambda={lam} outside I_mu=[{lo}, {hi}] for mu={mu}{at}")
+
+
 def check_delta(delta: float) -> None:
     """Reject a significance level outside (0, 1), NaN included."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+
+
+def rejection_threshold(delta: float) -> float:
+    """``log(1/delta)``, the log-wealth a game must exceed to reject; ``delta`` is checked."""
+    check_delta(delta)
+    return math.log(1.0 / delta)
 
 
 def check_observation(x: float) -> None:
@@ -219,6 +246,17 @@ def two_point_weight(a: float, b: float, mu: float) -> float:
     if a == b:
         return 1.0
     return (b - mu) / (b - a)
+
+
+def straddle_weights(below: np.ndarray, above: np.ndarray, mu: float) -> np.ndarray:
+    """``two_point_weight(a, b, mu)`` of every pair of ``a`` in ``below`` and
+    ``b`` in ``above``, as a ``(len(below), len(above))`` array.
+
+    Every point of ``below`` must lie strictly below mu and every point of
+    ``above`` strictly above it, so no pair is degenerate.
+    """
+    b = above[None, :]
+    return (b - mu) / (b - below[:, None])
 
 
 def two_point_measure(a: float, b: float, mu: float) -> TwoPointMeasure:

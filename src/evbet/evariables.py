@@ -35,8 +35,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._lazy import np
-from .domain import SampleSpace, TwoPointMeasure, check_mu, check_table, read_table
-from .errors import NotAnEVariable, OutOfRange
+# bet_bounds and check_bet live in domain, shared with the game; they stay names here.
+from .domain import SampleSpace, TwoPointMeasure, bet_bounds, check_bet, check_mu, check_table
+from .domain import read_table, straddle_weights
+from .errors import NotAnEVariable
 
 # Additive slack on two-point expectations when certifying validity.
 VALIDITY_TOL = 1e-12
@@ -44,20 +46,6 @@ VALIDITY_TOL = 1e-12
 # e(p) <= eval_majorizer(mu, p), instead of by the slope ratios, whose
 # denominators would blow up.
 MU_SNAP_TOL = 1e-9
-
-
-def bet_bounds(mu: float) -> tuple[float, float]:
-    """The closed interval ``I_mu`` of bet fractions keeping payoffs >= 0 on [0, 1]."""
-    check_mu(mu)
-    return 1.0 / (mu - 1.0), 1.0 / mu
-
-
-def check_bet(lam: float, mu: float, t: int | None = None) -> None:
-    """Reject a bet fraction outside ``I_mu`` with ``OutOfRange``; ``t`` names its round."""
-    lo, hi = bet_bounds(mu)
-    if not lo <= lam <= hi:
-        at = "" if t is None else f" at round {t}"
-        raise OutOfRange(f"lambda={lam} outside I_mu=[{lo}, {hi}] for mu={mu}{at}")
 
 
 @dataclass(frozen=True)
@@ -194,8 +182,7 @@ def _split_grid(pts: np.ndarray, mu: float) -> _Split:
     d = pts - mu
     i = int(d.searchsorted(-MU_SNAP_TOL, side="left"))
     j = int(d.searchsorted(MU_SNAP_TOL, side="right"))
-    b = pts[None, j:]
-    w = (b - mu) / (b - pts[:i, None])
+    w = straddle_weights(pts[:i], pts[j:], mu)
     excess = tuple(max(x / mu, x / (mu - 1.0)) for x in d[i:j].tolist())
     return _Split(i, j, w, 1.0 - w, excess)
 

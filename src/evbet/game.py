@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 from ._lazy import np
 from . import kernels
-from .domain import check_batch, check_delta, check_mu, check_node_count
-from .domain import check_observation, check_observations
-from .evariables import bet_bounds, check_bet
+from .domain import bet_bounds, check_batch, check_bet, check_delta, check_mu, check_node_count
+from .domain import check_observation, check_observations, rejection_threshold
 
 
 def parse_strategy(literal: str) -> tuple[str, float | int]:
@@ -78,7 +77,7 @@ class WealthLedger:
 
     @property
     def threshold(self) -> float:
-        return math.log(1.0 / self.delta)
+        return rejection_threshold(self.delta)
 
     @property
     def final_log_wealth(self) -> float:
@@ -107,7 +106,7 @@ def score_bets(mu: float, delta: float, bets, xs) -> WealthLedger:
     [0, 1] (``ValueError``) or whose bet lies outside ``I_mu``
     (``OutOfRange``), the observation checked first, as ``run_game`` does.
     """
-    check_delta(delta)
+    threshold = rejection_threshold(delta)
     lo, hi = bet_bounds(mu)
     bets = np.asarray(bets, dtype=float)
     xs = np.asarray(xs, dtype=float)
@@ -120,7 +119,7 @@ def score_bets(mu: float, delta: float, bets, xs) -> WealthLedger:
         check_bet(bets[t].item(), mu, t + 1)
     e_value = np.maximum(1.0 + bets * (xs - mu), 0.0).tolist()
     log_wealth = recompute_log_wealth(e_value)
-    crossed = np.flatnonzero(np.array(log_wealth) > math.log(1.0 / delta))
+    crossed = np.flatnonzero(np.array(log_wealth) > threshold)
     return WealthLedger(
         mu=mu,
         delta=delta,
@@ -191,7 +190,7 @@ def run_games_batch(mus, xs, strategy: str, delta: float) -> BatchGameResult:
     The universal portfolio goes to ``kernels.up_game_batch``. ``xs`` may be a
     broadcast view (one stream shared by every game); it is not copied.
     """
-    check_delta(delta)
+    threshold = rejection_threshold(delta)
     xs, mus = check_batch(xs, mus)
     check_observations(xs)
     kind, arg = check_strategy(strategy, mus)
@@ -206,7 +205,6 @@ def run_games_batch(mus, xs, strategy: str, delta: float) -> BatchGameResult:
 
     # First crossings a block of games at a time, so no (G, n) array is built
     # beside the outputs.
-    threshold = math.log(1.0 / delta)
     rejected_at = np.zeros(len(mus), dtype=np.intp)
     if log_wealth.size:
         step = max(1, _CROSSING_BYTES // log_wealth.shape[1])

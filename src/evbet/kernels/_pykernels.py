@@ -52,12 +52,18 @@ written when it ends, straight into the (G, n) outputs. A span has as many
 blocks as its tables fit in ``_SPAN_BYTES``: 8 at 99 games, over 800 for one
 game. Each round's alpha and beta are divided by max(alpha, beta), the
 factor going back into that round's payoff, so the Bernstein coefficients E
-of Q lie in [0, 1] and, divided by any normal mass, stay finite for any mu
-in (0, 1). A short last span is padded with neutral rounds, alpha = beta =
-1, which multiply Q by (1 - u) + u = 1. Renormalising at each block end
-leaves the bets invariant and prevents under/overflow over long horizons. A
-block whose mass nears underflow ends early, and its span with it; the next
-span starts at the round where it stopped.
+of Q lie in [0, 1] for any mu in (0, 1). A short last span is padded with
+neutral rounds, alpha = beta = 1, which multiply Q by (1 - u) + u = 1.
+Renormalising at each block end, to a total of 2**S (``_TOTAL_EXP``) rather
+than 1, leaves the bets invariant, prevents under/overflow over long
+horizons and keeps a weight a normal double down to 2**-(S + 1022) of the
+total. A block whose mass nears underflow ends early, and its span with
+it; the next span starts at the round where it stopped. When that happens
+at a block's first round, its subnormal weights, which carry too few bits
+for so small a mass, are dropped first, and a round that leaves no weight
+raises ``DegeneratePosterior``. A payoff below the smallest normal double,
+which a posterior that lost its leading nodes can pay, is taken from the
+logs of its masses.
 
 ``up_game_batch_binary`` plays the same games on observations that are all
 exactly 0.0 or 1.0, with one posterior pass per distinct stream instead of
@@ -75,7 +81,8 @@ import functools
 import math
 
 from .._lazy import np
-from ..domain import check_batch, check_node_count, check_observations, unbroadcast_rows
+from ..domain import bet_bounds, check_batch, check_node_count, check_observations
+from ..domain import unbroadcast_rows
 from ..errors import DegeneratePosterior
 
 
@@ -108,8 +115,8 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
     the weights stay put, and each round's mass and bet are the block's
     Bernstein moments of the weights summed against weight-free tables, which
     are built for a span of blocks at a time (see the module docstring). A
-    mass that underflows to zero raises ``DegeneratePosterior`` naming its
-    round and the first game there.
+    round that leaves a game no weight raises ``DegeneratePosterior`` naming
+    the round and the first such game. No bet or log-wealth is NaN or inf.
     """
     xs, mus = check_batch(xs, mus)
     check_node_count(n_nodes)
@@ -121,8 +128,10 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
     # are under _EPS of any mass above this floor. A block ends before the
     # first round whose mass falls below it, or after that round if it is
     # the block's first; its span ends with it.
-    floor = n_nodes * 2.0**block * np.finfo(float).tiny / _EPS
-    w = np.broadcast_to(quadrature_coefficients(n_nodes), (n_games, n_nodes)).copy()
+    floor = n_nodes * 2.0**block * _TINY / _EPS
+    coefficients = quadrature_coefficients(n_nodes)
+    coefficients *= 2.0 ** (_TOTAL_EXP - math.frexp(coefficients.sum())[1])
+    w = np.broadcast_to(coefficients, (n_games, n_nodes)).copy()
     scratch = np.empty_like(w)
     rows = 2 * block + 1
     n_blocks = min(_span_blocks(n_games), -(-n_rounds // block))
@@ -142,10 +151,13 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
     # round i of block b, relative to the weights at the block start.
     sums = np.empty((n_blocks, rows, n_games))
     top = np.empty((block + 1, n_games))
-    alpha_at_zero, beta_at_one = 1.0 / (1.0 - mus), 1.0 / mus
+    # alpha = 1 + lo*(x - mu) and beta = 1 + hi*(x - mu): the payoffs of the
+    # bets at the ends of I_mu, nodes u = 0 and u = 1.
+    lo, hi = bet_bounds(mus)
+    alpha_at_zero, beta_at_one = -lo, hi
 
     bets = np.empty((n_games, n_rounds))
-    payoffs = np.empty((n_games, n_rounds))  # becomes the log-wealth
+    log_payoffs = np.empty((n_games, n_rounds))  # becomes the log-wealth
     start = 0
     while start < n_rounds:
         # The span's weight-free work: payoff factors, scaled per round, and tables.
@@ -183,19 +195,25 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
                 low = (mass[1 : n_play + 1] < floor).any(axis=1)
                 first = int(np.argmax(low))
                 if first == 0:
+                    # Subnormal weights hold too few bits to carry a mass
+                    # this low: they are dropped and the block read again.
+                    w[w < _TINY] = 0.0
+                    np.matmul(basis, w.T, out=moments)
+                    np.einsum("rlg,lg->rg", tables[:, :, k], moments, out=sums[k])
                     _check_mass(mass[1], start + 1)
                 n_play = max(first, 1)
             start += n_play
             if start == n_rounds:
                 break
-            # w <- w * Q(u) / mass, Q taken to degree J by neutral rounds
-            np.divide(tables[2 * n_play, :, k], mass[n_play], out=top)
+            # w <- w * Q(u) * 2**S / mass, Q taken to degree J by neutral rounds
+            np.multiply(tables[2 * n_play, :, k], 2.0**_TOTAL_EXP, out=top)
+            top /= np.maximum(mass[n_play], _MIN_MASS)
             np.matmul(top.T, basis, out=scratch)
             w *= scratch
             if n_play < block:  # the next span starts where this block ended
                 break
-        _write_span(sums, scale, bets, payoffs, first_round, start)
-    return _bets(bets, mus), _log_wealth(payoffs)
+        _write_span(sums, scale, bets, log_payoffs, first_round, start)
+    return _bets(bets, mus), np.cumsum(log_payoffs, axis=1, out=log_payoffs)
 
 
 # Rounds ``up_game_batch`` plays per pass over its weights. On the mc-grid shape
@@ -211,6 +229,17 @@ _BLOCK = 8
 # one game gets spans of over 800 blocks.
 _SPAN_BYTES = 2**20
 _EPS = 2.0**-53
+_TINY = 2.0**-1022  # the smallest normal double
+# The general kernel's weights sum to 2**S, S = _TOTAL_EXP, after each block,
+# not to 1, so a weight stays a normal double down to 2**-(S + 1022) of the
+# total: numpy is many times slower on subnormals. The masses and moments
+# are sums of non-negative terms bounded by the total, so they cannot
+# overflow while S stays below 1023. A block end multiplies the
+# weights by Bernstein coefficients times 2**S / mass; a mass below _MIN_MASS
+# is read as _MIN_MASS, so that factor stays under 2**1023 and the next block
+# starts from a total below 2**S.
+_TOTAL_EXP = 1000
+_MIN_MASS = 2.0 ** (_TOTAL_EXP - 1023)
 
 
 def _span_blocks(n_games: int) -> int:
@@ -370,12 +399,15 @@ class _BinaryPosterior:
         return sums[:, 0] / sums[:, 1], sums[:, 2] / sums[:, 1]
 
 
-def _write_span(sums, scale, bets, payoffs, first: int, stop: int) -> None:
-    """Write the bets (as posterior means of u) and the scaled mixture payoffs
-    of rounds ``first`` to ``stop`` - 1, the rounds a span played.
+def _write_span(sums, scale, bets, log_payoffs, first: int, stop: int) -> None:
+    """Write the bets (as posterior means of u) and the logs of the scaled
+    mixture payoffs of rounds ``first`` to ``stop`` - 1, the rounds a span played.
 
     ``sums[b, 2i]`` is the mass before round i of block b and ``sums[b, 2i + 1]``
-    its first moment of u, both relative to the weights at the block start.
+    its first moment of u, both relative to the weights at the block start. A
+    payoff is the ratio of two masses; one below the smallest normal double,
+    which a posterior that lost its leading nodes can pay, is taken as the
+    difference of their logs instead, so it neither underflows nor loses bits.
     """
     n_games = sums.shape[2]
     full, rest = divmod(stop - first, _BLOCK)
@@ -388,9 +420,15 @@ def _write_span(sums, scale, bets, payoffs, first: int, stop: int) -> None:
         # (blocks, n, G) views of the (G, rounds) outputs
         out = bets[:, rounds].reshape(n_games, n_blocks, n).transpose(1, 2, 0)
         np.divide(sums[blocks, 1 : 2 * n : 2], before, out=out)
-        out = payoffs[:, rounds].reshape(n_games, n_blocks, n).transpose(1, 2, 0)
-        np.divide(sums[blocks, 2 : 2 * n + 1 : 2], before, out=out)
-        out *= scale[start * _BLOCK : start * _BLOCK + n_blocks * n].reshape(n_blocks, n, n_games)
+        after = sums[blocks, 2 : 2 * n + 1 : 2]
+        factor = scale[start * _BLOCK : start * _BLOCK + n_blocks * n].reshape(n_blocks, n, n_games)
+        out = log_payoffs[:, rounds].reshape(n_games, n_blocks, n).transpose(1, 2, 0)
+        np.divide(after, before, out=out)
+        out *= factor
+        low = out < _TINY
+        np.log(out, out=out, where=~low)
+        if low.any():
+            out[low] = np.log(after[low]) - np.log(before[low]) + np.log(factor[low])
 
 
 def _check_mass(total: np.ndarray, n_played: int) -> None:
@@ -407,10 +445,11 @@ def _bets(ubar: np.ndarray, mus: np.ndarray) -> np.ndarray:
     game checks bets against I_mu with no tolerance, and rounding can put the
     affine image of an extreme mean one ulp outside.
     """
+    lo, hi = bet_bounds(mus)
     bets = ubar
     bets -= mus[:, None]
     bets /= (mus * (1.0 - mus))[:, None]
-    np.clip(bets, (1.0 / (mus - 1.0))[:, None], (1.0 / mus)[:, None], out=bets)
+    np.clip(bets, lo[:, None], hi[:, None], out=bets)
     return bets
 
 

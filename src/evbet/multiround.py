@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from ._lazy import np
-from .domain import SampleSpace, check_table, read_table
+from .domain import SampleSpace, check_bet, check_table, read_table, two_point_weight
 from .errors import DepthTooLarge, NotAnEVariable
 # check_evariable and beta_interval are not called here, but stay module names:
 # perfbench/tracing.py patches its spans in under them.
@@ -43,16 +43,11 @@ from .evariables import (  # noqa: F401
     _space_split,
     _worst_measures,
     beta_interval,
-    check_bet,
     check_evariable,
 )
 
 MAX_MASK_DEPTH = 5
 MAX_AUDIT_DEPTH = 4
-# How far a TreeHypothesis pair may miss mu: the snap tolerance of
-# evariables._split_grid, so a dominate_T2 refutation may hold the point pair
-# (p, p) of a grid point p snapped to mu. The audit's pairs straddle mu exactly.
-STRADDLE_TOL = MU_SNAP_TOL
 
 
 @dataclass(frozen=True)
@@ -150,8 +145,11 @@ class TreeHypothesis:
         n = len(self.pairs)
         if n == 0 or n & (n + 1):  # must be 2^depth - 1
             raise ValueError(f"{n} pairs do not form a full binary tree")
+        # A pair may miss mu by the snap tolerance of evariables._split_grid, so
+        # a dominate_T2 refutation may hold the point pair (p, p) of a grid
+        # point p snapped to mu. The audit's pairs straddle mu exactly.
         for a, b in self.pairs:
-            if not (a - STRADDLE_TOL <= self.mu <= b + STRADDLE_TOL):
+            if not (a - MU_SNAP_TOL <= self.mu <= b + MU_SNAP_TOL):
                 raise ValueError(f"pair ({a}, {b}) does not straddle mu={self.mu}")
 
     @property
@@ -164,17 +162,14 @@ class TreeHypothesis:
 
 
 def _pair_weight(a: float, b: float, mu: float) -> float:
-    """Mass on ``a`` of the mean-``mu`` measure on {a, b}, clipped into [0, 1].
+    """``domain.two_point_weight`` of {a, b} at ``mu`` clipped into the pair's span.
 
-    ``(b - mu) / (b - a)``, and 1 when ``a == b``. The audit's pairs straddle
-    mu exactly, so the clip never acts on them; it acts only on a hand-built
-    ``TreeHypothesis`` pair that misses mu by at most ``STRADDLE_TOL``, which
-    gets the nearest weight in [0, 1] where ``domain.two_point_weight``
-    raises. A strictly straddling pair gets the same weight from both.
+    The audit's pairs straddle mu exactly, so the clip never acts on them; it
+    acts only on a hand-built ``TreeHypothesis`` pair that misses mu by at
+    most ``MU_SNAP_TOL``, which gets the nearest weight in [0, 1] where
+    ``two_point_weight`` raises.
     """
-    if a == b:
-        return 1.0
-    return min(max((b - mu) / (b - a), 0.0), 1.0)
+    return two_point_weight(a, b, min(max(mu, min(a, b)), max(a, b)))
 
 
 def _payoff_fn(payoffs):

@@ -78,7 +78,7 @@ def test_prints_medians_and_seed_pair_wins(tmp_path, monkeypatch, capsys):
         "    setup_s: won 0/2, at least 9/10: no; median gap 0 > parent quartile spread 0: no;"
         " within the 25% bound: yes",
         "    peak_rss_mb: won 0/2, at least 9/10: no; median gap 0 > parent quartile spread 0: no;"
-        " within the 10% bound: yes",
+        " within the 10% bound: yes; attempted change/parent: 1",
         "    failed share: parent 0/78 = 0, change 0/78 = 0; above the parent's: no",
     ]
 
@@ -172,3 +172,15 @@ def test_failed_share_per_side_flags_a_rise():
     assert bench_record.failed_line(none) == (
         "    failed share: parent 0/0 = 0, change 0/0 = 0; above the parent's: no"
     )
+
+
+def test_attempted_ratio_is_printed_next_to_peak_rss():
+    parent = records("p", "parent", {1: 0.4, 2: 0.5})
+    change = records("c", "change", {1: 0.3, 2: 0.4})
+    change[0].update(attempted=59)  # 59 + 39 against 39 + 39
+    matched = list(zip(parent, change))
+    assert bench_record.attempted_ratio(matched) == "1.256"
+    rss = [line for line in bench_record.summarize(parent + change, BOUNDS) if "peak_rss_mb:" in line]
+    assert rss[0].endswith("within the 10% bound: yes; attempted change/parent: 1.256")
+    none = [({**p, "attempted": 0}, c) for p, c in matched]
+    assert bench_record.attempted_ratio(none) == "n/a"

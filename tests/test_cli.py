@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -708,6 +709,39 @@ class TestCompare:
                    "--alpha-file", str(sched)]
         )
         assert result.exit_code == 2
+
+
+class TestWriteTable:
+    """``cli._write_table`` writes a table a block of rows at a time, in either format."""
+
+    HEADER = ("t", "x", "w", "flag")
+
+    @staticmethod
+    def csv_lines(rows):
+        return [f"{t},{x!r},{w!r},{flag}\r\n" for t, x, w, flag in rows]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "n", [0, 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1, 2 * cli._BLOCK_ROWS + 3]
+    )
+    def test_bytes_match_the_whole_table_reference(self, n, fmt):
+        rows = [(t, t / 7.0, math.nan if t % 5 == 0 else -t / 3.0, t % 2) for t in range(1, n + 1)]
+        buf = io.StringIO()
+        cli._write_table(("buf", buf), self.HEADER, iter(rows), fmt, self.csv_lines)
+        assert buf.getvalue().encode() == reference_table(self.HEADER, rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_holds_one_block_of_rows(self, fmt):
+        # Four blocks of JSON records held whole take about 18 MB; one takes about 4.5.
+        sink = type("Sink", (), {"write": lambda self, text: None})()
+        rows = ((t, t / 7.0, -t / 3.0, t % 2) for t in range(4 * cli._BLOCK_ROWS))
+        tracemalloc.start()
+        try:
+            cli._write_table(("sink", sink), self.HEADER, rows, fmt, self.csv_lines)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 class TestOutputsOpenedFirst:

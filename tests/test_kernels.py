@@ -316,16 +316,43 @@ class TestBlockSeams:
             assert_matches_exact_mixture(xs, np.array([mu, mu]), 11)
 
     def test_mass_near_underflow_ends_the_block_early(self):
-        # After 6720 zeros the node u = 0.1 weighs about 2e-307 of u = 0, just
-        # above the smallest normal double. The first one kills u = 0, and the
-        # mass left would underflow over a block of rounds. Blocks end early,
-        # down to one round, and the game plays on as the log-space reference.
-        stream = np.concatenate([np.zeros(6720), np.ones(40), np.full(10, 0.5)])
+        # After 13294 zeros the node u = 0.1 weighs about 2e-607 of u = 0, so
+        # about 2e-307 against a total of 2**1000: just above the smallest
+        # normal double. The first one kills u = 0, and the mass left would
+        # underflow over a block of rounds. Blocks end early, down to one
+        # round, and the game plays on as the log-space reference.
+        stream = np.concatenate([np.zeros(13294), np.ones(40), np.full(10, 0.5)])
         xs, mus = stream[None, :], np.array([0.5])
         bets, logw = _pykernels.up_game_batch(xs, mus, 11)
         ref_bets, ref_logw = lambda_grid_loop(xs, mus, 11)
         np.testing.assert_allclose(bets, ref_bets, rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(logw, ref_logw, rtol=0.0, atol=1e-9)
+
+    def test_leading_node_dies_after_a_long_run(self):
+        # After n zeros the middle node of K = 3 weighs about 2**-n of u = 0,
+        # and the first one kills u = 0; the mixture then pays about 2**-n in
+        # one round. While the middle node is a normal double the game plays
+        # on as the log-space reference (the ledger scored from the bets, which
+        # round to -2, would pay 0). Past that it is lost, and the kernel
+        # raises at the one. Nothing in between may come out as NaN or inf.
+        zeros = range(1000, 2201, 4)
+        streams = np.full((len(zeros), zeros[-1] + 6), 0.5)  # 0.5 pays 1 on every node
+        for g, n in enumerate(zeros):
+            streams[g, :n] = 0.0
+            streams[g, n : n + 5] = 1.0
+        ref_bets, ref_logw = lambda_grid_loop(streams, np.full(len(zeros), 0.5), 3)
+        outcomes = set()
+        for g, n in enumerate(zeros):
+            try:
+                bets, logw = _pykernels.up_game_batch(streams[g : g + 1, : n + 6], np.array([0.5]), 3)
+            except DegeneratePosterior as raised:
+                assert str(raised) == f"game 0: posterior wiped out at round {n + 1}"
+                outcomes.add("raised")
+                continue
+            np.testing.assert_allclose(bets[0], ref_bets[g, : n + 6], rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(logw[0], ref_logw[g, : n + 6], rtol=0.0, atol=1e-9)
+            outcomes.add("played")
+        assert outcomes == {"played", "raised"}
 
 
 def assert_matches_object_path(xs, mus, n_nodes):
@@ -350,14 +377,14 @@ class TestSpanSeams:
 
     def test_early_block_end_inside_a_span(self, rng):
         # As in TestBlockSeams, the first one after the zeros ends a block
-        # early, here in the middle of a block inside the first span of a
+        # early, here in the middle of a block inside the second span of a
         # single game; varied rounds follow, within that span and over more
         # than a span after it. The bets pile on lam = -2, so x = 1 pays 0 on
         # a ledger scored from them: the reference is the log-space mixture,
         # as in that test.
         span = _pykernels._span_blocks(1) * BLOCK
-        stream = np.concatenate([np.zeros(6723), np.ones(2), rng.choice(GRID_11, span)])
-        assert 6723 % BLOCK > 0 and 6723 < span and len(stream) - 6723 > span
+        stream = np.concatenate([np.zeros(13299), np.ones(2), rng.choice(GRID_11, span)])
+        assert 13299 % BLOCK > 0 and span < 13299 < 2 * span and len(stream) - 13299 > span
         xs, mus = stream[None, :], np.array([0.5])
         bets, logw = _pykernels.up_game_batch(xs, mus, 11)
         ref_bets, ref_logw = lambda_grid_loop(xs, mus, 11)

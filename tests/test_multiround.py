@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from evbet.cli import main
 from evbet.domain import SampleSpace, two_point_weight
 from evbet.errors import DepthTooLarge, OutOfRange
+from evbet.evariables import MU_SNAP_TOL
 from evbet.iid_case import separation_table
 from evbet.multiround import (
     MAX_AUDIT_DEPTH,
     STOP,
-    STRADDLE_TOL,
     AuditReport,
     EProcess,
     MultiRoundCoinBet,
@@ -271,9 +271,9 @@ class TestAudit:
 
     def test_near_mu_grid_point_weighs_its_pairs(self):
         # A hand-built tree may pair 0.5000000005 with itself, straddling
-        # mu = 0.5 only within STRADDLE_TOL: its pairs take the nearest weight
+        # mu = 0.5 only within MU_SNAP_TOL: its pairs take the nearest weight
         # in [0, 1] instead of raising.
-        near = 0.5 + STRADDLE_TOL / 2
+        near = 0.5 + MU_SNAP_TOL / 2
         tree = TreeHypothesis(0.5, ((0.0, near), (near, near), (near, 1.0)))
         assert [tree.weight(i) for i in range(3)] == [(near - 0.5) / near, 1.0, 1.0]
         # The audit pairs it only with 0, below mu: each pair is a mean-mu law,

@@ -16,9 +16,9 @@ SRC = str(Path(evbet.__file__).resolve().parents[1])
 # The package's top-level names, by the module that defines each.
 TOP_LEVEL = {
     "domain": ["DiscreteDistribution", "SampleSpace", "TwoPointMeasure", "anchored_two_point",
-               "sample_stream", "two_point_weight"],
+               "bet_bounds", "sample_stream", "two_point_weight"],
     "evariables": ["CoinBetEVariable", "DominationCertificate", "HoeffdingEVariable",
-                   "TabulatedEVariable", "bet_bounds", "beta_interval", "check_evariable",
+                   "TabulatedEVariable", "beta_interval", "check_evariable",
                    "dominating_lambda", "eval_majorizer"],
     "betting": ["ConstantStrategy", "PortfolioPosterior", "UniversalPortfolioStrategy", "up_bet",
                 "up_update"],
@@ -148,6 +148,17 @@ def test_cli_import_loads_no_command_module():
 def test_kernel_path_loads_no_reference_path(module):
     # The object path (betting) is the tests' reference; the kernels do not need it.
     assert "evbet.betting" not in loaded_after(f"import evbet.{module}")
+
+
+GAME_STACK = ("kernels", "game", "betting", "confseq")
+CERTIFICATION_STACK = ("evariables", "multiround", "iid_case")
+
+
+@pytest.mark.parametrize("module", GAME_STACK + CERTIFICATION_STACK)
+def test_game_and_certification_stacks_share_only_domain_and_errors(module):
+    other = CERTIFICATION_STACK if module in GAME_STACK else GAME_STACK
+    loaded = set(loaded_after(f"import evbet.{module}"))
+    assert not loaded & {f"evbet.{name}" for name in other}
 
 
 def test_cli_has_one_boundary_handler():

@@ -25,10 +25,14 @@ out of n and whether that is at least 9 in 10; the gap between the parent's
 and the change's median over those pairs (positive when the change is
 better) against the distance between the parent's quartiles; and whether the
 change's median stays within the metric's bound, read from the ``better``
-and ``bound`` of ``BENCHMARK.json``'s ``end_to_end`` list. Last, it prints
-each side's share of failed operations over those pairs (failed over
-attempted, summed) and flags a change whose share is above its parent's,
-which the acceptance rule rejects.
+and ``bound`` of ``BENCHMARK.json``'s ``end_to_end`` list. Next to
+``peak_rss_mb`` it prints the ratio of the change's operations attempted to
+the parent's over those pairs: on the in-process workloads peak RSS grows
+with the operations a run completes, so a reader can tell an RSS move that
+more operations caused from one the program caused. Last, it prints each
+side's share of failed operations over those pairs (failed over attempted,
+summed) and flags a change whose share is above its parent's, which the
+acceptance rule rejects.
 """
 
 from __future__ import annotations
@@ -129,6 +133,12 @@ def claim_line(name: str, matched: list[tuple[dict, dict]], better: str, bound: 
     )
 
 
+def attempted_ratio(matched: list[tuple[dict, dict]]) -> str:
+    """The change's operations attempted over the parent's, summed over the seed pairs ``matched``."""
+    parent, change = (sum(pair[i]["attempted"] for pair in matched) for i in range(2))
+    return f"{change / parent:.4g}" if parent else "n/a"
+
+
 def failed_line(matched: list[tuple[dict, dict]]) -> str:
     """Each side's failed/attempted share over the seed pairs ``matched``, flagging a rise."""
     shares = {}
@@ -160,7 +170,11 @@ def summarize(rows: list[dict], bounds: dict[str, tuple[str, float]]) -> list[st
     for (change, parent), matched in seed_pairs(rows).items():
         wins = "  ".join(f"{name} {won(matched, name, bounds[name][0])}" for name in METRICS)
         lines.append(f"  {change} against {parent}: {len(matched)} seed pair(s), won {wins}")
-        lines += [claim_line(name, matched, *bounds[name]) for name in METRICS]
+        for name in METRICS:
+            line = claim_line(name, matched, *bounds[name])
+            if name == "peak_rss_mb":
+                line += f"; attempted change/parent: {attempted_ratio(matched)}"
+            lines.append(line)
         lines.append(failed_line(matched))
     return lines
 
