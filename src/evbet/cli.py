@@ -28,9 +28,10 @@ every mean-``mu`` sequential law on that grid up to ``--depth``. Its
 run.
 
 Every table (the ``simulate`` ledger, the ``cs`` intervals and membership
-matrix, ``compare``'s rows) has one row source and one writer, ``_write_table``:
-``--format json`` records, or CSV lines from the table's own f-string, joined
-in blocks of rows, byte for byte what ``csv.writer`` writes.
+matrix, ``compare``'s rows) has one row source and goes through the package's
+one table writer, ``domain.write_table``: ``--format json`` records, or CSV
+lines from the table's own f-string, joined in blocks of rows, byte for byte
+what ``csv.writer`` writes.
 
 Each command imports the modules it runs when it runs, so a command loads no
 other command's modules. Every library module binds numpy lazily
@@ -72,17 +73,6 @@ class _Command(click.Command):
 
 
 @contextlib.contextmanager
-def _naming(name):
-    """Re-raise an ``OSError`` on output ``name`` as one that names it; a broken pipe passes."""
-    try:
-        yield
-    except BrokenPipeError:
-        raise
-    except OSError as exc:
-        raise OSError(f"cannot write {name}: {exc.strerror}") from exc
-
-
-@contextlib.contextmanager
 def _outputs(*paths):
     """Open each output path for writing, before the command computes.
 
@@ -91,24 +81,26 @@ def _outputs(*paths):
     write fails the command. If the command fails, every file this run created
     is removed; one that existed stays, truncated, as shell redirection leaves it.
     """
+    from .domain import naming
+
     outputs, created = [], []
     try:
         for path in paths:
             if path is None or path == "-":
                 outputs.append(("stdout", sys.stdout))
                 continue
-            with _naming(path):
+            with naming(path):
                 try:
                     outputs.append((path, open(path, "x", newline="")))
                     created.append(path)
                 except FileExistsError:
                     outputs.append((path, open(path, "w", newline="")))
         yield outputs
-        with _naming("stdout"):
+        with naming("stdout"):
             sys.stdout.flush()
         for name, fh in outputs:
             if fh is not sys.stdout:
-                with _naming(name):
+                with naming(name):
                     fh.close()
     except BaseException:
         for _, fh in outputs:
@@ -119,35 +111,6 @@ def _outputs(*paths):
             with contextlib.suppress(OSError):
                 os.remove(path)
         raise
-
-
-# Rows joined per write of a CSV table.
-_BLOCK_ROWS = 4096
-
-
-def _write_table(out, header, rows, fmt, csv_lines):
-    """Write the tuples ``rows`` to a ``(name, handle)`` output; a failed write names it.
-
-    Both formats write one block of ``_BLOCK_ROWS`` rows at a time, so no table
-    is held whole. JSON is a list of records, byte for byte what
-    ``json.dumps(records, indent=2)`` writes: each block is dumped as a list
-    and written without its brackets. CSV is the header, then the lines
-    ``csv_lines`` makes, byte for byte what ``csv.writer`` writes.
-    """
-    name, fh = out
-    rows = iter(rows)
-    with _naming(name):
-        if fmt == "json":
-            fh.write("[")
-            separator = ""
-            while block := [dict(zip(header, row)) for row in itertools.islice(rows, _BLOCK_ROWS)]:
-                fh.write(separator + json.dumps(block, indent=2)[1:-2])  # "\n  {...},\n  {...}"
-                separator = ","
-            fh.write("\n]\n" if separator else "]\n")
-            return
-        fh.write(",".join(header) + "\r\n")
-        while block := "".join(csv_lines(itertools.islice(rows, _BLOCK_ROWS))):
-            fh.write(block)
 
 
 LEDGER_HEADER = ("t", "x", "lambda", "e_value", "log_wealth", "rejected")
@@ -164,6 +127,8 @@ def ledger_rows(ledger):
 def _membership_rows(result, mus):
     """Round-major ``(t, mu, log_wealth, in_set)`` rows, ``mu`` from ``mus``, read a
     block of rounds at a time, so no list of n x grid rows is ever held."""
+    from .domain import _BLOCK_ROWS
+
     step = max(1, _BLOCK_ROWS // len(mus))
     return itertools.chain.from_iterable(  # row by row in C, no generator frame per row
         zip(itertools.repeat(t), mus, w_row, in_row)
@@ -245,7 +210,7 @@ def simulate(ctx, mu, dist, strategy, n, delta, seed, out, fmt):
         # One-row batch: the kernel computes the bets, score_bets scores them.
         batch = game.run_games_batch(np.array([mu]), xs[None, :], strategy, delta)
         ledger = game.score_bets(mu, delta, batch.bets[0], xs)
-        _write_table(
+        domain.write_table(
             dest, LEDGER_HEADER, ledger_rows(ledger), fmt,
             lambda rows: [f"{t},{x!r},{lam!r},{e!r},{w!r},{r}\r\n" for t, x, lam, e, w, r in rows],
         )
@@ -283,7 +248,7 @@ def cs(ctx, dist, strategy, n, delta, seed, grid, running_intersect, out, member
     with _outputs(*paths) as dests:
         xs = domain.sample_stream(distribution, n, seed)
         result = confseq.run_cs_batch(mu_grid, xs, strategy, delta, running_intersect)
-        _write_table(
+        domain.write_table(
             dests[0], ("t", "lower", "upper", "alive"), result.intervals(), fmt,
             lambda rows: [f"{t},{lo!r},{hi!r},{alive}\r\n" for t, lo, hi, alive in rows],
         )
@@ -292,7 +257,7 @@ def cs(ctx, dist, strategy, n, delta, seed, grid, running_intersect, out, member
         mus = mu_grid.tolist()
         if fmt == "csv":
             mus = list(map(repr, mus))  # each mu formatted once per run, not once per row
-        _write_table(
+        domain.write_table(
             dests[1], ("t", "mu", "log_wealth", "in_set"), _membership_rows(result, mus), fmt,
             lambda rows: [f"{t},{mu},{w!r},{alive}\r\n" for t, mu, w, alive in rows],
         )
@@ -337,7 +302,7 @@ def compare(ctx, mu, dist, n, seed, alpha, alpha_file, out, fmt):
             raise ValueError(f"alpha is too large: the Hoeffding log-wealth overflows at round {t}")
         log_cb = np.cumsum(np.log1p(lams * (xs - mu)))
         rows = zip(range(1, n + 1), log_h.tolist(), log_cb.tolist(), (log_cb - log_h).tolist())
-        _write_table(
+        domain.write_table(
             dest, ("t", "logW_hoeffding", "logW_coinbet", "gap"), rows, fmt,
             lambda rows: [f"{t},{h!r},{cb!r},{gap!r}\r\n" for t, h, cb, gap in rows],
         )

@@ -2,13 +2,17 @@
 
 One independent game per candidate mean on a grid; after each observation the
 confidence set collects the grid points whose game wealth has not crossed
-``log(1/delta)``. The headline output is the interval hull of the surviving
-points. For both strategies each round's set of means is one interval: the
-universal portfolio's wealth is a sum of terms ``C_j mu**-j (1-mu)**-(t-j)``
-with ``C_j >= 0``, so it is log-convex in the mean, and a constant bet's
-wealth is monotone in it. The grid hull lies inside that interval, so it can
-drop an off-grid mean that the set keeps. With running intersection enabled
-the reported sets are the intersection over all rounds so far, hence nested.
+``log(1/delta)``. For both strategies each round's set of means is one
+interval: the universal portfolio's wealth is a sum of terms
+``C_j mu**-j (1-mu)**-(t-j)`` with ``C_j >= 0``, so it is log-convex in the
+mean, and a constant bet's wealth is monotone in it. The headline output is
+therefore the outer bracket of the surviving grid points, from the largest
+rejected grid mean below them (or 0) to the smallest rejected one above them
+(or 1). It contains every mean, on the grid or off it, whose game has not
+crossed; the hull of the surviving points lies inside the set and can drop
+an off-grid mean that the set keeps. With running intersection enabled the
+reported sets are the intersection over all rounds so far, hence nested, and
+so are their brackets.
 """
 
 from __future__ import annotations
@@ -38,20 +42,22 @@ class CsResult:
     games: BatchGameResult
     in_set: np.ndarray  # (rounds, M) booleans
 
-    def interval(self, n: int) -> tuple[float, float, int]:
-        mask = self.in_set[n - 1] if n >= 1 else np.ones(len(self.mu_grid), dtype=bool)
-        alive = int(mask.sum())
-        if alive == 0:
-            return math.nan, math.nan, 0
-        pts = self.mu_grid[mask]
-        return float(pts.min()), float(pts.max()), alive
-
     def intervals(self) -> list[tuple[int, float, float, int]]:
-        """``(n, *interval(n))`` for every round n >= 1, in one masked pass."""
+        """``(t, lower, upper, alive)`` for every round t >= 1, in one masked pass.
+
+        ``[lower, upper]`` is the outer bracket of the round's set: ``lower``
+        is the largest grid mean below every alive one (0.0 if there is
+        none), ``upper`` the smallest grid mean above every alive one (1.0 if
+        there is none). Both are NaN when no grid mean is alive.
+        """
         grid = np.broadcast_to(self.mu_grid, self.in_set.shape)
-        lower = grid.min(axis=1, where=self.in_set, initial=math.inf)
-        upper = grid.max(axis=1, where=self.in_set, initial=-math.inf)
+        first = grid.min(axis=1, where=self.in_set, initial=math.inf)
+        last = grid.max(axis=1, where=self.in_set, initial=-math.inf)
         alive = self.in_set.sum(axis=1)
+        means = np.sort(self.mu_grid)
+        outer = np.concatenate(([0.0], means, [1.0]))  # means with 0.0 and 1.0 on either side
+        lower = outer[means.searchsorted(first, side="left")]
+        upper = outer[means.searchsorted(last, side="right") + 1]
         lower[alive == 0] = upper[alive == 0] = math.nan
         rounds = range(1, len(alive) + 1)
         return list(zip(rounds, lower.tolist(), upper.tolist(), alive.tolist()))

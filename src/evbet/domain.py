@@ -11,12 +11,16 @@ of a testing game; each raises ``ValueError`` with a fixed message. The
 decisions that the game and the certification oracles share live here too:
 the bet interval ``I_mu`` (``bet_bounds``), the rejection threshold
 ``log(1/delta)`` (``rejection_threshold``) and the weight of a two-point
-mean-``mu`` law (``two_point_weight``, ``straddle_weights``).
+mean-``mu`` law (``two_point_weight``, ``straddle_weights``). So do the one
+reader of table files (``read_table``) and the one writer (``write_table``),
+which every CLI table and every library table file goes through.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -361,6 +365,50 @@ def read_table(path: str, columns: dict, name) -> dict:
         except csv.Error as exc:
             raise ValueError(f"{path}: {exc}") from exc
     return table
+
+
+@contextlib.contextmanager
+def naming(name):
+    """Re-raise an ``OSError`` on output ``name`` as one that names it; a broken pipe passes."""
+    try:
+        yield
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise OSError(f"cannot write {name}: {exc.strerror}") from exc
+
+
+# Rows joined per write of a table.
+_BLOCK_ROWS = 4096
+
+
+def write_table(out, header, rows, fmt, csv_lines) -> None:
+    """The one writer of table files: the tuples ``rows`` to a ``(name, handle)`` output.
+
+    Both formats write one block of ``_BLOCK_ROWS`` rows at a time, so no table
+    is held whole, and a failed write names the output. JSON is a list of
+    records, byte for byte what ``json.dumps(records, indent=2)`` writes: each
+    block is dumped as a list and written without its brackets. CSV is the
+    header, then the CRLF-ended lines ``csv_lines`` makes of a block of rows;
+    an f-string per line writes what ``csv.writer`` writes as long as it
+    quotes exactly the fields that hold a comma.
+    """
+    name, fh = out
+    rows = iter(rows)
+    with naming(name):
+        if fmt == "json":
+            import json  # here, so that importing domain loads no json
+
+            fh.write("[")
+            separator = ""
+            while block := [dict(zip(header, row)) for row in itertools.islice(rows, _BLOCK_ROWS)]:
+                fh.write(separator + json.dumps(block, indent=2)[1:-2])  # "\n  {...},\n  {...}"
+                separator = ","
+            fh.write("\n]\n" if separator else "]\n")
+            return
+        fh.write(",".join(header) + "\r\n")
+        while block := "".join(csv_lines(itertools.islice(rows, _BLOCK_ROWS))):
+            fh.write(block)
 
 
 def read_numbers(path: str) -> list[float]:

@@ -28,7 +28,6 @@ and the first space seen with that grid and mean.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from typing import NamedTuple
 from ._lazy import np
 # bet_bounds and check_bet live in domain, shared with the game; they stay names here.
 from .domain import SampleSpace, TwoPointMeasure, bet_bounds, check_bet, check_mu, check_table
-from .domain import read_table, straddle_weights
+from .domain import read_table, straddle_weights, write_table
 from .errors import NotAnEVariable
 
 # Additive slack on two-point expectations when certifying validity.
@@ -327,8 +326,9 @@ def tabulated_from_csv(path: str, mu: float) -> TabulatedEVariable:
 
 
 def tabulated_to_csv(e: TabulatedEVariable, path: str) -> None:
+    """Write a ``point,value`` CSV that ``tabulated_from_csv`` reads back."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["point", "value"])
-        for p, v in zip(e.space.points, e.values):
-            writer.writerow([repr(p), repr(v)])
+        write_table(
+            (path, fh), ("point", "value"), zip(e.space.points, e.values), "csv",
+            lambda rows: [f"{p!r},{v!r}\r\n" for p, v in rows],
+        )

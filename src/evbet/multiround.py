@@ -27,13 +27,12 @@ grid for a process built without a sample space.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
 
 from ._lazy import np
-from .domain import SampleSpace, check_bet, check_table, read_table, two_point_weight
+from .domain import SampleSpace, check_bet, check_table, read_table, two_point_weight, write_table
 from .errors import DepthTooLarge, NotAnEVariable
 # check_evariable and beta_interval are not called here, but stay module names:
 # perfbench/tracing.py patches its spans in under them.
@@ -292,12 +291,21 @@ def eprocess_from_csv(path: str, mu: float) -> EProcess:
 
 
 def eprocess_to_csv(e: EProcess, space: SampleSpace, depth: int, fh) -> None:
-    """Tabulate an e-process on all grid prefixes up to ``depth``."""
-    writer = csv.writer(fh)
-    writer.writerow(["depth", "path", "value"])
-    for t in range(depth + 1):
-        for prefix in itertools.product(space.points, repeat=t):
-            writer.writerow([t, ",".join(repr(p) for p in prefix), repr(e.value(prefix))])
+    """Tabulate an e-process on all grid prefixes up to ``depth`` as a
+    ``depth,path,value`` CSV on the open handle ``fh``.
+
+    A path of two or more points holds commas, so it is quoted, as
+    ``csv.writer`` quotes it.
+    """
+    prefixes = (p for t in range(depth + 1) for p in itertools.product(space.points, repeat=t))
+    rows = ((len(p), ",".join(map(repr, p)), e.value(p)) for p in prefixes)
+    write_table(
+        (getattr(fh, "name", "the e-process table"), fh), ("depth", "path", "value"), rows, "csv",
+        lambda rows: [
+            f'{t},"{path}",{v!r}\r\n' if "," in path else f"{t},{path},{v!r}\r\n"
+            for t, path, v in rows
+        ],
+    )
 
 
 @dataclass(frozen=True)

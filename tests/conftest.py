@@ -1,3 +1,6 @@
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -68,3 +71,14 @@ def loop_game_fixture():
 @pytest.fixture(name="replay")
 def replay_fixture():
     return ReplayBets
+
+
+def reference_table(header, rows, fmt):
+    """The bytes of a table as ``csv.writer`` or ``json.dumps`` writes it."""
+    if fmt == "json":
+        return (json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n").encode()
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()

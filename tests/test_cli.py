@@ -14,9 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from conftest import reference_table
 
 import evbet
-from evbet import cli, kernels
+from evbet import cli, domain, kernels
 from evbet.betting import ConstantStrategy, UniversalPortfolioStrategy
 from evbet.cli import main
 from evbet.confseq import default_mu_grid, run_cs_batch
@@ -51,17 +52,6 @@ def write_separation_table(path):
 def read_ledger(path):
     rows = list(csv.DictReader(path.open()))
     return {k: [float(r[k]) for r in rows] for k in ("x", "lambda", "e_value", "log_wealth")}
-
-
-def reference_table(header, rows, fmt):
-    """The bytes of a table as ``csv.writer`` or ``json.dumps`` writes it."""
-    if fmt == "json":
-        return (json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n").encode()
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().encode()
 
 
 @pytest.mark.parametrize("delta", ["0", "1.5"])
@@ -498,8 +488,8 @@ class TestCs:
         assert 0 < int(final["alive"]) <= 99
 
     def test_seeded_golden_interval(self, runner, tmp_path):
-        # Frozen from the first computation of this exact run; the interval
-        # must contain 0.5.
+        # Frozen from the first computation of this exact run: the alive means
+        # are 0.46-0.56, so the outer bracket is 0.45-0.57; it must contain 0.5.
         out = tmp_path / "cs.csv"
         result = invoke(
             runner,
@@ -509,8 +499,8 @@ class TestCs:
         assert result.exit_code == 0
         final = list(csv.DictReader(out.open()))[-1]
         assert (final["t"], int(final["alive"])) == ("1000", 11)
-        assert float(final["lower"]) == pytest.approx(0.46)
-        assert float(final["upper"]) == pytest.approx(0.56)
+        assert float(final["lower"]) == pytest.approx(0.45)
+        assert float(final["upper"]) == pytest.approx(0.57)
         assert float(final["lower"]) <= 0.5 <= float(final["upper"])
 
     def test_running_intersect_widths_non_increasing(self, runner, tmp_path):
@@ -593,7 +583,7 @@ class TestCs:
         result = invoke(runner, args + ["--running-intersect"] * running_intersect)
         xs = sample_stream(parse_distribution(dist), n, seed)
         cs = run_cs_batch(default_mu_grid(grid), xs, strategy, 0.05, running_intersect)
-        rows = [(t, *cs.interval(t)) for t in range(1, n + 1)]
+        rows = cs.intervals()
         if strategy == "constant:1":
             assert math.isnan(rows[-1][1]) and rows[-1][3] == 0
         expected = reference_table(["t", "lower", "upper", "alive"], rows, fmt)
@@ -627,8 +617,7 @@ class TestCs:
         )
         rows = json.loads(out.read_text())
         assert len(rows) == 3
-        assert rows[0]["lower"] == pytest.approx(0.1)
-        assert rows[0]["alive"] == 9
+        assert (rows[0]["lower"], rows[0]["upper"], rows[0]["alive"]) == (0.0, 1.0, 9)
 
     def test_trivial_strategy_full_span(self, runner, tmp_path):
         out = tmp_path / "cs.csv"
@@ -638,7 +627,8 @@ class TestCs:
              "--grid", "9", "--seed", "1", "--out", str(out)],
         )
         for row in csv.DictReader(out.open()):
-            assert (float(row["lower"]), float(row["upper"])) == (0.1, 0.9)
+            # Every grid mean is alive, so the outer bracket is all of [0, 1].
+            assert (float(row["lower"]), float(row["upper"])) == (0.0, 1.0)
             assert int(row["alive"]) == 9
 
 
@@ -712,7 +702,8 @@ class TestCompare:
 
 
 class TestWriteTable:
-    """``cli._write_table`` writes a table a block of rows at a time, in either format."""
+    """``domain.write_table``, the writer of every CLI table, writes a table a block of rows
+    at a time, in either format."""
 
     HEADER = ("t", "x", "w", "flag")
 
@@ -722,26 +713,35 @@ class TestWriteTable:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
-        "n", [0, 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1, 2 * cli._BLOCK_ROWS + 3]
+        "n", [0, 1, domain._BLOCK_ROWS, domain._BLOCK_ROWS + 1, 2 * domain._BLOCK_ROWS + 3]
     )
     def test_bytes_match_the_whole_table_reference(self, n, fmt):
         rows = [(t, t / 7.0, math.nan if t % 5 == 0 else -t / 3.0, t % 2) for t in range(1, n + 1)]
         buf = io.StringIO()
-        cli._write_table(("buf", buf), self.HEADER, iter(rows), fmt, self.csv_lines)
+        domain.write_table(("buf", buf), self.HEADER, iter(rows), fmt, self.csv_lines)
         assert buf.getvalue().encode() == reference_table(self.HEADER, rows, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_holds_one_block_of_rows(self, fmt):
         # Four blocks of JSON records held whole take about 18 MB; one takes about 4.5.
         sink = type("Sink", (), {"write": lambda self, text: None})()
-        rows = ((t, t / 7.0, -t / 3.0, t % 2) for t in range(4 * cli._BLOCK_ROWS))
+        rows = ((t, t / 7.0, -t / 3.0, t % 2) for t in range(4 * domain._BLOCK_ROWS))
         tracemalloc.start()
         try:
-            cli._write_table(("sink", sink), self.HEADER, rows, fmt, self.csv_lines)
+            domain.write_table(("sink", sink), self.HEADER, rows, fmt, self.csv_lines)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+
+    def test_failed_write_names_the_output(self):
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        with pytest.raises(OSError, match="cannot write out.csv: No space left on device"):
+            domain.write_table(("out.csv", Full()), self.HEADER, [(1, 0.5, 0.25, 0)], "csv",
+                               self.csv_lines)
 
 
 class TestOutputsOpenedFirst:

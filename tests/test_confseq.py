@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evbet.betting import ConstantStrategy, UniversalPortfolioStrategy
 from evbet.confseq import CsResult, default_mu_grid, run_cs_batch
 from evbet.domain import DiscreteDistribution, replicate_seed, sample_stream
+from evbet.game import run_games_batch
 from evbet.evariables import dominating_lambda
 
 # --- the reference: one strategy object per candidate, one round at a time ---
@@ -61,16 +64,32 @@ def cs_update(state: ConfidenceState, x: float) -> ConfidenceState:
     return state
 
 
+def bracket(mu_grid, mask) -> tuple[float, float, int]:
+    """Outer bracket and size of the set ``mask`` of the grid, one mean at a time.
+
+    From the largest grid mean below every alive one (0.0 if none) to the
+    smallest above every alive one (1.0 if none); NaN when none is alive.
+    """
+    alive = [float(mu) for mu, kept in zip(mu_grid, mask) if kept]
+    if not alive:
+        return math.nan, math.nan, 0
+    below = [float(mu) for mu in mu_grid if mu < min(alive)]
+    above = [float(mu) for mu in mu_grid if mu > max(alive)]
+    return max(below, default=0.0), min(above, default=1.0), len(alive)
+
+
 def cs_interval(state: ConfidenceState, n: int) -> tuple[float, float, int]:
-    """Interval hull and size of the confidence set after round ``n``."""
+    """Outer bracket and size of the confidence set after round ``n``."""
     if n > state.rounds:
         raise ValueError(f"round {n} not played yet (have {state.rounds})")
-    mask = state.in_set(n)
-    alive = int(mask.sum())
-    if alive == 0:
-        return math.nan, math.nan, 0
-    pts = state.mu_grid[mask]
-    return float(pts.min()), float(pts.max()), alive
+    return bracket(state.mu_grid, state.in_set(n))
+
+
+def interval(result: CsResult, n: int) -> tuple[float, float, int]:
+    """``(lower, upper, alive)`` of round ``n`` >= 1 from ``result.intervals()``."""
+    t, *row = result.intervals()[n - 1]
+    assert t == n
+    return tuple(row)
 
 
 def small_state(running_intersect=False, grid=9, nodes=51):
@@ -100,9 +119,8 @@ class TestCsUpdate:
         for x in xs:
             cs_update(state, x)
         result = run_cs_batch(default_mu_grid(9), xs, "constant:0.0", 0.05)
-        for lower, upper, alive in (cs_interval(state, 4), result.interval(4)):
-            assert alive == 9
-            assert (lower, upper) == (pytest.approx(0.1), pytest.approx(0.9))
+        for lower, upper, alive in (cs_interval(state, 4), interval(result, 4)):
+            assert (lower, upper, alive) == (0.0, 1.0, 9)
 
     def test_sure_ones_reject_small_means_first(self):
         grid = default_mu_grid(99)
@@ -129,9 +147,8 @@ class TestCsUpdate:
 class TestCsInterval:
     def test_no_data_full_span(self):
         result = run_cs_batch(default_mu_grid(9), [0.5], "up:51", 0.05)
-        for lower, upper, alive in (cs_interval(small_state(), 0), result.interval(0)):
-            assert alive == 9
-            assert (lower, upper) == (pytest.approx(0.1), pytest.approx(0.9))
+        for lower, upper, alive in (cs_interval(small_state(), 0), interval(result, 1)):
+            assert (lower, upper, alive) == (0.0, 1.0, 9)
 
     def test_running_intersection_nested(self):
         xs = sample_stream(DiscreteDistribution.bernoulli(0.8), 120, 21)
@@ -154,7 +171,7 @@ class TestCsInterval:
         for _ in range(10):
             cs_update(state, 1.0)
         result = run_cs_batch(np.array([0.5]), np.ones(10), "constant:2.0", 0.05)
-        for lower, upper, alive in (cs_interval(state, 10), result.interval(10)):
+        for lower, upper, alive in (cs_interval(state, 10), interval(result, 10)):
             assert alive == 0
             assert math.isnan(lower) and math.isnan(upper)
 
@@ -170,10 +187,64 @@ class TestCsInterval:
         in_set[5] = True
         result = CsResult(grid, 0.05, running_intersect=False, games=None, in_set=in_set)
         rows = result.intervals()
-        np.testing.assert_equal(rows, [(n, *result.interval(n)) for n in range(1, 61)])
+        np.testing.assert_equal(rows, [(n, *bracket(grid, in_set[n - 1])) for n in range(1, 61)])
         for n, lower, upper, alive in rows:
             assert (type(n), type(lower), type(upper), type(alive)) == (int, float, float, int)
         assert [alive for *_, alive in rows].count(0) >= 3
+
+
+@st.composite
+def in_set_traces(draw):
+    """A grid of candidate means (unsorted, repeats allowed) and random memberships."""
+    means = st.integers(1, 19).map(lambda k: k / 20.0)
+    grid = np.array(draw(st.lists(means, min_size=1, max_size=8)))
+    rounds = draw(st.integers(1, 12))
+    cells = draw(st.lists(st.booleans(), min_size=rounds * len(grid), max_size=rounds * len(grid)))
+    return grid, np.array(cells).reshape(rounds, len(grid))
+
+
+class TestOuterBracket:
+    """``intervals()`` reports the outer bracket of each round's set, which
+    holds every mean the set keeps, off the grid too."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(in_set_traces(), st.booleans())
+    def test_bracket_holds_the_alive_means_and_nests(self, trace, running_intersect):
+        grid, in_set = trace
+        if running_intersect:
+            np.logical_and.accumulate(in_set, axis=0, out=in_set)
+        rows = CsResult(grid, 0.05, running_intersect, games=None, in_set=in_set).intervals()
+        for (_, lower, upper, alive), mask in zip(rows, in_set):
+            assert alive == mask.sum()
+            if alive:
+                assert ((lower <= grid[mask]) & (grid[mask] <= upper)).all()
+                # Tight: each end is 0 or 1, or a grid mean the set rejects.
+                for end, edge in ((lower, 0.0), (upper, 1.0)):
+                    assert end == edge or (end in grid[~mask] and end not in grid[mask])
+            else:
+                assert math.isnan(lower) and math.isnan(upper)
+        if running_intersect:
+            live = [(lower, upper) for _, lower, upper, alive in rows if alive]
+            assert all(a[0] <= b[0] and b[1] <= a[1] for a, b in zip(live, live[1:]))
+
+    # Seeds 0-399 on which the hull of the alive grid means excludes mu* = 0.305
+    # at some round where mu*'s own game has not crossed log(1/delta).
+    HULL_MISSES = (28, 85, 120, 160, 206, 210, 217, 277, 312, 315, 316, 328, 333, 335, 351,
+                   354, 378)
+
+    @pytest.mark.parametrize("running_intersect", [True, False], ids=["intersected", "raw"])
+    def test_bracket_keeps_an_off_grid_mean_its_game_keeps(self, running_intersect):
+        mu_star, delta = 0.305, 0.05
+        threshold = math.log(1.0 / delta)
+        for seed in self.HULL_MISSES:
+            xs = sample_stream(DiscreteDistribution.bernoulli(mu_star), 1000, seed)
+            result = run_cs_batch(default_mu_grid(99), xs, "up:101", delta, running_intersect)
+            own = run_games_batch(np.array([mu_star]), xs[None, :], "up:101", delta).log_wealth[0]
+            if running_intersect:  # an intersected set keeps mu* only if it never crossed
+                own = np.maximum.accumulate(own)
+            for (t, lower, upper, alive), log_wealth in zip(result.intervals(), own):
+                if alive and log_wealth < threshold - 1e-9:
+                    assert lower <= mu_star <= upper, (seed, t, lower, upper)
 
 
 class TestBatchAgainstObject:
@@ -187,7 +258,7 @@ class TestBatchAgainstObject:
         obj_wealth = np.array(state.log_wealth)  # (rounds, M)
         assert np.allclose(obj_wealth, result.games.log_wealth.T, atol=1e-9)
         for n in (1, 20, 40):
-            assert cs_interval(state, n) == result.interval(n)
+            assert cs_interval(state, n) == interval(result, n)
 
 
 class TestClassDominanceTransfer:

@@ -1,9 +1,13 @@
+import csv
+import io
+import itertools
 import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from conftest import reference_table
 
 from evbet.domain import (
     DiscreteDistribution,
@@ -18,8 +22,19 @@ from evbet.domain import (
     two_point_weight,
 )
 from evbet.errors import MeanOutsideSpan
-from evbet.evariables import eval_majorizer, tabulated_from_csv
-from evbet.multiround import eprocess_from_csv
+from evbet.evariables import (
+    TabulatedEVariable,
+    eval_majorizer,
+    tabulated_from_csv,
+    tabulated_to_csv,
+)
+from evbet.multiround import (
+    MultiRoundCoinBet,
+    coinbet_eprocess,
+    eprocess_from_csv,
+    eprocess_from_tables,
+    eprocess_to_csv,
+)
 
 
 class TestTwoPointWeight:
@@ -277,3 +292,48 @@ class TestTableFiles:
         # An unclosed quote runs the field past the csv module's size limit.
         with pytest.raises(ValueError, match="table.csv: field larger than field limit"):
             self.load(tmp_path, "square", ['0,0,"1' + "0" * 200_000])
+
+
+def eprocess_reference(e, space, depth):
+    """The bytes ``csv.writer`` writes for ``eprocess_to_csv``'s rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["depth", "path", "value"])
+    for t in range(depth + 1):
+        for prefix in itertools.product(space.points, repeat=t):
+            writer.writerow([t, ",".join(repr(p) for p in prefix), repr(e.value(prefix))])
+    return buf.getvalue().encode()
+
+
+class TestLibraryTableWriters:
+    """``eprocess_to_csv`` and ``tabulated_to_csv`` write through ``write_table``,
+    byte for byte what ``csv.writer`` writes."""
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    @pytest.mark.parametrize("space", [SampleSpace((0.0, 0.5, 1.0), 0.5), SampleSpace.uniform(5, 0.3)],
+                             ids=["3-point", "5-point"])
+    def test_eprocess_bytes_match_csv_writer(self, tmp_path, rng, space, depth):
+        # A coin-bet's wealth, and a table of values of every magnitude.
+        tables = tuple(
+            {p: float(rng.uniform(-1.0, 1.0)) for p in itertools.product(space.points, repeat=t)}
+            for t in range(max(depth, 1))
+        )
+        values = {
+            p: float(rng.choice([0.0, 1e-300, 1.0 / 3.0, 7.0, 2.5e17])) if p else 1.0
+            for t in range(depth + 1) for p in itertools.product(space.points, repeat=t)
+        }
+        processes = [coinbet_eprocess(MultiRoundCoinBet(space.mu, tables), space),
+                     eprocess_from_tables(space.mu, values, space)]
+        for e in processes:
+            path = tmp_path / "ep.csv"
+            with open(path, "w", newline="") as fh:
+                eprocess_to_csv(e, space, depth, fh)
+            assert path.read_bytes() == eprocess_reference(e, space, depth)
+
+    def test_tabulated_bytes_match_csv_writer(self, tmp_path):
+        space = SampleSpace((0.0, 0.1, 1.0 / 3.0, 0.75, 1.0), 0.3)
+        table = TabulatedEVariable(space, (0.0, 1e-300, 1.0 / 7.0, 1.25, 2.5e17))
+        path = tmp_path / "table.csv"
+        tabulated_to_csv(table, str(path))
+        rows = [(repr(p), repr(v)) for p, v in zip(space.points, table.values)]
+        assert path.read_bytes() == reference_table(("point", "value"), rows, "csv")

@@ -605,6 +605,96 @@ class TestBinaryPath:
             _pykernels.up_game_batch_binary(xs, np.array([0.5, 0.5]), 2)
 
 
+def simpson_weights(n_nodes):
+    """Composite Simpson weights on K equispaced nodes (trapezoid when K is even)."""
+    if n_nodes % 2 == 0:
+        return [0.5] + [1.0] * (n_nodes - 2) + [0.5]
+    return [1.0] + [4.0 if k % 2 else 2.0 for k in range(1, n_nodes - 1)] + [1.0]
+
+
+def exact_up_log_wealth(xs, mus, n_nodes):
+    """Log-wealth of the universal portfolio on the stream ``xs``, for every
+    round and every mean of ``mus``, from a formula that shares no code with
+    the kernels: an array of shape ``(len(mus), len(xs))``.
+
+    Node u_k = k/(K-1) pays (1 - u_k)(1 - x)/(1 - mu) + u_k x/mu on x.
+    Expanding the product over t rounds by the rounds j whose x-term is taken,
+
+        W_t(mu) = sum_j p_t(j) B_K(j, t - j) mu**-j (1 - mu)**-(t - j),
+
+    where p_t is the Poisson-binomial pmf of the data (j successes with
+    probabilities x_1, ..., x_t) and B_K(a, b) = sum_k c_k u_k**a (1 - u_k)**b
+    / sum_k c_k, with Simpson weights c_k. Every sum is taken in log space.
+    """
+    xs, mus = np.asarray(xs, dtype=float), np.asarray(mus, dtype=float)
+    u = np.arange(n_nodes) / (n_nodes - 1)
+    c = np.array(simpson_weights(n_nodes))
+    with np.errstate(divide="ignore"):
+        log_c, log_u, log_v = np.log(c / c.sum()), np.log(u), np.log1p(-u)
+        log_x, log_y = np.log(xs), np.log1p(-xs)
+    log_p = np.zeros(1)  # p_0: no success, surely
+    out = np.empty((len(mus), len(xs)))
+    for t in range(1, len(xs) + 1):
+        log_p = np.logaddexp(
+            np.append(log_p + log_y[t - 1], -np.inf), np.insert(log_p + log_x[t - 1], 0, -np.inf)
+        )
+        j = np.arange(t + 1)[:, None]
+        with np.errstate(invalid="ignore"):  # 0 * log(0) is 0
+            terms = np.where(j > 0, j * log_u, 0.0) + np.where(t - j > 0, (t - j) * log_v, 0.0)
+        log_b = log_sum_exp(log_c + terms)
+        j = j[:, 0]
+        odds = -np.outer(np.log(mus), j) - np.outer(np.log1p(-mus), t - j)
+        out[:, t - 1] = log_sum_exp(log_p + log_b + odds)
+    return out
+
+
+def fraction_up_wealth(xs, mu, n_nodes):
+    """W_t(mu) of the universal portfolio in exact rational arithmetic, node by node."""
+    c = [Fraction(v) for v in simpson_weights(n_nodes)]
+    mu = Fraction(mu)
+    w = list(c)
+    wealth = []
+    for x in map(Fraction, xs):
+        w = [wk * ((1 - Fraction(k, n_nodes - 1)) * (1 - x) / (1 - mu)
+                   + Fraction(k, n_nodes - 1) * x / mu) for k, wk in enumerate(w)]
+        wealth.append(sum(w) / sum(c))
+    return wealth
+
+
+STREAMS = {"binary": DiscreteDistribution.bernoulli(0.35),
+           "uniform-grid:11": DiscreteDistribution.uniform_grid(11)}
+
+
+class TestExactUpOracle:
+    """``exact_up_log_wealth`` against rational arithmetic, then both kernel routines against it."""
+
+    MUS = np.array([0.05, 0.3, 0.5, 0.77, 0.95])
+
+    @pytest.mark.parametrize("n_nodes", [3, 4, 11])
+    @pytest.mark.parametrize("data", sorted(STREAMS))
+    def test_matches_fraction_arithmetic(self, data, n_nodes):
+        for seed in range(3):
+            xs = sample_stream(STREAMS[data], 10, seed)
+            oracle = exact_up_log_wealth(xs, self.MUS, n_nodes)
+            for g, mu in enumerate(self.MUS):
+                exact = [math.log(w.numerator) - math.log(w.denominator)
+                         for w in fraction_up_wealth(xs, mu, n_nodes)]
+                np.testing.assert_allclose(oracle[g], exact, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_nodes", [3, 11, 101])
+    @pytest.mark.parametrize("data", sorted(STREAMS))
+    def test_kernel_routines_match(self, data, n_nodes):
+        xs = sample_stream(STREAMS[data], 300, 11)
+        oracle = exact_up_log_wealth(xs, self.MUS, n_nodes)
+        batch = np.tile(xs, (len(self.MUS), 1))
+        routines = [_pykernels.up_game_batch]
+        if data == "binary":
+            routines.append(_pykernels.up_game_batch_binary)
+        for routine in routines:
+            _, log_wealth = routine(batch, self.MUS, n_nodes)
+            np.testing.assert_allclose(log_wealth, oracle, rtol=0.0, atol=1e-9)
+
+
 class TestObjectPath:
     def test_dead_endpoint_node_stays_dead(self):
         # At mu = 0.41, fl(fl(1/mu)*mu) != 1, so the lambda form 1 + lam*(x - mu)

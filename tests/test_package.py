@@ -180,18 +180,26 @@ def write_calls(node):
     ]
 
 
-def test_cli_has_one_table_writer():
-    """Every ``.write`` call in the package is in ``cli._write_table``.
-
-    The library's table-file writers (``eprocess_to_csv``, ``tabulated_to_csv``)
-    use ``csv.writer``, whose ``writerow`` this does not count.
-    """
+def test_domain_has_the_one_table_writer():
+    """The package's one ``.write`` call site is ``domain.write_table``, and no
+    module builds a ``csv.writer`` or ``csv.DictWriter`` or imports ``csv`` to
+    write: the library's table files (``eprocess_to_csv``, ``tabulated_to_csv``)
+    go through the same writer as the CLI's tables."""
     package = Path(SRC) / "evbet"
     found = {str(p.relative_to(package)): ast.parse(p.read_text()) for p in package.rglob("*.py")}
-    cli = found.pop("cli.py")
-    writer = [n for n in cli.body if isinstance(n, ast.FunctionDef) and n.name == "_write_table"]
-    assert len(write_calls(cli)) == len(write_calls(writer[0])) > 0
-    assert found and not any(write_calls(tree) for tree in found.values())
+    writer = [n for n in found["domain.py"].body
+              if isinstance(n, ast.FunctionDef) and n.name == "write_table"]
+    sites = {name: len(write_calls(tree)) for name, tree in found.items() if write_calls(tree)}
+    assert sites == {"domain.py": len(write_calls(writer[0]))}
+    writers = {"writer", "DictWriter"}
+    for name, tree in found.items():
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.Attribute) and node.attr in writers
+                        and isinstance(node.value, ast.Name) and node.value.id == "csv"), name
+            assert not (isinstance(node, ast.ImportFrom) and node.module == "csv"), name
+    for name in ("multiround.py", "evariables.py"):
+        imports = [n for n in ast.walk(found[name]) if isinstance(n, ast.Import)]
+        assert "csv" not in {alias.name for n in imports for alias in n.names}, name
 
 
 def csv_readers(path):
