@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from evbet.betting import ConstantStrategy, UniversalPortfolioStrategy
 from evbet.confseq import CsResult, default_mu_grid, run_cs_batch
 from evbet.domain import DiscreteDistribution, replicate_seed, sample_stream
-from evbet.game import run_games_batch
 from evbet.evariables import dominating_lambda
+from evbet.game import run_games_batch
 
 # --- the reference: one strategy object per candidate, one round at a time ---
 
