@@ -14,8 +14,9 @@ removed (a file that already existed is left truncated).
 
 ``cs`` and ``simulate`` run every strategy through the batch kernel
 (``game.run_games_batch``); on data that are all 0 or 1 the universal
-portfolio takes the u-posterior path (one posterior pass per stream), which
-keeps the exact posterior up to rounding, as the object-path strategy does.
+portfolio takes the u-posterior route of ``kernels.up_game_batch`` (one
+posterior pass per stream), which keeps the exact posterior up to
+rounding, as the object-path strategy does.
 ``simulate`` scores the kernel's bets in bulk with ``game.score_bets``, so
 its ledger recomputes exactly from its e-values. The object path
 (``betting.UniversalPortfolioStrategy`` played by ``game.run_game``) is not

@@ -247,25 +247,52 @@ def _certify(
     ``_split_grid(pts, mu)``. Returns one ``(report, certificate)`` pair per
     row; ``certificate`` is the ``NotAnEVariable`` that ``beta_interval``
     raises, unraised, when the row is invalid or its slope interval is
-    inverted beyond rounding noise. Each row goes through the same
-    elementwise operations, and the same first-maximum tie-breaks, as a
-    table checked on its own, so the results do not depend on the batch.
+    inverted beyond rounding noise. Where a grid point snapped to mu is not
+    mu itself, the slope interval is narrowed towards what that point asks
+    (``_snapped_slopes``); grids that hold mu exactly skip this. Each row
+    goes through the same elementwise operations, and the same first-maximum
+    tie-breaks, as a table checked on its own, so the results do not depend
+    on the batch.
     """
     i, j = split.i, split.j
     lo, hi = bet_bounds(mu)
     n_rows = len(rows)
     worst, worst_exp = _worst_measures(pts, split, rows, 1.0 + tol)
     beta0, beta1 = [hi] * n_rows, [lo] * n_rows
+    snapped = [None] * n_rows
     if any(m is None for m in worst):  # slopes are needed for valid rows only
         if i:
             beta0 = np.minimum(hi, ((rows[:, :i] - 1.0) / (pts[:i] - mu)).min(axis=1)).tolist()
         if j < len(pts):
             beta1 = np.maximum(lo, ((rows[:, j:] - 1.0) / (pts[j:] - mu)).max(axis=1)).tolist()
-    return [_certificate(lo, hi, *row) for row in zip(worst, worst_exp, beta0, beta1)]
+        if any(split.excess):  # a grid point snapped to mu is not mu itself
+            snapped = _snapped_slopes(pts[i:j] - mu, rows[:, i:j])
+    return [_certificate(lo, hi, *row) for row in zip(worst, worst_exp, beta0, beta1, snapped)]
 
 
-def _certificate(lo, hi, witness, expectation, beta0, beta1):
-    """The ``(report, certificate)`` pair of one row of ``_certify``."""
+def _snapped_slopes(d: np.ndarray, at: np.ndarray) -> list[tuple[float, float]]:
+    """Per row, the slopes ``(low, high)`` a coin-bet needs to dominate the
+    row at the grid points snapped to mu: ``at`` holds the row's values there
+    and ``d`` the points less mu. A point above mu asks for
+    ``lam >= (e - 1)/d``, one below for ``lam <= (e - 1)/d``; a point at mu
+    itself asks nothing, as a coin-bet pays 1 there."""
+    low = np.full(len(at), -math.inf)
+    high = np.full(len(at), math.inf)
+    above, below = d > 0.0, d < 0.0
+    if above.any():
+        low = ((at[:, above] - 1.0) / d[above]).max(axis=1)
+    if below.any():
+        high = ((at[:, below] - 1.0) / d[below]).min(axis=1)
+    return list(zip(low.tolist(), high.tolist()))
+
+
+def _certificate(lo, hi, witness, expectation, beta0, beta1, snapped):
+    """The ``(report, certificate)`` pair of one row of ``_certify``.
+
+    ``snapped`` is None, or the row's ``_snapped_slopes``: the interval is
+    then narrowed to its intersection with them, or to its end nearest them
+    when they miss it, so it never inverts.
+    """
     if witness is not None:
         report = ValidityReport(valid=False, witness=witness, expectation=expectation)
         return report, NotAnEVariable(
@@ -282,6 +309,12 @@ def _certificate(lo, hi, witness, expectation, beta0, beta1):
                 f"slope interval inverted beyond tolerance: beta1={beta1} > beta0={beta0}"
             )
         beta0 = beta1 = 0.5 * (beta0 + beta1)
+    if snapped is not None:
+        low, high = snapped
+        if low > beta1:
+            beta1 = min(low, beta0)
+        if high < beta0:
+            beta0 = max(high, beta1)
     return _VALID, DominationCertificate(beta0, beta1, 0.5 * (beta0 + beta1))
 
 
@@ -308,8 +341,11 @@ def beta_interval(e: TabulatedEVariable) -> DominationCertificate:
     ``beta0`` is the tightest slope admissible from the points below mu,
     ``beta1`` from the points above; validity of the table guarantees
     ``beta1 <= beta0``, and any slope in between (we return the midpoint as
-    ``lambda_hat``) majorises the table on the whole grid. An invalid table
-    raises ``NotAnEVariable`` with the witness ``check_evariable`` reports.
+    ``lambda_hat``) majorises the table on the whole grid. A grid point
+    within ``MU_SNAP_TOL`` of mu but not at it narrows the interval towards
+    the slopes it asks for, to their intersection with it or to its end
+    nearest them. An invalid table raises ``NotAnEVariable`` with the
+    witness ``check_evariable`` reports.
     """
     cert = _certify_table(e)[1]
     if isinstance(cert, NotAnEVariable):

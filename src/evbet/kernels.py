@@ -1,4 +1,14 @@
-"""Pure-numpy implementation of the batch game kernels.
+"""The batch universal-portfolio game kernels, dispatched on the data.
+
+``up_game_batch`` is the kernels' one entry point and their one argument
+boundary: it checks the batch, the node count and the observations once,
+then hands the checked arrays to one of two private routines, which check
+nothing. Batches whose observations are all exactly 0.0 or 1.0 take the
+binary u-posterior routine (``_binary_kernel``): one posterior pass per
+distinct stream rather than per game. Every other batch goes to the general
+K-node kernel (``_general_kernel``), which plays a block of rounds per pass
+over its (games, K) weights. Both are plain numpy on the calling thread;
+``BACKEND`` and ``n_threads()`` say so in run manifests.
 
 Both routines work on the grid u_k = k/(K-1) of [0, 1]. Game g with target
 mean mu[g] has quadrature nodes lam_k = lo + (hi - lo)*u_k spanning
@@ -21,7 +31,7 @@ of the unrounded bet, but it keeps its relative accuracy where the payoff
 nears zero, while 1 + bet*(x - mu) of the rounded bet does not: there one
 ulp of the bet can move the log payoff by 1e-7 or more.
 
-``up_game_batch`` is the general K-node kernel. It visits the (G, K)
+``_general_kernel`` is the general K-node kernel. It visits the (G, K)
 weights once per block of J = ``_BLOCK`` rounds, not once per round. After i
 rounds of a block node k weighs w_k*Q_i(u_k), with w the weights at the block
 start and Q_i = prod_{s<i} (alpha_s*(1 - u) + beta_s*u). In the basis
@@ -65,10 +75,10 @@ raises ``DegeneratePosterior``. A payoff below the smallest normal double,
 which a posterior that lost its leading nodes can pay, is taken from the
 logs of its masses.
 
-``up_game_batch_binary`` plays the same games on observations that are all
+``_binary_kernel`` plays the same games on observations that are all
 exactly 0.0 or 1.0, with one posterior pass per distinct stream instead of
 one per game. It keeps the exact posterior up to rounding (1e-9 against the
-closed-form mixture wealth in the tests), so it agrees with ``up_game_batch``
+closed-form mixture wealth in the tests), so it agrees with ``_general_kernel``
 to 1e-9 while no weight of the general kernel underflows. Where that kernel
 loses weights to underflow (long runs of one value, a late change of
 regime) it drifts from the mixture or raises ``DegeneratePosterior``; the
@@ -80,10 +90,19 @@ from __future__ import annotations
 import functools
 import math
 
-from .._lazy import np
-from ..domain import bet_bounds, check_batch, check_node_count, check_observations
-from ..domain import unbroadcast_rows
-from ..errors import DegeneratePosterior
+from ._lazy import np
+from .domain import bet_bounds, check_batch, check_node_count, check_observations
+from .domain import unbroadcast_rows
+from .errors import DegeneratePosterior
+
+BACKEND = "python"
+# Quadrature nodes of the universal portfolio unless a strategy names its own.
+DEFAULT_UP_NODES = 1001
+
+
+def n_threads() -> int:
+    """Threads the kernels run on: the calling thread only."""
+    return 1
 
 
 def quadrature_coefficients(n_nodes: int) -> np.ndarray:
@@ -103,13 +122,28 @@ def quadrature_coefficients(n_nodes: int) -> np.ndarray:
     return c
 
 
-def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
+def up_game_batch(xs, mus, n_nodes: int):
     """Run one universal-portfolio coin-betting game per row of ``xs``.
 
-    Observations must be finite and lie in [0, 1] (``check_observations``);
+    ``xs`` is a (games, rounds) array of observations, finite and in [0, 1],
+    with one mean in (0, 1) per game in ``mus`` and at least 3 quadrature
+    nodes; anything else raises ``ValueError`` before any round is played.
     ``xs`` may be a broadcast view and is not copied. Returns
     ``(bets, log_wealth)`` of shape ``(G, n)``; ``log_wealth`` is the running
-    log of the mixture wealth.
+    log of the mixture wealth. Binary data takes ``_binary_kernel``, anything
+    else ``_general_kernel``.
+    """
+    xs, mus = check_batch(xs, mus)
+    check_node_count(n_nodes)
+    rows = unbroadcast_rows(xs)  # one row for a stream shared by every game
+    check_observations(rows)
+    if rows.size and ((rows == 0.0) | (rows == 1.0)).all():
+        return _binary_kernel(rows == 1.0, mus, n_nodes)
+    return _general_kernel(xs, mus, n_nodes)
+
+
+def _general_kernel(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
+    """``up_game_batch`` on checked arrays, by the general K-node kernel.
 
     Plays ``_BLOCK`` rounds per pass over the (G, K) weights: within a block
     the weights stay put, and each round's mass and bet are the block's
@@ -118,9 +152,6 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
     round that leaves a game no weight raises ``DegeneratePosterior`` naming
     the round and the first such game. No bet or log-wealth is NaN or inf.
     """
-    xs, mus = check_batch(xs, mus)
-    check_node_count(n_nodes)
-    check_observations(xs)
     n_games, n_rounds = xs.shape
     block = _BLOCK
     basis = _bernstein(n_nodes)
@@ -216,7 +247,7 @@ def up_game_batch(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
     return _bets(bets, mus), np.cumsum(log_payoffs, axis=1, out=log_payoffs)
 
 
-# Rounds ``up_game_batch`` plays per pass over its weights. On the mc-grid shape
+# Rounds ``_general_kernel`` plays per pass over its weights. On the mc-grid shape
 # (99 games x 1000 rounds, K = 1001; 2-vCPU VM) J = 8, 12, 16, 24 and 32 ran
 # within run-to-run spread of one another when each block built its own
 # tables, while the benchmark's peak RSS rose 0.2 MB over the per-round
@@ -275,7 +306,6 @@ def _elevation() -> list[np.ndarray]:
     return matrices
 
 
-
 @functools.lru_cache(maxsize=8)
 def _bernstein(n_nodes: int) -> np.ndarray:
     """The (J+1, K) degree-J Bernstein basis C(J, l) u_k**l (1 - u_k)**(J - l)
@@ -300,8 +330,10 @@ def _bernstein(n_nodes: int) -> np.ndarray:
 _MAX_CHUNK = 64
 
 
-def up_game_batch_binary(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
-    """``up_game_batch`` for observations that are all exactly 0.0 or 1.0.
+def _binary_kernel(ones: np.ndarray, mus: np.ndarray, n_nodes: int):
+    """``up_game_batch`` on checked observations that are all exactly 0.0 or
+    1.0, given as ``ones``: True for a one, a single row for a stream shared
+    by every game.
 
     On such data node k pays u_k/mu on a one and (1 - u_k)/(1 - mu) on a
     zero, so the normalised posterior over u, and so its means ubar_t of u
@@ -309,9 +341,6 @@ def up_game_batch_binary(xs: np.ndarray, mus: np.ndarray, n_nodes: int):
     one posterior pass. The mixture pays ubar/mu on a one and vbar/(1 - mu)
     on a zero. Returns ``(bets, log_wealth)`` as ``up_game_batch`` does.
     """
-    xs, mus = check_batch(xs, mus)
-    check_node_count(n_nodes)
-    ones = unbroadcast_rows(xs) == 1.0  # one row for a stream shared by every game
     # Streams are grouped by their packed bytes, one opaque item per row:
     # np.unique on that 1-D view sorts as axis=0 would, at a fraction of its cost.
     packed = np.ascontiguousarray(np.packbits(ones, axis=1))

@@ -10,13 +10,13 @@ from evbet import kernels
 from evbet.errors import OutOfRange
 from evbet.evariables import bet_bounds
 from evbet.game import LedgerRow
-from evbet.kernels import _pykernels
 
 
 @pytest.fixture(params=[kernels.BACKEND])
-def up_batch(request):
-    """The general batch UP kernel, with the backend's name as its test id."""
-    return _pykernels.up_game_batch
+def batch_kernel(request):
+    """The general K-node routine of the batch UP kernels, which takes checked
+    arrays, with the backend's name as its test id."""
+    return kernels._general_kernel
 
 
 @pytest.fixture

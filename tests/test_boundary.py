@@ -107,6 +107,11 @@ def kernel(mu=0.5, x=0.5, n_nodes=11):
     kernels.up_game_batch(stream(x, 2), np.array([0.5, mu]), n_nodes)
 
 
+def binary_kernel(mu=0.5, n_nodes=11):
+    """``kernel`` on a stream of zeros and ones, which takes the binary route."""
+    kernels.up_game_batch(np.tile([0.0, 1.0], (2, 2)), np.array([0.5, mu]), n_nodes)
+
+
 def portfolio(mu=0.5, x=0.5, n_nodes=11):
     UniversalPortfolioStrategy(mu, n_nodes).observe(x)
 
@@ -127,6 +132,7 @@ ROWS = {
     "xi_stats": (lambda value=1.0: xi_stats(table(value)), TABLES, False),
     "dominate_T2": (lambda value=1.0: dominate_T2(table(value), GRID_3), TABLES, False),
     "kernels.up_game_batch": (kernel, MU | {"x-nan", "x-range", "nodes"}, False),
+    "kernels.up_game_batch/binary": (binary_kernel, MU | {"nodes"}, False),
     "UniversalPortfolioStrategy": (portfolio, MU | {"x-nan", "x-range", "nodes"}, True),
     "SampleSpace": (lambda mu=0.5: SampleSpace((0.0, 0.5, 1.0), mu), MU, False),
     "bet_bounds": (lambda mu=0.5: bet_bounds(mu), MU, False),

@@ -113,6 +113,17 @@ def oracle_beta_interval(e):
                 f"slope interval inverted beyond tolerance: beta1={beta1} > beta0={beta0}"
             )
         beta0 = beta1 = 0.5 * (beta0 + beta1)
+    # A point within the snap of mu but not at it asks lam*(p - mu) >= e(p) - 1:
+    # a lower bound on lam above mu, an upper one below. The interval moves
+    # towards those bounds and stops at its own ends, so it never inverts.
+    needs = [((float(v) - 1.0) / (float(p) - mu), float(p) > mu)
+             for p, v in zip(pts[at], vals[at]) if p != mu]
+    at_least = max((s for s, up in needs if up), default=-np.inf)
+    at_most = min((s for s, up in needs if not up), default=np.inf)
+    if at_least > beta1:
+        beta1 = min(at_least, beta0)
+    if at_most < beta0:
+        beta0 = max(at_most, beta1)
     return DominationCertificate(beta0=beta0, beta1=beta1, lambda_hat=0.5 * (beta0 + beta1))
 
 

@@ -25,6 +25,15 @@ def tabulate_coinbet(space, lam):
     return TabulatedEVariable.tabulate(space, CoinBetEVariable(space.mu, lam).value)
 
 
+def assert_certificate_dominates(table):
+    """``table`` is valid and its certificate's coin-bet dominates it within 1e-9."""
+    assert check_evariable(table).valid
+    cert = beta_interval(table)
+    majorant = CoinBetEVariable(table.space.mu, cert.lambda_hat).value(table.space.as_array())
+    assert (majorant >= table.as_array() - 1e-9).all()
+
+
+
 class TestEvalCoinBet:
     def test_boundary_bet_doubles_at_one(self):
         assert CoinBetEVariable(0.5, 2.0).value(1.0) == 2.0
@@ -154,12 +163,33 @@ class TestCheckEVariable:
         space = SampleSpace((0.0, 0.2, mu + offset, 0.8, 1.0), mu)
         for lam in lambda_grid(mu, 21):
             table = tabulate_coinbet(space, lam)
-            assert check_evariable(table).valid
-            cert = beta_interval(table)
-            majorant = CoinBetEVariable(mu, cert.lambda_hat).value(space.as_array())
-            assert (majorant >= table.as_array() - 1e-9).all()
+            assert_certificate_dominates(table)
             scaled = TabulatedEVariable(space, tuple(1.05 * table.as_array()))
             assert not check_evariable(scaled).valid
+
+    @pytest.mark.parametrize(
+        "points, mu",
+        [
+            ((0.0, 0.5, 1.0), 1e-12),
+            ((0.0, 0.5, 1.0), 1.0 - 1e-11),
+            ((0.0, 0.2, 0.8, 1.0), MU_SNAP_TOL / 2),
+            ((0.0, 0.2, 0.8, 1.0), 1.0 - MU_SNAP_TOL / 2),
+            ((0.0, 0.01, 1.0), 0.01 + 5e-10),
+        ],
+        ids=["zero-1e-12", "one-1e-11", "zero-half-snap", "one-half-snap", "inner-0.01"],
+    )
+    def test_certificates_dominate_where_mu_is_wide(self, points, mu):
+        # I_mu spans about 1e9 or more. A certificate that leaves the point
+        # snapped to mu out of its slope interval can pay well under 1 there:
+        # the all-ones table at mu = 1e-12 was certified with lambda_hat 5e11,
+        # which pays 0.5 at x = 0.
+        space = SampleSpace(points, mu)
+        snapped = np.abs(space.as_array() - mu) <= MU_SNAP_TOL
+        tables = [tabulate_coinbet(space, lam) for lam in lambda_grid(mu, 21)]
+        tables += [TabulatedEVariable(space, tuple(values))
+                   for values in (np.ones(len(points)), np.where(snapped, 1.0, 0.0))]
+        for table in tables:
+            assert_certificate_dominates(table)
 
     def test_value_above_one_at_mean_rejected(self):
         space = SampleSpace((0.0, 0.5, 1.0), 0.5)

@@ -13,7 +13,6 @@ from evbet.confseq import default_mu_grid
 from evbet.domain import DiscreteDistribution, sample_stream
 from evbet.errors import DegeneratePosterior
 from evbet.game import run_game, run_games_batch
-from evbet.kernels import _pykernels
 
 
 def make_batch(rng, n_games=6, n_rounds=80, points=(0.0, 0.25, 0.5, 0.75, 1.0)):
@@ -28,30 +27,30 @@ class TestBackendContract:
     def make_batch(self, rng, **kwargs):
         return make_batch(rng, points=self.points, **kwargs)
 
-    def test_shapes_and_saturation(self, up_batch, rng):
+    def test_shapes_and_saturation(self, batch_kernel, rng):
         xs, mus = self.make_batch(rng)
-        bets, logw = up_batch(xs, mus, 101)
+        bets, logw = batch_kernel(xs, mus, 101)
         assert bets.shape == xs.shape and logw.shape == xs.shape
         assert np.isfinite(bets).all()
 
-    def test_bets_stay_in_interval(self, up_batch, rng):
+    def test_bets_stay_in_interval(self, batch_kernel, rng):
         xs, mus = self.make_batch(rng)
-        bets, _ = up_batch(xs, mus, 101)
+        bets, _ = batch_kernel(xs, mus, 101)
         assert_bets_in_interval(bets, mus)
 
-    def test_deterministic(self, up_batch, rng):
+    def test_deterministic(self, batch_kernel, rng):
         xs, mus = self.make_batch(rng)
-        first = up_batch(xs, mus, 51)
-        second = up_batch(xs, mus, 51)
+        first = batch_kernel(xs, mus, 51)
+        second = batch_kernel(xs, mus, 51)
         assert (first[0] == second[0]).all()
         assert (first[1] == second[1]).all()
 
-    def test_boundary_data_only_kills_endpoint_nodes(self, up_batch):
+    def test_boundary_data_only_kills_endpoint_nodes(self, batch_kernel):
         # x in {0,1} kills exactly the two endpoint fractions of I_mu; the
         # interior nodes survive, so the game keeps running with sane bets.
         xs = np.array([[0.0, 1.0] * 40])
         mus = np.array([0.5])
-        bets, logw = up_batch(xs, mus, 11)
+        bets, logw = batch_kernel(xs, mus, 11)
         assert np.isfinite(bets).all()
         assert (np.abs(bets) < 2.0).all()
         assert np.isfinite(logw).all()
@@ -172,13 +171,13 @@ def general_batches(draw, max_rounds=300, max_games=6, node_counts=(3, 4, 11, 10
 
 
 class TestGeneralKernel:
-    """``_pykernels.up_game_batch`` on the u-grid against the lambda-grid mixture."""
+    """``kernels._general_kernel`` on the u-grid against the lambda-grid mixture."""
 
     @settings(max_examples=80, deadline=None)
     @given(general_batches())
     def test_matches_lambda_grid_loop(self, batch):
         xs, mus, n_nodes = batch
-        bets, logw = _pykernels.up_game_batch(xs, mus, n_nodes)
+        bets, logw = kernels._general_kernel(xs, mus, n_nodes)
         ref_bets, ref_logw = lambda_grid_loop(xs, mus, n_nodes)
         assert_bets_in_interval(bets, mus)
         np.testing.assert_allclose(bets, ref_bets, rtol=0.0, atol=1e-9)
@@ -190,7 +189,7 @@ class TestGeneralKernel:
     @given(general_batches(max_rounds=60, max_games=3, node_counts=(3, 4, 11)))
     def test_matches_exact_mixture(self, batch):
         xs, mus, n_nodes = batch
-        bets, logw = _pykernels.up_game_batch(xs, mus, n_nodes)
+        bets, logw = kernels._general_kernel(xs, mus, n_nodes)
         ref_bets, ref_logw = exact_mixture(xs, mus, n_nodes)
         np.testing.assert_allclose(bets, ref_bets, rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(logw, ref_logw, rtol=0.0, atol=1e-9)
@@ -201,7 +200,7 @@ class TestGeneralKernel:
         # moves the log payoff by about 1e-6.
         xs = np.array([[0.9] * 45 + [0.0]])
         mus = np.array([0.125])
-        bets, logw = _pykernels.up_game_batch(xs, mus, 3)
+        bets, logw = kernels._general_kernel(xs, mus, 3)
         ref_bets, ref_logw = exact_mixture(xs, mus, 3)
         assert 1.0 + ref_bets[0, -1] * (0.0 - 0.125) < 1e-9
         np.testing.assert_allclose(bets, ref_bets, rtol=0.0, atol=1e-9)
@@ -213,13 +212,13 @@ class TestGeneralKernel:
         # rounds up to 1.4e-14 outside I_mu at some of these means.
         mus = default_mu_grid(99)
         xs = np.full((len(mus), 3000), x)
-        bets, _ = _pykernels.up_game_batch(xs, mus, 11)
+        bets, _ = kernels._general_kernel(xs, mus, 11)
         assert_bets_in_interval(bets, mus)
 
     @pytest.mark.parametrize("mu", [0.05, 0.5, 0.95])
     def test_long_horizon_matches_object_path(self, mu):
         stream = sample_stream(DiscreteDistribution.uniform_grid(11), 5000, 12)
-        bets, logw = _pykernels.up_game_batch(stream[None, :], np.array([mu]), 1001)
+        bets, logw = kernels._general_kernel(stream[None, :], np.array([mu]), 1001)
         reference = run_game(mu, 0.05, UniversalPortfolioStrategy(mu, 1001), stream)
         np.testing.assert_allclose(bets[0], [r.lam for r in reference.rows], rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(
@@ -230,8 +229,8 @@ class TestGeneralKernel:
         stream = sample_stream(DiscreteDistribution.uniform_grid(11), 400, 5)
         mus = default_mu_grid(19)
         view = np.broadcast_to(stream, (len(mus), len(stream)))
-        bets, logw = _pykernels.up_game_batch(view, mus, 101)
-        copy_bets, copy_logw = _pykernels.up_game_batch(view.copy(), mus, 101)
+        bets, logw = kernels._general_kernel(view, mus, 101)
+        copy_bets, copy_logw = kernels._general_kernel(view.copy(), mus, 101)
         assert (bets == copy_bets).all()
         assert (logw == copy_logw).all()
 
@@ -241,19 +240,19 @@ class TestGeneralKernel:
         xs = np.concatenate([np.zeros(8000), np.ones(5)])[None, :]
         mus = np.array([0.5])
         with pytest.raises(DegeneratePosterior) as raised:
-            _pykernels.up_game_batch(xs, mus, 3)
+            kernels._general_kernel(xs, mus, 3)
         assert str(raised.value) == "game 0: posterior wiped out at round 8001"
 
     def test_bad_arguments(self):
         xs = np.full((2, 5), 0.5)
         for mus, n_nodes in (([0.5], 11), ([0.5, 1.0], 11), ([0.5, 0.5], 2)):
             with pytest.raises(ValueError):
-                _pykernels.up_game_batch(xs, np.array(mus), n_nodes)
+                kernels.up_game_batch(xs, np.array(mus), n_nodes)
         with pytest.raises(ValueError):
-            _pykernels.up_game_batch(np.full((2, 5), 1.5), np.array([0.5, 0.5]), 11)
+            kernels.up_game_batch(np.full((2, 5), 1.5), np.array([0.5, 0.5]), 11)
 
 
-BLOCK = _pykernels._BLOCK
+BLOCK = kernels._BLOCK
 GRID_11 = np.linspace(0.0, 1.0, 11)
 
 
@@ -263,7 +262,7 @@ def assert_matches_exact_mixture(xs, mus, n_nodes):
     Bets also get a relative slack of 1e-12: near an endpoint mean they are of
     size 1/mu, and the affine image of a double ubar is only that accurate.
     """
-    bets, logw = _pykernels.up_game_batch(xs, mus, n_nodes)
+    bets, logw = kernels._general_kernel(xs, mus, n_nodes)
     ref_bets, ref_logw = exact_mixture(xs, mus, n_nodes)
     assert bets.shape == logw.shape == np.shape(xs)
     assert_bets_in_interval(bets, mus)
@@ -296,7 +295,7 @@ class TestBlockSeams:
         xs[1, position] = np.nan
         xs[0, position + 1] = np.nan
         with pytest.raises(ValueError, match=r"^observations must be finite and lie in \[0, 1\]$"):
-            _pykernels.up_game_batch(xs, np.array([0.3, 0.5, 0.7]), 11)
+            kernels.up_game_batch(xs, np.array([0.3, 0.5, 0.7]), 11)
 
     # The killing one on the first and on the last round of a block.
     @pytest.mark.parametrize("n_zeros", [8000 // BLOCK * BLOCK, 8000 // BLOCK * BLOCK + BLOCK - 1])
@@ -304,7 +303,7 @@ class TestBlockSeams:
         # As in TestGeneralKernel: the zeros underflow the middle node of K = 3.
         xs = np.concatenate([np.zeros(n_zeros), np.ones(5)])[None, :]
         with pytest.raises(DegeneratePosterior) as raised:
-            _pykernels.up_game_batch(xs, np.array([0.5]), 3)
+            kernels._general_kernel(xs, np.array([0.5]), 3)
         assert str(raised.value) == f"game 0: posterior wiped out at round {n_zeros + 1}"
 
     @pytest.mark.parametrize("mu", [1e-6, 1.0 - 1e-6])
@@ -323,7 +322,7 @@ class TestBlockSeams:
         # round, and the game plays on as the log-space reference.
         stream = np.concatenate([np.zeros(13294), np.ones(40), np.full(10, 0.5)])
         xs, mus = stream[None, :], np.array([0.5])
-        bets, logw = _pykernels.up_game_batch(xs, mus, 11)
+        bets, logw = kernels._general_kernel(xs, mus, 11)
         ref_bets, ref_logw = lambda_grid_loop(xs, mus, 11)
         np.testing.assert_allclose(bets, ref_bets, rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(logw, ref_logw, rtol=0.0, atol=1e-9)
@@ -344,7 +343,7 @@ class TestBlockSeams:
         outcomes = set()
         for g, n in enumerate(zeros):
             try:
-                bets, logw = _pykernels.up_game_batch(streams[g : g + 1, : n + 6], np.array([0.5]), 3)
+                bets, logw = kernels._general_kernel(streams[g : g + 1, : n + 6], np.array([0.5]), 3)
             except DegeneratePosterior as raised:
                 assert str(raised) == f"game 0: posterior wiped out at round {n + 1}"
                 outcomes.add("raised")
@@ -357,7 +356,7 @@ class TestBlockSeams:
 
 def assert_matches_object_path(xs, mus, n_nodes):
     """The general kernel against the log-space object path, game by game, at 1e-9."""
-    bets, logw = _pykernels.up_game_batch(xs, mus, n_nodes)
+    bets, logw = kernels._general_kernel(xs, mus, n_nodes)
     for g, mu in enumerate(mus.tolist()):
         reference = run_game(mu, 0.05, UniversalPortfolioStrategy(mu, n_nodes), xs[g])
         np.testing.assert_allclose(bets[g], reference.lam, rtol=0.0, atol=1e-9)
@@ -368,7 +367,7 @@ class TestSpanSeams:
     """The general kernel where its blocks meet the edges of a span of blocks."""
 
     MUS = np.array([0.2, 0.5, 0.85])
-    SPAN = _pykernels._span_blocks(len(MUS)) * BLOCK  # rounds per span of this batch
+    SPAN = kernels._span_blocks(len(MUS)) * BLOCK  # rounds per span of this batch
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_horizons_around_a_span(self, offset, rng):
@@ -382,40 +381,40 @@ class TestSpanSeams:
         # than a span after it. The bets pile on lam = -2, so x = 1 pays 0 on
         # a ledger scored from them: the reference is the log-space mixture,
         # as in that test.
-        span = _pykernels._span_blocks(1) * BLOCK
+        span = kernels._span_blocks(1) * BLOCK
         stream = np.concatenate([np.zeros(13299), np.ones(2), rng.choice(GRID_11, span)])
         assert 13299 % BLOCK > 0 and span < 13299 < 2 * span and len(stream) - 13299 > span
         xs, mus = stream[None, :], np.array([0.5])
-        bets, logw = _pykernels.up_game_batch(xs, mus, 11)
+        bets, logw = kernels._general_kernel(xs, mus, 11)
         ref_bets, ref_logw = lambda_grid_loop(xs, mus, 11)
         np.testing.assert_allclose(bets, ref_bets, rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(logw, ref_logw, rtol=0.0, atol=1e-9)
 
     def test_no_games(self):
-        bets, logw = _pykernels.up_game_batch(np.empty((0, 3 * BLOCK)), np.empty(0), 11)
+        bets, logw = kernels._general_kernel(np.empty((0, 3 * BLOCK)), np.empty(0), 11)
         assert bets.shape == logw.shape == (0, 3 * BLOCK)
 
     def test_one_long_game_crosses_spans(self):
         stream = sample_stream(DiscreteDistribution.uniform_grid(11), 20_000, 3)
-        assert len(stream) > 2 * _pykernels._span_blocks(1) * BLOCK
+        assert len(stream) > 2 * kernels._span_blocks(1) * BLOCK
         assert_matches_object_path(stream[None, :], np.array([0.45]), 11)
 
 
 class TestBinaryDispatchContract(TestBackendContract):
-    """The backend contract on binary batches, through the dispatcher."""
+    """The backend contract on binary batches, through the public entry."""
 
     points = (0.0, 1.0)
 
     @pytest.fixture
-    def up_batch(self):
+    def batch_kernel(self):
         return kernels.up_game_batch
 
 
 def assert_matches_general_kernel(xs, mus, n_nodes):
-    """The dispatcher against the general numpy kernel on a binary batch."""
+    """The public entry against the general numpy kernel on a binary batch."""
     mus = np.asarray(mus, dtype=float)
     bets, logw = kernels.up_game_batch(xs, mus, n_nodes)
-    ref_bets, ref_logw = _pykernels.up_game_batch(xs, mus, n_nodes)
+    ref_bets, ref_logw = kernels._general_kernel(xs, mus, n_nodes)
     lo, hi = 1.0 / (mus - 1.0), 1.0 / mus
     assert ((bets >= lo[:, None]) & (bets <= hi[:, None])).all()
     np.testing.assert_allclose(bets, ref_bets, rtol=0.0, atol=1e-9)
@@ -533,13 +532,13 @@ class TestBinaryPath:
 
     def test_dispatch_follows_the_data(self, rng, monkeypatch):
         calls = []
-        binary_kernel = _pykernels.up_game_batch_binary
+        binary_kernel = kernels._binary_kernel
 
         def spy(*args):
             calls.append(args)
             return binary_kernel(*args)
 
-        monkeypatch.setattr(_pykernels, "up_game_batch_binary", spy)
+        monkeypatch.setattr(kernels, "_binary_kernel", spy)
         xs, mus = make_batch(rng, points=(0.0, 1.0))
         kernels.up_game_batch(xs, mus, 51)
         assert len(calls) == 1
@@ -590,7 +589,7 @@ class TestBinaryPath:
              "ones-zeros-ones"],
     )
     def test_live_span_matches_full_grid(self, stream, n_nodes):
-        posterior = _pykernels._BinaryPosterior(n_nodes)
+        posterior = kernels._BinaryPosterior(n_nodes)
         ones = stream == 1.0
         for live, full in zip(posterior.means(ones), full_grid_means(posterior, ones)):
             np.testing.assert_allclose(live, full, rtol=1e-12, atol=0.0)
@@ -598,11 +597,11 @@ class TestBinaryPath:
     def test_bad_arguments(self):
         xs = np.ones((2, 5))
         with pytest.raises(ValueError):
-            _pykernels.up_game_batch_binary(xs, np.array([0.5]), 11)
+            kernels.up_game_batch(xs, np.array([0.5]), 11)
         with pytest.raises(ValueError):
-            _pykernels.up_game_batch_binary(xs, np.array([0.5, 1.0]), 11)
+            kernels.up_game_batch(xs, np.array([0.5, 1.0]), 11)
         with pytest.raises(ValueError):
-            _pykernels.up_game_batch_binary(xs, np.array([0.5, 0.5]), 2)
+            kernels.up_game_batch(xs, np.array([0.5, 0.5]), 2)
 
 
 def simpson_weights(n_nodes):
@@ -687,9 +686,9 @@ class TestExactUpOracle:
         xs = sample_stream(STREAMS[data], 300, 11)
         oracle = exact_up_log_wealth(xs, self.MUS, n_nodes)
         batch = np.tile(xs, (len(self.MUS), 1))
-        routines = [_pykernels.up_game_batch]
+        routines = [kernels._general_kernel]
         if data == "binary":
-            routines.append(_pykernels.up_game_batch_binary)
+            routines.append(lambda xs, mus, k: kernels._binary_kernel(xs == 1.0, mus, k))
         for routine in routines:
             _, log_wealth = routine(batch, self.MUS, n_nodes)
             np.testing.assert_allclose(log_wealth, oracle, rtol=0.0, atol=1e-9)

@@ -202,6 +202,37 @@ def test_domain_has_the_one_table_writer():
         assert "csv" not in {alias.name for n in imports for alias in n.names}, name
 
 
+def test_kernels_check_arguments_only_at_their_entry():
+    """In ``kernels``, ``up_game_batch`` is the only caller of a ``domain.check_*``
+    function: the routines it hands the checked arrays to check nothing."""
+    tree = ast.parse((Path(SRC) / "evbet" / "kernels.py").read_text())
+    checks = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "domain"
+        for alias in node.names
+        if alias.name.startswith("check_")
+    }
+    assert checks
+    callers = {
+        top.name
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id in checks)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr.startswith("check_")
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "domain")
+        )
+    }
+    assert callers == {"up_game_batch"}
+
+
+def test_package_has_no_subpackage():
+    package = Path(SRC) / "evbet"
+    assert not [p for p in package.iterdir() if p.is_dir() and p.name != "__pycache__"]
+
+
 def csv_readers(path):
     """The places in a module that build a ``csv.reader`` or ``csv.DictReader``."""
     readers = {"reader", "DictReader"}
