@@ -969,9 +969,9 @@ class TestCheckAndDominate:
 
     @pytest.mark.parametrize("mu", ["1e-12", "0.99999999999"])
     def test_ones_certify_at_a_mean_snapped_to_an_end(self, runner, tmp_path, mu):
-        # mu lies within the snap of the grid end 0 or 1. The certificate used
-        # to leave that point out and bet 5e11 or -5e10, which pays 0.5 there:
-        # check certified that bet and dominate --t2 refuted the ones, exit 2.
+        # mu lies within the snap of the grid end 0 or 1. A certificate that
+        # leaves that point out bets 5e11 or -5e10, which pays 0.5 there, and
+        # dominate --t2 then refutes the ones and exits 2.
         square = tmp_path / "ones2.csv"
         square.write_text("x1,x2,value\n0.0,0.0,1.0\n0.0,1.0,1.0\n1.0,0.0,1.0\n1.0,1.0,1.0\n")
         result = invoke(runner, ["dominate", "--table", str(square), "--mu", mu, "--t2"])

@@ -181,8 +181,8 @@ class TestCheckEVariable:
     def test_certificates_dominate_where_mu_is_wide(self, points, mu):
         # I_mu spans about 1e9 or more. A certificate that leaves the point
         # snapped to mu out of its slope interval can pay well under 1 there:
-        # the all-ones table at mu = 1e-12 was certified with lambda_hat 5e11,
-        # which pays 0.5 at x = 0.
+        # for the all-ones table at mu = 1e-12 it is [0, 1e12], whose midpoint
+        # 5e11 pays 0.5 at x = 0.
         space = SampleSpace(points, mu)
         snapped = np.abs(space.as_array() - mu) <= MU_SNAP_TOL
         tables = [tabulate_coinbet(space, lam) for lam in lambda_grid(mu, 21)]
