@@ -10,10 +10,14 @@ The ``check_*`` functions are the one implementation of each argument check
 of a testing game; each raises ``ValueError`` with a fixed message. The
 decisions that the game and the certification oracles share live here too:
 the bet interval ``I_mu`` (``bet_bounds``), the rejection threshold
-``log(1/delta)`` (``rejection_threshold``) and the weight of a two-point
-mean-``mu`` law (``two_point_weight``, ``straddle_weights``). So do the one
-reader of table files (``read_table``) and the one writer (``write_table``),
-which every CLI table and every library table file goes through.
+``log(1/delta)`` (``rejection_threshold``) and the masses of a two-point
+mean-``mu`` law (``two_point_masses`` for one pair, ``straddle_masses`` for
+every pair of a grid). That law is the one near-mu rule of every validity
+verdict: a pair straddles mu exactly (``a <= mu <= b``), the only point mass
+is at mu itself, and both masses are computed directly, so neither loses the
+digits that ``1 - w`` loses when mu lies near a point. So do the one reader
+of table files (``read_table``) and the one writer (``write_table``), which
+every CLI table and every library table file goes through.
 """
 
 from __future__ import annotations
@@ -238,29 +242,36 @@ class TwoPointMeasure:
         return self.w * value_a + (1.0 - self.w) * value_b
 
 
-def two_point_weight(a: float, b: float, mu: float) -> float:
-    """Mass on ``a`` of the unique mean-``mu`` measure on {a, b}.
+def two_point_masses(a: float, b: float, mu: float) -> tuple[float, float]:
+    """Masses on ``a`` and on ``b`` of the unique mean-``mu`` law on {a, b}.
 
-    ``(b - mu) / (b - a)``, with the 0/0 convention that a point pair
-    (mu, mu) carries weight 1. Requires ``mu`` to lie between ``a`` and ``b``.
+    ``(b - mu) / (b - a)`` and ``(mu - a) / (b - a)``, each computed
+    directly; the point pair (mu, mu) gets (1, 0). Requires ``mu`` to lie
+    between ``a`` and ``b``.
     """
     lo, hi = (a, b) if a <= b else (b, a)
     if not lo <= mu <= hi:
         raise MeanOutsideSpan(f"mu={mu} outside span [{lo}, {hi}]")
     if a == b:
-        return 1.0
-    return (b - mu) / (b - a)
+        return 1.0, 0.0
+    return (b - mu) / (b - a), (mu - a) / (b - a)
 
 
-def straddle_weights(below: np.ndarray, above: np.ndarray, mu: float) -> np.ndarray:
-    """``two_point_weight(a, b, mu)`` of every pair of ``a`` in ``below`` and
-    ``b`` in ``above``, as a ``(len(below), len(above))`` array.
+def two_point_weight(a: float, b: float, mu: float) -> float:
+    """Mass on ``a`` of the unique mean-``mu`` law on {a, b} (``two_point_masses``)."""
+    return two_point_masses(a, b, mu)[0]
+
+
+def straddle_masses(below: np.ndarray, above: np.ndarray, mu: float):
+    """``two_point_masses`` of every pair of ``a`` in ``below`` and ``b`` in
+    ``above``: the masses on ``a`` and on ``b``, two ``(len(below),
+    len(above))`` arrays.
 
     Every point of ``below`` must lie strictly below mu and every point of
     ``above`` strictly above it, so no pair is degenerate.
     """
-    b = above[None, :]
-    return (b - mu) / (b - below[:, None])
+    a, b = below[:, None], above[None, :]
+    return (b - mu) / (b - a), (mu - a) / (b - a)
 
 
 def two_point_measure(a: float, b: float, mu: float) -> TwoPointMeasure:

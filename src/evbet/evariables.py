@@ -9,6 +9,13 @@ dominated by one of its members. ``check_evariable`` certifies validity by
 enumerating the two-point extreme measures of the hypothesis, and
 ``beta_interval`` constructs the dominating coin-bet explicitly.
 
+The extreme measures are ``domain``'s two-point laws: the point mass at mu,
+when mu is a grid point, and every pair ``a < mu < b`` with both masses
+computed directly. A grid point near mu is checked in its pairs like any
+other, so a table is valid exactly when no mean-mu law on the grid gives it
+an expectation above ``1 + tol``. ``MU_SNAP_TOL`` acts only in the slope
+step of the certificate, whose ratios divide by ``p - mu``.
+
 Both run on one private core, ``_certify``. It takes the grid's split around
 mu (``_split_grid``) and a 2-D array of tables, one per row. Per row it
 returns the validity report and either the certificate or the
@@ -20,8 +27,8 @@ table checked on its own, so batching changes no result.
 The split depends only on the grid and mu, never on a table, so
 ``_space_split`` builds it once per space and keeps the last 8, as the
 kernel keeps its Bernstein bases (an ``lru_cache`` keyed by the space, whose
-mean is always a float). Its pair weights ``w`` and ``1 - w`` are shared by
-every later call and read-only. A kept split holds the two weight arrays,
+mean is always a float). Its pair masses ``w`` and ``omw`` are shared by
+every later call and read-only. A kept split holds the two mass arrays,
 at most ``4 n**2`` bytes for an n-point grid (under 2 KB on 21 points),
 and the first space seen with that grid and mean.
 """
@@ -36,14 +43,13 @@ from typing import NamedTuple
 from ._lazy import np
 # bet_bounds and check_bet live in domain, shared with the game; they stay names here.
 from .domain import SampleSpace, TwoPointMeasure, bet_bounds, check_bet, check_mu, check_table
-from .domain import read_table, straddle_weights, write_table
+from .domain import read_table, straddle_masses, write_table
 from .errors import NotAnEVariable
 
 # Additive slack on two-point expectations when certifying validity.
 VALIDITY_TOL = 1e-12
-# Grid points within this distance of mu are handled as point masses, by
-# e(p) <= eval_majorizer(mu, p), instead of by the slope ratios, whose
-# denominators would blow up.
+# Grid points within this distance of mu are left out of the certificate's
+# slope ratios, whose denominators p - mu would blow up (``_snapped_slopes``).
 MU_SNAP_TOL = 1e-9
 
 
@@ -160,30 +166,26 @@ def dominating_lambda(mu: float, alpha: float) -> float:
 class _Split(NamedTuple):
     """A sorted grid cut around mu: ``pts[:i]`` below, ``pts[i:j]`` at, ``pts[j:]`` above.
 
-    A point is at mu when it lies within ``MU_SNAP_TOL`` of it. ``w[k, l]`` is
-    the mass on ``pts[k]`` of the mean-mu measure on ``{pts[k], pts[j + l]}``
-    and ``omw`` is ``1 - w``. ``excess[k]`` is ``eval_majorizer(mu, p) - 1``
-    at the point ``p = pts[i + k]`` at mu: the most a coin-bet pays there, less
-    1, which is 0 at mu itself.
+    At most one point, mu itself, is at mu. ``w[k, l]`` and ``omw[k, l]``
+    are the masses on ``pts[k]`` and on ``pts[j + l]`` of the mean-mu law
+    on the two (``domain.straddle_masses``). ``near`` is the run of points
+    within ``MU_SNAP_TOL`` of mu, which the slope step sets apart.
     """
 
     i: int
     j: int
     w: np.ndarray
     omw: np.ndarray
-    excess: tuple[float, ...]
+    near: slice
 
 
 def _split_grid(pts: np.ndarray, mu: float) -> _Split:
     """Cut the increasing grid ``pts`` around mu (see ``_Split``)."""
-    # pts - mu is non-decreasing, so below (pts - mu < -tol), at and above
-    # (pts - mu > tol) are a prefix, a middle run and a suffix of the grid.
-    d = pts - mu
-    i = int(d.searchsorted(-MU_SNAP_TOL, side="left"))
-    j = int(d.searchsorted(MU_SNAP_TOL, side="right"))
-    w = straddle_weights(pts[:i], pts[j:], mu)
-    excess = tuple(max(x / mu, x / (mu - 1.0)) for x in d[i:j].tolist())
-    return _Split(i, j, w, 1.0 - w, excess)
+    i, j = int(pts.searchsorted(mu, side="left")), int(pts.searchsorted(mu, side="right"))
+    d = pts - mu  # non-decreasing, so the points near mu are one run
+    near = slice(int(d.searchsorted(-MU_SNAP_TOL, side="left")),
+                 int(d.searchsorted(MU_SNAP_TOL, side="right")))
+    return _Split(i, j, *straddle_masses(pts[:i], pts[j:], mu), near)
 
 
 @functools.lru_cache(maxsize=8)
@@ -207,26 +209,19 @@ def _row_maxima(block: np.ndarray):
 def _worst_measures(pts: np.ndarray, split: _Split, rows: np.ndarray, floor: float):
     """Per row of ``rows``, the two-point mean-mu measure of largest expectation.
 
-    The point masses at mu come first, then the straddling pairs in row-major
+    The point mass at mu comes first, then the straddling pairs in row-major
     ``(a, b)`` order; a measure replaces the current one only when its
-    expectation is strictly larger, starting from ``floor``. A point at mu
-    but not equal to it counts only where its value exceeds ``floor`` by more
-    than its ``excess``: a coin-bet may pay up to ``1 + excess`` there, so
-    with ``floor = 1 + tol`` no exact coin-bet is refuted by a point that is
-    not quite mu. Returns the measures (None where nothing exceeds
-    ``floor``) and their expectations.
+    expectation is strictly larger, starting from ``floor``. Returns the
+    measures (None where nothing exceeds ``floor``) and their expectations.
     """
-    i, j, w, omw, excess = split
+    i, j, w, omw, _ = split
     n_rows = len(rows)
     worst: list[TwoPointMeasure | None] = [None] * n_rows
     worst_exp = [floor] * n_rows
     if j > i:
-        at = rows[:, i:j]
-        if any(excess):  # at mu itself the bar is floor
-            at = np.where(at > floor + np.array(excess), at, -np.inf)
-        for r, (k, v) in enumerate(_row_maxima(at)):
+        x = float(pts[i])
+        for r, v in enumerate(rows[:, i].tolist()):
             if v > worst_exp[r]:
-                x = float(pts[i + k])
                 worst[r], worst_exp[r] = TwoPointMeasure(x, x, 1.0), v
     if w.size:
         expect = (w * rows[:, :i, None] + omw * rows[:, None, j:]).reshape(n_rows, -1)
@@ -247,32 +242,33 @@ def _certify(
     ``_split_grid(pts, mu)``. Returns one ``(report, certificate)`` pair per
     row; ``certificate`` is the ``NotAnEVariable`` that ``beta_interval``
     raises, unraised, when the row is invalid or its slope interval is
-    inverted beyond rounding noise. Where a grid point snapped to mu is not
-    mu itself, the slope interval is narrowed towards what that point asks
-    (``_snapped_slopes``); grids that hold mu exactly skip this. Each row
-    goes through the same elementwise operations, and the same first-maximum
-    tie-breaks, as a table checked on its own, so the results do not depend
-    on the batch.
+    inverted beyond rounding noise. The slopes come from the points farther
+    than ``MU_SNAP_TOL`` from mu; where a nearer point is not mu itself, the
+    interval is then narrowed towards what that point asks
+    (``_snapped_slopes``). Each row goes through the same elementwise
+    operations, and the same first-maximum tie-breaks, as a table checked on
+    its own, so the results do not depend on the batch.
     """
-    i, j = split.i, split.j
+    near = split.near
     lo, hi = bet_bounds(mu)
     n_rows = len(rows)
     worst, worst_exp = _worst_measures(pts, split, rows, 1.0 + tol)
     beta0, beta1 = [hi] * n_rows, [lo] * n_rows
     snapped = [None] * n_rows
     if any(m is None for m in worst):  # slopes are needed for valid rows only
+        i, j = near.start, near.stop
         if i:
             beta0 = np.minimum(hi, ((rows[:, :i] - 1.0) / (pts[:i] - mu)).min(axis=1)).tolist()
         if j < len(pts):
             beta1 = np.maximum(lo, ((rows[:, j:] - 1.0) / (pts[j:] - mu)).max(axis=1)).tolist()
-        if any(split.excess):  # a grid point snapped to mu is not mu itself
-            snapped = _snapped_slopes(pts[i:j] - mu, rows[:, i:j])
+        if j - i > split.j - split.i:  # a point near mu is not mu itself
+            snapped = _snapped_slopes(pts[near] - mu, rows[:, near])
     return [_certificate(lo, hi, *row) for row in zip(worst, worst_exp, beta0, beta1, snapped)]
 
 
 def _snapped_slopes(d: np.ndarray, at: np.ndarray) -> list[tuple[float, float]]:
     """Per row, the slopes ``(low, high)`` a coin-bet needs to dominate the
-    row at the grid points snapped to mu: ``at`` holds the row's values there
+    row at the grid points near mu: ``at`` holds the row's values there
     and ``d`` the points less mu. A point above mu asks for
     ``lam >= (e - 1)/d``, one below for ``lam <= (e - 1)/d``; a point at mu
     itself asks nothing, as a coin-bet pays 1 there."""
@@ -326,10 +322,11 @@ def _certify_table(e: TabulatedEVariable, tol: float = VALIDITY_TOL):
 def check_evariable(e: TabulatedEVariable, tol: float = VALIDITY_TOL) -> ValidityReport:
     """Certify a table against every two-point mean-``mu`` measure on its grid.
 
-    Valid iff the value at each point ``p`` within ``MU_SNAP_TOL`` of mu is
-    at most ``eval_majorizer(mu, p) + tol`` (``1 + tol`` at mu itself) and
-    every pair ``a < mu < b`` satisfies ``W*e(a) + (1-W)*e(b) <= 1 + tol``.
-    On failure the report carries the worst violating measure and its
+    Valid iff the value at mu, when mu is a grid point, is at most
+    ``1 + tol`` and every pair ``a < mu < b`` satisfies
+    ``W*e(a) + V*e(b) <= 1 + tol``, with ``W`` and ``V`` the masses of
+    ``domain.two_point_masses``. A point however near mu is checked in its
+    pairs. On failure the report carries the worst violating measure and its
     expectation.
     """
     return _certify_table(e, tol)[0]
@@ -342,10 +339,10 @@ def beta_interval(e: TabulatedEVariable) -> DominationCertificate:
     ``beta1`` from the points above; validity of the table guarantees
     ``beta1 <= beta0``, and any slope in between (we return the midpoint as
     ``lambda_hat``) majorises the table on the whole grid. A grid point
-    within ``MU_SNAP_TOL`` of mu but not at it narrows the interval towards
-    the slopes it asks for, to their intersection with it or to its end
-    nearest them. An invalid table raises ``NotAnEVariable`` with the
-    witness ``check_evariable`` reports.
+    within ``MU_SNAP_TOL`` of mu but not at it is left out of both and
+    narrows the interval towards the slopes it asks for, to their
+    intersection with it or to its end nearest them. An invalid table
+    raises ``NotAnEVariable`` with the witness ``check_evariable`` reports.
     """
     cert = _certify_table(e)[1]
     if isinstance(cert, NotAnEVariable):

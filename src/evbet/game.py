@@ -187,16 +187,19 @@ class BatchGameResult:
 def run_games_batch(mus, xs, strategy: str, delta: float) -> BatchGameResult:
     """Run one game per row of ``xs``, each with the strategy of the literal ``strategy``.
 
-    The universal portfolio goes to ``kernels.up_game_batch``. ``xs`` may be a
-    broadcast view (one stream shared by every game); it is not copied.
+    The universal portfolio goes to ``kernels.up_game_batch``, whose argument
+    boundary checks ``xs`` and ``mus``; a constant fraction's batch is
+    checked here, so every batch is checked once. ``xs`` may be a broadcast
+    view (one stream shared by every game); it is not copied.
     """
     threshold = rejection_threshold(delta)
-    xs, mus = check_batch(xs, mus)
-    check_observations(xs)
-    kind, arg = check_strategy(strategy, mus)
+    kind, arg = parse_strategy(strategy)
     if kind == "up":
         bets, log_wealth = kernels.up_game_batch(xs, mus, arg)
     else:  # arg is the constant fraction
+        xs, mus = check_batch(xs, mus)
+        check_observations(xs)
+        check_strategy(strategy, mus)  # the fraction against each I_mu
         bets = np.full_like(xs, arg)
         payoffs = np.maximum(1.0 + arg * (xs - mus[:, None]), 0.0)
         with np.errstate(divide="ignore"):
@@ -205,10 +208,10 @@ def run_games_batch(mus, xs, strategy: str, delta: float) -> BatchGameResult:
 
     # First crossings a block of games at a time, so no (G, n) array is built
     # beside the outputs.
-    rejected_at = np.zeros(len(mus), dtype=np.intp)
+    rejected_at = np.zeros(len(log_wealth), dtype=np.intp)
     if log_wealth.size:
         step = max(1, _CROSSING_BYTES // log_wealth.shape[1])
-        for g in range(0, len(mus), step):
+        for g in range(0, len(log_wealth), step):
             crossed = log_wealth[g : g + step] > threshold
             rejected_at[g : g + step] = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, 0)
     return BatchGameResult(bets=bets, log_wealth=log_wealth, rejected_at=rejected_at)

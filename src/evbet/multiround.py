@@ -4,8 +4,9 @@ The sequential mean hypothesis has a finite skeleton: measures whose
 conditional laws are two-point mean-``mu`` measures. A depth-``T`` instance is
 a full binary tree with one straddling pair per node; a bounded stopping time
 acts on it as a pruned-tree mask. The stopped expectation of a payoff
-sequence is a weighted sum over the mask's frontier, with the branch weights
-``W(a,b) = (b-mu)/(b-a)``.
+sequence is a weighted sum over the mask's frontier, with the branch masses
+``W_a = (b-mu)/(b-a)`` on ``a`` and ``W_b = (mu-a)/(b-a)`` on ``b``
+(``domain.two_point_masses``, each computed directly).
 
 On a finite grid the mean-``mu`` laws are mixtures of the two-point laws that
 straddle mu, so the largest stopped expectation of a process over every
@@ -14,13 +15,14 @@ those trees and masks. Each node picks its pair and each prefix stops or
 branches on its own, so the maximum below a prefix ``p`` obeys the backward
 induction (the Snell envelope of the process)
 
-    V(p) = max(e(p), max over pairs (a, b) of W*V(p + (a,)) + (1-W)*V(p + (b,)))
+    V(p) = max(e(p), max over pairs (a, b) of W_a*V(p + (a,)) + W_b*V(p + (b,)))
 
 with ``V(p) = e(p)`` at depth ``T``: one value per distinct prefix, and no
 tree is ever listed. ``audit_eprocess`` runs it over every pair of one
 grid, so its verdict is exact there; a value above 1 is a concrete
-refutation. A pair straddles mu exactly (``a <= mu <= b``), so its weight is
-a probability and its law has mean mu. The grid is the process's own points
+refutation. A pair straddles mu exactly (``a <= mu <= b``), so its masses
+are probabilities and its law has mean mu; ``check_evariable`` and
+``dominate_T2`` use the same laws. The grid is the process's own points
 (a process loaded by ``eprocess_from_csv`` always has them), or a coarse
 grid for a process built without a sample space.
 """
@@ -32,18 +34,13 @@ import math
 from dataclasses import dataclass
 
 from ._lazy import np
-from .domain import SampleSpace, check_bet, check_table, read_table, two_point_weight, write_table
+from .domain import SampleSpace, check_bet, check_table, read_table, two_point_masses
+from .domain import two_point_weight, write_table
 from .errors import DepthTooLarge, NotAnEVariable
 # check_evariable and beta_interval are not called here, but stay module names:
 # perfbench/tracing.py patches its spans in under them.
-from .evariables import (  # noqa: F401
-    MU_SNAP_TOL,
-    _certify,
-    _space_split,
-    _worst_measures,
-    beta_interval,
-    check_evariable,
-)
+from .evariables import _certify, _space_split, _worst_measures
+from .evariables import beta_interval, check_evariable  # noqa: F401
 
 MAX_MASK_DEPTH = 5
 MAX_AUDIT_DEPTH = 4
@@ -144,11 +141,8 @@ class TreeHypothesis:
         n = len(self.pairs)
         if n == 0 or n & (n + 1):  # must be 2^depth - 1
             raise ValueError(f"{n} pairs do not form a full binary tree")
-        # A pair may miss mu by the snap tolerance of evariables._split_grid, so
-        # a dominate_T2 refutation may hold the point pair (p, p) of a grid
-        # point p snapped to mu. The audit's pairs straddle mu exactly.
         for a, b in self.pairs:
-            if not (a - MU_SNAP_TOL <= self.mu <= b + MU_SNAP_TOL):
+            if not a <= self.mu <= b:
                 raise ValueError(f"pair ({a}, {b}) does not straddle mu={self.mu}")
 
     @property
@@ -156,19 +150,7 @@ class TreeHypothesis:
         return (len(self.pairs) + 1).bit_length() - 1
 
     def weight(self, node: int) -> float:
-        a, b = self.pairs[node]
-        return _pair_weight(a, b, self.mu)
-
-
-def _pair_weight(a: float, b: float, mu: float) -> float:
-    """``domain.two_point_weight`` of {a, b} at ``mu`` clipped into the pair's span.
-
-    The audit's pairs straddle mu exactly, so the clip never acts on them; it
-    acts only on a hand-built ``TreeHypothesis`` pair that misses mu by at
-    most ``MU_SNAP_TOL``, which gets the nearest weight in [0, 1] where
-    ``two_point_weight`` raises.
-    """
-    return two_point_weight(a, b, min(max(mu, min(a, b)), max(a, b)))
+        return two_point_weight(*self.pairs[node], self.mu)
 
 
 def _payoff_fn(payoffs):
@@ -183,7 +165,7 @@ def tree_expectation(d: TreeHypothesis, mask: StoppingMask, payoffs) -> float:
     """Stopped expectation ``E_Q[f_tau]`` of the pruned tree ``(d, mask)``.
 
     ``payoffs`` is either an object with ``.value(prefix)`` or a sequence of
-    per-depth callables ``f_t``. Weight-zero branches are never evaluated, so
+    per-depth callables ``f_t``. Mass-zero branches are never evaluated, so
     a degenerate ``(mu, mu)`` node routes all mass to its first child.
     """
     if mask.depth > d.depth:
@@ -194,12 +176,12 @@ def tree_expectation(d: TreeHypothesis, mask: StoppingMask, payoffs) -> float:
         if m.is_stop:
             return float(value(prefix))
         a, b = d.pairs[node]
-        w = d.weight(node)
+        wa, wb = two_point_masses(a, b, d.mu)
         out = 0.0
-        if w > 0.0:
-            out += w * walk(2 * node + 1, prefix + (a,), m.children[0])
-        if w < 1.0:
-            out += (1.0 - w) * walk(2 * node + 2, prefix + (b,), m.children[1])
+        if wa > 0.0:
+            out += wa * walk(2 * node + 1, prefix + (a,), m.children[0])
+        if wb > 0.0:
+            out += wb * walk(2 * node + 2, prefix + (b,), m.children[1])
         return out
 
     return walk(0, (), mask)
@@ -339,34 +321,34 @@ def _straddling_pairs(points, mu) -> list[tuple[float, float]]:
 def _snell_envelope(value, pairs, depth: int):
     """Largest stopped expectation up to ``depth`` over every tree of ``pairs``.
 
-    ``pairs`` is a sequence of ``(a, b, w)`` with ``w`` the pair's
-    ``_pair_weight``, offered at every node. The backward induction of the
-    module docstring runs once per reached prefix, so ``value`` is called
-    once per prefix. Returns ``(V(()), tree, mask)``: the heap-ordered pairs
-    and the stopping mask of a tree reaching ``V(())``. A prefix branches on
-    the first pair with the largest branch value, and only when that value
-    exceeds ``value(prefix)``. Weight-zero branches are never evaluated. A
-    node that stops, lies under a stop or is never reached keeps the first
-    pair.
+    ``pairs`` is a sequence of ``(a, b, wa, wb)`` with ``wa`` and ``wb`` the
+    pair's ``two_point_masses``, offered at every node. The backward
+    induction of the module docstring runs once per reached prefix, so
+    ``value`` is called once per prefix. Returns ``(V(()), tree, mask)``:
+    the heap-ordered pairs and the stopping mask of a tree reaching
+    ``V(())``. A prefix branches on the first pair with the largest branch
+    value, and only when that value exceeds ``value(prefix)``. Mass-zero
+    branches are never evaluated. A node that stops, lies under a stop or
+    is never reached keeps the first pair.
     """
-    choices = {}  # prefix -> the chosen (a, b, w), or None to stop
+    choices = {}  # prefix -> the chosen (a, b, wa, wb), or None to stop
 
     def envelope(prefix: tuple) -> float:
         v, choice = value(prefix), None
         if len(prefix) < depth:
             below = {}  # point -> V(prefix + (point,)), each found once
-            for a, b, w in pairs:
+            for a, b, wa, wb in pairs:
                 branch = 0.0
-                if w > 0.0:
+                if wa > 0.0:
                     if a not in below:
                         below[a] = envelope(prefix + (a,))
-                    branch += w * below[a]
-                if w < 1.0:
+                    branch += wa * below[a]
+                if wb > 0.0:
                     if b not in below:
                         below[b] = envelope(prefix + (b,))
-                    branch += (1.0 - w) * below[b]
+                    branch += wb * below[b]
                 if branch > v:
-                    v, choice = branch, (a, b, w)
+                    v, choice = branch, (a, b, wa, wb)
         choices[prefix] = choice
         return v
 
@@ -377,10 +359,10 @@ def _snell_envelope(value, pairs, depth: int):
         if node >= len(tree):
             return STOP
         choice = None if prefix is None else choices[prefix]
-        a, b, w = pairs[0] if choice is None else choice
+        a, b, wa, wb = pairs[0] if choice is None else choice
         tree[node] = (a, b)
-        left = witness(2 * node + 1, None if choice is None or w == 0.0 else prefix + (a,))
-        right = witness(2 * node + 2, None if choice is None or w == 1.0 else prefix + (b,))
+        left = witness(2 * node + 1, None if choice is None or wa == 0.0 else prefix + (a,))
+        right = witness(2 * node + 2, None if choice is None or wb == 0.0 else prefix + (b,))
         return STOP if choice is None else StoppingMask((left, right))
 
     top = envelope(())
@@ -440,7 +422,7 @@ def audit_eprocess(
     if e.space is not None:
         pairs = _straddling_pairs(e.space.points, mu)
 
-    weighted = [(a, b, _pair_weight(a, b, mu)) for a, b in pairs]
+    weighted = [(a, b, *two_point_masses(a, b, mu)) for a, b in pairs]
     best_val, best_pairs, best_mask = _snell_envelope(e.value, weighted, depth)
     return AuditReport(
         max_expectation=best_val,

@@ -19,9 +19,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evbet.domain import SampleSpace, TwoPointMeasure
+from evbet.domain import SampleSpace, TwoPointMeasure, two_point_masses
 from evbet.errors import NotAnEVariable
 from evbet.evariables import (
+    VALIDITY_TOL,
     DominationCertificate,
     TabulatedEVariable,
     ValidityReport,
@@ -43,18 +44,23 @@ from evbet.multiround import (
     T2DominationResult,
     T2Refutation,
     TreeHypothesis,
+    audit_eprocess,
     dominate_T2,
+    eprocess_from_tables,
 )
 
 # --- oracles: the per-table routines -------------------------------------------------
 
 
 def _oracle_split_grid(space):
+    """Below, at and above mu, exactly: only mu itself is at mu."""
     pts = space.as_array()
-    at = np.abs(pts - space.mu) <= 1e-9
-    below = (pts < space.mu) & ~at
-    above = (pts > space.mu) & ~at
-    return pts, below, at, above
+    return pts, pts < space.mu, pts == space.mu, pts > space.mu
+
+
+def _oracle_masses(a, b, mu):
+    """Both masses of the mean-mu law on each pair, each computed directly."""
+    return (b - mu) / (b - a), (mu - a) / (b - a)
 
 
 def oracle_check_evariable(e, tol=1e-12):
@@ -63,21 +69,14 @@ def oracle_check_evariable(e, tol=1e-12):
     mu = e.space.mu
     worst = None
     worst_exp = 1.0 + tol
-    if at.any():
-        # A point within the snap of mu refutes only above tol plus the most a
-        # coin-bet pays there (1 at mu itself).
-        d = pts[at] - mu
-        v_at = np.where(vals[at] > worst_exp + np.maximum(d / mu, d / (mu - 1.0)), vals[at], -np.inf)
-        v_mu = float(v_at.max())
-        if v_mu > worst_exp:
-            x_mu = float(pts[at][np.argmax(v_at)])
-            worst = TwoPointMeasure(x_mu, x_mu, 1.0)
-            worst_exp = v_mu
+    if at.any() and vals[at][0] > worst_exp:  # the point mass at mu
+        worst = TwoPointMeasure(mu, mu, 1.0)
+        worst_exp = float(vals[at][0])
     if below.any() and above.any():
         a = pts[below][:, None]
         b = pts[above][None, :]
-        w = (b - mu) / (b - a)
-        expect = w * vals[below][:, None] + (1.0 - w) * vals[above][None, :]
+        w, v = _oracle_masses(a, b, mu)
+        expect = w * vals[below][:, None] + v * vals[above][None, :]
         i, j = np.unravel_index(np.argmax(expect), expect.shape)
         if expect[i, j] > worst_exp:
             worst = TwoPointMeasure(float(a[i, 0]), float(b[0, j]), float(w[i, j]))
@@ -95,9 +94,12 @@ def oracle_beta_interval(e):
             witness=report.witness,
             expectation=report.expectation,
         )
-    pts, below, at, above = _oracle_split_grid(e.space)
+    pts = e.space.as_array()
     vals = e.as_array()
     mu = e.space.mu
+    # Slopes come from points farther than 1e-9 from mu; nearer ones narrow below.
+    near = np.abs(pts - mu) <= 1e-9
+    below, above = (pts < mu) & ~near, (pts > mu) & ~near
     lo, hi = bet_bounds(mu)
     beta0 = hi
     if below.any():
@@ -113,11 +115,11 @@ def oracle_beta_interval(e):
                 f"slope interval inverted beyond tolerance: beta1={beta1} > beta0={beta0}"
             )
         beta0 = beta1 = 0.5 * (beta0 + beta1)
-    # A point within the snap of mu but not at it asks lam*(p - mu) >= e(p) - 1:
+    # A point within 1e-9 of mu but not at it asks lam*(p - mu) >= e(p) - 1:
     # a lower bound on lam above mu, an upper one below. The interval moves
     # towards those bounds and stops at its own ends, so it never inverts.
     needs = [((float(v) - 1.0) / (float(p) - mu), float(p) > mu)
-             for p, v in zip(pts[at], vals[at]) if p != mu]
+             for p, v in zip(pts[near], vals[near]) if p != mu]
     at_least = max((s for s, up in needs if up), default=-np.inf)
     at_most = min((s for s, up in needs if not up), default=np.inf)
     if at_least > beta1:
@@ -136,23 +138,19 @@ def oracle_dominate_T2(values, space):
         raise ValueError(f"expected a {n}x{n} table")
     if (vals < 0.0).any() or not np.isfinite(vals).all():
         raise ValueError("values must be finite and non-negative")
-    at = np.abs(pts - mu) <= 1e-9
-    below = (pts < mu) & ~at
-    above = (pts > mu) & ~at
+    _, below, at, above = _oracle_split_grid(space)
     m = np.full(n, -np.inf)
     arg_pair = [None] * n
     if at.any():
-        at_cols = vals[:, at]
-        m = at_cols.max(axis=1)
-        at_pts = pts[at]
-        arg_pair = [(float(at_pts[j]), float(at_pts[j])) for j in at_cols.argmax(axis=1)]
+        m = vals[:, at][:, 0].copy()
+        arg_pair = [(mu, mu)] * n
     if below.any() and above.any():
         a = pts[below][:, None]
         b = pts[above][None, :]
-        w = (b - mu) / (b - a)
+        w, v = _oracle_masses(a, b, mu)
         pair_exp = (
             w[None, :, :] * vals[:, below][:, :, None]
-            + (1.0 - w)[None, :, :] * vals[:, above][:, None, :]
+            + v[None, :, :] * vals[:, above][:, None, :]
         )
         flat = pair_exp.reshape(n, -1)
         best = flat.argmax(axis=1)
@@ -257,7 +255,7 @@ def grids(draw):
         return SampleSpace(pts, mu)
     if draw(st.booleans()) and len(pts) > 2:
         mu = pts[draw(st.integers(1, len(pts) - 2))]  # on the grid
-        mu += draw(st.sampled_from([0.0, 0.0, 5e-10, -5e-10]))  # or within the snap
+        mu += draw(st.sampled_from([0.0, 0.0, 5e-10, -5e-10]))  # or within 1e-9 of it
     else:
         mu = draw(st.floats(0.02, 0.98))
     return SampleSpace(pts, mu)
@@ -322,6 +320,29 @@ class TestSingleRound:
     def test_tolerance_is_honoured(self, table, tol):
         assert_same(check_evariable, oracle_check_evariable, table, tol)
 
+    @settings(max_examples=200, deadline=None)
+    @given(table=single_tables())
+    def test_check_and_depth_one_audit_agree(self, table):
+        # Both decide on the same mean-mu laws, so the depth-1 audit of the
+        # table (root value 1) fails at the validity tolerance exactly where
+        # check_evariable refutes it, with the refutation's expectation.
+        space, mu = table.space, table.space.mu
+        values = dict(zip(space.points, table.values))
+        process = eprocess_from_tables(mu, {(): 1.0, **{(p,): v for p, v in values.items()}}, space)
+        report = check_evariable(table)
+        audit = audit_eprocess(process, 1, tol=VALIDITY_TOL)
+        assert audit.passed == report.valid
+        if report.valid:
+            assert audit_eprocess(process, 1).passed
+            return
+        assert audit.max_expectation == report.expectation
+        witness = report.witness
+        assert witness.a <= mu <= witness.b
+        assert abs(witness.mean() - mu) <= 1e-12
+        wa, wb = two_point_masses(witness.a, witness.b, mu)
+        assert witness.w == wa
+        assert wa * values[witness.a] + wb * values[witness.b] > 1.0
+
     @pytest.mark.parametrize(
         "points, values, message",
         [
@@ -370,10 +391,10 @@ class TestTwoRound:
         "values, message",
         [
             # A certified first round whose slope collapse leaves a second-round row invalid.
-            ([[0.42074017501105637, 0.801390442717635, 0.8013904579436463, 1.1820407256502248],
-              [1.235337623426017, 1.000000000733823, 0.999999991320318, 0.7646623686281242],
-              [1.1981365102682664, 1.0000000079349212, 1.0000000000094609, 0.8018634976761154],
-              [1.6602881116057144, 1.1986095589034835, 1.198609540436341, 0.7369309877341103]],
+            ([[0.09037646922934561, 0.808931705027071, 0.8089317337700745, 1.527486969568365],
+              [0.4947207913385569, 0.9999999860728822, 1.0000000062835, 1.5052792010174176],
+              [1.2458510566834198, 1.0000000087377767, 0.9999999989034428, 0.7541489509592328],
+              [0.2977041606903158, 1.1910682627348441, 1.1910682984699332, 2.084432400514863]],
              "table is not an e-variable"),
             ([[1.7418369801023736, 1.302263293670289, 1.3022632760873412, 0.8626895896552568],
               [0.7638504823042901, 1.0000000013222752, 1.000000010768256, 1.236149529786241],
@@ -389,10 +410,11 @@ class TestTwoRound:
         self.assert_raises_as_oracle(values, space, message)
 
     def test_overflowing_row_raises_as_oracle(self):
-        # 0 lies within 1e-9 of mu, so the first round bets 5e299 and halves
-        # the payoff at x = 0: the largest float in row 0 doubles to inf.
-        values = [[0.5, np.finfo(float).max], [1.0, 1.0]]
-        space = SampleSpace((0.0, 1.0), 1e-300)
+        # The first round is valid to 1e-12, and row 1 pins its bet one ulp
+        # under 1/mu, so the payoff at x = 0 is about 1.1e-16: dividing
+        # row 0 by it takes 5e293 past the largest float.
+        values = [[0.0, 5e293], [9.999999999999999e305, 9.999999999999999e305]]
+        space = SampleSpace((0.0, 1.0), 1e-306)
         self.assert_raises_as_oracle(values, space, "values must be finite")
 
     @staticmethod
@@ -529,9 +551,10 @@ class TestCachedGridIsReadOnly:
             assert_same(dominate_T2, oracle_dominate_T2, square, space)
 
     def test_equal_means_of_other_types_give_one_verdict(self):
-        # A space keeps its mean as a float, so a point within the snap of mu
-        # gets its bar 1 + 1e-12 + 1e-9 in double precision whatever the
-        # mean's type: in float32 the bar would round to 1 and refute the table.
+        # A space keeps its mean as a float, so every type of mean gets the
+        # same masses: the mean-mu law on {0, 0.5 + 5e-10}, with about 1e-9
+        # of its mass on 0, refutes the table by about 5e-10 each time. In
+        # float32 the masses would be computed on other numbers.
         points, values = (0.0, 0.5 + 5e-10, 1.0), (1.0, 1.0000000005, 1.0)
         _space_split.cache_clear()
         reports = []
@@ -539,6 +562,8 @@ class TestCachedGridIsReadOnly:
             space = SampleSpace(points, mu)
             assert type(space.mu) is float
             reports.append(check_evariable(TabulatedEVariable(space, values)))
-        assert [r.valid for r in reports] == [True, True, True]
+        assert [r.valid for r in reports] == [False, False, False]
         assert len({repr(r) for r in reports}) == 1
+        assert (reports[0].witness.a, reports[0].witness.b) == (0.0, 0.5 + 5e-10)
+        assert reports[0].witness.w == pytest.approx(1e-9, rel=1e-6)
         assert _space_split.cache_info().currsize == 1

@@ -989,6 +989,47 @@ class TestCheckAndDominate:
         assert verdict["certificate"]["lambda_hat"] == 0.0
 
 
+    def test_oracles_agree_on_a_scaled_coinbet_near_an_end(self, runner, tmp_path):
+        # The coin-bet with lam = 5e10 on {0, 0.5, 1} at mu = 1e-12, scaled by
+        # 1.05. The mean-mu law with mass 2e-12 on 0.5 gives it 1.05, and
+        # check, dominate --t2 and audit must all say so.
+        mu, points = 1e-12, (0.0, 0.5, 1.0)
+        values = [1.05 * (1.0 + 5e10 * (x - mu)) for x in points]
+        single = tmp_path / "scaled.csv"
+        single.write_text(
+            "point,value\n" + "".join(f"{x!r},{v!r}\n" for x, v in zip(points, values)))
+        result = invoke(runner, ["check", "--table", str(single), "--mu", repr(mu)])
+        assert result.exit_code == 0, result.output
+        verdict = json.loads(result.output)
+        assert verdict["valid"] is False
+        witness = verdict["witness"]
+        assert witness["a"] <= mu <= witness["b"]
+        assert abs(witness["w"] * witness["a"] + (1.0 - witness["w"]) * witness["b"] - mu) <= 1e-12
+        assert witness["expectation"] == pytest.approx(1.05, rel=1e-12)
+
+        square = tmp_path / "scaled2.csv"
+        square.write_text("x1,x2,value\n" + "".join(
+            f"{x!r},{y!r},{v!r}\n" for x, v in zip(points, values) for y in points))
+        args = ["dominate", "--table", str(square), "--mu", repr(mu), "--t2"]
+        result = invoke(runner, args)
+        assert result.exit_code == 0, result.output
+        verdict = json.loads(result.output)
+        assert verdict["certified"] is False
+        assert verdict["witness"]["expectation"] == pytest.approx(1.05, rel=1e-12)
+        assert all(a <= mu <= b for a, b in verdict["witness"]["d"])
+        assert CliRunner().invoke(main, args + ["--strict"]).exit_code == 3
+
+        process = tmp_path / "scaled-ep.csv"
+        process.write_text("depth,path,value\n0,,1.0\n" + "".join(
+            f"1,{x!r},{v!r}\n" for x, v in zip(points, values)))
+        args = ["audit", "--table", str(process), "--mu", repr(mu), "--depth", "1"]
+        result = invoke(runner, args)
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert report["pass"] is False
+        assert report["max"] == pytest.approx(1.05, rel=1e-12)
+
+
 class TestAudit:
     @pytest.fixture
     def coinbet_csv(self, tmp_path, rng):

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from evbet import game, kernels
 from evbet.betting import ConstantStrategy, UniversalPortfolioStrategy
 from evbet.confseq import run_cs_batch
 from evbet.domain import DiscreteDistribution, sample_stream
@@ -215,6 +216,32 @@ class TestBatch:
         cs = run_cs_batch([0.3], [], strategy, 0.05)
         assert cs.in_set.shape == (0, 1)
         assert cs.intervals() == []
+
+    @pytest.mark.parametrize("strategy", ["up:11", "constant:0.5"])
+    @pytest.mark.parametrize("shared", [False, True], ids=["own-streams", "shared-stream"])
+    def test_each_batch_is_checked_once(self, monkeypatch, strategy, shared):
+        # The UP branch leaves its checks to the kernels' one boundary, which
+        # the game must still call through kernels.up_game_batch.
+        calls = {"check_batch": 0, "check_observations": 0, "up_game_batch": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (game, kernels):
+            counted(module, "check_batch")
+            counted(module, "check_observations")
+        counted(kernels, "up_game_batch")
+        xs = np.linspace(0.0, 1.0, 12)
+        xs = np.broadcast_to(xs, (3, 12)) if shared else np.tile(xs, (3, 1))
+        run_games_batch(np.array([0.3, 0.5, 0.7]), xs, strategy, 0.05)
+        up = strategy.startswith("up")
+        assert calls == {"check_batch": 1, "check_observations": 1, "up_game_batch": int(up)}
 
     def test_wipeout_propagates_minus_inf(self):
         xs = np.array([[0.0, 1.0, 1.0]])

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from evbet.betting import lambda_grid
 from evbet.cli import main
 from evbet.domain import SampleSpace, two_point_weight
 from evbet.errors import DepthTooLarge, OutOfRange
@@ -270,14 +271,10 @@ class TestAudit:
         assert d["exhaustive_complete"] is report.exhaustive_complete
 
     def test_near_mu_grid_point_weighs_its_pairs(self):
-        # A hand-built tree may pair 0.5000000005 with itself, straddling
-        # mu = 0.5 only within MU_SNAP_TOL: its pairs take the nearest weight
-        # in [0, 1] instead of raising.
+        # 0.5000000005 lies within MU_SNAP_TOL of mu = 0.5. The audit pairs it
+        # only with 0, below mu: each pair is a mean-mu law, so an honest
+        # coin-bet is a martingale on every tree searched.
         near = 0.5 + MU_SNAP_TOL / 2
-        tree = TreeHypothesis(0.5, ((0.0, near), (near, near), (near, 1.0)))
-        assert [tree.weight(i) for i in range(3)] == [(near - 0.5) / near, 1.0, 1.0]
-        # The audit pairs it only with 0, below mu: each pair is a mean-mu law,
-        # so an honest coin-bet is a martingale on every tree searched.
         space = SampleSpace((0.0, near, 1.0), 0.5)
         assert _straddling_pairs(space.points, 0.5) == [(0.0, near), (0.0, 1.0)]
         for seed in range(6):
@@ -288,6 +285,24 @@ class TestAudit:
             assert abs(report.max_expectation - 1.0) <= 1e-12
             replay = tree_expectation(report.argmax_tree, report.argmax_mask, e)
             assert replay == report.max_expectation
+
+    @pytest.mark.parametrize("mu", [5e-10, 1e-12, 1.0 - 5e-10, 1.0 - 1e-11, 3e-8])
+    def test_honest_coinbets_pass_near_an_end(self, mu):
+        # Constant-fraction coin-bets on {0, 0.2, 0.8, 1}, mu within 3e-8 of
+        # an end. Taken as 1 - w, the mass on a pair's far point keeps few
+        # correct digits there, and the audit read 98 of these 210
+        # martingales as above 1 + 1e-9, up to 1 + 1.65e-7.
+        space = SampleSpace((0.0, 0.2, 0.8, 1.0), mu)
+        for lam in lambda_grid(mu, 21):
+            for depth in (1, 2):
+                tables = tuple(
+                    {p: float(lam) for p in itertools.product(space.points, repeat=t)}
+                    for t in range(depth)
+                )
+                process = coinbet_eprocess(MultiRoundCoinBet(mu, tables), space)
+                report = audit_eprocess(process, depth)
+                assert report.passed
+                assert abs(report.max_expectation - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.25, 0.5), (0.5, 0.75), (0.1, 0.9)])
     def test_strictly_straddling_weight_is_two_point_weight(self, a, b):
@@ -306,15 +321,16 @@ def _oracle_max_over_masks(d, e, budget):
         if budget == 0 or node >= len(d.pairs):
             return stop_val, STOP
         a, b = d.pairs[node]
-        w = d.weight(node)
+        # Both masses computed directly; the point pair (mu, mu) is (1, 0).
+        wa, wb = ((b - d.mu) / (b - a), (d.mu - a) / (b - a)) if a != b else (1.0, 0.0)
         branch_val = 0.0
         left_mask = right_mask = STOP
-        if w > 0.0:
+        if wa > 0.0:
             v, left_mask = walk(2 * node + 1, prefix + (a,), budget - 1)
-            branch_val += w * v
-        if w < 1.0:
+            branch_val += wa * v
+        if wb > 0.0:
             v, right_mask = walk(2 * node + 2, prefix + (b,), budget - 1)
-            branch_val += (1.0 - w) * v
+            branch_val += wb * v
         if branch_val > stop_val:
             return branch_val, StoppingMask((left_mask, right_mask))
         return stop_val, STOP

@@ -228,6 +228,45 @@ def test_kernels_check_arguments_only_at_their_entry():
     assert callers == {"up_game_batch"}
 
 
+def names_in(tree):
+    """The identifiers a module's code uses: names, attributes and imported names."""
+    return {
+        name
+        for node in ast.walk(tree)
+        for name in (
+            [node.id] if isinstance(node, ast.Name)
+            else [node.attr] if isinstance(node, ast.Attribute)
+            else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else []
+        )
+    }
+
+
+def test_one_near_mu_rule():
+    """Every validity verdict takes its two-point laws from ``domain``.
+
+    ``MU_SNAP_TOL`` is named only in ``evariables``, whose certificate slope
+    step divides by ``p - mu``. ``multiround`` defines no weight or mass
+    helper of its own and takes no mass as 1 minus another.
+    """
+    package = Path(SRC) / "evbet"
+    trees = {p.name: ast.parse(p.read_text()) for p in package.glob("*.py")}
+    assert [name for name, tree in sorted(trees.items()) if "MU_SNAP_TOL" in names_in(tree)] == [
+        "evariables.py"
+    ]
+    multiround = trees["multiround.py"]
+    helpers = [
+        node.name for node in multiround.body
+        if isinstance(node, ast.FunctionDef) and ("weight" in node.name or "mass" in node.name)
+    ]
+    assert helpers == []
+    one_less = [
+        node.lineno for node in ast.walk(multiround)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+        and isinstance(node.left, ast.Constant) and node.left.value == 1
+    ]
+    assert one_less == []
+
 def test_package_has_no_subpackage():
     package = Path(SRC) / "evbet"
     assert not [p for p in package.iterdir() if p.is_dir() and p.name != "__pycache__"]
