@@ -28,6 +28,10 @@ every mean-``mu`` sequential law on that grid up to ``--depth``. Its
 ``--seed`` has no effect and is kept only so that scripts passing it still
 run.
 
+A refuted single-round table (``check``, ``dominate``) reports its witness
+law with both masses, ``w`` on ``a`` and ``wb`` on ``b``, as the validity
+check computed them, so the witness replays exactly.
+
 Every table (the ``simulate`` ledger, the ``cs`` intervals and membership
 matrix, ``compare``'s rows) has one row source and goes through the package's
 one table writer, ``domain.write_table``: ``--format json`` records, or CSV
@@ -149,7 +153,7 @@ def _echo_json(obj):
 def _witness(refutation):
     """The violating two-point measure of a ``NotAnEVariable`` refutation, as JSON."""
     w = refutation.witness
-    return {"a": w.a, "b": w.b, "w": w.w, "expectation": refutation.expectation}
+    return {"a": w.a, "b": w.b, "w": w.w, "wb": w.wb, "expectation": refutation.expectation}
 
 
 def _tree_witness(refutation):

@@ -11,19 +11,28 @@ of a testing game; each raises ``ValueError`` with a fixed message. The
 decisions that the game and the certification oracles share live here too:
 the bet interval ``I_mu`` (``bet_bounds``), the rejection threshold
 ``log(1/delta)`` (``rejection_threshold``) and the masses of a two-point
-mean-``mu`` law (``two_point_masses`` for one pair, ``straddle_masses`` for
-every pair of a grid). That law is the one near-mu rule of every validity
-verdict: a pair straddles mu exactly (``a <= mu <= b``), the only point mass
-is at mu itself, and both masses are computed directly, so neither loses the
-digits that ``1 - w`` loses when mu lies near a point. So do the one reader
-of table files (``read_table``) and the one writer (``write_table``), which
-every CLI table and every library table file goes through.
+mean-``mu`` law (``two_point_masses``). That law is the one near-mu rule of
+every validity verdict: a pair straddles mu exactly (``a <= mu <= b``), the
+only point mass is at mu itself, and both masses are computed directly, so
+neither loses the digits that ``1 - w`` loses when mu lies near a point.
+So do the one reader of table files (``read_table``) and the one writer
+(``write_table``), which every CLI table and every library table file goes
+through.
+
+Every worst-law search runs one scan, ``worst_law``, over one list of laws
+per grid and mean, ``mean_mu_laws``: the point mass at mu, when mu is a grid
+point, then every pair ``a < mu < b`` in row-major order with both masses.
+The list depends only on the grid and mu, so it is built once and the last
+8 are kept; it holds indices and masses, never points. ``check_evariable``,
+both rounds of ``dominate_T2`` and the audit's backward induction all scan
+it. The scan is plain Python, so the audit runs without numpy.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -229,17 +238,23 @@ class DiscreteDistribution:
 
 @dataclass(frozen=True)
 class TwoPointMeasure:
-    """Mean-``mu`` measure on two points: mass ``w`` on ``a``, ``1-w`` on ``b``."""
+    """Mean-``mu`` measure on two points: mass ``w`` on ``a`` and ``wb`` on ``b``.
+
+    Both masses are kept as ``two_point_masses`` computes them, so the
+    measure replays its mean and expectations without taking one as 1 minus
+    the other.
+    """
 
     a: float
     b: float
     w: float
+    wb: float
 
     def mean(self) -> float:
-        return self.w * self.a + (1.0 - self.w) * self.b
+        return self.w * self.a + self.wb * self.b
 
     def expectation(self, value_a: float, value_b: float) -> float:
-        return self.w * value_a + (1.0 - self.w) * value_b
+        return self.w * value_a + self.wb * value_b
 
 
 def two_point_masses(a: float, b: float, mu: float) -> tuple[float, float]:
@@ -262,21 +277,54 @@ def two_point_weight(a: float, b: float, mu: float) -> float:
     return two_point_masses(a, b, mu)[0]
 
 
-def straddle_masses(below: np.ndarray, above: np.ndarray, mu: float):
-    """``two_point_masses`` of every pair of ``a`` in ``below`` and ``b`` in
-    ``above``: the masses on ``a`` and on ``b``, two ``(len(below),
-    len(above))`` arrays.
+@functools.lru_cache(maxsize=8)
+def mean_mu_laws(points: tuple[float, ...], mu: float):
+    """The extreme mean-``mu`` laws on the increasing grid ``points``, built once and kept.
 
-    Every point of ``below`` must lie strictly below mu and every point of
-    ``above`` strictly above it, so no pair is degenerate.
+    ``(at, pairs)``. ``at`` is the point mass at mu as the law
+    ``(i, i, 1.0, 0.0)``, with ``points[i] == mu``, or None when mu is not a
+    grid point. ``pairs`` holds the law ``(i, j, wa, wb)`` of every pair
+    ``points[i] < mu < points[j]``, in row-major order, with ``wa, wb`` its
+    ``two_point_masses``. A law holds indices and masses only, never points:
+    grids that compare equal (one starting at -0.0, one at 0.0) share an
+    entry, and each caller reads the points from its own grid. ``points``
+    and ``mu`` must be floats, so that every entry's masses are floats.
     """
-    a, b = below[:, None], above[None, :]
-    return (b - mu) / (b - a), (mu - a) / (b - a)
+    at = next(((i, i, 1.0, 0.0) for i, p in enumerate(points) if p == mu), None)
+    below = [i for i, p in enumerate(points) if p < mu]
+    above = [j for j, p in enumerate(points) if p > mu]
+    pairs = tuple(
+        (i, j, *two_point_masses(points[i], points[j], mu)) for i in below for j in above
+    )
+    return at, pairs
+
+
+def worst_law(laws, values, floor: float):
+    """The mean-mu law of ``laws`` (``mean_mu_laws``) giving ``values`` the largest
+    expectation above ``floor``, and that expectation: ``(None, floor)`` when
+    none exceeds it.
+
+    ``values[i]`` is the value at grid point ``i``. The point mass's
+    expectation is that value, a pair's is ``wa*values[i] + wb*values[j]``.
+    Laws are taken in order, from the point mass on, and one replaces the
+    current one only when its expectation is strictly larger, so ties go to
+    the first. Plain Python: no numpy runs.
+    """
+    at, pairs = laws
+    worst, top = None, floor
+    if at is not None and values[at[0]] > top:
+        worst, top = at, values[at[0]]
+    for law in pairs:
+        i, j, wa, wb = law
+        expectation = wa * values[i] + wb * values[j]
+        if expectation > top:
+            worst, top = law, expectation
+    return worst, top
 
 
 def two_point_measure(a: float, b: float, mu: float) -> TwoPointMeasure:
     """The unique mean-``mu`` measure supported on {a, b}."""
-    return TwoPointMeasure(a, b, two_point_weight(a, b, mu))
+    return TwoPointMeasure(a, b, *two_point_masses(a, b, mu))
 
 
 def anchored_two_point(x: float, mu: float) -> TwoPointMeasure:

@@ -16,34 +16,28 @@ other, so a table is valid exactly when no mean-mu law on the grid gives it
 an expectation above ``1 + tol``. ``MU_SNAP_TOL`` acts only in the slope
 step of the certificate, whose ratios divide by ``p - mu``.
 
-Both run on one private core, ``_certify``. It takes the grid's split around
-mu (``_split_grid``) and a 2-D array of tables, one per row. Per row it
-returns the validity report and either the certificate or the
-``NotAnEVariable`` that ``beta_interval`` raises. ``multiround.dominate_T2``
-certifies its first-round envelope with one call and all its second-round
-rows with another. A row goes through the same elementwise operations as a
-table checked on its own, so batching changes no result.
-
-The split depends only on the grid and mu, never on a table, so
-``_space_split`` builds it once per space and keeps the last 8, as the
-kernel keeps its Bernstein bases (an ``lru_cache`` keyed by the space, whose
-mean is always a float). Its pair masses ``w`` and ``omw`` are shared by
-every later call and read-only. A kept split holds the two mass arrays,
-at most ``4 n**2`` bytes for an n-point grid (under 2 KB on 21 points),
-and the first space seen with that grid and mean.
+Both run on one private core, ``_certify``. It takes a sample space and a
+2-D array of tables, one per row. Per row it returns the validity report
+and either the certificate or the ``NotAnEVariable`` that ``beta_interval``
+raises. The worst law of each row comes from ``domain.worst_law``, the one
+scan of every validity verdict, over the space's cached law list
+(``domain.mean_mu_laws``); a witness reads its points from the space's own
+grid. ``multiround.dominate_T2`` certifies its first-round envelope with
+one call and all its second-round rows with another. A row goes through
+the same operations as a table checked on its own, so batching changes no
+result.
 """
 
 from __future__ import annotations
 
-import functools
+import bisect
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from ._lazy import np
 # bet_bounds and check_bet live in domain, shared with the game; they stay names here.
 from .domain import SampleSpace, TwoPointMeasure, bet_bounds, check_bet, check_mu, check_table
-from .domain import read_table, straddle_masses, write_table
+from .domain import mean_mu_laws, read_table, worst_law, write_table
 from .errors import NotAnEVariable
 
 # Additive slack on two-point expectations when certifying validity.
@@ -163,107 +157,49 @@ def dominating_lambda(mu: float, alpha: float) -> float:
     return math.exp(alpha * (1.0 - mu) - alpha**2 / 8.0) - math.exp(-alpha * mu - alpha**2 / 8.0)
 
 
-class _Split(NamedTuple):
-    """A sorted grid cut around mu: ``pts[:i]`` below, ``pts[i:j]`` at, ``pts[j:]`` above.
-
-    At most one point, mu itself, is at mu. ``w[k, l]`` and ``omw[k, l]``
-    are the masses on ``pts[k]`` and on ``pts[j + l]`` of the mean-mu law
-    on the two (``domain.straddle_masses``). ``near`` is the run of points
-    within ``MU_SNAP_TOL`` of mu, which the slope step sets apart.
-    """
-
-    i: int
-    j: int
-    w: np.ndarray
-    omw: np.ndarray
-    near: slice
+def _measure(points, law) -> TwoPointMeasure:
+    """The two-point measure of a ``domain.mean_mu_laws`` law on the grid ``points``."""
+    i, j, wa, wb = law
+    return TwoPointMeasure(points[i], points[j], wa, wb)
 
 
-def _split_grid(pts: np.ndarray, mu: float) -> _Split:
-    """Cut the increasing grid ``pts`` around mu (see ``_Split``)."""
-    i, j = int(pts.searchsorted(mu, side="left")), int(pts.searchsorted(mu, side="right"))
-    d = pts - mu  # non-decreasing, so the points near mu are one run
-    near = slice(int(d.searchsorted(-MU_SNAP_TOL, side="left")),
-                 int(d.searchsorted(MU_SNAP_TOL, side="right")))
-    return _Split(i, j, *straddle_masses(pts[:i], pts[j:], mu), near)
-
-
-@functools.lru_cache(maxsize=8)
-def _space_split(space: SampleSpace) -> _Split:
-    """``_split_grid`` of a space's grid around its mean, built once and kept.
-
-    The split depends only on the grid and mu, never on a table, so the
-    certification calls share it; its ``w`` and ``omw`` are read-only.
-    """
-    split = _split_grid(space.as_array(), space.mu)
-    split.w.flags.writeable = False
-    split.omw.flags.writeable = False
-    return split
-
-
-def _row_maxima(block: np.ndarray):
-    """``(first maximiser, maximum)`` of each row of a 2-D array."""
-    return zip(block.argmax(axis=1).tolist(), block.max(axis=1).tolist())
-
-
-def _worst_measures(pts: np.ndarray, split: _Split, rows: np.ndarray, floor: float):
-    """Per row of ``rows``, the two-point mean-mu measure of largest expectation.
-
-    The point mass at mu comes first, then the straddling pairs in row-major
-    ``(a, b)`` order; a measure replaces the current one only when its
-    expectation is strictly larger, starting from ``floor``. Returns the
-    measures (None where nothing exceeds ``floor``) and their expectations.
-    """
-    i, j, w, omw, _ = split
-    n_rows = len(rows)
-    worst: list[TwoPointMeasure | None] = [None] * n_rows
-    worst_exp = [floor] * n_rows
-    if j > i:
-        x = float(pts[i])
-        for r, v in enumerate(rows[:, i].tolist()):
-            if v > worst_exp[r]:
-                worst[r], worst_exp[r] = TwoPointMeasure(x, x, 1.0), v
-    if w.size:
-        expect = (w * rows[:, :i, None] + omw * rows[:, None, j:]).reshape(n_rows, -1)
-        for r, (k, v) in enumerate(_row_maxima(expect)):
-            if v > worst_exp[r]:
-                ka, kb = divmod(k, w.shape[1])
-                worst[r] = TwoPointMeasure(float(pts[ka]), float(pts[j + kb]), float(w[ka, kb]))
-                worst_exp[r] = v
-    return worst, worst_exp
-
-
-def _certify(
-    pts: np.ndarray, mu: float, split: _Split, rows: np.ndarray, tol: float = VALIDITY_TOL
-):
+def _certify(space: SampleSpace, rows: np.ndarray, tol: float = VALIDITY_TOL):
     """Validity report and dominating coin-bet of each row of ``rows``.
 
-    Each row is a table on the grid ``pts``, and ``split`` is
-    ``_split_grid(pts, mu)``. Returns one ``(report, certificate)`` pair per
-    row; ``certificate`` is the ``NotAnEVariable`` that ``beta_interval``
-    raises, unraised, when the row is invalid or its slope interval is
-    inverted beyond rounding noise. The slopes come from the points farther
-    than ``MU_SNAP_TOL`` from mu; where a nearer point is not mu itself, the
+    Each row is a table on the grid of ``space``. Returns one
+    ``(report, certificate)`` pair per row; ``certificate`` is the
+    ``NotAnEVariable`` that ``beta_interval`` raises, unraised, when the row
+    is invalid or its slope interval is inverted beyond rounding noise. A
+    row is invalid when ``domain.worst_law`` finds a law whose expectation
+    exceeds ``1 + tol``. The slopes come from the points farther than
+    ``MU_SNAP_TOL`` from mu; where a nearer point is not mu itself, the
     interval is then narrowed towards what that point asks
-    (``_snapped_slopes``). Each row goes through the same elementwise
-    operations, and the same first-maximum tie-breaks, as a table checked on
-    its own, so the results do not depend on the batch.
+    (``_snapped_slopes``). Each row goes through the same operations, and
+    the same tie-breaks, as a table checked on its own, so the results do
+    not depend on the batch.
     """
-    near = split.near
+    points, mu = space.points, space.mu
     lo, hi = bet_bounds(mu)
-    n_rows = len(rows)
-    worst, worst_exp = _worst_measures(pts, split, rows, 1.0 + tol)
+    laws = mean_mu_laws(points, mu)
+    worst = [worst_law(laws, row, 1.0 + tol) for row in rows.tolist()]
+    n_rows = len(worst)
     beta0, beta1 = [hi] * n_rows, [lo] * n_rows
     snapped = [None] * n_rows
-    if any(m is None for m in worst):  # slopes are needed for valid rows only
-        i, j = near.start, near.stop
+    if any(law is None for law, _ in worst):  # slopes are needed for valid rows only
+        pts = space.as_array()
+        # The points within MU_SNAP_TOL of mu are one run, as p - mu never decreases.
+        i = bisect.bisect_left(points, -MU_SNAP_TOL, key=lambda p: p - mu)
+        j = bisect.bisect_right(points, MU_SNAP_TOL, key=lambda p: p - mu)
         if i:
             beta0 = np.minimum(hi, ((rows[:, :i] - 1.0) / (pts[:i] - mu)).min(axis=1)).tolist()
         if j < len(pts):
             beta1 = np.maximum(lo, ((rows[:, j:] - 1.0) / (pts[j:] - mu)).max(axis=1)).tolist()
-        if j - i > split.j - split.i:  # a point near mu is not mu itself
-            snapped = _snapped_slopes(pts[near] - mu, rows[:, near])
-    return [_certificate(lo, hi, *row) for row in zip(worst, worst_exp, beta0, beta1, snapped)]
+        if any(p != mu for p in points[i:j]):  # a point near mu is not mu itself
+            snapped = _snapped_slopes(pts[i:j] - mu, rows[:, i:j])
+    return [
+        _certificate(lo, hi, None if law is None else _measure(points, law), top, *slopes)
+        for (law, top), *slopes in zip(worst, beta0, beta1, snapped)
+    ]
 
 
 def _snapped_slopes(d: np.ndarray, at: np.ndarray) -> list[tuple[float, float]]:
@@ -315,8 +251,7 @@ def _certificate(lo, hi, witness, expectation, beta0, beta1, snapped):
 
 
 def _certify_table(e: TabulatedEVariable, tol: float = VALIDITY_TOL):
-    space = e.space
-    return _certify(space.as_array(), space.mu, _space_split(space), e.as_array()[None, :], tol)[0]
+    return _certify(e.space, e.as_array()[None, :], tol)[0]
 
 
 def check_evariable(e: TabulatedEVariable, tol: float = VALIDITY_TOL) -> ValidityReport:

@@ -20,11 +20,15 @@ induction (the Snell envelope of the process)
 with ``V(p) = e(p)`` at depth ``T``: one value per distinct prefix, and no
 tree is ever listed. ``audit_eprocess`` runs it over every pair of one
 grid, so its verdict is exact there; a value above 1 is a concrete
-refutation. A pair straddles mu exactly (``a <= mu <= b``), so its masses
-are probabilities and its law has mean mu; ``check_evariable`` and
-``dominate_T2`` use the same laws. The grid is the process's own points
-(a process loaded by ``eprocess_from_csv`` always has them), or a coarse
-grid for a process built without a sample space.
+refutation. At each prefix it evaluates every child once and takes the
+largest branch with ``domain.worst_law``, the scan of ``check_evariable``
+and ``dominate_T2``, over the same cached laws (``domain.mean_mu_laws``):
+the point mass at mu, when mu is a grid point, then every pair
+``a < mu < b`` with both masses computed directly. A pair ``(a, mu)`` or
+``(mu, b)`` puts all its mass on mu, so the point mass stands for it. The
+grid is the process's own points (a process loaded by ``eprocess_from_csv``
+always has them), or a coarse grid for a process built without a sample
+space.
 """
 
 from __future__ import annotations
@@ -34,12 +38,12 @@ import math
 from dataclasses import dataclass
 
 from ._lazy import np
-from .domain import SampleSpace, check_bet, check_table, read_table, two_point_masses
-from .domain import two_point_weight, write_table
+from .domain import SampleSpace, check_bet, check_table, mean_mu_laws, read_table
+from .domain import two_point_masses, two_point_weight, worst_law, write_table
 from .errors import DepthTooLarge, NotAnEVariable
 # check_evariable and beta_interval are not called here, but stay module names:
 # perfbench/tracing.py patches its spans in under them.
-from .evariables import _certify, _space_split, _worst_measures
+from .evariables import _certify
 from .evariables import beta_interval, check_evariable  # noqa: F401
 
 MAX_MASK_DEPTH = 5
@@ -318,37 +322,27 @@ def _straddling_pairs(points, mu) -> list[tuple[float, float]]:
     return [(a, b) for a in lows for b in highs]
 
 
-def _snell_envelope(value, pairs, depth: int):
-    """Largest stopped expectation up to ``depth`` over every tree of ``pairs``.
+def _snell_envelope(value, grid, mu: float, first, depth: int):
+    """Largest stopped expectation up to ``depth`` over every tree on ``grid``.
 
-    ``pairs`` is a sequence of ``(a, b, wa, wb)`` with ``wa`` and ``wb`` the
-    pair's ``two_point_masses``, offered at every node. The backward
-    induction of the module docstring runs once per reached prefix, so
-    ``value`` is called once per prefix. Returns ``(V(()), tree, mask)``:
-    the heap-ordered pairs and the stopping mask of a tree reaching
-    ``V(())``. A prefix branches on the first pair with the largest branch
-    value, and only when that value exceeds ``value(prefix)``. Mass-zero
-    branches are never evaluated. A node that stops, lies under a stop or
-    is never reached keeps the first pair.
+    ``grid`` is increasing and ``mu`` a float; every node may take any law
+    of ``mean_mu_laws(grid, mu)``. The backward induction of the module
+    docstring runs once per reached prefix, so ``value`` is called once per
+    prefix. Returns ``(V(()), tree, mask)``: the heap-ordered pairs and the
+    stopping mask of a tree reaching ``V(())``. A prefix branches on
+    ``worst_law``'s law, the first with the largest branch value, and only
+    when that value exceeds ``value(prefix)``; the point mass at mu is the
+    pair ``(mu, mu)``. A mass-zero branch is not reached. A node that stops,
+    lies under a stop or is never reached carries the pair ``first``.
     """
-    choices = {}  # prefix -> the chosen (a, b, wa, wb), or None to stop
+    laws = mean_mu_laws(grid, mu)
+    choices = {}  # prefix -> the chosen law, or None to stop
 
     def envelope(prefix: tuple) -> float:
         v, choice = value(prefix), None
         if len(prefix) < depth:
-            below = {}  # point -> V(prefix + (point,)), each found once
-            for a, b, wa, wb in pairs:
-                branch = 0.0
-                if wa > 0.0:
-                    if a not in below:
-                        below[a] = envelope(prefix + (a,))
-                    branch += wa * below[a]
-                if wb > 0.0:
-                    if b not in below:
-                        below[b] = envelope(prefix + (b,))
-                    branch += wb * below[b]
-                if branch > v:
-                    v, choice = branch, (a, b, wa, wb)
+            below = [envelope(prefix + (x,)) for x in grid]
+            choice, v = worst_law(laws, below, v)
         choices[prefix] = choice
         return v
 
@@ -359,25 +353,24 @@ def _snell_envelope(value, pairs, depth: int):
         if node >= len(tree):
             return STOP
         choice = None if prefix is None else choices[prefix]
-        a, b, wa, wb = pairs[0] if choice is None else choice
+        if choice is None:
+            tree[node] = first
+            witness(2 * node + 1, None)
+            witness(2 * node + 2, None)
+            return STOP
+        i, j, wa, wb = choice
+        a, b = grid[i], grid[j]
         tree[node] = (a, b)
-        left = witness(2 * node + 1, None if choice is None or wa == 0.0 else prefix + (a,))
-        right = witness(2 * node + 2, None if choice is None or wb == 0.0 else prefix + (b,))
-        return STOP if choice is None else StoppingMask((left, right))
+        left = witness(2 * node + 1, prefix + (a,) if wa > 0.0 else None)
+        right = witness(2 * node + 2, prefix + (b,) if wb > 0.0 else None)
+        return StoppingMask((left, right))
 
     top = envelope(())
     mask = witness(0, ())
     return top, tuple(tree), mask
 
 
-def audit_eprocess(
-    e: EProcess,
-    depth: int,
-    coarse_grid=None,
-    n_random: int = 1000,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> AuditReport:
+def audit_eprocess(e: EProcess, depth: int, coarse_grid=None, tol: float = 1e-9) -> AuditReport:
     """Largest stopped expectation of ``e`` over two-point trees and masks on one grid.
 
     Every node may take any pair ``a <= mu <= b`` of the grid, and every
@@ -388,42 +381,39 @@ def audit_eprocess(
     ``exhaustive_complete``. A process without one is searched on
     ``coarse_grid`` (default {0, mu, 1}), which is validated either way; a
     pass then holds on that grid only, and ``exhaustive_complete`` is
-    false. ``n_random`` and ``seed`` have no effect: nothing is drawn at
-    random. A reported violation is always real, and ``tree_expectation``
+    false. A reported violation is always real, and ``tree_expectation``
     replays the reported tree and mask.
 
     ``n_trees`` is the size of the family searched,
     ``pairs**(2**depth - 1)``; the search never lists it. The process is
     evaluated once per distinct prefix, and every prefix shorter than
-    ``depth`` tries every pair: a grid of ``g`` points costs about
+    ``depth`` scans every law: a grid of ``g`` points costs about
     ``g**(depth - 1)`` prefixes times ``pairs`` branches. On one 2-vCPU VM,
     for a process tabulated on its grid, that took under 1 ms for 5 points
     at depth 3, 0.02-0.04 s for 21 points at depth 3 and 0.5-0.9 s for 21
     points at depth 4. No numpy runs.
     Raises ``ValueError`` for a depth outside [1, ``MAX_AUDIT_DEPTH``]
-    (``DepthTooLarge`` above it), a negative ``n_random`` and coarse-grid
-    points outside [0, 1] or with no pair straddling mu.
+    (``DepthTooLarge`` above it) and coarse-grid points outside [0, 1] or
+    with no pair straddling mu.
     """
     if depth > MAX_AUDIT_DEPTH:
         raise DepthTooLarge(f"audit capped at depth {MAX_AUDIT_DEPTH}")
     if depth < 1:
         raise ValueError(f"audit depth must be at least 1, got {depth}")
-    if n_random < 0:
-        raise ValueError(f"number of random trees must be non-negative, got {n_random}")
     if depth > e.max_depth:
         raise ValueError(f"e-process only defined to depth {e.max_depth}")
     mu = e.mu
     coarse_grid = (0.0, mu, 1.0) if coarse_grid is None else tuple(map(float, coarse_grid))
     if not all(0.0 <= p <= 1.0 for p in coarse_grid):
         raise ValueError(f"coarse grid points must lie in [0, 1], got {coarse_grid}")
-    pairs = _straddling_pairs(coarse_grid, mu)
-    if not pairs:
+    if not _straddling_pairs(coarse_grid, mu):
         raise ValueError("coarse grid has no pairs straddling mu")
-    if e.space is not None:
-        pairs = _straddling_pairs(e.space.points, mu)
+    grid = tuple(sorted(set(coarse_grid if e.space is None else e.space.points)))
+    pairs = _straddling_pairs(grid, mu)
+    if grid[0] == mu or grid[-1] == mu:  # no pair a < mu < b: the point mass is the only law
+        grid = (float(mu),)
 
-    weighted = [(a, b, *two_point_masses(a, b, mu)) for a, b in pairs]
-    best_val, best_pairs, best_mask = _snell_envelope(e.value, weighted, depth)
+    best_val, best_pairs, best_mask = _snell_envelope(e.value, grid, float(mu), pairs[0], depth)
     return AuditReport(
         max_expectation=best_val,
         argmax_tree=TreeHypothesis(mu=mu, pairs=best_pairs),
@@ -461,28 +451,27 @@ def dominate_T2(values, space: SampleSpace) -> T2DominationResult:
     maximisers assemble a depth-2 tree with expectation above 1.
     """
     pts = space.as_array()
-    mu = space.mu
+    points, mu = space.points, space.mu
     vals = np.asarray(values, dtype=float)
     n = len(pts)
     if vals.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} table")
     check_table(vals)
 
-    split = _space_split(space)
-    # Conditional envelope m(x) with, per row, the maximising two-point measure.
-    arg_measure, m = _worst_measures(pts, split, vals, -math.inf)
-    report, cert = _certify(pts, mu, split, np.array([m]))[0]
+    # Conditional envelope m(x) with, per row, the maximising law.
+    laws = mean_mu_laws(points, mu)
+    worst = [worst_law(laws, row, -math.inf) for row in vals.tolist()]
+    report, cert = _certify(space, np.array([[top for _, top in worst]]))[0]
     if not report.valid:
         root = report.witness
-        idx = {float(p): i for i, p in enumerate(pts)}
-        left = arg_measure[idx[root.a]]
-        right = arg_measure[idx[root.b]]
+        left = worst[points.index(root.a)][0]
+        right = worst[points.index(root.b)][0]
         tree = TreeHypothesis(
             mu=mu,
             pairs=(
-                (min(root.a, root.b), max(root.a, root.b)),
-                (min(left.a, left.b), max(left.a, left.b)),
-                (min(right.a, right.b), max(right.a, right.b)),
+                (root.a, root.b),
+                (points[left[0]], points[left[1]]),
+                (points[right[0]], points[right[1]]),
             ),
         )
         return T2DominationResult(
@@ -498,7 +487,7 @@ def dominate_T2(values, space: SampleSpace) -> T2DominationResult:
     denom = 1.0 + lam1 * (pts - mu)
     live = denom > 0.0
     rows = vals[live] / denom[live, None]
-    checked = zip(rows, _certify(pts, mu, split, rows))
+    checked = zip(rows, _certify(space, rows))
     lam2 = {}
     for x, reached in zip(pts.tolist(), live.tolist()):
         if not reached:

@@ -259,12 +259,12 @@ def test_criterion_8_tree_oracle():
                 }
             )
         process = coinbet_eprocess(MultiRoundCoinBet(0.5, tuple(tables)), space)
-        report = audit_eprocess(process, 3, n_random=1000, seed=replicate_seed(MASTER_SEED, 88))
+        report = audit_eprocess(process, 3)
         assert report.passed
         assert abs(report.max_expectation - 1.0) <= 1e-9
 
         scaled = process.scale_at(2, 1.5)
-        bad = audit_eprocess(scaled, 3, n_random=200, seed=replicate_seed(MASTER_SEED, 89))
+        bad = audit_eprocess(scaled, 3)
         assert not bad.passed
         replay = tree_expectation(bad.argmax_tree, bad.argmax_mask, scaled)
         assert replay > 1.0 + 1e-9

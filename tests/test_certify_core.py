@@ -1,13 +1,14 @@
 """The one-pass certification core against per-table oracles.
 
 ``check_evariable``, ``beta_interval`` and ``dominate_T2`` share one batched
-validity-and-slope pass on a grid split built once per space,
+validity-and-slope pass, whose worst laws come from the one scan
+(``domain.worst_law``) over a law list built once per grid and mean,
 ``xi_stats`` sums its cells in plain Python and ``check_iid_bruteforce``
 reuses one q-grid and basis per ``q_steps``. The functions below are the
 per-table implementations of the same routines (one validity check, grid
-split, slope pass and q-grid per call), kept as oracles: the library must
-return ``==`` results, with the same floats down to the sign of zero
-(compared through ``repr``), and raise the same errors.
+split, slope pass and q-grid per call, in numpy), kept as oracles: the
+library must return ``==`` results, with the same floats down to the sign
+of zero (compared through ``repr``), and raise the same errors.
 """
 
 import copy
@@ -19,14 +20,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evbet.domain import SampleSpace, TwoPointMeasure, two_point_masses
+from evbet.domain import SampleSpace, TwoPointMeasure, mean_mu_laws, two_point_masses
 from evbet.errors import NotAnEVariable
 from evbet.evariables import (
     VALIDITY_TOL,
     DominationCertificate,
     TabulatedEVariable,
     ValidityReport,
-    _space_split,
     bet_bounds,
     beta_interval,
     check_evariable,
@@ -40,6 +40,7 @@ from evbet.iid_case import (
     xi_stats,
 )
 from evbet.multiround import (
+    STOP,
     MultiRoundCoinBet,
     T2DominationResult,
     T2Refutation,
@@ -47,6 +48,7 @@ from evbet.multiround import (
     audit_eprocess,
     dominate_T2,
     eprocess_from_tables,
+    full_mask,
 )
 
 # --- oracles: the per-table routines -------------------------------------------------
@@ -70,7 +72,7 @@ def oracle_check_evariable(e, tol=1e-12):
     worst = None
     worst_exp = 1.0 + tol
     if at.any() and vals[at][0] > worst_exp:  # the point mass at mu
-        worst = TwoPointMeasure(mu, mu, 1.0)
+        worst = TwoPointMeasure(mu, mu, 1.0, 0.0)
         worst_exp = float(vals[at][0])
     if below.any() and above.any():
         a = pts[below][:, None]
@@ -79,7 +81,9 @@ def oracle_check_evariable(e, tol=1e-12):
         expect = w * vals[below][:, None] + v * vals[above][None, :]
         i, j = np.unravel_index(np.argmax(expect), expect.shape)
         if expect[i, j] > worst_exp:
-            worst = TwoPointMeasure(float(a[i, 0]), float(b[0, j]), float(w[i, j]))
+            worst = TwoPointMeasure(
+                float(a[i, 0]), float(b[0, j]), float(w[i, j]), float(v[i, j])
+            )
             worst_exp = float(expect[i, j])
     if worst is None:
         return ValidityReport(valid=True)
@@ -343,6 +347,45 @@ class TestSingleRound:
         assert witness.w == wa
         assert wa * values[witness.a] + wb * values[witness.b] > 1.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(table=single_tables())
+    def test_witness_replays_exactly(self, table):
+        # The witness keeps both masses of domain.two_point_masses, so it
+        # replays the reported expectation bit for bit and its mean is mu.
+        report = check_evariable(table)
+        if report.valid:
+            return
+        w, mu = report.witness, table.space.mu
+        values = dict(zip(table.space.points, table.values))
+        assert (w.w, w.wb) == two_point_masses(w.a, w.b, mu)
+        assert w.expectation(values[w.a], values[w.b]) == report.expectation
+        assert abs(w.mean() - mu) <= 1e-15
+
+    @pytest.mark.parametrize("mu_on_grid", [True, False], ids=["mu-on-grid", "mu-off-grid"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_depth_one_audit_reports_the_check_witness(self, mu_on_grid, data):
+        # Both searches scan the same laws from the same floor, 1: a table
+        # that some law takes above 1 gets the same worst expectation and
+        # the same pair from both, the point mass at mu as (mu, mu).
+        inner = data.draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=8, unique=True))
+        points = tuple(sorted({0.0, 1.0, *inner}))
+        if mu_on_grid:
+            mu = points[data.draw(st.integers(1, len(points) - 2))]
+        else:
+            mu = data.draw(st.floats(0.01, 0.99).filter(lambda m: m not in points))
+        space = SampleSpace(points, mu)
+        table = TabulatedEVariable(space, tuple(data.draw(rows_on(space, 1))[0].tolist()))
+        tables = {(): 1.0, **{(p,): v for p, v in zip(points, table.values)}}
+        audit = audit_eprocess(eprocess_from_tables(mu, tables, space), 1)
+        report = check_evariable(table, tol=0.0)
+        if report.valid:
+            assert (audit.max_expectation, audit.argmax_mask) == (1.0, STOP)
+            return
+        assert audit.max_expectation == report.expectation > 1.0
+        assert audit.argmax_tree.pairs == ((report.witness.a, report.witness.b),)
+        assert audit.argmax_mask == full_mask(1)
+
     @pytest.mark.parametrize(
         "points, values, message",
         [
@@ -501,12 +544,16 @@ class TestCachedGridIsReadOnly:
             assert not clone.as_array().flags.writeable
 
     def test_split_and_q_grid_are_kept_read_only(self):
+        # The law list is kept per grid and mean, and built of tuples only.
         space = SampleSpace.uniform(5, 0.3)
-        split = _space_split(space)
-        assert split is _space_split(SampleSpace.uniform(5, 0.3))
+        laws = mean_mu_laws(space.points, space.mu)
+        assert laws is mean_mu_laws(SampleSpace.uniform(5, 0.3).points, 0.3)
+        at, pairs = laws
+        assert at is None and pairs and type(pairs) is tuple
+        assert all(type(law) is tuple for law in pairs)
         grid = _q_grid(7)
         assert grid is _q_grid(7)
-        for arr in (split.w, split.omw, *grid):
+        for arr in grid:
             assert arr.size and not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.5
@@ -514,9 +561,9 @@ class TestCachedGridIsReadOnly:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), space=grids(), negative_zero_first=st.booleans())
     def test_equal_spaces_built_apart_match_oracles(self, data, space, negative_zero_first):
-        # -0.0 == 0.0, so a grid starting at -0.0 shares its split with the
+        # -0.0 == 0.0, so a grid starting at -0.0 shares its law list with the
         # grid starting at 0.0; the reports must still carry its own points.
-        _space_split.cache_clear()
+        mean_mu_laws.cache_clear()
         twins = [
             space,
             SampleSpace(tuple(space.points), space.mu),
@@ -531,11 +578,11 @@ class TestCachedGridIsReadOnly:
             assert_same(check_evariable, oracle_check_evariable, table)
             assert_same(beta_interval, oracle_beta_interval, table)
             assert_same(dominate_T2, oracle_dominate_T2, square, twin)
-        assert _space_split.cache_info().currsize == 1
+        assert mean_mu_laws.cache_info().currsize == 1
 
     def test_more_spaces_than_the_cache_holds_match_oracles(self):
         spaces = [SampleSpace.uniform(n, mu) for n in (3, 4, 5, 7) for mu in (0.3, 0.5, 0.7)]
-        assert len(spaces) > _space_split.cache_info().maxsize
+        assert len(spaces) > mean_mu_laws.cache_info().maxsize
         rng = np.random.default_rng(3)
         cases = []
         for space in spaces:
@@ -556,7 +603,7 @@ class TestCachedGridIsReadOnly:
         # of its mass on 0, refutes the table by about 5e-10 each time. In
         # float32 the masses would be computed on other numbers.
         points, values = (0.0, 0.5 + 5e-10, 1.0), (1.0, 1.0000000005, 1.0)
-        _space_split.cache_clear()
+        mean_mu_laws.cache_clear()
         reports = []
         for mu in (0.5, np.float32(0.5), np.array(0.5)):
             space = SampleSpace(points, mu)
@@ -566,4 +613,4 @@ class TestCachedGridIsReadOnly:
         assert len({repr(r) for r in reports}) == 1
         assert (reports[0].witness.a, reports[0].witness.b) == (0.0, 0.5 + 5e-10)
         assert reports[0].witness.w == pytest.approx(1e-9, rel=1e-6)
-        assert _space_split.cache_info().currsize == 1
+        assert mean_mu_laws.cache_info().currsize == 1

@@ -1006,6 +1006,12 @@ class TestCheckAndDominate:
         assert witness["a"] <= mu <= witness["b"]
         assert abs(witness["w"] * witness["a"] + (1.0 - witness["w"]) * witness["b"] - mu) <= 1e-12
         assert witness["expectation"] == pytest.approx(1.05, rel=1e-12)
+        # Both masses are given, so the witness replays its mean and expectation.
+        assert witness["w"] * witness["a"] + witness["wb"] * witness["b"] == pytest.approx(
+            mu, rel=1e-15)
+        at = dict(zip(points, values))
+        replay = witness["w"] * at[witness["a"]] + witness["wb"] * at[witness["b"]]
+        assert replay == witness["expectation"]
 
         square = tmp_path / "scaled2.csv"
         square.write_text("x1,x2,value\n" + "".join(

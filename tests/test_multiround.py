@@ -221,7 +221,7 @@ class TestMartingaleExactness:
 class TestAudit:
     def test_coinbet_process_passes_with_max_one(self, rng):
         bet = random_coinbet(GRID3, 3, rng)
-        report = audit_eprocess(coinbet_eprocess(bet, GRID3), 3, n_random=1000, seed=11)
+        report = audit_eprocess(coinbet_eprocess(bet, GRID3), 3)
         assert report.passed
         assert report.exhaustive_complete
         assert report.max_expectation == pytest.approx(1.0, abs=1e-9)
@@ -229,7 +229,7 @@ class TestAudit:
     def test_scaled_process_refuted_with_witness(self, rng):
         bet = random_coinbet(GRID3, 2, rng)
         scaled = coinbet_eprocess(bet, GRID3).scale_at(2, 1.5)
-        report = audit_eprocess(scaled, 2, n_random=100, seed=1)
+        report = audit_eprocess(scaled, 2)
         assert not report.passed
         # replaying the witness reproduces the violation
         replay = tree_expectation(report.argmax_tree, report.argmax_mask, scaled)
@@ -237,13 +237,13 @@ class TestAudit:
         assert replay > 1.0 + 1e-9
 
     def test_constant_one_passes_exactly(self):
-        report = audit_eprocess(constant_eprocess(0.5), 3, n_random=200, seed=2)
+        report = audit_eprocess(constant_eprocess(0.5), 3)
         assert report.passed
         assert report.max_expectation == 1.0
 
     def test_depth_guard(self):
         with pytest.raises(DepthTooLarge):
-            audit_eprocess(constant_eprocess(0.5), 5, n_random=1)
+            audit_eprocess(constant_eprocess(0.5), 5)
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -251,20 +251,18 @@ class TestAudit:
             ({"depth": 5}, "audit capped at depth 4"),
             ({"depth": 0}, "audit depth must be at least 1, got 0"),
             ({"depth": -1}, "audit depth must be at least 1, got -1"),
-            ({"depth": 1, "n_random": -1}, "must be non-negative, got -1"),
             ({"depth": 1, "coarse_grid": (0.0, float("nan"), 1.0)}, "must lie in \\[0, 1\\]"),
             ({"depth": 1, "coarse_grid": (-0.5, 0.5, 1.0)}, "must lie in \\[0, 1\\]"),
             ({"depth": 1, "coarse_grid": (0.75, 1.0)}, "no pairs straddling mu"),
         ],
-        ids=["depth-5", "depth-0", "depth-negative", "random-negative",
-             "grid-nan", "grid-outside", "grid-no-pair"],
+        ids=["depth-5", "depth-0", "depth-negative", "grid-nan", "grid-outside", "grid-no-pair"],
     )
     def test_bad_arguments_raise_value_error(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             audit_eprocess(constant_eprocess(0.5), **kwargs)
 
     def test_report_dict_shape(self):
-        report = audit_eprocess(constant_eprocess(0.5), 1, n_random=10, seed=0)
+        report = audit_eprocess(constant_eprocess(0.5), 1)
         d = report.as_dict()
         assert set(d) == {"max", "d", "mask", "pass", "n_trees", "exhaustive_complete"}
         assert d["n_trees"] == report.n_trees
@@ -379,14 +377,6 @@ def audit_by_enumeration(e, depth, coarse_grid=None, tol=1e-9):
     )
 
 
-def assert_same_report(e, depth):
-    """The audit's report equals the enumeration's, its JSON byte for byte."""
-    expected = audit_by_enumeration(e, depth)
-    got = audit_eprocess(e, depth)
-    assert got == expected
-    assert json.dumps(got.as_dict()) == json.dumps(expected.as_dict())
-
-
 def branching_nodes(mask, node=0):
     """Heap indices of the nodes where ``mask`` branches."""
     if mask.is_stop:
@@ -395,25 +385,37 @@ def branching_nodes(mask, node=0):
     return {node} | branching_nodes(left, 2 * node + 1) | branching_nodes(right, 2 * node + 2)
 
 
-def assert_full_grid_exact(e, depth):
-    """The audit is exact against the enumeration of every tree on the process's grid.
+def assert_exact_on(e, depth, grid):
+    """The audit is exact against the enumeration of every tree on ``grid``.
 
-    Max, verdict and tree count are equal. Trees that tie in exact
-    arithmetic can be ranked differently by rounding in the two searches, so
-    the reported tree need not be the enumeration's first maximiser; it must
-    be a maximiser, with the enumeration's mask for it, and every node where
-    that mask does not branch carries the grid's first pair.
+    Max, verdict, tree count and completeness are equal, and so is their
+    JSON. Trees that tie can be ranked differently by the two searches:
+    where the point mass at mu wins, the audit reports the pair (mu, mu)
+    and the enumeration its first pair that puts all its mass on mu, such
+    as (0, mu); and rounding can rank exact ties. So the reported tree need
+    not be the enumeration's first maximiser; it must be a maximiser, with
+    the enumeration's mask for it, and every node where that mask does not
+    branch carries the grid's first pair.
     """
-    expected = audit_by_enumeration(e, depth, coarse_grid=e.space.points)
+    expected = audit_by_enumeration(e, depth, coarse_grid=grid)
     got = audit_eprocess(e, depth)
     fields = ("max_expectation", "passed", "n_trees", "exhaustive_complete")
     assert [getattr(got, f) for f in fields] == [getattr(expected, f) for f in fields]
+    keys = ("max", "pass", "n_trees", "exhaustive_complete")
+    assert json.dumps([got.as_dict()[k] for k in keys]) == json.dumps(
+        [expected.as_dict()[k] for k in keys]
+    )
     mask_search = _oracle_max_over_masks(got.argmax_tree, e, depth)
     assert mask_search == (got.max_expectation, got.argmax_mask)
-    first = _straddling_pairs(e.space.points, e.mu)[0]
+    first = _straddling_pairs(grid, e.mu)[0]
     branching = branching_nodes(got.argmax_mask)
     assert all(pair == first for i, pair in enumerate(got.argmax_tree.pairs) if i not in branching)
     return got
+
+
+def assert_full_grid_exact(e, depth):
+    """``assert_exact_on`` the process's own grid."""
+    return assert_exact_on(e, depth, e.space.points)
 
 
 @st.composite
@@ -472,16 +474,9 @@ def false_pass_process():
 
 class TestAuditMatchesEnumeration:
     @settings(max_examples=60, deadline=None)
-    @given(
-        lattice_processes(),
-        st.booleans(),
-        st.integers(0, 6),
-        st.integers(0, 2**16),
-    )
-    def test_same_report_as_enumeration(self, process_depth, full_grid, n_random, seed):
+    @given(lattice_processes(), st.booleans())
+    def test_same_report_as_enumeration(self, process_depth, full_grid):
         e, depth = process_depth
-        # Nothing is drawn at random: n_random and seed change no report.
-        assert audit_eprocess(e, depth, n_random=n_random, seed=seed) == audit_eprocess(e, depth)
         if e.space is not None:
             # The grid search ignores the coarse grid.
             grid = e.space.points if full_grid else None
@@ -489,7 +484,7 @@ class TestAuditMatchesEnumeration:
             if len(_straddling_pairs(e.space.points, e.mu)) ** (2**depth - 1) <= 5000:
                 assert_full_grid_exact(e, depth)
             return
-        assert_same_report(e, depth)
+        assert_exact_on(e, depth, (0.0, e.mu, 1.0))
 
     def test_depth_four_on_two_pairs(self, rng):
         # (0, 0.8, 1) at mu = 0.5 straddles as (0, 0.8) and (0, 1): 2**15 trees.
@@ -499,7 +494,7 @@ class TestAuditMatchesEnumeration:
             for prefix in itertools.product(space.points, repeat=t):
                 tables[prefix] = 0.5 * float(rng.integers(0, 5))
         e = eprocess_from_tables(0.5, tables, space=space)
-        report = audit_eprocess(e, 4, coarse_grid=space.points, n_random=20, seed=3)
+        report = audit_eprocess(e, 4, coarse_grid=space.points)
         assert report.exhaustive_complete
         assert report.n_trees == 2**15
         assert report == audit_eprocess(e, 4)
@@ -511,7 +506,7 @@ class TestAuditMatchesEnumeration:
         scaled = honest.scale_at(2, 1.5)
         for e in (honest, scaled):
             assert_full_grid_exact(e, 2)
-            report = audit_eprocess(e, 3, n_random=300, seed=5)
+            report = audit_eprocess(e, 3)
             assert report.passed is (e is honest)
             assert report.n_trees == 9**7
             replay = tree_expectation(report.argmax_tree, report.argmax_mask, e)
@@ -521,7 +516,7 @@ class TestAuditMatchesEnumeration:
         tables = {(): 1.0, (0.0,): 1.0, (1.0,): 1.0}
         e = eprocess_from_tables(0.5, tables, space=GRID3)
         with pytest.raises(ValueError, match="no entry for prefix \\(0.5,\\)"):
-            audit_eprocess(e, 1, n_random=0)
+            audit_eprocess(e, 1)
 
     def test_evaluates_each_prefix_once(self):
         calls = []
@@ -533,7 +528,7 @@ class TestAuditMatchesEnumeration:
         for space in (GRID5, None):
             e = EProcess(mu=0.5, evaluator=evaluate, max_depth=3, space=space)
             calls.clear()
-            audit_eprocess(e, 3, n_random=200, seed=1)
+            audit_eprocess(e, 3)
             assert len(calls) == len(set(calls))
 
     @pytest.mark.parametrize("passes", [True, False], ids=["pass", "fail"])
@@ -572,16 +567,19 @@ class TestAuditExactOnGrid:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_coarse_and_random_false_pass_fails(self, seed):
-        report = audit_eprocess(false_pass_process(), 3, seed=seed)
+        # The process has a grid, so all of it is searched whatever coarse
+        # grid is passed; the seed draws one.
+        coarse = (0.0, 0.5, *np.random.default_rng(seed).uniform(0.0, 1.0, size=3), 1.0)
+        report = audit_eprocess(false_pass_process(), 3, coarse_grid=coarse)
         assert not report.passed
         assert report.exhaustive_complete
         assert report.max_expectation == pytest.approx(1.1273, abs=1e-4)
 
     @settings(max_examples=60, deadline=None)
-    @given(lattice_processes(), st.integers(0, 6), st.integers(0, 2**16))
-    def test_witness_replays_the_max(self, process_depth, n_random, seed):
+    @given(lattice_processes())
+    def test_witness_replays_the_max(self, process_depth):
         e, depth = process_depth
-        report = audit_eprocess(e, depth, n_random=n_random, seed=seed)
+        report = audit_eprocess(e, depth)
         replay = tree_expectation(report.argmax_tree, report.argmax_mask, e)
         assert abs(replay - report.max_expectation) <= 1e-12
 

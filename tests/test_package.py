@@ -102,6 +102,28 @@ def test_audit_without_a_space_runs_no_numpy():
     assert not numpy_ran_after(code)
 
 
+def test_scan_and_audit_run_where_numpy_cannot_be_imported():
+    # None in sys.modules makes every `import numpy` raise ImportError.
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "try:\n    import numpy\nexcept ImportError:\n    pass\n"
+        "else:\n    raise SystemExit('numpy imported')\n"
+        "from evbet.domain import SampleSpace, mean_mu_laws, worst_law\n"
+        "from evbet.multiround import MultiRoundCoinBet, audit_eprocess, coinbet_eprocess\n"
+        "from evbet.multiround import constant_eprocess\n"
+        "space = SampleSpace((0.0, 0.25, 0.5, 0.75, 1.0), 0.5)\n"
+        "laws = mean_mu_laws(space.points, space.mu)\n"
+        "print(*worst_law(laws, (2.0, 0.0, 1.0, 0.0, 2.0), 1.0))\n"
+        "bet = MultiRoundCoinBet(0.5, ({(): 1.0}, {(x,): -1.0 for x in space.points}))\n"
+        "scaled = coinbet_eprocess(bet, space).scale_at(2, 1.5)\n"
+        "print(audit_eprocess(constant_eprocess(0.5), 3).passed,\n"
+        "      audit_eprocess(coinbet_eprocess(bet, space), 2).max_expectation,\n"
+        "      audit_eprocess(scaled, 2).passed)\n"
+    )
+    assert run_fresh(code).splitlines() == ["(0, 4, 0.5, 0.5) 2.0", "True 1.0 False"]
+
+
 @pytest.mark.parametrize("module", sorted(TOP_LEVEL) + ["kernels"])
 def test_library_module_import_runs_no_numpy(module):
     # Every library module binds numpy through evbet._lazy.
