@@ -402,7 +402,7 @@ def audit_eprocess(e: EProcess, depth: int, coarse_grid=None, tol: float = 1e-9)
         raise ValueError(f"audit depth must be at least 1, got {depth}")
     if depth > e.max_depth:
         raise ValueError(f"e-process only defined to depth {e.max_depth}")
-    mu = e.mu
+    mu = float(e.mu)  # the laws and the reported tree use one float mean
     coarse_grid = (0.0, mu, 1.0) if coarse_grid is None else tuple(map(float, coarse_grid))
     if not all(0.0 <= p <= 1.0 for p in coarse_grid):
         raise ValueError(f"coarse grid points must lie in [0, 1], got {coarse_grid}")
@@ -411,9 +411,9 @@ def audit_eprocess(e: EProcess, depth: int, coarse_grid=None, tol: float = 1e-9)
     grid = tuple(sorted(set(coarse_grid if e.space is None else e.space.points)))
     pairs = _straddling_pairs(grid, mu)
     if grid[0] == mu or grid[-1] == mu:  # no pair a < mu < b: the point mass is the only law
-        grid = (float(mu),)
+        grid = (mu,)
 
-    best_val, best_pairs, best_mask = _snell_envelope(e.value, grid, float(mu), pairs[0], depth)
+    best_val, best_pairs, best_mask = _snell_envelope(e.value, grid, mu, pairs[0], depth)
     return AuditReport(
         max_expectation=best_val,
         argmax_tree=TreeHypothesis(mu=mu, pairs=best_pairs),

@@ -268,6 +268,22 @@ class TestAudit:
         assert d["n_trees"] == report.n_trees
         assert d["exhaustive_complete"] is report.exhaustive_complete
 
+    def test_float32_mean_tree_replays_the_max(self, rng):
+        # The scan's laws and the reported tree share one float mean, so
+        # tree_expectation replays the max bit for bit.
+        mu = np.float32(0.3)
+        space = SampleSpace((0.0, 0.1, 0.7, 1.0), mu)
+        for _ in range(20):
+            tables = {(): 1.0}
+            for t in (1, 2):
+                for prefix in itertools.product(space.points, repeat=t):
+                    tables[prefix] = float(rng.uniform(0.0, 2.0))
+            e = eprocess_from_tables(mu, tables, space)
+            report = audit_eprocess(e, 2)
+            assert type(report.argmax_tree.mu) is float
+            replay = tree_expectation(report.argmax_tree, report.argmax_mask, e)
+            assert replay == report.max_expectation
+
     def test_near_mu_grid_point_weighs_its_pairs(self):
         # 0.5000000005 lies within MU_SNAP_TOL of mu = 0.5. The audit pairs it
         # only with 0, below mu: each pair is a mean-mu law, so an honest
