@@ -3,9 +3,10 @@
 ``from ._lazy import np`` gives the module object that ``import numpy``
 would give, but numpy's code runs only at the first attribute access
 (``importlib.util.LazyLoader``). From then on ``np`` is numpy itself, so a
-hot path pays nothing. Every library module binds numpy this way, so
-importing any of them runs no numpy code; the first array operation does. A
-caller that has already imported numpy gets that module back unchanged.
+hot path pays nothing. Every library module that uses numpy binds it this
+way (``multiround`` uses none), so importing any of them runs no numpy
+code; the first array operation does. A caller that has already imported
+numpy gets that module back unchanged.
 
 The first access is not safe between threads: on Python versions whose
 ``LazyLoader`` takes no lock, two threads that first touch a not-yet-loaded

@@ -39,11 +39,12 @@ lines from the table's own f-string, joined in blocks of rows, byte for byte
 what ``csv.writer`` writes.
 
 Each command imports the modules it runs when it runs, so a command loads no
-other command's modules. Every library module binds numpy lazily
-(``evbet._lazy``), so numpy runs only when a command first computes on arrays
-(``cs``, ``simulate``, ``compare``, ``check``, ``dominate`` and
-``iid-check``): ``import evbet.cli``, ``--help``, ``--version``, usage errors
-and ``audit`` never run it.
+other command's modules. Every library module that uses numpy binds it
+lazily (``evbet._lazy``), so numpy runs only when a command first computes on arrays
+(``cs``, ``simulate``, ``compare`` and ``iid-check``): ``import evbet.cli``,
+``--help``, ``--version``, usage errors, ``check``, ``dominate`` (with or
+without ``--t2``) and ``audit`` never run it. Their tables are read, and
+certified or audited, in plain Python.
 """
 
 from __future__ import annotations

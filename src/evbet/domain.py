@@ -25,7 +25,8 @@ point, then every pair ``a < mu < b`` in row-major order with both masses.
 The list depends only on the grid and mu, so it is built once and the last
 8 are kept; it holds indices and masses, never points. ``check_evariable``,
 both rounds of ``dominate_T2`` and the audit's backward induction all scan
-it. The scan is plain Python, so the audit runs without numpy.
+it. The scan is plain Python, and so are ``check_table`` and the table
+loaders, so certifying or auditing a table file runs no numpy.
 """
 
 from __future__ import annotations
@@ -112,9 +113,12 @@ def unbroadcast_rows(xs: np.ndarray) -> np.ndarray:
 
 
 def check_table(values) -> None:
-    """Reject a table of e-variable values unless every one is finite and non-negative."""
-    values = np.asarray(values, dtype=float)
-    if values.size and not (values.min() >= 0.0 and values.max() < math.inf):  # NaN fails both
+    """Reject e-variable values unless every one is finite and non-negative.
+
+    ``values`` is an iterable of numbers, such as a table's cells; plain
+    Python, so no numpy runs.
+    """
+    if not all(0.0 <= v < math.inf for v in values):  # NaN fails both
         raise ValueError("values must be finite and non-negative")
 
 
@@ -168,22 +172,8 @@ class SampleSpace:
         return cls(tuple(np.linspace(0.0, 1.0, n)), mu)
 
     def as_array(self) -> np.ndarray:
-        """The grid as a read-only float array, built on the first call and kept.
-
-        It is not a field, so equality and hashing ignore it.
-        """
-        try:
-            return self._array
-        except AttributeError:
-            arr = np.array(self.points, dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, "_array", arr)
-            return arr
-
-    def __reduce__(self):
-        # Copies and pickles hold the fields only; a copy builds its own
-        # array on its first as_array() call.
-        return SampleSpace, (self.points, self.mu)
+        """The grid as a new float array."""
+        return np.array(self.points, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -482,14 +472,14 @@ def distribution_from_csv(path: str) -> DiscreteDistribution:
     return DiscreteDistribution(tuple((p, m) for (p,), m in table.items()))
 
 
-def square_table_from_csv(path: str, grid=None) -> tuple[tuple[float, ...], np.ndarray]:
+def square_table_from_csv(path: str, grid=None) -> tuple[tuple[float, ...], tuple]:
     """Load an ``x1,x2,value`` CSV as a table over a grid square.
 
-    Returns the grid and the table, ``table[i, j]`` being the value at
-    ``(grid[i], grid[j])``. With ``grid`` None the grid is the sorted set of
-    coordinates in the file; otherwise every coordinate must come from
-    ``grid``. Every cell is required, and given once. Values are parsed, not
-    checked.
+    Returns the grid and the table as a tuple of row tuples, ``table[i][j]``
+    being the value at ``(grid[i], grid[j])``. With ``grid`` None the grid is
+    the sorted set of coordinates in the file; otherwise every coordinate
+    must come from ``grid``. Every cell is required, and given once. Values
+    are parsed, not checked.
     """
     cells = read_table(path, {"x1": float, "x2": float, "value": float}, lambda key: f"cell {key}")
     if grid is None:
@@ -498,10 +488,7 @@ def square_table_from_csv(path: str, grid=None) -> tuple[tuple[float, ...], np.n
         listed = ", ".join(f"{p:g}" for p in grid)
         raise ValueError(f"{path}: coordinates must come from {{{listed}}}")
     grid = tuple(map(float, grid))
-    table = np.zeros((len(grid), len(grid)))
-    for i, x in enumerate(grid):
-        for j, y in enumerate(grid):
-            if (x, y) not in cells:
-                raise ValueError(f"{path}: missing cell ({x}, {y})")
-            table[i, j] = cells[x, y]
-    return grid, table
+    for x, y in itertools.product(grid, repeat=2):
+        if (x, y) not in cells:
+            raise ValueError(f"{path}: missing cell ({x}, {y})")
+    return grid, tuple(tuple(cells[x, y] for y in grid) for x in grid)

@@ -16,21 +16,21 @@ other, so a table is valid exactly when no mean-mu law on the grid gives it
 an expectation above ``1 + tol``. ``MU_SNAP_TOL`` acts only in the slope
 step of the certificate, whose ratios divide by ``p - mu``.
 
-Both run on one private core, ``_certify``. It takes a sample space and a
-2-D array of tables, one per row. Per row it returns the validity report
-and either the certificate or the ``NotAnEVariable`` that ``beta_interval``
-raises. The worst law of each row comes from ``domain.worst_law``, the one
-scan of every validity verdict, over the space's cached law list
+Both run on one private core, ``_certify``, in plain Python. It takes a
+sample space and one table, a sequence of floats, and returns the validity
+report and either the certificate or the ``NotAnEVariable`` that
+``beta_interval`` raises. The worst law comes from ``domain.worst_law``, the
+one scan of every validity verdict, over the space's cached law list
 (``domain.mean_mu_laws``); a witness reads its points from the space's own
-grid. ``multiround.dominate_T2`` certifies its first-round envelope with
-one call and all its second-round rows with another. A row goes through
-the same operations as a table checked on its own, so batching changes no
-result.
+grid. The slopes come from one pass over the grid. ``multiround.dominate_T2``
+certifies its first-round envelope and each reached second-round row with
+one call each. So ``evbet check`` and ``evbet dominate`` run no numpy: only
+the array forms here do (``value`` on an array, ``eval_majorizer`` and
+``TabulatedEVariable.as_array``).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -43,7 +43,7 @@ from .errors import NotAnEVariable
 # Additive slack on two-point expectations when certifying validity.
 VALIDITY_TOL = 1e-12
 # Grid points within this distance of mu are left out of the certificate's
-# slope ratios, whose denominators p - mu would blow up (``_snapped_slopes``).
+# slope ratios, whose denominators p - mu would blow up; they only narrow it.
 MU_SNAP_TOL = 1e-9
 
 
@@ -157,81 +157,46 @@ def dominating_lambda(mu: float, alpha: float) -> float:
     return math.exp(alpha * (1.0 - mu) - alpha**2 / 8.0) - math.exp(-alpha * mu - alpha**2 / 8.0)
 
 
-def _measure(points, law) -> TwoPointMeasure:
-    """The two-point measure of a ``domain.mean_mu_laws`` law on the grid ``points``."""
-    i, j, wa, wb = law
-    return TwoPointMeasure(points[i], points[j], wa, wb)
+def _certify(space: SampleSpace, values, tol: float = VALIDITY_TOL):
+    """Validity report and dominating coin-bet of one table on the grid of ``space``.
 
-
-def _certify(space: SampleSpace, rows: np.ndarray, tol: float = VALIDITY_TOL):
-    """Validity report and dominating coin-bet of each row of ``rows``.
-
-    Each row is a table on the grid of ``space``. Returns one
-    ``(report, certificate)`` pair per row; ``certificate`` is the
-    ``NotAnEVariable`` that ``beta_interval`` raises, unraised, when the row
-    is invalid or its slope interval is inverted beyond rounding noise. A
-    row is invalid when ``domain.worst_law`` finds a law whose expectation
-    exceeds ``1 + tol``. The slopes come from the points farther than
-    ``MU_SNAP_TOL`` from mu; where a nearer point is not mu itself, the
-    interval is then narrowed towards what that point asks
-    (``_snapped_slopes``). Each row goes through the same operations, and
-    the same tie-breaks, as a table checked on its own, so the results do
-    not depend on the batch.
+    ``values`` is a sequence of floats, one per grid point. Returns
+    ``(report, certificate)``; ``certificate`` is the ``NotAnEVariable``
+    that ``beta_interval`` raises, unraised, when the table is invalid or
+    its slope interval is inverted beyond rounding noise. The table is
+    invalid when ``domain.worst_law`` finds a law whose expectation exceeds
+    ``1 + tol``. Otherwise one pass over the grid takes the slope
+    ``(e - 1)/(p - mu)`` of each point ``p`` but mu itself. The points
+    farther than ``MU_SNAP_TOL`` from mu bound the interval: those below
+    from above (``beta0``, from ``hi``), those above from below (``beta1``,
+    from ``lo``). A nearer point above mu asks ``lam`` to be at least its
+    slope, one below at most; the interval is then narrowed to its
+    intersection with what they ask, or to its end nearest it. Plain
+    Python: no numpy runs.
     """
     points, mu = space.points, space.mu
     lo, hi = bet_bounds(mu)
-    laws = mean_mu_laws(points, mu)
-    worst = [worst_law(laws, row, 1.0 + tol) for row in rows.tolist()]
-    n_rows = len(worst)
-    beta0, beta1 = [hi] * n_rows, [lo] * n_rows
-    snapped = [None] * n_rows
-    if any(law is None for law, _ in worst):  # slopes are needed for valid rows only
-        pts = space.as_array()
-        # The points within MU_SNAP_TOL of mu are one run, as p - mu never decreases.
-        i = bisect.bisect_left(points, -MU_SNAP_TOL, key=lambda p: p - mu)
-        j = bisect.bisect_right(points, MU_SNAP_TOL, key=lambda p: p - mu)
-        if i:
-            beta0 = np.minimum(hi, ((rows[:, :i] - 1.0) / (pts[:i] - mu)).min(axis=1)).tolist()
-        if j < len(pts):
-            beta1 = np.maximum(lo, ((rows[:, j:] - 1.0) / (pts[j:] - mu)).max(axis=1)).tolist()
-        if any(p != mu for p in points[i:j]):  # a point near mu is not mu itself
-            snapped = _snapped_slopes(pts[i:j] - mu, rows[:, i:j])
-    return [
-        _certificate(lo, hi, None if law is None else _measure(points, law), top, *slopes)
-        for (law, top), *slopes in zip(worst, beta0, beta1, snapped)
-    ]
-
-
-def _snapped_slopes(d: np.ndarray, at: np.ndarray) -> list[tuple[float, float]]:
-    """Per row, the slopes ``(low, high)`` a coin-bet needs to dominate the
-    row at the grid points near mu: ``at`` holds the row's values there
-    and ``d`` the points less mu. A point above mu asks for
-    ``lam >= (e - 1)/d``, one below for ``lam <= (e - 1)/d``; a point at mu
-    itself asks nothing, as a coin-bet pays 1 there."""
-    low = np.full(len(at), -math.inf)
-    high = np.full(len(at), math.inf)
-    above, below = d > 0.0, d < 0.0
-    if above.any():
-        low = ((at[:, above] - 1.0) / d[above]).max(axis=1)
-    if below.any():
-        high = ((at[:, below] - 1.0) / d[below]).min(axis=1)
-    return list(zip(low.tolist(), high.tolist()))
-
-
-def _certificate(lo, hi, witness, expectation, beta0, beta1, snapped):
-    """The ``(report, certificate)`` pair of one row of ``_certify``.
-
-    ``snapped`` is None, or the row's ``_snapped_slopes``: the interval is
-    then narrowed to its intersection with them, or to its end nearest them
-    when they miss it, so it never inverts.
-    """
-    if witness is not None:
-        report = ValidityReport(valid=False, witness=witness, expectation=expectation)
+    law, top = worst_law(mean_mu_laws(points, mu), values, 1.0 + tol)
+    if law is not None:
+        i, j, wa, wb = law
+        witness = TwoPointMeasure(points[i], points[j], wa, wb)
+        report = ValidityReport(valid=False, witness=witness, expectation=top)
         return report, NotAnEVariable(
-            f"table is not an e-variable (two-point expectation {expectation})",
+            f"table is not an e-variable (two-point expectation {top})",
             witness=witness,
-            expectation=expectation,
+            expectation=top,
         )
+    beta0, beta1, low, high = hi, lo, -math.inf, math.inf
+    for p, e in zip(points, values):
+        d = p - mu
+        if d < -MU_SNAP_TOL:
+            beta0 = min(beta0, (e - 1.0) / d)
+        elif d > MU_SNAP_TOL:
+            beta1 = max(beta1, (e - 1.0) / d)
+        elif d > 0.0:
+            low = max(low, (e - 1.0) / d)
+        elif d < 0.0:
+            high = min(high, (e - 1.0) / d)
     beta0 = max(beta0, lo)
     beta1 = min(beta1, hi)
     if beta1 > beta0:
@@ -241,17 +206,11 @@ def _certificate(lo, hi, witness, expectation, beta0, beta1, snapped):
                 f"slope interval inverted beyond tolerance: beta1={beta1} > beta0={beta0}"
             )
         beta0 = beta1 = 0.5 * (beta0 + beta1)
-    if snapped is not None:
-        low, high = snapped
-        if low > beta1:
-            beta1 = min(low, beta0)
-        if high < beta0:
-            beta0 = max(high, beta1)
+    if low > beta1:
+        beta1 = min(low, beta0)
+    if high < beta0:
+        beta0 = max(high, beta1)
     return _VALID, DominationCertificate(beta0, beta1, 0.5 * (beta0 + beta1))
-
-
-def _certify_table(e: TabulatedEVariable, tol: float = VALIDITY_TOL):
-    return _certify(e.space, e.as_array()[None, :], tol)[0]
 
 
 def check_evariable(e: TabulatedEVariable, tol: float = VALIDITY_TOL) -> ValidityReport:
@@ -264,7 +223,7 @@ def check_evariable(e: TabulatedEVariable, tol: float = VALIDITY_TOL) -> Validit
     pairs. On failure the report carries the worst violating measure and its
     expectation.
     """
-    return _certify_table(e, tol)[0]
+    return _certify(e.space, e.values, tol)[0]
 
 
 def beta_interval(e: TabulatedEVariable) -> DominationCertificate:
@@ -279,7 +238,7 @@ def beta_interval(e: TabulatedEVariable) -> DominationCertificate:
     intersection with it or to its end nearest them. An invalid table
     raises ``NotAnEVariable`` with the witness ``check_evariable`` reports.
     """
-    cert = _certify_table(e)[1]
+    cert = _certify(e.space, e.values)[1]
     if isinstance(cert, NotAnEVariable):
         raise cert
     return cert

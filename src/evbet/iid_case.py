@@ -68,8 +68,8 @@ def xi_stats(table) -> XiStats:
     t = np.asarray(table, dtype=float)
     if t.shape != (3, 3):
         raise ValueError("expected a 3x3 table over {0, 1/2, 1}^2")
-    check_table(t)
     cells = t.tolist()
+    check_table(v for row in cells for v in row)
     a, b, c, d = (cells[i][j] for i, j in _XI1_CELLS)
     xi1 = ((((0.0 + a) + b) + c) + d) / 4.0
     a, b, c, d = (cells[i][j] for i, j in _XI2_CELLS)

@@ -29,6 +29,11 @@ the point mass at mu, when mu is a grid point, then every pair
 grid is the process's own points (a process loaded by ``eprocess_from_csv``
 always has them), or a coarse grid for a process built without a sample
 space.
+
+``dominate_T2`` works on rows of floats: one ``worst_law`` per row gives the
+conditional envelope, one ``evariables._certify`` call certifies it, and
+one more certifies each reached row divided by the first round's payoff.
+Nothing in this module runs numpy.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from ._lazy import np
 from .domain import SampleSpace, check_bet, check_table, mean_mu_laws, read_table
 from .domain import two_point_masses, two_point_weight, worst_law, write_table
 from .errors import DepthTooLarge, NotAnEVariable
@@ -443,25 +447,29 @@ class T2DominationResult:
 def dominate_T2(values, space: SampleSpace) -> T2DominationResult:
     """Dominate a two-round table by a coin-bet pair, or refute it.
 
-    For each first observation ``x`` the conditional worst-case expectation
-    ``m(x) = max_Q E_Q[e(x, .)]`` over two-point mean-``mu`` measures must be
-    dominated by a first-round coin-bet; dividing it out leaves per-``x``
-    single-round tables for the second fraction. If ``m`` itself fails the
-    single-round validity check, its witness pair plus the conditional
-    maximisers assemble a depth-2 tree with expectation above 1.
+    ``values`` holds one row of numbers per first observation, ``values[i][j]``
+    being the value at ``(x_i, x_j)``. For each first observation ``x`` the
+    conditional worst-case expectation ``m(x) = max_Q E_Q[e(x, .)]`` over
+    two-point mean-``mu`` measures must be dominated by a first-round
+    coin-bet; dividing it out leaves per-``x`` single-round tables for the
+    second fraction. If ``m`` itself fails the single-round validity check,
+    its witness pair plus the conditional maximisers assemble a depth-2 tree
+    with expectation above 1. Plain Python: no numpy runs.
     """
-    pts = space.as_array()
     points, mu = space.points, space.mu
-    vals = np.asarray(values, dtype=float)
-    n = len(pts)
-    if vals.shape != (n, n):
+    n = len(points)
+    try:
+        rows = [tuple(map(float, row)) for row in values]
+    except TypeError:  # a row that is a number, or a cell that is a sequence
+        rows = []
+    if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError(f"expected a {n}x{n} table")
-    check_table(vals)
+    check_table(v for row in rows for v in row)
 
     # Conditional envelope m(x) with, per row, the maximising law.
     laws = mean_mu_laws(points, mu)
-    worst = [worst_law(laws, row, -math.inf) for row in vals.tolist()]
-    report, cert = _certify(space, np.array([[top for _, top in worst]]))[0]
+    worst = [worst_law(laws, row, -math.inf) for row in rows]
+    report, cert = _certify(space, [top for _, top in worst])
     if not report.valid:
         root = report.witness
         left = worst[points.index(root.a)][0]
@@ -482,19 +490,17 @@ def dominate_T2(values, space: SampleSpace) -> T2DominationResult:
     if isinstance(cert, NotAnEVariable):
         raise cert
     lam1 = cert.lambda_hat
-    # Second round: row i divided by the first-round payoff at x_i, all rows
-    # certified in one batch; a row whose payoff is 0 is never reached.
-    denom = 1.0 + lam1 * (pts - mu)
-    live = denom > 0.0
-    rows = vals[live] / denom[live, None]
-    checked = zip(rows, _certify(space, rows))
+    # Second round: row i divided by the first-round payoff at x_i, certified
+    # on its own; a row whose payoff is 0 is never reached.
     lam2 = {}
-    for x, reached in zip(pts.tolist(), live.tolist()):
-        if not reached:
+    for x, row in zip(points, rows):
+        payoff = 1.0 + lam1 * (x - mu)
+        if payoff <= 0.0:
             lam2[(x,)] = 0.0
             continue
-        row, (_, row_cert) = next(checked)
+        row = [v / payoff for v in row]
         check_table(row)  # a row can overflow when mu is within 1e-9 of 0 or 1
+        row_cert = _certify(space, row)[1]
         if isinstance(row_cert, NotAnEVariable):
             raise row_cert
         lam2[(x,)] = row_cert.lambda_hat

@@ -185,3 +185,20 @@ def test_eprocess_value_must_be_finite_and_non_negative(value):
         audit_eprocess(e, 1)
     with pytest.raises(ValueError, match="^" + re.escape(message.replace("(0.0,)", "()")) + "$"):
         eprocess_from_tables(0.5, {(): value})
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1.0, 1.0, 1.0],
+        np.ones((3, 3, 3)),
+        np.ones((3, 3, 1)),
+        [[1.0, 1.0, 1.0], [1.0, 1.0], [1.0, 1.0, 1.0]],
+        [[1.0, 1.0], [1.0, 1.0, 1.0]],
+        np.ones((2, 3)),
+    ],
+    ids=["1-d", "3-d", "3-d-cells", "ragged-row", "ragged-rows", "2x3"],
+)
+def test_dominate_T2_rejects_a_table_of_another_shape(values):
+    with pytest.raises(ValueError, match=r"^expected a 3x3 table$"):
+        dominate_T2(values, GRID_3)

@@ -177,11 +177,11 @@ class TestValidation:
             DiscreteDistribution(((0.0, 1e308), (0.5, 1e308), (1.0, 1.0)))
 
     def test_sample_space_builds_its_array_on_first_use(self):
+        # Built on each call and never kept: the space holds its fields only.
         space = SampleSpace((0.0, 0.25, 1.0), 0.5)
-        assert "_array" not in vars(space)
         arr = space.as_array()
-        assert space.as_array() is arr
-        assert arr.tolist() == [0.0, 0.25, 1.0] and not arr.flags.writeable
+        assert arr.tolist() == [0.0, 0.25, 1.0] and space.as_array() is not arr
+        assert vars(space) == {"points": (0.0, 0.25, 1.0), "mu": 0.5}
         assert space == SampleSpace((0.0, 0.25, 1.0), 0.5)
 
     def test_two_point_measure_mean(self):
@@ -226,7 +226,7 @@ class TestSquareTableCsv:
         rows = [(1.0, 1.0, 4.0), (0.0, 1.0, 2.0), (1.0, 0.0, 3.0), (0.0, 0.0, 1.0)]
         grid, table = square_table_from_csv(self.write(tmp_path, rows))
         assert grid == (0.0, 1.0)
-        assert table.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert table == ((1.0, 2.0), (3.0, 4.0))
 
     def test_fixed_grid_rejects_other_coordinates(self, tmp_path):
         path = self.write(tmp_path, [(0.0, 0.25, 1.0)])

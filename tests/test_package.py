@@ -120,13 +120,46 @@ def test_scan_and_audit_run_where_numpy_cannot_be_imported():
         "print(audit_eprocess(constant_eprocess(0.5), 3).passed,\n"
         "      audit_eprocess(coinbet_eprocess(bet, space), 2).max_expectation,\n"
         "      audit_eprocess(scaled, 2).passed)\n"
+        "from evbet.evariables import TabulatedEVariable, beta_interval, check_evariable\n"
+        "from evbet.multiround import dominate_T2\n"
+        "coinbet = TabulatedEVariable(space, (1.5, 1.25, 1.0, 0.75, 0.5))\n"
+        "refuted = check_evariable(TabulatedEVariable(space, (2.0, 1.0, 1.0, 1.0, 2.0)))\n"
+        "print(check_evariable(coinbet).valid, beta_interval(coinbet).lambda_hat,\n"
+        "      refuted.witness.a, refuted.witness.b, refuted.expectation)\n"
+        "ones, twos = ((1.0,) * 5,) * 5, ((2.0,) * 5,) * 5\n"
+        "print(dominate_T2(ones, space).coinbet.tables[0][()],\n"
+        "      dominate_T2(twos, space).refutation.expectation)\n"
     )
-    assert run_fresh(code).splitlines() == ["(0, 4, 0.5, 0.5) 2.0", "True 1.0 False"]
+    assert run_fresh(code).splitlines() == [
+        "(0, 4, 0.5, 0.5) 2.0", "True 1.0 False", "True -1.0 0.0 1.0 2.0", "0.0 2.0"
+    ]
+
+
+@pytest.mark.parametrize("values", [(1.5, 1.0, 0.5), (2.0, 1.0, 2.0)], ids=["valid", "invalid"])
+@pytest.mark.parametrize("command", ["check", "dominate"])
+def test_check_and_dominate_run_no_numpy(tmp_path, command, values):
+    table = tmp_path / "t.csv"
+    table.write_text("point,value\n" + "".join(f"{p},{v}\n" for p, v in zip((0.0, 0.5, 1.0), values)))
+    assert not numpy_ran_after(cli_call([command, "--table", str(table), "--mu", "0.5"]))
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [((1.0,) * 3,) * 3, ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 4.0, 0.0))],
+    ids=["valid", "invalid"],
+)
+def test_dominate_t2_runs_no_numpy(tmp_path, cells):
+    grid = (0.0, 0.5, 1.0)
+    table = tmp_path / "t2.csv"
+    table.write_text("x1,x2,value\n" + "".join(
+        f"{x},{y},{v}\n" for x, row in zip(grid, cells) for y, v in zip(grid, row)))
+    args = ["dominate", "--table", str(table), "--mu", "0.5", "--t2"]
+    assert not numpy_ran_after(cli_call(args))
 
 
 @pytest.mark.parametrize("module", sorted(TOP_LEVEL) + ["kernels"])
 def test_library_module_import_runs_no_numpy(module):
-    # Every library module binds numpy through evbet._lazy.
+    # Every library module that uses numpy binds it through evbet._lazy.
     assert not numpy_ran_after(f"import evbet.{module}")
 
 
