@@ -72,6 +72,10 @@ class HoeffdingEVariable:
     mu: float
     alpha: float
 
+    def __post_init__(self):
+        check_mu(self.mu)
+        _check_alpha(self.alpha)
+
     def value(self, x):
         if np.ndim(x):
             return np.exp(self.alpha * (np.asarray(x, dtype=float) - self.mu) - self.alpha**2 / 8.0)
@@ -88,10 +92,13 @@ class TabulatedEVariable:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if len(vals) != len(self.space.points):
+        try:
+            vals = tuple(float(v) for v in self.values)
+        except TypeError:  # a number, or a cell that is a sequence
+            vals = None
+        if vals is None or len(vals) != len(self.space.points):
             raise ValueError("one value per grid point required")
+        object.__setattr__(self, "values", vals)
         check_table(vals)
 
     @classmethod
@@ -99,7 +106,10 @@ class TabulatedEVariable:
         return cls(space, tuple(float(fn(x)) for x in space.points))
 
     def value(self, x: float) -> float:
-        return self.values[self.space.points.index(x)]
+        try:
+            return self.values[self.space.points.index(x)]
+        except ValueError:
+            raise ValueError(f"x={x} is not a point of the grid {self.space.points}") from None
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
@@ -136,9 +146,20 @@ def eval_majorizer(mu: float, x):
     ``x/mu`` above the mean, ``(1-x)/(1-mu)`` below it; not itself an
     e-variable, but no valid table may exceed it anywhere.
     """
+    check_mu(mu)
     x = np.asarray(x, dtype=float)
     out = np.where(x >= mu, 1.0 + (x - mu) / mu, 1.0 + (x - mu) / (mu - 1.0))
     return float(out) if out.ndim == 0 else out
+
+
+def _check_alpha(alpha) -> float:
+    """``alpha`` as a float; rejects one that is not finite or whose square overflows."""
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    if not math.isfinite(alpha * alpha):
+        raise ValueError(f"alpha={alpha} is too large: its square overflows")
+    return alpha
 
 
 def dominating_lambda(mu: float, alpha: float) -> float:
@@ -149,11 +170,7 @@ def dominating_lambda(mu: float, alpha: float) -> float:
     so ``lam_alpha = E_alpha(1) - E_alpha(0)`` dominates pointwise.
     """
     check_mu(mu)
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    if not math.isfinite(alpha * alpha):
-        raise ValueError(f"alpha={alpha} is too large: its square overflows")
+    alpha = _check_alpha(alpha)
     return math.exp(alpha * (1.0 - mu) - alpha**2 / 8.0) - math.exp(-alpha * mu - alpha**2 / 8.0)
 
 

@@ -65,8 +65,11 @@ def xi_stats(table) -> XiStats:
     ``np.mean`` sums four values, then divided by 4: four ``-0.0`` cells
     average to ``0.0``.
     """
-    t = np.asarray(table, dtype=float)
-    if t.shape != (3, 3):
+    try:
+        t = np.asarray(table, dtype=float)
+    except (TypeError, ValueError):  # ragged rows, or a cell that is not a number
+        t = None
+    if t is None or t.shape != (3, 3):
         raise ValueError("expected a 3x3 table over {0, 1/2, 1}^2")
     cells = t.tolist()
     check_table(v for row in cells for v in row)

@@ -26,9 +26,9 @@ and ``dominate_T2``, over the same cached laws (``domain.mean_mu_laws``):
 the point mass at mu, when mu is a grid point, then every pair
 ``a < mu < b`` with both masses computed directly. A pair ``(a, mu)`` or
 ``(mu, b)`` puts all its mass on mu, so the point mass stands for it. The
-grid is the process's own points (a process loaded by ``eprocess_from_csv``
-always has them), or a coarse grid for a process built without a sample
-space.
+grid is the points of the process's ``SampleSpace`` (a process loaded by
+``eprocess_from_csv`` always has one), or of ``SampleSpace((0, mu, 1), mu)``
+for a process built without one.
 
 ``dominate_T2`` works on rows of floats: one ``worst_law`` per row gives the
 conditional envelope, one ``evariables._certify`` call certifies it, and
@@ -42,7 +42,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .domain import SampleSpace, check_bet, check_table, mean_mu_laws, read_table
+from .domain import SampleSpace, check_bet, check_mu, check_table, mean_mu_laws, read_table
 from .domain import two_point_masses, two_point_weight, worst_law, write_table
 from .errors import DepthTooLarge, NotAnEVariable
 # check_evariable and beta_interval are not called here, but stay module names:
@@ -52,6 +52,8 @@ from .evariables import beta_interval, check_evariable  # noqa: F401
 
 MAX_MASK_DEPTH = 5
 MAX_AUDIT_DEPTH = 4
+# An audit passes when its largest stopped expectation is at most 1 + AUDIT_TOL.
+AUDIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,10 @@ class MultiRoundCoinBet:
         return len(self.tables)
 
     def lam(self, t: int, prefix) -> float:
-        return self.tables[t - 1][tuple(prefix)]
+        try:
+            return self.tables[t - 1][tuple(prefix)]
+        except (IndexError, KeyError):  # a try costs nothing when the lookup hits
+            raise ValueError(f"round {t} has no bet for prefix {tuple(prefix)}") from None
 
     def value(self, xs) -> float:
         xs = tuple(xs)
@@ -197,7 +202,10 @@ def tree_expectation(d: TreeHypothesis, mask: StoppingMask, payoffs) -> float:
 
 @dataclass(frozen=True)
 class EProcess:
-    """Rule assigning a non-negative value to every prefix up to ``max_depth``."""
+    """Rule assigning a non-negative value to every prefix up to ``max_depth``.
+
+    ``mu`` must lie in (0, 1), and a ``space`` must have the same mean.
+    """
 
     mu: float
     evaluator: object  # callable, tuple -> float
@@ -205,6 +213,9 @@ class EProcess:
     space: SampleSpace | None = None
 
     def __post_init__(self):
+        check_mu(self.mu)
+        if self.space is not None and self.space.mu != float(self.mu):
+            raise ValueError(f"sample space mean {self.space.mu} differs from mu={self.mu}")
         e0 = self.value(())
         if e0 > 1.0 + 1e-12:
             raise ValueError(f"initial value {e0} exceeds 1")
@@ -306,7 +317,6 @@ class AuditReport:
     passed: bool
     n_trees: int
     exhaustive_complete: bool
-    tol: float = 1e-9
 
     def as_dict(self) -> dict:
         return {
@@ -317,13 +327,6 @@ class AuditReport:
             "n_trees": self.n_trees,
             "exhaustive_complete": self.exhaustive_complete,
         }
-
-
-def _straddling_pairs(points, mu) -> list[tuple[float, float]]:
-    pts = sorted(set(float(p) for p in points))
-    lows = [p for p in pts if p <= mu]
-    highs = [p for p in pts if p >= mu]
-    return [(a, b) for a in lows for b in highs]
 
 
 def _snell_envelope(value, grid, mu: float, first, depth: int):
@@ -374,22 +377,23 @@ def _snell_envelope(value, grid, mu: float, first, depth: int):
     return top, tuple(tree), mask
 
 
-def audit_eprocess(e: EProcess, depth: int, coarse_grid=None, tol: float = 1e-9) -> AuditReport:
+def audit_eprocess(e: EProcess, depth: int) -> AuditReport:
     """Largest stopped expectation of ``e`` over two-point trees and masks on one grid.
 
     Every node may take any pair ``a <= mu <= b`` of the grid, and every
     prefix may stop, so the report is exact for every mean-``mu`` sequential
-    law on that grid up to ``depth``. The grid is the process's own points
-    when it has a sample space (every one ``eprocess_from_csv`` loads, and
-    so every audit the CLI runs); the report then says
+    law on that grid up to ``depth``. The grid is the points of the
+    process's sample space when it has one (every one ``eprocess_from_csv``
+    loads, and so every audit the CLI runs); the report then says
     ``exhaustive_complete``. A process without one is searched on
-    ``coarse_grid`` (default {0, mu, 1}), which is validated either way; a
-    pass then holds on that grid only, and ``exhaustive_complete`` is
-    false. A reported violation is always real, and ``tree_expectation``
-    replays the reported tree and mask.
+    {0, mu, 1}; a pass then holds on that grid only, and
+    ``exhaustive_complete`` is false. The report passes when its maximum is
+    at most ``1 + AUDIT_TOL``. A reported violation is always real, and
+    ``tree_expectation`` replays the reported tree and mask.
 
     ``n_trees`` is the size of the family searched,
-    ``pairs**(2**depth - 1)``; the search never lists it. The process is
+    ``pairs**(2**depth - 1)``, with ``pairs`` the number of grid pairs
+    ``a <= mu <= b``; the search never lists it. The process is
     evaluated once per distinct prefix, and every prefix shorter than
     ``depth`` scans every law: a grid of ``g`` points costs about
     ``g**(depth - 1)`` prefixes times ``pairs`` branches. On one 2-vCPU VM,
@@ -397,8 +401,7 @@ def audit_eprocess(e: EProcess, depth: int, coarse_grid=None, tol: float = 1e-9)
     at depth 3, 0.02-0.04 s for 21 points at depth 3 and 0.5-0.9 s for 21
     points at depth 4. No numpy runs.
     Raises ``ValueError`` for a depth outside [1, ``MAX_AUDIT_DEPTH``]
-    (``DepthTooLarge`` above it) and coarse-grid points outside [0, 1] or
-    with no pair straddling mu.
+    (``DepthTooLarge`` above it) or beyond the process's ``max_depth``.
     """
     if depth > MAX_AUDIT_DEPTH:
         raise DepthTooLarge(f"audit capped at depth {MAX_AUDIT_DEPTH}")
@@ -407,25 +410,18 @@ def audit_eprocess(e: EProcess, depth: int, coarse_grid=None, tol: float = 1e-9)
     if depth > e.max_depth:
         raise ValueError(f"e-process only defined to depth {e.max_depth}")
     mu = float(e.mu)  # the laws and the reported tree use one float mean
-    coarse_grid = (0.0, mu, 1.0) if coarse_grid is None else tuple(map(float, coarse_grid))
-    if not all(0.0 <= p <= 1.0 for p in coarse_grid):
-        raise ValueError(f"coarse grid points must lie in [0, 1], got {coarse_grid}")
-    if not _straddling_pairs(coarse_grid, mu):
-        raise ValueError("coarse grid has no pairs straddling mu")
-    grid = tuple(sorted(set(coarse_grid if e.space is None else e.space.points)))
-    pairs = _straddling_pairs(grid, mu)
-    if grid[0] == mu or grid[-1] == mu:  # no pair a < mu < b: the point mass is the only law
-        grid = (mu,)
+    grid = (e.space or SampleSpace((0.0, mu, 1.0), mu)).points
+    high = next(p for p in grid if p >= mu)
+    pairs = sum(p <= mu for p in grid) * sum(p >= mu for p in grid)
 
-    best_val, best_pairs, best_mask = _snell_envelope(e.value, grid, mu, pairs[0], depth)
+    best_val, best_pairs, best_mask = _snell_envelope(e.value, grid, mu, (grid[0], high), depth)
     return AuditReport(
         max_expectation=best_val,
         argmax_tree=TreeHypothesis(mu=mu, pairs=best_pairs),
         argmax_mask=best_mask,
-        passed=best_val <= 1.0 + tol,
-        n_trees=len(pairs) ** (2**depth - 1),
+        passed=best_val <= 1.0 + AUDIT_TOL,
+        n_trees=pairs ** (2**depth - 1),
         exhaustive_complete=e.space is not None,
-        tol=tol,
     )
 
 

@@ -19,10 +19,12 @@ from evbet import kernels
 from evbet.betting import ConstantStrategy, UniversalPortfolioStrategy
 from evbet.confseq import run_cs_batch
 from evbet.domain import SampleSpace
-from evbet.evariables import CoinBetEVariable, TabulatedEVariable, bet_bounds, dominating_lambda
+from evbet.evariables import CoinBetEVariable, HoeffdingEVariable, TabulatedEVariable, bet_bounds
+from evbet.evariables import dominating_lambda, eval_majorizer
 from evbet.game import check_strategy, parse_strategy, run_game, run_games_batch, score_bets
 from evbet.iid_case import xi_stats
-from evbet.multiround import MultiRoundCoinBet, audit_eprocess, dominate_T2, eprocess_from_tables
+from evbet.multiround import MultiRoundCoinBet, audit_eprocess, constant_eprocess, dominate_T2
+from evbet.multiround import eprocess_from_tables
 
 NAN = math.nan
 OBSERVATIONS = "observations must be finite and lie in [0, 1]"
@@ -137,6 +139,9 @@ ROWS = {
     "SampleSpace": (lambda mu=0.5: SampleSpace((0.0, 0.5, 1.0), mu), MU, False),
     "bet_bounds": (lambda mu=0.5: bet_bounds(mu), MU, False),
     "dominating_lambda": (lambda mu=0.5: dominating_lambda(mu, 1.0), MU, False),
+    "HoeffdingEVariable": (lambda mu=0.5: HoeffdingEVariable(mu, 1.0).value(0.5), MU, False),
+    "eval_majorizer": (lambda mu=0.5: eval_majorizer(mu, 0.5), MU, False),
+    "constant_eprocess": (lambda mu=0.5: constant_eprocess(mu), MU, False),
     "check_strategy": (
         lambda mu=0.5, n_nodes=11, literal=None: check_strategy(
             strategy(n_nodes, literal), np.array([0.5, mu])
@@ -188,6 +193,42 @@ def test_eprocess_value_must_be_finite_and_non_negative(value):
 
 
 @pytest.mark.parametrize(
+    "alpha, message",
+    [
+        (NAN, "alpha must be finite, got nan"),
+        (math.inf, "alpha must be finite, got inf"),
+        (1e200, "alpha=1e+200 is too large: its square overflows"),
+    ],
+    ids=["nan", "inf", "square-overflows"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [lambda alpha: HoeffdingEVariable(0.5, alpha), lambda alpha: dominating_lambda(0.5, alpha)],
+    ids=["HoeffdingEVariable", "dominating_lambda"],
+)
+def test_bad_alpha_raises_the_shared_message(call, alpha, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call(alpha)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[[1.0], [1.0], [1.0]], 1.0, np.ones((3, 3))],
+    ids=["nested", "number", "2-d"],
+)
+def test_tabulated_evariable_rejects_values_that_are_not_one_per_point(values):
+    with pytest.raises(ValueError, match=r"^one value per grid point required$"):
+        TabulatedEVariable(GRID_3, values)
+
+
+def test_tabulated_evariable_names_a_point_off_its_grid():
+    table = TabulatedEVariable(GRID_3, (1.0, 1.0, 1.0))
+    message = "x=0.3 is not a point of the grid (0.0, 0.5, 1.0)"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        table.value(0.3)
+
+
+SHAPES = pytest.mark.parametrize(
     "values",
     [
         [1.0, 1.0, 1.0],
@@ -199,6 +240,15 @@ def test_eprocess_value_must_be_finite_and_non_negative(value):
     ],
     ids=["1-d", "3-d", "3-d-cells", "ragged-row", "ragged-rows", "2x3"],
 )
+
+
+@SHAPES
 def test_dominate_T2_rejects_a_table_of_another_shape(values):
     with pytest.raises(ValueError, match=r"^expected a 3x3 table$"):
         dominate_T2(values, GRID_3)
+
+
+@SHAPES
+def test_xi_stats_rejects_a_table_of_another_shape(values):
+    with pytest.raises(ValueError, match=r"^expected a 3x3 table over \{0, 1/2, 1\}\^2$"):
+        xi_stats(values)

@@ -33,7 +33,6 @@ from evbet.multiround import (
     full_mask,
     tree_expectation,
 )
-from evbet.multiround import _straddling_pairs
 
 GRID3 = SampleSpace((0.0, 0.5, 1.0), 0.5)
 GRID5 = SampleSpace((0.0, 0.25, 0.5, 0.75, 1.0), 0.5)
@@ -194,6 +193,37 @@ class TestEProcess:
                 assert padded == pytest.approx(1.0, abs=1e-9)
 
 
+class TestMissingPrefix:
+    BET = MultiRoundCoinBet(0.5, ({(): 0.5}, {(0.3,): 0.1}))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda bet: bet.lam(2, (0.0,)),
+            lambda bet: bet.wealth((0.0, 0.0)),
+            lambda bet: bet.value((0.0, 0.0)),
+        ],
+        ids=["lam", "wealth", "value"],
+    )
+    def test_names_the_round_and_the_prefix(self, call):
+        with pytest.raises(ValueError, match=r"^round 2 has no bet for prefix \(0\.0,\)$"):
+            call(self.BET)
+
+    def test_a_round_past_the_horizon(self):
+        with pytest.raises(ValueError, match=r"^round 3 has no bet for prefix \(0\.3, 0\.0\)$"):
+            self.BET.wealth((0.3, 0.0, 1.0))
+
+
+class TestEProcessMean:
+    def test_bad_mean_fails_when_built(self):
+        with pytest.raises(ValueError, match=r"^mu must lie in \(0, 1\), got 2\.0$"):
+            constant_eprocess(2.0)
+
+    def test_space_with_another_mean_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^sample space mean 0\.5 differs from mu=0\.4$"):
+            EProcess(mu=0.4, evaluator=lambda p: 1.0, max_depth=1, space=GRID3)
+
+
 class TestMartingaleExactness:
     def test_all_masks_all_coarse_trees_depth_three(self, rng):
         # Every stopped expectation of a coin-bet wealth process equals 1:
@@ -251,11 +281,8 @@ class TestAudit:
             ({"depth": 5}, "audit capped at depth 4"),
             ({"depth": 0}, "audit depth must be at least 1, got 0"),
             ({"depth": -1}, "audit depth must be at least 1, got -1"),
-            ({"depth": 1, "coarse_grid": (0.0, float("nan"), 1.0)}, "must lie in \\[0, 1\\]"),
-            ({"depth": 1, "coarse_grid": (-0.5, 0.5, 1.0)}, "must lie in \\[0, 1\\]"),
-            ({"depth": 1, "coarse_grid": (0.75, 1.0)}, "no pairs straddling mu"),
         ],
-        ids=["depth-5", "depth-0", "depth-negative", "grid-nan", "grid-outside", "grid-no-pair"],
+        ids=["depth-5", "depth-0", "depth-negative"],
     )
     def test_bad_arguments_raise_value_error(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -290,7 +317,6 @@ class TestAudit:
         # coin-bet is a martingale on every tree searched.
         near = 0.5 + MU_SNAP_TOL / 2
         space = SampleSpace((0.0, near, 1.0), 0.5)
-        assert _straddling_pairs(space.points, 0.5) == [(0.0, near), (0.0, 1.0)]
         for seed in range(6):
             e = coinbet_eprocess(random_coinbet(space, 2, np.random.default_rng(seed)), space)
             report = audit_eprocess(e, 2)
@@ -352,23 +378,24 @@ def _oracle_max_over_masks(d, e, budget):
     return walk(0, (), budget)
 
 
-def audit_by_enumeration(e, depth, coarse_grid=None, tol=1e-9):
-    """Reference audit: every tree of straddling pairs from ``coarse_grid``, in product order.
+def straddling_pairs(points, mu):
+    """Every pair ``a <= mu <= b`` of ``points``, in product order."""
+    return [(a, b) for a in points if a <= mu for b in points if b >= mu]
 
-    ``coarse_grid`` defaults to {0, mu, 1}; with the process's own points it
-    walks every tree on that grid, the full-grid oracle. ``exhaustive_complete``
-    says whether the process has a grid, as the audit's does.
+
+def audit_by_enumeration(e, depth, grid):
+    """Reference audit: every tree of straddling pairs from ``grid``, in product order.
+
+    With the process's own points it walks every tree on that grid, the
+    full-grid oracle. ``exhaustive_complete`` says whether the process has a
+    grid, as the audit's does.
     """
     if depth > MAX_AUDIT_DEPTH:
         raise DepthTooLarge(f"audit capped at depth {MAX_AUDIT_DEPTH}")
     if depth > e.max_depth:
         raise ValueError(f"e-process only defined to depth {e.max_depth}")
     mu = e.mu
-    if coarse_grid is None:
-        coarse_grid = (0.0, mu, 1.0)
-    pairs = _straddling_pairs(coarse_grid, mu)
-    if not pairs:
-        raise ValueError("coarse grid has no pairs straddling mu")
+    pairs = straddling_pairs(grid, mu)
     n_nodes = 2**depth - 1
     n_trees = len(pairs) ** n_nodes
     if n_trees > ENUMERATION_CAP:
@@ -386,10 +413,9 @@ def audit_by_enumeration(e, depth, coarse_grid=None, tol=1e-9):
         max_expectation=best_val,
         argmax_tree=best_tree,
         argmax_mask=best_mask,
-        passed=best_val <= 1.0 + tol,
+        passed=best_val <= 1.0 + 1e-9,
         n_trees=n_trees,
         exhaustive_complete=e.space is not None,
-        tol=tol,
     )
 
 
@@ -413,7 +439,7 @@ def assert_exact_on(e, depth, grid):
     the enumeration's mask for it, and every node where that mask does not
     branch carries the grid's first pair.
     """
-    expected = audit_by_enumeration(e, depth, coarse_grid=grid)
+    expected = audit_by_enumeration(e, depth, grid)
     got = audit_eprocess(e, depth)
     fields = ("max_expectation", "passed", "n_trees", "exhaustive_complete")
     assert [getattr(got, f) for f in fields] == [getattr(expected, f) for f in fields]
@@ -423,7 +449,7 @@ def assert_exact_on(e, depth, grid):
     )
     mask_search = _oracle_max_over_masks(got.argmax_tree, e, depth)
     assert mask_search == (got.max_expectation, got.argmax_mask)
-    first = _straddling_pairs(grid, e.mu)[0]
+    first = straddling_pairs(grid, e.mu)[0]
     branching = branching_nodes(got.argmax_mask)
     assert all(pair == first for i, pair in enumerate(got.argmax_tree.pairs) if i not in branching)
     return got
@@ -490,14 +516,11 @@ def false_pass_process():
 
 class TestAuditMatchesEnumeration:
     @settings(max_examples=60, deadline=None)
-    @given(lattice_processes(), st.booleans())
-    def test_same_report_as_enumeration(self, process_depth, full_grid):
+    @given(lattice_processes())
+    def test_same_report_as_enumeration(self, process_depth):
         e, depth = process_depth
         if e.space is not None:
-            # The grid search ignores the coarse grid.
-            grid = e.space.points if full_grid else None
-            assert audit_eprocess(e, depth, coarse_grid=grid) == audit_eprocess(e, depth)
-            if len(_straddling_pairs(e.space.points, e.mu)) ** (2**depth - 1) <= 5000:
+            if len(straddling_pairs(e.space.points, e.mu)) ** (2**depth - 1) <= 5000:
                 assert_full_grid_exact(e, depth)
             return
         assert_exact_on(e, depth, (0.0, e.mu, 1.0))
@@ -510,10 +533,9 @@ class TestAuditMatchesEnumeration:
             for prefix in itertools.product(space.points, repeat=t):
                 tables[prefix] = 0.5 * float(rng.integers(0, 5))
         e = eprocess_from_tables(0.5, tables, space=space)
-        report = audit_eprocess(e, 4, coarse_grid=space.points)
+        report = audit_eprocess(e, 4)
         assert report.exhaustive_complete
         assert report.n_trees == 2**15
-        assert report == audit_eprocess(e, 4)
         assert_full_grid_exact(e, 4)
 
     def test_coinbet_processes_and_scaled(self, rng):
@@ -583,10 +605,8 @@ class TestAuditExactOnGrid:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_coarse_and_random_false_pass_fails(self, seed):
-        # The process has a grid, so all of it is searched whatever coarse
-        # grid is passed; the seed draws one.
-        coarse = (0.0, 0.5, *np.random.default_rng(seed).uniform(0.0, 1.0, size=3), 1.0)
-        report = audit_eprocess(false_pass_process(), 3, coarse_grid=coarse)
+        # The process has a grid, so all of it is searched.
+        report = audit_eprocess(false_pass_process(), 3)
         assert not report.passed
         assert report.exhaustive_complete
         assert report.max_expectation == pytest.approx(1.1273, abs=1e-4)
