@@ -23,10 +23,12 @@ Every worst-law search runs one scan, ``worst_law``, over one list of laws
 per grid and mean, ``mean_mu_laws``: the point mass at mu, when mu is a grid
 point, then every pair ``a < mu < b`` in row-major order with both masses.
 The list depends only on the grid and mu, so it is built once and the last
-8 are kept; it holds indices and masses, never points. ``check_evariable``,
-both rounds of ``dominate_T2`` and the audit's backward induction all scan
-it. The scan is plain Python, and so are ``check_table`` and the table
-loaders, so certifying or auditing a table file runs no numpy.
+8 are kept; it holds indices and masses, never points. Every single-round
+certificate (``evariables._certify``) scans it, and so does
+``multiround._snell_envelope``, the one backward induction, which the audit
+and ``dominate_T2``'s conditional envelope share. The scan is plain Python,
+and so are ``check_table`` and the table loaders, so certifying or auditing
+a table file runs no numpy.
 """
 
 from __future__ import annotations
@@ -56,6 +58,14 @@ def check_mu(mu) -> None:
         mu = bad[0].item()
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
+
+
+def check_scalar_mu(mu) -> None:
+    """Reject a mean outside (0, 1) (``check_mu``), or an array of means of any shape."""
+    # A Python number is never an array; asking would load numpy on the audit path.
+    if not isinstance(mu, (float, int)) and np.ndim(mu):
+        raise ValueError(f"mu must be a scalar, got an array of shape {np.shape(mu)}")
+    check_mu(mu)
 
 
 def bet_bounds(mu: float) -> tuple[float, float]:
@@ -160,10 +170,7 @@ class SampleSpace:
             raise ValueError("grid points must be strictly increasing")
         if pts[0] != 0.0 or pts[-1] != 1.0:
             raise ValueError("grid must contain 0 and 1 as its endpoints")
-        # A Python number is never an array; asking would load numpy on the audit path.
-        if not isinstance(self.mu, (float, int)) and np.ndim(self.mu):
-            raise ValueError(f"mu must be a scalar, got an array of shape {np.shape(self.mu)}")
-        check_mu(self.mu)
+        check_scalar_mu(self.mu)
         object.__setattr__(self, "mu", float(self.mu))
 
     @classmethod

@@ -18,21 +18,28 @@ induction (the Snell envelope of the process)
     V(p) = max(e(p), max over pairs (a, b) of W_a*V(p + (a,)) + W_b*V(p + (b,)))
 
 with ``V(p) = e(p)`` at depth ``T``: one value per distinct prefix, and no
-tree is ever listed. ``audit_eprocess`` runs it over every pair of one
-grid, so its verdict is exact there; a value above 1 is a concrete
-refutation. At each prefix it evaluates every child once and takes the
-largest branch with ``domain.worst_law``, the scan of ``check_evariable``
-and ``dominate_T2``, over the same cached laws (``domain.mean_mu_laws``):
-the point mass at mu, when mu is a grid point, then every pair
-``a < mu < b`` with both masses computed directly. A pair ``(a, mu)`` or
-``(mu, b)`` puts all its mass on mu, so the point mass stands for it. The
-grid is the points of the process's ``SampleSpace`` (a process loaded by
-``eprocess_from_csv`` always has one), or of ``SampleSpace((0, mu, 1), mu)``
-for a process built without one.
+tree is ever listed. ``_snell_envelope`` is the one copy of that induction.
+It runs level by level over per-level value lists: ``levels[t]`` holds a
+value for every length-``t`` prefix of a grid of ``g`` points, in
+``itertools.product`` order, so the children of entry ``k`` of level ``t``
+are entries ``k*g .. k*g+g-1`` of level ``t + 1``. Each entry above the last
+level becomes the ``domain.worst_law`` value of its children, floored at its
+own value (the option to stop), over the grid's cached laws
+(``domain.mean_mu_laws``): the point mass at mu, when mu is a grid point,
+then every pair ``a < mu < b`` with both masses computed directly. A pair
+``(a, mu)`` or ``(mu, b)`` puts all its mass on mu, so the point mass stands
+for it.
 
-``dominate_T2`` works on rows of floats: one ``worst_law`` per row gives the
-conditional envelope, one ``evariables._certify`` call certifies it, and
-one more certifies each reached row divided by the first round's payoff.
+``audit_eprocess`` fills the levels with the process's values, depth first,
+and runs the induction over every pair of one grid, so its verdict is exact
+there; a value above 1 is a concrete refutation. The grid is the points of
+the process's ``SampleSpace`` (a process loaded by ``eprocess_from_csv``
+always has one), or of ``SampleSpace((0, mu, 1), mu)`` for a process built
+without one. ``dominate_T2`` runs the same induction at depth 2 with no stop
+option: level 1 is then a two-round table's conditional envelope ``m(x)``,
+and level 0 its worst expectation. It certifies ``m`` with one
+``evariables._certify`` call, and each reached row divided by the first
+round's payoff with one more.
 Nothing in this module runs numpy.
 """
 
@@ -40,14 +47,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
-from .domain import SampleSpace, check_bet, check_mu, check_table, mean_mu_laws, read_table
+from .domain import SampleSpace, check_bet, check_scalar_mu, check_table, mean_mu_laws, read_table
 from .domain import two_point_masses, two_point_weight, worst_law, write_table
 from .errors import DepthTooLarge, NotAnEVariable
 # check_evariable and beta_interval are not called here, but stay module names:
 # perfbench/tracing.py patches its spans in under them.
-from .evariables import _certify
+from .evariables import VALIDITY_TOL, _certify
 from .evariables import beta_interval, check_evariable  # noqa: F401
 
 MAX_MASK_DEPTH = 5
@@ -80,9 +88,11 @@ class MultiRoundCoinBet:
 
     def lam(self, t: int, prefix) -> float:
         try:
-            return self.tables[t - 1][tuple(prefix)]
+            if t >= 1:  # round 0 would read tables[-1]
+                return self.tables[t - 1][tuple(prefix)]
         except (IndexError, KeyError):  # a try costs nothing when the lookup hits
-            raise ValueError(f"round {t} has no bet for prefix {tuple(prefix)}") from None
+            pass
+        raise ValueError(f"round {t} has no bet for prefix {tuple(prefix)}")
 
     def value(self, xs) -> float:
         xs = tuple(xs)
@@ -124,19 +134,30 @@ class StoppingMask:
 STOP = StoppingMask()
 
 
+def _check_depth(depth, least: int = 0, name: str = "depth") -> int:
+    """``depth`` as an int (an ``np.int64`` too); ``ValueError`` unless it is an integer >= ``least``."""
+    try:
+        depth = operator.index(depth)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {depth!r}") from None
+    if depth < least:
+        raise ValueError(f"{name} must be at least {least}, got {depth}")
+    return depth
+
+
 def full_mask(depth: int) -> StoppingMask:
-    if depth == 0:
-        return STOP
-    child = full_mask(depth - 1)
-    return StoppingMask((child, child))
+    """The mask that branches at every node above ``depth``."""
+    mask = STOP
+    for _ in range(_check_depth(depth)):
+        mask = StoppingMask((mask, mask))
+    return mask
 
 
 def enumerate_masks(depth: int) -> list[StoppingMask]:
     """All pruned trees of depth at most ``depth``; grows as f(T)=1+f(T-1)^2."""
+    depth = _check_depth(depth)
     if depth > MAX_MASK_DEPTH:
         raise DepthTooLarge(f"mask enumeration capped at depth {MAX_MASK_DEPTH}")
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
     masks = [STOP]
     for _ in range(depth):
         masks = [STOP] + [StoppingMask((l, r)) for l in masks for r in masks]
@@ -204,7 +225,7 @@ def tree_expectation(d: TreeHypothesis, mask: StoppingMask, payoffs) -> float:
 class EProcess:
     """Rule assigning a non-negative value to every prefix up to ``max_depth``.
 
-    ``mu`` must lie in (0, 1), and a ``space`` must have the same mean.
+    ``mu`` must be one number in (0, 1), and a ``space`` must have the same mean.
     """
 
     mu: float
@@ -213,7 +234,7 @@ class EProcess:
     space: SampleSpace | None = None
 
     def __post_init__(self):
-        check_mu(self.mu)
+        check_scalar_mu(self.mu)
         if self.space is not None and self.space.mu != float(self.mu):
             raise ValueError(f"sample space mean {self.space.mu} differs from mu={self.mu}")
         e0 = self.value(())
@@ -329,52 +350,28 @@ class AuditReport:
         }
 
 
-def _snell_envelope(value, grid, mu: float, first, depth: int):
-    """Largest stopped expectation up to ``depth`` over every tree on ``grid``.
+def _snell_envelope(levels, laws) -> list:
+    """Backward induction, in place, over per-level value lists; returns each level's laws.
 
-    ``grid`` is increasing and ``mu`` a float; every node may take any law
-    of ``mean_mu_laws(grid, mu)``. The backward induction of the module
-    docstring runs once per reached prefix, so ``value`` is called once per
-    prefix. Returns ``(V(()), tree, mask)``: the heap-ordered pairs and the
-    stopping mask of a tree reaching ``V(())``. A prefix branches on
-    ``worst_law``'s law, the first with the largest branch value, and only
-    when that value exceeds ``value(prefix)``; the point mass at mu is the
-    pair ``(mu, mu)``. A mass-zero branch is not reached. A node that stops,
-    lies under a stop or is never reached carries the pair ``first``.
+    ``levels[t]`` holds a value for every length-``t`` prefix of a grid of
+    ``g`` points, in ``itertools.product`` order, so the children of entry
+    ``k`` of level ``t`` are entries ``k*g .. k*g+g-1`` of level ``t + 1``.
+    From the last level but one up, each entry becomes the ``worst_law``
+    value of ``laws`` (``mean_mu_laws``) over its children, floored at its
+    own value: the law that branches, the first with the largest branch
+    value, only when that value exceeds the entry's. Returns, for every
+    level but the last, the chosen law of each entry, None where the prefix
+    stops; ``levels[0][0]`` is then the largest stopped expectation.
     """
-    laws = mean_mu_laws(grid, mu)
-    choices = {}  # prefix -> the chosen law, or None to stop
-
-    def envelope(prefix: tuple) -> float:
-        v, choice = value(prefix), None
-        if len(prefix) < depth:
-            below = [envelope(prefix + (x,)) for x in grid]
-            choice, v = worst_law(laws, below, v)
-        choices[prefix] = choice
-        return v
-
-    tree = [None] * (2**depth - 1)
-
-    def witness(node: int, prefix) -> StoppingMask:
-        """Fills ``tree`` below ``node`` (``prefix`` None if not reached); returns its mask."""
-        if node >= len(tree):
-            return STOP
-        choice = None if prefix is None else choices[prefix]
-        if choice is None:
-            tree[node] = first
-            witness(2 * node + 1, None)
-            witness(2 * node + 2, None)
-            return STOP
-        i, j, wa, wb = choice
-        a, b = grid[i], grid[j]
-        tree[node] = (a, b)
-        left = witness(2 * node + 1, prefix + (a,) if wa > 0.0 else None)
-        right = witness(2 * node + 2, prefix + (b,) if wb > 0.0 else None)
-        return StoppingMask((left, right))
-
-    top = envelope(())
-    mask = witness(0, ())
-    return top, tuple(tree), mask
+    chosen = []
+    for t in range(len(levels) - 2, -1, -1):
+        row, below = levels[t], levels[t + 1]
+        g = len(below) // len(row)
+        picks = [None] * len(row)
+        for k, v in enumerate(row):
+            picks[k], row[k] = worst_law(laws, below[k * g : k * g + g], v)
+        chosen.insert(0, picks)
+    return chosen
 
 
 def audit_eprocess(e: EProcess, depth: int) -> AuditReport:
@@ -393,33 +390,60 @@ def audit_eprocess(e: EProcess, depth: int) -> AuditReport:
 
     ``n_trees`` is the size of the family searched,
     ``pairs**(2**depth - 1)``, with ``pairs`` the number of grid pairs
-    ``a <= mu <= b``; the search never lists it. The process is
-    evaluated once per distinct prefix, and every prefix shorter than
-    ``depth`` scans every law: a grid of ``g`` points costs about
-    ``g**(depth - 1)`` prefixes times ``pairs`` branches. On one 2-vCPU VM,
-    for a process tabulated on its grid, that took under 1 ms for 5 points
-    at depth 3, 0.02-0.04 s for 21 points at depth 3 and 0.5-0.9 s for 21
-    points at depth 4. No numpy runs.
-    Raises ``ValueError`` for a depth outside [1, ``MAX_AUDIT_DEPTH``]
-    (``DepthTooLarge`` above it) or beyond the process's ``max_depth``.
+    ``a <= mu <= b``; the search never lists it. The process is evaluated
+    once per distinct prefix, depth first, so the first bad prefix named in
+    an error is the first in that order; then ``_snell_envelope`` scans every
+    law at every prefix shorter than ``depth``: a grid of ``g`` points costs
+    about ``g**(depth - 1)`` prefixes times ``pairs`` branches, and holds one
+    value per prefix. On one 2-vCPU VM, for a process tabulated on its
+    equispaced grid at mu = 0.5, that took 0.09 ms for 5 points at depth 3,
+    7 ms for 21 points at depth 3 and 0.17 s for 21 points at depth 4. No
+    numpy runs.
+    Raises ``ValueError`` for a depth that is not an integer in
+    [1, ``MAX_AUDIT_DEPTH``] (``DepthTooLarge`` above it) or beyond the
+    process's ``max_depth``.
     """
+    depth = _check_depth(depth, 1, "audit depth")
     if depth > MAX_AUDIT_DEPTH:
         raise DepthTooLarge(f"audit capped at depth {MAX_AUDIT_DEPTH}")
-    if depth < 1:
-        raise ValueError(f"audit depth must be at least 1, got {depth}")
     if depth > e.max_depth:
         raise ValueError(f"e-process only defined to depth {e.max_depth}")
     mu = float(e.mu)  # the laws and the reported tree use one float mean
     grid = (e.space or SampleSpace((0.0, mu, 1.0), mu)).points
+    g = len(grid)
     high = next(p for p in grid if p >= mu)
     pairs = sum(p <= mu for p in grid) * sum(p >= mu for p in grid)
 
-    best_val, best_pairs, best_mask = _snell_envelope(e.value, grid, mu, (grid[0], high), depth)
+    levels = [[] for _ in range(depth + 1)]
+
+    def fill(prefix: tuple) -> None:
+        """Values of ``prefix`` and of every prefix below it, depth first."""
+        levels[len(prefix)].append(e.value(prefix))
+        if len(prefix) < depth:
+            for x in grid:
+                fill(prefix + (x,))
+
+    fill(())
+    chosen = _snell_envelope(levels, mean_mu_laws(grid, mu))
+    tree = [(grid[0], high)] * (2**depth - 1)  # a node that is not reached keeps this pair
+
+    def witness(node: int, t: int, k: int) -> StoppingMask:
+        """Fills ``tree`` below ``node``, entry ``k`` of level ``t``; returns its mask."""
+        if t == depth or chosen[t][k] is None:
+            return STOP
+        i, j, wa, wb = chosen[t][k]
+        tree[node] = (grid[i], grid[j])
+        left = witness(2 * node + 1, t + 1, k * g + i) if wa > 0.0 else STOP
+        right = witness(2 * node + 2, t + 1, k * g + j) if wb > 0.0 else STOP
+        return StoppingMask((left, right))
+
+    mask = witness(0, 0, 0)
+    top = levels[0][0]
     return AuditReport(
-        max_expectation=best_val,
-        argmax_tree=TreeHypothesis(mu=mu, pairs=best_pairs),
-        argmax_mask=best_mask,
-        passed=best_val <= 1.0 + AUDIT_TOL,
+        max_expectation=top,
+        argmax_tree=TreeHypothesis(mu=mu, pairs=tuple(tree)),
+        argmax_mask=mask,
+        passed=top <= 1.0 + AUDIT_TOL,
         n_trees=pairs ** (2**depth - 1),
         exhaustive_complete=e.space is not None,
     )
@@ -448,9 +472,11 @@ def dominate_T2(values, space: SampleSpace) -> T2DominationResult:
     conditional worst-case expectation ``m(x) = max_Q E_Q[e(x, .)]`` over
     two-point mean-``mu`` measures must be dominated by a first-round
     coin-bet; dividing it out leaves per-``x`` single-round tables for the
-    second fraction. If ``m`` itself fails the single-round validity check,
-    its witness pair plus the conditional maximisers assemble a depth-2 tree
-    with expectation above 1. Plain Python: no numpy runs.
+    second fraction. ``m`` and its worst expectation are ``_snell_envelope``
+    at depth 2 with no stop option. If that expectation exceeds
+    ``1 + VALIDITY_TOL``, its law at the root plus the laws of the two rows
+    it reaches form a depth-2 tree with that expectation. Plain Python: no
+    numpy runs.
     """
     points, mu = space.points, space.mu
     n = len(points)
@@ -460,29 +486,25 @@ def dominate_T2(values, space: SampleSpace) -> T2DominationResult:
         rows = []
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError(f"expected a {n}x{n} table")
-    check_table(v for row in rows for v in row)
+    cells = [v for row in rows for v in row]
+    check_table(cells)
 
-    # Conditional envelope m(x) with, per row, the maximising law.
-    laws = mean_mu_laws(points, mu)
-    worst = [worst_law(laws, row, -math.inf) for row in rows]
-    report, cert = _certify(space, [top for _, top in worst])
-    if not report.valid:
-        root = report.witness
-        left = worst[points.index(root.a)][0]
-        right = worst[points.index(root.b)][0]
+    # The depth-2 induction with no stop option: level 1 is the conditional
+    # envelope m(x) of each row, level 0 its worst expectation.
+    levels = [[-math.inf], [-math.inf] * n, cells]
+    (root,), row_laws = _snell_envelope(levels, mean_mu_laws(points, mu))
+    if levels[0][0] > 1.0 + VALIDITY_TOL:
+        i, j = root[:2]
         tree = TreeHypothesis(
             mu=mu,
-            pairs=(
-                (root.a, root.b),
-                (points[left[0]], points[left[1]]),
-                (points[right[0]], points[right[1]]),
-            ),
+            pairs=tuple((points[a], points[b]) for a, b, _, _ in (root, row_laws[i], row_laws[j])),
         )
         return T2DominationResult(
             certified=False,
-            refutation=T2Refutation(tree=tree, expectation=report.expectation),
+            refutation=T2Refutation(tree=tree, expectation=levels[0][0]),
         )
 
+    cert = _certify(space, levels[1])[1]
     if isinstance(cert, NotAnEVariable):
         raise cert
     lam1 = cert.lambda_hat

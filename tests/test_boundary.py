@@ -23,8 +23,8 @@ from evbet.evariables import CoinBetEVariable, HoeffdingEVariable, TabulatedEVar
 from evbet.evariables import dominating_lambda, eval_majorizer
 from evbet.game import check_strategy, parse_strategy, run_game, run_games_batch, score_bets
 from evbet.iid_case import xi_stats
-from evbet.multiround import MultiRoundCoinBet, audit_eprocess, constant_eprocess, dominate_T2
-from evbet.multiround import eprocess_from_tables
+from evbet.multiround import EProcess, MultiRoundCoinBet, audit_eprocess, constant_eprocess
+from evbet.multiround import dominate_T2, enumerate_masks, eprocess_from_tables, full_mask
 
 NAN = math.nan
 OBSERVATIONS = "observations must be finite and lie in [0, 1]"
@@ -252,3 +252,46 @@ def test_dominate_T2_rejects_a_table_of_another_shape(values):
 def test_xi_stats_rejects_a_table_of_another_shape(values):
     with pytest.raises(ValueError, match=r"^expected a 3x3 table over \{0, 1/2, 1\}\^2$"):
         xi_stats(values)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mu: SampleSpace((0.0, 0.5, 1.0), mu),
+        lambda mu: EProcess(mu, lambda p: 1.0, 2),
+    ],
+    ids=["SampleSpace", "EProcess"],
+)
+def test_array_mean_raises_the_shared_message(call):
+    with pytest.raises(ValueError, match=r"^mu must be a scalar, got an array of shape \(2,\)$"):
+        call(np.array([0.5, 0.5]))
+
+
+DEPTH_CALLS = {
+    "full_mask": full_mask,
+    "enumerate_masks": enumerate_masks,
+    "audit_eprocess": lambda depth: audit_eprocess(constant_eprocess(0.5, 1.0, 3), depth),
+}
+
+
+@pytest.mark.parametrize(
+    "name, depth, message",
+    [
+        ("full_mask", -1, "depth must be at least 0, got -1"),
+        ("full_mask", 2.5, "depth must be an integer, got 2.5"),
+        ("enumerate_masks", -1, "depth must be at least 0, got -1"),
+        ("enumerate_masks", 2.5, "depth must be an integer, got 2.5"),
+        ("audit_eprocess", 2.0, "audit depth must be an integer, got 2.0"),
+        ("audit_eprocess", -1, "audit depth must be at least 1, got -1"),
+    ],
+    ids=["full_mask-negative", "full_mask-float", "enumerate_masks-negative",
+         "enumerate_masks-float", "audit_eprocess-float", "audit_eprocess-negative"],
+)
+def test_bad_depth_raises_value_error(name, depth, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        DEPTH_CALLS[name](depth)
+
+
+@pytest.mark.parametrize("name", list(DEPTH_CALLS))
+def test_numpy_integer_depth_works(name):
+    assert DEPTH_CALLS[name](np.int64(2)) == DEPTH_CALLS[name](2)

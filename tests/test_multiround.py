@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +12,12 @@ from hypothesis import strategies as st
 
 from evbet.betting import lambda_grid
 from evbet.cli import main
-from evbet.domain import SampleSpace, two_point_weight
+from evbet.domain import SampleSpace, mean_mu_laws, two_point_weight, worst_law
 from evbet.errors import DepthTooLarge, OutOfRange
 from evbet.evariables import MU_SNAP_TOL
 from evbet.iid_case import separation_table
 from evbet.multiround import (
+    AUDIT_TOL,
     MAX_AUDIT_DEPTH,
     STOP,
     AuditReport,
@@ -212,6 +215,13 @@ class TestMissingPrefix:
     def test_a_round_past_the_horizon(self):
         with pytest.raises(ValueError, match=r"^round 3 has no bet for prefix \(0\.3, 0\.0\)$"):
             self.BET.wealth((0.3, 0.0, 1.0))
+
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_no_round_before_the_first(self, t):
+        # tables[0 - 1] is the last round's table, so round 0 must not index it.
+        bet = MultiRoundCoinBet(0.5, ({(): 0.5},))
+        with pytest.raises(ValueError, match=rf"^round {t} has no bet for prefix \(\)$"):
+            bet.lam(t, ())
 
 
 class TestEProcessMean:
@@ -419,6 +429,65 @@ def audit_by_enumeration(e, depth, grid):
     )
 
 
+def recursive_snell_envelope(value, grid, mu, first, depth):
+    """The audit's backward induction as a recursion over prefix tuples.
+
+    Returns ``(V(()), tree, mask)``. Each prefix branches on ``worst_law``'s
+    law only when its value exceeds ``value(prefix)``; the point mass at mu is
+    the pair ``(mu, mu)``, a mass-zero branch is not reached, and a node that
+    stops, lies under a stop or is never reached carries the pair ``first``.
+    """
+    laws = mean_mu_laws(grid, mu)
+    choices = {}  # prefix -> the chosen law, or None to stop
+
+    def envelope(prefix):
+        v, choice = value(prefix), None
+        if len(prefix) < depth:
+            below = [envelope(prefix + (x,)) for x in grid]
+            choice, v = worst_law(laws, below, v)
+        choices[prefix] = choice
+        return v
+
+    tree = [None] * (2**depth - 1)
+
+    def witness(node, prefix):
+        if node >= len(tree):
+            return STOP
+        choice = None if prefix is None else choices[prefix]
+        if choice is None:
+            tree[node] = first
+            witness(2 * node + 1, None)
+            witness(2 * node + 2, None)
+            return STOP
+        i, j, wa, wb = choice
+        a, b = grid[i], grid[j]
+        tree[node] = (a, b)
+        left = witness(2 * node + 1, prefix + (a,) if wa > 0.0 else None)
+        right = witness(2 * node + 2, prefix + (b,) if wb > 0.0 else None)
+        return StoppingMask((left, right))
+
+    top = envelope(())
+    mask = witness(0, ())
+    return top, tuple(tree), mask
+
+
+def recursive_audit(e, depth):
+    """``audit_eprocess`` on ``recursive_snell_envelope``."""
+    mu = float(e.mu)
+    grid = (e.space or SampleSpace((0.0, mu, 1.0), mu)).points
+    high = next(p for p in grid if p >= mu)
+    pairs = sum(p <= mu for p in grid) * sum(p >= mu for p in grid)
+    top, tree, mask = recursive_snell_envelope(e.value, grid, mu, (grid[0], high), depth)
+    return AuditReport(
+        max_expectation=top,
+        argmax_tree=TreeHypothesis(mu=mu, pairs=tree),
+        argmax_mask=mask,
+        passed=top <= 1.0 + AUDIT_TOL,
+        n_trees=pairs ** (2**depth - 1),
+        exhaustive_complete=e.space is not None,
+    )
+
+
 def branching_nodes(mask, node=0):
     """Heap indices of the nodes where ``mask`` branches."""
     if mask.is_stop:
@@ -495,6 +564,48 @@ def lattice_processes(draw, space=None, max_points=6, max_depth=3):
         prefixes = list(itertools.product(points, repeat=t))
         tables.update(zip(prefixes, lattice(len(prefixes))))
     return eprocess_from_tables(mu, tables, space=SampleSpace(points, mu)), depth
+
+
+def coinbet_in_interval(space, depth, rng):
+    """A coin-bet on ``space`` whose fractions are drawn from all of I_mu."""
+    lo, hi = 1.0 / (space.mu - 1.0), 1.0 / space.mu
+    tables = tuple(
+        {p: float(rng.uniform(lo, hi)) for p in itertools.product(space.points, repeat=t)}
+        for t in range(depth)
+    )
+    return MultiRoundCoinBet(space.mu, tables)
+
+
+@st.composite
+def drawn_processes(draw):
+    """Lattice, random or coin-bet processes up to depth 3, each possibly scaled at one depth.
+
+    A process with a sample space has up to 11 points; one without is
+    tabulated on {0, mu, 1}, the grid its audit searches.
+    """
+    mu = draw(st.sampled_from((0.5, 0.3, 0.1)) | st.floats(0.01, 0.99))
+    depth = draw(st.integers(1, 3))
+    inner = draw(st.sets(st.sampled_from([k / 10 for k in range(1, 10)] + [mu]), max_size=9))
+    spaced = draw(st.booleans())
+    grid = SampleSpace(tuple(sorted({0.0, 1.0} | inner)) if spaced else (0.0, mu, 1.0), mu)
+    space = grid if spaced else None
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("lattice", "random", "coinbet")))
+    if kind == "coinbet":
+        e = coinbet_eprocess(coinbet_in_interval(grid, depth, rng), space)
+    else:
+        tables = {(): float(draw(st.sampled_from((0.0, 0.5, 1.0))))}
+        for t in range(1, depth + 1):
+            prefixes = list(itertools.product(grid.points, repeat=t))
+            if kind == "lattice":
+                cells = (0.5 * rng.integers(0, 5, size=len(prefixes))).tolist()
+            else:
+                cells = rng.uniform(0.0, 2.0, size=len(prefixes)).tolist()
+            tables.update(zip(prefixes, cells))
+        e = eprocess_from_tables(mu, tables, space=space)
+    if draw(st.booleans()):
+        e = e.scale_at(draw(st.integers(1, depth)), draw(st.sampled_from((0.9, 1.05, 1.5))))
+    return e, depth
 
 
 def false_pass_process():
@@ -603,8 +714,7 @@ class TestAuditExactOnGrid:
         e, depth = process_depth
         assert_full_grid_exact(e, depth)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_coarse_and_random_false_pass_fails(self, seed):
+    def test_false_pass_process_fails(self):
         # The process has a grid, so all of it is searched.
         report = audit_eprocess(false_pass_process(), 3)
         assert not report.passed
@@ -618,6 +728,51 @@ class TestAuditExactOnGrid:
         report = audit_eprocess(e, depth)
         replay = tree_expectation(report.argmax_tree, report.argmax_mask, e)
         assert abs(replay - report.max_expectation) <= 1e-12
+
+
+class TestAuditMatchesRecursion:
+    @settings(max_examples=200, deadline=None)
+    @given(drawn_processes())
+    def test_same_report_as_the_recursion(self, process_depth):
+        e, depth = process_depth
+        got, expected = audit_eprocess(e, depth), recursive_audit(e, depth)
+        assert got == expected
+        assert repr(got) == repr(expected)
+
+    @pytest.mark.parametrize(
+        "depth, message",
+        [
+            (1, "e-process table has no entry for prefix (1.0,)"),
+            (2, "e-process value nan at (0.5, 0.5) is not finite and non-negative"),
+            (3, "e-process table has no entry for prefix (0.0, 0.5, 1.0)"),
+        ],
+    )
+    def test_names_the_first_bad_prefix_depth_first(self, depth, message):
+        tables = {p: 1.0 for t in range(4) for p in itertools.product(GRID3.points, repeat=t)}
+        del tables[(1.0,)], tables[(0.0, 0.5, 1.0)]
+        tables[(0.5, 0.5)] = math.nan
+        e = eprocess_from_tables(0.5, tables, space=GRID3)
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            audit_eprocess(e, depth)
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            recursive_audit(e, depth)
+
+    def test_depth_four_audit_keeps_one_value_per_prefix(self):
+        # A tabulated coin-bet on 11 points: 16,105 prefixes. The level lists
+        # share the table's floats (about 0.18 MB traced); a dict keyed by
+        # every prefix tuple, as a recursion keeps, peaks at 1.74 MB.
+        space = SampleSpace.uniform(11, 0.5)
+        bet = random_coinbet(space, 4, np.random.default_rng(0))
+        tables = {p: bet.wealth(p) for t in range(5) for p in itertools.product(space.points, repeat=t)}
+        e = eprocess_from_tables(0.5, tables, space=space)
+        tracemalloc.start()
+        try:
+            report = audit_eprocess(e, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 0.6e6
 
 
 class TestEProcessCsv:
