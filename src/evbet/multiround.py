@@ -135,7 +135,7 @@ STOP = StoppingMask()
 
 
 def _check_depth(depth, least: int = 0, name: str = "depth") -> int:
-    """``depth`` as an int (an ``np.int64`` too); ``ValueError`` unless it is an integer >= ``least``."""
+    """``depth`` as an int (``np.int64`` too); ``ValueError`` unless an integer >= ``least``."""
     try:
         depth = operator.index(depth)
     except TypeError:
@@ -396,9 +396,9 @@ def audit_eprocess(e: EProcess, depth: int) -> AuditReport:
     law at every prefix shorter than ``depth``: a grid of ``g`` points costs
     about ``g**(depth - 1)`` prefixes times ``pairs`` branches, and holds one
     value per prefix. On one 2-vCPU VM, for a process tabulated on its
-    equispaced grid at mu = 0.5, that took 0.09 ms for 5 points at depth 3,
-    7 ms for 21 points at depth 3 and 0.17 s for 21 points at depth 4. No
-    numpy runs.
+    equispaced grid at mu = 0.5, that took 0.08-0.09 ms for 5 points at
+    depth 3, 6-7 ms for 21 points at depth 3 and 0.15-0.18 s for 21 points
+    at depth 4. No numpy runs.
     Raises ``ValueError`` for a depth that is not an integer in
     [1, ``MAX_AUDIT_DEPTH``] (``DepthTooLarge`` above it) or beyond the
     process's ``max_depth``.

@@ -763,7 +763,8 @@ class TestAuditMatchesRecursion:
         # every prefix tuple, as a recursion keeps, peaks at 1.74 MB.
         space = SampleSpace.uniform(11, 0.5)
         bet = random_coinbet(space, 4, np.random.default_rng(0))
-        tables = {p: bet.wealth(p) for t in range(5) for p in itertools.product(space.points, repeat=t)}
+        prefixes = (p for t in range(5) for p in itertools.product(space.points, repeat=t))
+        tables = {p: bet.wealth(p) for p in prefixes}
         e = eprocess_from_tables(0.5, tables, space=space)
         tracemalloc.start()
         try:
