@@ -714,12 +714,20 @@ class TestAuditExactOnGrid:
         e, depth = process_depth
         assert_full_grid_exact(e, depth)
 
-    def test_false_pass_process_fails(self):
-        # The process has a grid, so all of it is searched.
-        report = audit_eprocess(false_pass_process(), 3)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_coarse_and_random_false_pass_fails(self, seed):
+        # The process has a grid, so all of it is searched: the audit fails it,
+        # and no tree drawn at random on that grid reaches above its maximum.
+        e = false_pass_process()
+        report = audit_eprocess(e, 3)
         assert not report.passed
         assert report.exhaustive_complete
         assert report.max_expectation == pytest.approx(1.1273, abs=1e-4)
+        rng = np.random.default_rng(seed)
+        pairs = straddling_pairs(e.space.points, e.mu)
+        d = TreeHypothesis(e.mu, tuple(pairs[i] for i in rng.integers(len(pairs), size=7)))
+        for mask in enumerate_masks(3):
+            assert tree_expectation(d, mask, e) <= report.max_expectation + 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(lattice_processes())
