@@ -2,6 +2,8 @@
 
 The public names below are resolved on first access (PEP 562), so importing
 the package, or ``evbet.cli``, loads none of the modules a caller does not use.
+The immutable records (spaces, witnesses, certificates, e-processes, reports)
+subclass ``evbet._record.Record``, so no module loads ``dataclasses``.
 """
 
 import importlib

@@ -13,9 +13,8 @@ kernels (``kernels.up_game_batch``) against; the CLI runs the kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._lazy import np
+from ._record import Record
 from .domain import bet_bounds, check_bet, check_node_count, check_observation
 from .errors import DegeneratePosterior
 from .kernels import DEFAULT_UP_NODES, quadrature_coefficients
@@ -28,12 +27,15 @@ def lambda_grid(mu: float, n_nodes: int) -> np.ndarray:
     return np.linspace(lo, hi, n_nodes)
 
 
-@dataclass(frozen=True, eq=False)
-class PortfolioPosterior:
+class PortfolioPosterior(Record):
     """Log-weights over ``lambda_grid(mu, K)``, the equispaced grid of bet fractions on ``I_mu``."""
 
     lambda_grid: np.ndarray
     log_weights: np.ndarray
+
+    # Arrays: two posteriors are equal only when they are one object.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @classmethod
     def uniform(cls, mu: float, n_nodes: int = DEFAULT_UP_NODES) -> "PortfolioPosterior":

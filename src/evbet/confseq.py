@@ -18,9 +18,9 @@ so are their brackets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._lazy import np
+from ._record import Record
 from .domain import rejection_threshold
 from .game import BatchGameResult, run_games_batch
 
@@ -32,8 +32,7 @@ def default_mu_grid(m: int = 99) -> np.ndarray:
     return np.arange(1, m + 1) / (m + 1.0)
 
 
-@dataclass(frozen=True)
-class CsResult:
+class CsResult(Record):
     """Full confidence-sequence trace over a data stream."""
 
     mu_grid: np.ndarray

@@ -24,7 +24,7 @@ per grid and mean, ``mean_mu_laws``: the point mass at mu, when mu is a grid
 point, then every pair ``a < mu < b`` in row-major order with both masses.
 The list depends only on the grid and mu, so it is built once and the last
 8 are kept; it holds indices and masses, never points. Every single-round
-certificate (``evariables._certify``) scans it, and so does
+validity scan (``evariables._scan``) runs it, and so does
 ``multiround._snell_envelope``, the one backward induction, which the audit
 and ``dominate_T2``'s conditional envelope share. The scan is plain Python,
 and so are ``check_table`` and the table loaders, so certifying or auditing
@@ -38,9 +38,9 @@ import csv
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from ._lazy import np
+from ._record import Record
 from .errors import MeanOutsideSpan, OutOfRange
 
 # Absolute tolerance for measure-level invariants (masses, means). Derived
@@ -149,8 +149,7 @@ def check_batch(xs, mus) -> tuple[np.ndarray, np.ndarray]:
     return xs, mus
 
 
-@dataclass(frozen=True)
-class SampleSpace:
+class SampleSpace(Record):
     """A finite grid in [0, 1] (containing 0 and 1) plus a target mean.
 
     The mean is kept as a Python float, so equal means give equal spaces
@@ -183,8 +182,7 @@ class SampleSpace:
         return np.array(self.points, dtype=float)
 
 
-@dataclass(frozen=True)
-class DiscreteDistribution:
+class DiscreteDistribution(Record):
     """Finitely supported probability measure on [0, 1]."""
 
     atoms: tuple[tuple[float, float], ...]
@@ -233,8 +231,7 @@ class DiscreteDistribution:
         return float(sum(p * m for p, m in self.atoms))
 
 
-@dataclass(frozen=True)
-class TwoPointMeasure:
+class TwoPointMeasure(Record):
     """Mean-``mu`` measure on two points: mass ``w`` on ``a`` and ``wb`` on ``b``.
 
     Both masses are kept as ``two_point_masses`` computes them, so the

@@ -16,25 +16,27 @@ other, so a table is valid exactly when no mean-mu law on the grid gives it
 an expectation above ``1 + tol``. ``MU_SNAP_TOL`` acts only in the slope
 step of the certificate, whose ratios divide by ``p - mu``.
 
-Both run on one private core, ``_certify``, in plain Python. It takes a
-sample space and one table, a sequence of floats, and returns the validity
-report and either the certificate or the ``NotAnEVariable`` that
-``beta_interval`` raises. The worst law comes from ``domain.worst_law``, the
-one scan of every validity verdict, over the space's cached law list
-(``domain.mean_mu_laws``); a witness reads its points from the space's own
-grid. The slopes come from one pass over the grid. ``multiround.dominate_T2``
-certifies its first-round envelope and each reached second-round row with
-one call each. So ``evbet check`` and ``evbet dominate`` run no numpy: only
-the array forms here do (``value`` on an array, ``eval_majorizer`` and
-``TabulatedEVariable.as_array``).
+Both run on two private steps in plain Python, each taking a sample space
+and one table, a sequence of floats. ``_scan`` gives the validity report:
+its worst law comes from ``domain.worst_law``, the one scan of every
+validity verdict, over the space's cached law list
+(``domain.mean_mu_laws``), and a witness reads its points from the space's
+own grid. ``_slopes`` gives the certificate of a table found valid, from
+one pass over the grid. ``check_evariable`` runs the scan alone, and
+``beta_interval`` runs ``_certify``: the scan, then the slopes.
+``multiround.dominate_T2`` takes its first-round envelope through the slope
+step alone, since its own induction has scanned it, and each reached
+second-round row through ``_certify``. So ``evbet check`` and
+``evbet dominate`` run no numpy: only the array forms here do (``value`` on
+an array, ``eval_majorizer`` and ``TabulatedEVariable.as_array``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._lazy import np
+from ._record import Record
 # bet_bounds and check_bet live in domain, shared with the game; they stay names here.
 from .domain import SampleSpace, TwoPointMeasure, bet_bounds, check_bet, check_mu, check_table
 from .domain import mean_mu_laws, read_table, worst_law, write_table
@@ -47,8 +49,7 @@ VALIDITY_TOL = 1e-12
 MU_SNAP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CoinBetEVariable:
+class CoinBetEVariable(Record):
     """Affine payoff ``x -> 1 + lam*(x - mu)``; the exact e-variable family."""
 
     mu: float
@@ -65,8 +66,7 @@ class CoinBetEVariable:
     __call__ = value
 
 
-@dataclass(frozen=True)
-class HoeffdingEVariable:
+class HoeffdingEVariable(Record):
     """Sub-Gaussian payoff ``x -> exp(alpha*(x - mu) - alpha^2/8)``."""
 
     mu: float
@@ -84,8 +84,7 @@ class HoeffdingEVariable:
     __call__ = value
 
 
-@dataclass(frozen=True)
-class TabulatedEVariable:
+class TabulatedEVariable(Record):
     """Arbitrary non-negative values on the grid of a sample space."""
 
     space: SampleSpace
@@ -115,8 +114,7 @@ class TabulatedEVariable:
         return np.asarray(self.values, dtype=float)
 
 
-@dataclass(frozen=True)
-class DominationCertificate:
+class DominationCertificate(Record):
     """Slope interval ``[beta1, beta0]`` of coin-bets dominating a table.
 
     Any ``lam`` in the interval works; ``lambda_hat`` is the midpoint.
@@ -130,8 +128,7 @@ class DominationCertificate:
         return {"beta0": self.beta0, "beta1": self.beta1, "lambda_hat": self.lambda_hat}
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(Record):
     valid: bool
     witness: TwoPointMeasure | None = None
     expectation: float | None = None
@@ -174,37 +171,44 @@ def dominating_lambda(mu: float, alpha: float) -> float:
     return math.exp(alpha * (1.0 - mu) - alpha**2 / 8.0) - math.exp(-alpha * mu - alpha**2 / 8.0)
 
 
-def _certify(space: SampleSpace, values, tol: float = VALIDITY_TOL):
-    """Validity report and dominating coin-bet of one table on the grid of ``space``.
+def _scan(space: SampleSpace, values, tol: float = VALIDITY_TOL) -> ValidityReport:
+    """Validity report of one table on the grid of ``space``.
 
-    ``values`` is a sequence of floats, one per grid point. Returns
-    ``(report, certificate)``; ``certificate`` is the ``NotAnEVariable``
-    that ``beta_interval`` raises, unraised, when the table is invalid or
-    its slope interval is inverted beyond rounding noise. The table is
+    ``values`` is a sequence of floats, one per grid point. The table is
     invalid when ``domain.worst_law`` finds a law whose expectation exceeds
-    ``1 + tol``. Otherwise one pass over the grid takes the slope
-    ``(e - 1)/(p - mu)`` of each point ``p`` but mu itself. The points
-    farther than ``MU_SNAP_TOL`` from mu bound the interval: those below
-    from above (``beta0``, from ``hi``), those above from below (``beta1``,
-    from ``lo``). A nearer point above mu asks ``lam`` to be at least its
-    slope, one below at most; the interval is then narrowed to its
-    intersection with what they ask, or to its end nearest it. Plain
+    ``1 + tol``; the report then carries that law as its witness. Plain
     Python: no numpy runs.
     """
-    points, mu = space.points, space.mu
+    points = space.points
+    law, top = worst_law(mean_mu_laws(points, space.mu), values, 1.0 + tol)
+    if law is None:
+        return _VALID
+    i, j, wa, wb = law
+    witness = TwoPointMeasure(points[i], points[j], wa, wb)
+    return ValidityReport(valid=False, witness=witness, expectation=top)
+
+
+def _slopes(space: SampleSpace, values):
+    """Dominating coin-bet of one table that ``_scan`` has found valid.
+
+    One pass over the grid takes the slope ``(e - 1)/(p - mu)`` of each
+    point ``p`` but mu itself. The points farther than ``MU_SNAP_TOL`` from
+    mu bound the interval: those below from above (``beta0``, from ``hi``),
+    those above from below (``beta1``, from ``lo``). Validity bounds an
+    inversion ``beta1 > beta0`` to rounding noise, which grows with the
+    slopes (up to ``1/mu`` and ``1/(1 - mu)``), so an inversion of at most
+    ``1e-9`` times the larger of 1 and the two slopes' sizes collapses to
+    its midpoint. A nearer point above mu asks ``lam`` to be at least its
+    slope, one below at most; the interval is then narrowed to its
+    intersection with what they ask, or to its end nearest it. Returns the
+    ``DominationCertificate``, or the ``NotAnEVariable`` that
+    ``beta_interval`` raises, unraised, for a wider inversion. Plain
+    Python: no numpy runs.
+    """
+    mu = space.mu
     lo, hi = bet_bounds(mu)
-    law, top = worst_law(mean_mu_laws(points, mu), values, 1.0 + tol)
-    if law is not None:
-        i, j, wa, wb = law
-        witness = TwoPointMeasure(points[i], points[j], wa, wb)
-        report = ValidityReport(valid=False, witness=witness, expectation=top)
-        return report, NotAnEVariable(
-            f"table is not an e-variable (two-point expectation {top})",
-            witness=witness,
-            expectation=top,
-        )
     beta0, beta1, low, high = hi, lo, -math.inf, math.inf
-    for p, e in zip(points, values):
+    for p, e in zip(space.points, values):
         d = p - mu
         if d < -MU_SNAP_TOL:
             beta0 = min(beta0, (e - 1.0) / d)
@@ -217,9 +221,9 @@ def _certify(space: SampleSpace, values, tol: float = VALIDITY_TOL):
     beta0 = max(beta0, lo)
     beta1 = min(beta1, hi)
     if beta1 > beta0:
-        # Validity bounds the inversion to rounding noise; collapse it.
-        if beta1 - beta0 > 1e-9:
-            return _VALID, NotAnEVariable(
+        # Validity bounds the inversion to rounding noise, relative to the slopes.
+        if beta1 - beta0 > 1e-9 * max(1.0, abs(beta0), abs(beta1)):
+            return NotAnEVariable(
                 f"slope interval inverted beyond tolerance: beta1={beta1} > beta0={beta0}"
             )
         beta0 = beta1 = 0.5 * (beta0 + beta1)
@@ -227,7 +231,23 @@ def _certify(space: SampleSpace, values, tol: float = VALIDITY_TOL):
         beta1 = min(low, beta0)
     if high < beta0:
         beta0 = max(high, beta1)
-    return _VALID, DominationCertificate(beta0, beta1, 0.5 * (beta0 + beta1))
+    return DominationCertificate(beta0, beta1, 0.5 * (beta0 + beta1))
+
+
+def _certify(space: SampleSpace, values, tol: float = VALIDITY_TOL):
+    """``_scan``, then ``_slopes`` on a valid table: the certificate or the unraised error.
+
+    An invalid table gets the ``NotAnEVariable`` carrying the scan's witness
+    and expectation.
+    """
+    report = _scan(space, values, tol)
+    if not report.valid:
+        return NotAnEVariable(
+            f"table is not an e-variable (two-point expectation {report.expectation})",
+            witness=report.witness,
+            expectation=report.expectation,
+        )
+    return _slopes(space, values)
 
 
 def check_evariable(e: TabulatedEVariable, tol: float = VALIDITY_TOL) -> ValidityReport:
@@ -240,7 +260,7 @@ def check_evariable(e: TabulatedEVariable, tol: float = VALIDITY_TOL) -> Validit
     pairs. On failure the report carries the worst violating measure and its
     expectation.
     """
-    return _certify(e.space, e.values, tol)[0]
+    return _scan(e.space, e.values, tol)
 
 
 def beta_interval(e: TabulatedEVariable) -> DominationCertificate:
@@ -255,7 +275,7 @@ def beta_interval(e: TabulatedEVariable) -> DominationCertificate:
     intersection with it or to its end nearest them. An invalid table
     raises ``NotAnEVariable`` with the witness ``check_evariable`` reports.
     """
-    cert = _certify(e.space, e.values)[1]
+    cert = _certify(e.space, e.values)
     if isinstance(cert, NotAnEVariable):
         raise cert
     return cert

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from ._lazy import np
+from ._record import Record
 from . import kernels
 from .domain import bet_bounds, check_batch, check_bet, check_delta, check_mu, check_node_count
 from .domain import check_observation, check_observations, rejection_threshold
@@ -51,8 +51,7 @@ def check_strategy(literal: str, mus: np.ndarray) -> tuple[str, float | int]:
     return kind, arg
 
 
-@dataclass(frozen=True)
-class LedgerRow:
+class LedgerRow(Record):
     t: int
     x: float
     lam: float
@@ -60,8 +59,7 @@ class LedgerRow:
     log_wealth: float
 
 
-@dataclass(frozen=True)
-class WealthLedger:
+class WealthLedger(Record):
     """A game's ledger as columns, one entry per round (round t at index t - 1)."""
 
     mu: float
@@ -172,8 +170,7 @@ def recompute_log_wealth(e_values) -> list[float]:
 _CROSSING_BYTES = 2**18
 
 
-@dataclass(frozen=True)
-class BatchGameResult:
+class BatchGameResult(Record):
     """Per-game bets, wealth trajectories and first rejection rounds."""
 
     bets: np.ndarray

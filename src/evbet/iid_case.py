@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from ._lazy import np
+from ._record import Record
 from .domain import check_table
 
 GRID = (0.0, 0.5, 1.0)
@@ -38,8 +38,7 @@ _XI1_CELLS = ((2, 1), (1, 2), (1, 0), (0, 1))
 _XI2_CELLS = ((2, 2), (2, 0), (0, 2), (0, 0))
 
 
-@dataclass(frozen=True)
-class XiStats:
+class XiStats(Record):
     xi0: float
     xi1: float
     xi2: float
@@ -52,8 +51,7 @@ class XiStats:
             )
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
+class BruteForceResult(Record):
     max_expectation: float
     argmax_q: float
 

@@ -37,9 +37,9 @@ the process's ``SampleSpace`` (a process loaded by ``eprocess_from_csv``
 always has one), or of ``SampleSpace((0, mu, 1), mu)`` for a process built
 without one. ``dominate_T2`` runs the same induction at depth 2 with no stop
 option: level 1 is then a two-round table's conditional envelope ``m(x)``,
-and level 0 its worst expectation. It certifies ``m`` with one
-``evariables._certify`` call, and each reached row divided by the first
-round's payoff with one more.
+and level 0 its worst expectation, which has scanned ``m``; so ``m`` takes
+only the certificate's slope step (``evariables._slopes``), and each reached
+row divided by the first round's payoff one ``evariables._certify`` call.
 Nothing in this module runs numpy.
 """
 
@@ -48,14 +48,14 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
+from ._record import Record
 from .domain import SampleSpace, check_bet, check_scalar_mu, check_table, mean_mu_laws, read_table
 from .domain import two_point_masses, two_point_weight, worst_law, write_table
 from .errors import DepthTooLarge, NotAnEVariable
 # check_evariable and beta_interval are not called here, but stay module names:
 # perfbench/tracing.py patches its spans in under them.
-from .evariables import VALIDITY_TOL, _certify
+from .evariables import VALIDITY_TOL, _certify, _slopes
 from .evariables import beta_interval, check_evariable  # noqa: F401
 
 MAX_MASK_DEPTH = 5
@@ -64,8 +64,7 @@ MAX_AUDIT_DEPTH = 4
 AUDIT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class MultiRoundCoinBet:
+class MultiRoundCoinBet(Record):
     """Product of per-round coin-bets with history-dependent fractions.
 
     ``tables[t-1]`` maps each (t-1)-tuple of grid points to the fraction bet
@@ -109,8 +108,7 @@ class MultiRoundCoinBet:
         return out
 
 
-@dataclass(frozen=True)
-class StoppingMask:
+class StoppingMask(Record):
     """Pruned binary tree: ``children`` is None at a stopped node."""
 
     children: tuple["StoppingMask", "StoppingMask"] | None = None
@@ -164,8 +162,7 @@ def enumerate_masks(depth: int) -> list[StoppingMask]:
     return masks
 
 
-@dataclass(frozen=True)
-class TreeHypothesis:
+class TreeHypothesis(Record):
     """Heap-ordered straddling pairs defining one two-point branching tree."""
 
     mu: float
@@ -221,8 +218,7 @@ def tree_expectation(d: TreeHypothesis, mask: StoppingMask, payoffs) -> float:
     return walk(0, (), mask)
 
 
-@dataclass(frozen=True)
-class EProcess:
+class EProcess(Record):
     """Rule assigning a non-negative value to every prefix up to ``max_depth``.
 
     ``mu`` must be one number in (0, 1), and a ``space`` must have the same mean.
@@ -330,8 +326,7 @@ def eprocess_to_csv(e: EProcess, space: SampleSpace, depth: int, fh) -> None:
     )
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     max_expectation: float
     argmax_tree: TreeHypothesis
     argmax_mask: StoppingMask
@@ -449,16 +444,14 @@ def audit_eprocess(e: EProcess, depth: int) -> AuditReport:
     )
 
 
-@dataclass(frozen=True)
-class T2Refutation:
+class T2Refutation(Record):
     """Depth-2 tree whose stopped expectation of the table exceeds 1."""
 
     tree: TreeHypothesis
     expectation: float
 
 
-@dataclass(frozen=True)
-class T2DominationResult:
+class T2DominationResult(Record):
     certified: bool
     coinbet: MultiRoundCoinBet | None = None
     refutation: T2Refutation | None = None
@@ -475,8 +468,11 @@ def dominate_T2(values, space: SampleSpace) -> T2DominationResult:
     second fraction. ``m`` and its worst expectation are ``_snell_envelope``
     at depth 2 with no stop option. If that expectation exceeds
     ``1 + VALIDITY_TOL``, its law at the root plus the laws of the two rows
-    it reaches form a depth-2 tree with that expectation. Plain Python: no
-    numpy runs.
+    it reaches form a depth-2 tree with that expectation. Otherwise that
+    root has cleared ``m`` with the scan ``evariables._scan`` would run, so
+    ``m`` goes straight to the certificate's slope step, and each reached
+    row, divided by its first-round payoff, is scanned and certified.
+    Plain Python: no numpy runs.
     """
     points, mu = space.points, space.mu
     n = len(points)
@@ -504,7 +500,7 @@ def dominate_T2(values, space: SampleSpace) -> T2DominationResult:
             refutation=T2Refutation(tree=tree, expectation=levels[0][0]),
         )
 
-    cert = _certify(space, levels[1])[1]
+    cert = _slopes(space, levels[1])  # the root has scanned m already
     if isinstance(cert, NotAnEVariable):
         raise cert
     lam1 = cert.lambda_hat
@@ -518,7 +514,7 @@ def dominate_T2(values, space: SampleSpace) -> T2DominationResult:
             continue
         row = [v / payoff for v in row]
         check_table(row)  # a row can overflow when mu is within 1e-9 of 0 or 1
-        row_cert = _certify(space, row)[1]
+        row_cert = _certify(space, row)
         if isinstance(row_cert, NotAnEVariable):
             raise row_cert
         lam2[(x,)] = row_cert.lambda_hat

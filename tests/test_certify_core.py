@@ -12,6 +12,7 @@ of zero (compared through ``repr``), and raise the same errors.
 """
 
 import copy
+import itertools
 import pickle
 import warnings
 
@@ -114,7 +115,8 @@ def oracle_beta_interval(e):
     beta0 = max(beta0, lo)
     beta1 = min(beta1, hi)
     if beta1 > beta0:
-        if beta1 - beta0 > 1e-9:
+        # Rounding grows with the slopes, so the collapse bar does too.
+        if beta1 - beta0 > 1e-9 * max(1.0, abs(beta0), abs(beta1)):
             raise NotAnEVariable(
                 f"slope interval inverted beyond tolerance: beta1={beta1} > beta0={beta0}"
             )
@@ -315,6 +317,12 @@ def two_round_tables(draw):
 class TestSingleRound:
     @settings(max_examples=300, deadline=None)
     @given(table=single_tables())
+    # A coin-bet whose slope interval rounding inverts by 2.2e-9 at slope 2.67:
+    # beyond an absolute 1e-9, within the bar scaled to the slopes.
+    @example(table=TabulatedEVariable(
+        SampleSpace((0.0, 0.29999999, 0.30000001, 1.0), 0.3),
+        (0.19816643403190237, 0.9999999732722145, 1.0000000267277855, 2.870944987258895),
+    ))
     def test_report_and_certificate_match_oracle(self, table):
         assert_same(check_evariable, oracle_check_evariable, table)
         assert_same(beta_interval, oracle_beta_interval, table)
@@ -451,6 +459,26 @@ class TestTwoRound:
     def test_raises_as_oracle(self, values, message):
         space = SampleSpace((0.0, 0.49999999, 0.50000001, 1.0), 0.5)
         self.assert_raises_as_oracle(values, space, message)
+
+    @pytest.mark.parametrize("mu", [1e-6, 1.0 - 1e-6])
+    def test_honest_coinbet_products_certify_near_an_end(self, mu):
+        # Slopes reach 1/mu (or 1/(1 - mu)), so rounding in the rows divided
+        # by the first-round payoff inverts their slope intervals by more
+        # than an absolute 1e-9; a collapse bar scaled to the slopes lets
+        # every honest product through (an absolute bar refused 29 and 39).
+        space = SampleSpace((0.0, 0.3, 0.694, 0.7, 0.9, 1.0), mu)
+        x = space.as_array()
+        lo, hi = bet_bounds(mu)
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            lam1, lam2 = rng.uniform(lo, hi), rng.uniform(lo, hi, len(x))
+            table = (1.0 + lam1 * (x - mu))[:, None] * (1.0 + lam2[:, None] * (x[None, :] - mu))
+            table = np.maximum(table, 0.0)
+            got = outcome(dominate_T2, table, space)
+            assert got == outcome(oracle_dominate_T2, table, space)
+            coinbet = got[0].coinbet
+            for (a, b), v in zip(itertools.product(space.points, repeat=2), table.flat):
+                assert coinbet.value((a, b)) >= v * (1.0 - 1e-11)
 
     def test_overflowing_row_raises_as_oracle(self):
         # The first round is valid to 1e-12, and row 1 pins its bet one ulp

@@ -43,9 +43,9 @@ def run_fresh(code, **env):
     return out.stdout
 
 
-def loaded_after(statement):
-    """The evbet modules a fresh interpreter holds after running ``statement``."""
-    listing = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'evbet'))"
+def loaded_after(statement, package="evbet"):
+    """The modules of ``package`` a fresh interpreter holds after running ``statement``."""
+    listing = f"print(*sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     return run_fresh(f"import sys; {statement}; {listing}").split()
 
 
@@ -214,6 +214,28 @@ def test_game_and_certification_stacks_share_only_domain_and_errors(module):
     other = CERTIFICATION_STACK if module in GAME_STACK else GAME_STACK
     loaded = set(loaded_after(f"import evbet.{module}"))
     assert not loaded & {f"evbet.{name}" for name in other}
+
+
+@pytest.mark.parametrize("module", sorted(TOP_LEVEL) + ["kernels"])
+def test_library_module_import_loads_no_dataclasses(module):
+    # Records subclass evbet._record.Record, which generates one __init__ per class.
+    assert loaded_after(f"import evbet.{module}", "dataclasses") == []
+
+
+def test_certification_stack_loads_no_inspect():
+    statement = "import " + ", ".join(f"evbet.{name}" for name in CERTIFICATION_STACK)
+    assert loaded_after(statement, "inspect") == []
+
+
+def test_no_module_imports_dataclasses():
+    package = Path(SRC) / "evbet"
+    found = {
+        p.name for p in package.rglob("*.py")
+        for node in ast.walk(ast.parse(p.read_text()))
+        if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+        or (isinstance(node, ast.Import) and "dataclasses" in {a.name for a in node.names})
+    }
+    assert not found, found
 
 
 def test_cli_has_one_boundary_handler():
