@@ -19,7 +19,6 @@ _PUBLIC = {
         "anchored_two_point",
         "bet_bounds",
         "sample_stream",
-        "two_point_weight",
     ),
     "evariables": (
         "CoinBetEVariable",
@@ -47,6 +46,7 @@ _PUBLIC = {
         "TreeHypothesis",
         "audit_eprocess",
         "dominate_T2",
+        "dominate_eprocess",
         "enumerate_masks",
         "tree_expectation",
     ),

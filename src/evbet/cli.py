@@ -388,10 +388,9 @@ def audit(ctx, table, mu, depth, seed, strict):
 @main.command("iid-check")
 @click.option("--table", default=None, help="x1,x2,value CSV over {0,1/2,1}^2.")
 @click.option("--xi", default=None, help="Comma-separated xi0,xi1,xi2.")
-@click.option("--q-steps", type=int, default=10_000, show_default=True)
 @click.option("--strict", is_flag=True)
 @click.pass_context
-def iid_check(ctx, table, xi, q_steps, strict):
+def iid_check(ctx, table, xi, strict):
     """Check a table against the two-draw i.i.d. hypothesis on {0, 1/2, 1}.
 
     Reports both the closed-form and brute-force verdicts; with a full table,
@@ -413,7 +412,7 @@ def iid_check(ctx, table, xi, q_steps, strict):
         if len(parts) != 3:
             raise ValueError("--xi needs exactly three values")
         stats = iid_case.XiStats(*parts)
-    brute = iid_case.check_iid_bruteforce(stats, q_steps)
+    brute = iid_case.check_iid_bruteforce(stats)
     closed = iid_case.check_iid_closed_form(stats)
     verdict = {
         "xi": [stats.xi0, stats.xi1, stats.xi2],

@@ -25,10 +25,11 @@ point, then every pair ``a < mu < b`` in row-major order with both masses.
 The list depends only on the grid and mu, so it is built once and the last
 8 are kept; it holds indices and masses, never points. Every single-round
 validity scan (``evariables._scan``) runs it, and so does
-``multiround._snell_envelope``, the one backward induction, which the audit
-and ``dominate_T2``'s conditional envelope share. The scan is plain Python,
-and so are ``check_table`` and the table loaders, so certifying or auditing
-a table file runs no numpy.
+``multiround._snell_envelope``, the one backward induction, which the audit,
+``dominate_eprocess`` and ``dominate_T2`` share; the forward pass that builds
+their coin-bets scans each row it certifies through ``evariables._scan``.
+The scan is plain Python, and so are ``check_table`` and the table loaders,
+so certifying or auditing a table file runs no numpy.
 """
 
 from __future__ import annotations
@@ -264,11 +265,6 @@ def two_point_masses(a: float, b: float, mu: float) -> tuple[float, float]:
     if a == b:
         return 1.0, 0.0
     return (b - mu) / (b - a), (mu - a) / (b - a)
-
-
-def two_point_weight(a: float, b: float, mu: float) -> float:
-    """Mass on ``a`` of the unique mean-``mu`` law on {a, b} (``two_point_masses``)."""
-    return two_point_masses(a, b, mu)[0]
 
 
 @functools.lru_cache(maxsize=8)

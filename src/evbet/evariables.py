@@ -23,12 +23,16 @@ validity verdict, over the space's cached law list
 (``domain.mean_mu_laws``), and a witness reads its points from the space's
 own grid. ``_slopes`` gives the certificate of a table found valid, from
 one pass over the grid. ``check_evariable`` runs the scan alone, and
-``beta_interval`` runs ``_certify``: the scan, then the slopes.
-``multiround.dominate_T2`` takes its first-round envelope through the slope
-step alone, since its own induction has scanned it, and each reached
-second-round row through ``_certify``. So ``evbet check`` and
-``evbet dominate`` run no numpy: only the array forms here do (``value`` on
-an array, ``eval_majorizer`` and ``TabulatedEVariable.as_array``).
+``beta_interval`` runs ``_certify``: the scan, then the slopes. Both steps
+raise ``NotAnEVariable``: ``_certify`` with the scan's witness for an
+invalid table, ``_slopes`` without one for a slope interval inverted beyond
+rounding. ``multiround._dominating_bet``, the forward pass behind
+``dominate_eprocess`` and ``dominate_T2``, certifies one table per reached
+prefix the same way: the root's through the slope step alone, since the
+backward induction has scanned it, and every other through ``_certify``. So
+``evbet check`` and ``evbet dominate`` run no numpy: only the array forms
+here do (``value`` on an array, ``eval_majorizer`` and
+``TabulatedEVariable.as_array``).
 """
 
 from __future__ import annotations
@@ -188,7 +192,7 @@ def _scan(space: SampleSpace, values, tol: float = VALIDITY_TOL) -> ValidityRepo
     return ValidityReport(valid=False, witness=witness, expectation=top)
 
 
-def _slopes(space: SampleSpace, values):
+def _slopes(space: SampleSpace, values) -> DominationCertificate:
     """Dominating coin-bet of one table that ``_scan`` has found valid.
 
     One pass over the grid takes the slope ``(e - 1)/(p - mu)`` of each
@@ -198,12 +202,10 @@ def _slopes(space: SampleSpace, values):
     inversion ``beta1 > beta0`` to rounding noise, which grows with the
     slopes (up to ``1/mu`` and ``1/(1 - mu)``), so an inversion of at most
     ``1e-9`` times the larger of 1 and the two slopes' sizes collapses to
-    its midpoint. A nearer point above mu asks ``lam`` to be at least its
-    slope, one below at most; the interval is then narrowed to its
-    intersection with what they ask, or to its end nearest it. Returns the
-    ``DominationCertificate``, or the ``NotAnEVariable`` that
-    ``beta_interval`` raises, unraised, for a wider inversion. Plain
-    Python: no numpy runs.
+    its midpoint; a wider one raises ``NotAnEVariable``. A nearer point
+    above mu asks ``lam`` to be at least its slope, one below at most; the
+    interval is then narrowed to its intersection with what they ask, or to
+    its end nearest it. Plain Python: no numpy runs.
     """
     mu = space.mu
     lo, hi = bet_bounds(mu)
@@ -223,7 +225,7 @@ def _slopes(space: SampleSpace, values):
     if beta1 > beta0:
         # Validity bounds the inversion to rounding noise, relative to the slopes.
         if beta1 - beta0 > 1e-9 * max(1.0, abs(beta0), abs(beta1)):
-            return NotAnEVariable(
+            raise NotAnEVariable(
                 f"slope interval inverted beyond tolerance: beta1={beta1} > beta0={beta0}"
             )
         beta0 = beta1 = 0.5 * (beta0 + beta1)
@@ -234,15 +236,15 @@ def _slopes(space: SampleSpace, values):
     return DominationCertificate(beta0, beta1, 0.5 * (beta0 + beta1))
 
 
-def _certify(space: SampleSpace, values, tol: float = VALIDITY_TOL):
-    """``_scan``, then ``_slopes`` on a valid table: the certificate or the unraised error.
+def _certify(space: SampleSpace, values) -> DominationCertificate:
+    """``_scan``, then ``_slopes`` on a valid table: the table's certificate.
 
-    An invalid table gets the ``NotAnEVariable`` carrying the scan's witness
-    and expectation.
+    An invalid table raises the ``NotAnEVariable`` carrying the scan's
+    witness and expectation.
     """
-    report = _scan(space, values, tol)
+    report = _scan(space, values)
     if not report.valid:
-        return NotAnEVariable(
+        raise NotAnEVariable(
             f"table is not an e-variable (two-point expectation {report.expectation})",
             witness=report.witness,
             expectation=report.expectation,
@@ -275,10 +277,7 @@ def beta_interval(e: TabulatedEVariable) -> DominationCertificate:
     intersection with it or to its end nearest them. An invalid table
     raises ``NotAnEVariable`` with the witness ``check_evariable`` reports.
     """
-    cert = _certify(e.space, e.values)
-    if isinstance(cert, NotAnEVariable):
-        raise cert
-    return cert
+    return _certify(e.space, e.values)
 
 
 def tabulated_from_csv(path: str, mu: float) -> TabulatedEVariable:

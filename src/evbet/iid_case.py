@@ -13,12 +13,12 @@ below 1 on [0, 1], which reduces to the closed form
 ``xi0 <= 1``, ``xi2 <= 1``, ``xi1 <= 1 + sqrt((1-xi0)(1-xi2))``. The
 brute-force maximiser is kept as the independent oracle for that closed form.
 
-The brute force's grid of masses ``q`` and its basis ``q^2``, ``2q(1-q)``,
-``(1-q)^2`` depend only on ``q_steps``, so ``_q_grid`` builds them once with
-``iid_expectation``'s expressions and keeps those of the last ``q_steps``
-asked for: four read-only arrays, 32 bytes per step (320 KB at the default
-10,000). The basis terms are summed in ``iid_expectation``'s order, so every
-value is the one ``iid_expectation`` gives on a fresh grid.
+The brute force scans 10,000 equispaced masses ``q``. That grid and its
+basis ``q^2``, ``2q(1-q)``, ``(1-q)^2`` are the same for every table, so
+``_q_grid`` builds them once with ``iid_expectation``'s expressions and keeps
+them: four read-only arrays of 10,000 floats, 320 KB. The basis terms are
+summed in ``iid_expectation``'s order, so every value is the one
+``iid_expectation`` gives on a fresh grid.
 """
 
 from __future__ import annotations
@@ -86,15 +86,13 @@ def iid_expectation(s: XiStats, q):
     return q * q * s.xi0 + 2.0 * q * (1.0 - q) * s.xi1 + (1.0 - q) ** 2 * s.xi2
 
 
-# typed: after 10 is kept, q_steps=10.0 must still raise, as np.linspace does.
-@functools.lru_cache(maxsize=1, typed=True)
-def _q_grid(q_steps: int):
+@functools.cache
+def _q_grid():
     """The brute force's masses ``qs`` and its basis ``q^2``, ``2q(1-q)``, ``(1-q)^2``.
 
-    Built by ``iid_expectation``'s expressions, read-only, and kept for the
-    last ``q_steps`` asked for.
+    Built once by ``iid_expectation``'s expressions, read-only, and kept.
     """
-    qs = np.linspace(0.0, 1.0, q_steps)
+    qs = np.linspace(0.0, 1.0, 10_000)
     grid = (qs, qs * qs, 2.0 * qs * (1.0 - qs), (1.0 - qs) ** 2)
     for arr in grid:
         arr.flags.writeable = False
@@ -130,16 +128,14 @@ def interior_maximum(s: XiStats) -> tuple[float, float] | None:
     return q_star, value
 
 
-def check_iid_bruteforce(s: XiStats, q_steps: int = 10_000) -> BruteForceResult:
+def check_iid_bruteforce(s: XiStats) -> BruteForceResult:
     """Maximise the expectation quadratic over ``q`` in [0, 1].
 
-    A dense grid guards against sign and branch mistakes; the analytic
-    interior critical point refines the concave case. The table is a valid
-    e-variable iff the returned maximum is at most 1.
+    A dense grid of 10,000 masses guards against sign and branch
+    mistakes; the analytic interior critical point refines the concave case.
+    The table is a valid e-variable iff the returned maximum is at most 1.
     """
-    if q_steps < 2:
-        raise ValueError("need at least 2 grid steps")
-    qs, b0, b1, b2 = _q_grid(q_steps)
+    qs, b0, b1, b2 = _q_grid()
     # iid_expectation's sum on the kept basis, term by term in its order.
     vals = b0 * s.xi0
     vals += b1 * s.xi1

@@ -1,4 +1,4 @@
-"""Multi-round coin-bets, e-processes, and the tree-based validity auditor.
+"""Multi-round coin-bets, e-processes, the tree-based validity auditor and domination.
 
 The sequential mean hypothesis has a finite skeleton: measures whose
 conditional laws are two-point mean-``mu`` measures. A depth-``T`` instance is
@@ -35,12 +35,23 @@ and runs the induction over every pair of one grid, so its verdict is exact
 there; a value above 1 is a concrete refutation. The grid is the points of
 the process's ``SampleSpace`` (a process loaded by ``eprocess_from_csv``
 always has one), or of ``SampleSpace((0, mu, 1), mu)`` for a process built
-without one. ``dominate_T2`` runs the same induction at depth 2 with no stop
-option: level 1 is then a two-round table's conditional envelope ``m(x)``,
-and level 0 its worst expectation, which has scanned ``m``; so ``m`` takes
-only the certificate's slope step (``evariables._slopes``), and each reached
-row divided by the first round's payoff one ``evariables._certify`` call.
-Nothing in this module runs numpy.
+without one.
+
+The paper's central result is the other half: every valid e-process is
+dominated by a product of coin-bets with predictable fractions in ``I_mu``.
+``_dominating_bet`` is the one construction of that product, a forward pass
+over the induction's levels in the same order. With ``W`` the product's
+wealth, started at 1, the children of a prefix ``p`` divided by ``W(p)``
+form a single-round table whose worst expectation is at most
+``V(p)/W(p) <= 1``, so that table's certificate (``evariables._certify``) is
+the fraction bet at ``p``, and keeps ``W`` at or above ``V``, and so above
+the process, one level down. The root's table, which the induction has
+scanned, takes only the certificate's slope step (``evariables._slopes``).
+``dominate_eprocess`` runs the audit, then the pass on a passing process:
+the theorem on the audit's grid, at any depth. ``dominate_T2`` runs the
+induction at depth 2 with no stop option, so level 1 is a two-round table's
+conditional envelope ``m(x)`` and level 0 its worst expectation, and then
+the same pass. Nothing in this module runs numpy.
 """
 
 from __future__ import annotations
@@ -51,8 +62,8 @@ import operator
 
 from ._record import Record
 from .domain import SampleSpace, check_bet, check_scalar_mu, check_table, mean_mu_laws, read_table
-from .domain import two_point_masses, two_point_weight, worst_law, write_table
-from .errors import DepthTooLarge, NotAnEVariable
+from .domain import two_point_masses, worst_law, write_table
+from .errors import DepthTooLarge
 # check_evariable and beta_interval are not called here, but stay module names:
 # perfbench/tracing.py patches its spans in under them.
 from .evariables import VALIDITY_TOL, _certify, _slopes
@@ -179,9 +190,6 @@ class TreeHypothesis(Record):
     @property
     def depth(self) -> int:
         return (len(self.pairs) + 1).bit_length() - 1
-
-    def weight(self, node: int) -> float:
-        return two_point_weight(*self.pairs[node], self.mu)
 
 
 def _payoff_fn(payoffs):
@@ -369,42 +377,54 @@ def _snell_envelope(levels, laws) -> list:
     return chosen
 
 
-def audit_eprocess(e: EProcess, depth: int) -> AuditReport:
-    """Largest stopped expectation of ``e`` over two-point trees and masks on one grid.
+def _dominating_bet(levels, space: SampleSpace) -> MultiRoundCoinBet:
+    """The product of coin-bets whose wealth dominates ``levels``, ``_snell_envelope``'s values.
 
-    Every node may take any pair ``a <= mu <= b`` of the grid, and every
-    prefix may stop, so the report is exact for every mean-``mu`` sequential
-    law on that grid up to ``depth``. The grid is the points of the
-    process's sample space when it has one (every one ``eprocess_from_csv``
-    loads, and so every audit the CLI runs); the report then says
-    ``exhaustive_complete``. A process without one is searched on
-    {0, mu, 1}; a pass then holds on that grid only, and
-    ``exhaustive_complete`` is false. The report passes when its maximum is
-    at most ``1 + AUDIT_TOL``. A reported violation is always real, and
-    ``tree_expectation`` replays the reported tree and mask.
-
-    ``n_trees`` is the size of the family searched,
-    ``pairs**(2**depth - 1)``, with ``pairs`` the number of grid pairs
-    ``a <= mu <= b``; the search never lists it. The process is evaluated
-    once per distinct prefix, depth first, so the first bad prefix named in
-    an error is the first in that order; then ``_snell_envelope`` scans every
-    law at every prefix shorter than ``depth``: a grid of ``g`` points costs
-    about ``g**(depth - 1)`` prefixes times ``pairs`` branches, and holds one
-    value per prefix. On one 2-vCPU VM, for a process tabulated on its
-    equispaced grid at mu = 0.5, that took 0.08-0.09 ms for 5 points at
-    depth 3, 6-7 ms for 21 points at depth 3 and 0.15-0.18 s for 21 points
-    at depth 4. No numpy runs.
-    Raises ``ValueError`` for a depth that is not an integer in
-    [1, ``MAX_AUDIT_DEPTH``] (``DepthTooLarge`` above it) or beyond the
-    process's ``max_depth``.
+    One forward pass over the levels, in ``itertools.product`` order. The
+    wealth ``W`` starts at 1 at the root. At each prefix ``p`` of level
+    ``t``, the row of its children's values ``V(p + (x,))``, divided by
+    ``W(p)``, has worst expectation at most ``V(p)/W(p)``, at most 1 by
+    induction; so that row's certificate ``lam_p`` (``evariables._certify``)
+    keeps ``W(p + (x,)) = W(p)*(1 + lam_p*(x - mu))`` at or above
+    ``V(p + (x,))``, and so above the process there. The root's row needs
+    only the slope step (``evariables._slopes``) when ``V(())`` is at most
+    ``1 + VALIDITY_TOL``, since the induction has then scanned it. A prefix
+    with ``W(p) <= 0`` bets 0, and ``W`` is grown only for a level still to
+    come, the same products ``MultiRoundCoinBet.wealth`` takes. A row that
+    no fraction in ``I_mu`` dominates raises ``NotAnEVariable``. Plain
+    Python: no numpy runs.
     """
+    points, mu = space.points, space.mu
+    g, depth = len(points), len(levels) - 1
+    tables, wealth = [], [1.0]
+    for t in range(depth):
+        below, table, grown = levels[t + 1], {}, []
+        for k, prefix in enumerate(itertools.product(points, repeat=t)):
+            w, lam = wealth[k], 0.0
+            if t == 0 and levels[0][0] <= 1.0 + VALIDITY_TOL:
+                lam = _slopes(space, below).lambda_hat
+            elif w > 0.0:
+                row = [v / w for v in below[k * g : k * g + g]]
+                check_table(row)  # a row can overflow when mu is within 1e-9 of 0 or 1
+                lam = _certify(space, row).lambda_hat
+            table[prefix] = lam
+            if t + 1 < depth:
+                grown += [w * max(1.0 + lam * (x - mu), 0.0) for x in points]
+        tables.append(table)
+        wealth = grown
+    return MultiRoundCoinBet(mu=mu, tables=tuple(tables))
+
+
+def _audit(e: EProcess, depth: int):
+    """``audit_eprocess``'s report, with its grid's sample space and its levels of ``V``."""
     depth = _check_depth(depth, 1, "audit depth")
     if depth > MAX_AUDIT_DEPTH:
         raise DepthTooLarge(f"audit capped at depth {MAX_AUDIT_DEPTH}")
     if depth > e.max_depth:
         raise ValueError(f"e-process only defined to depth {e.max_depth}")
     mu = float(e.mu)  # the laws and the reported tree use one float mean
-    grid = (e.space or SampleSpace((0.0, mu, 1.0), mu)).points
+    space = e.space or SampleSpace((0.0, mu, 1.0), mu)
+    grid = space.points
     g = len(grid)
     high = next(p for p in grid if p >= mu)
     pairs = sum(p <= mu for p in grid) * sum(p >= mu for p in grid)
@@ -441,7 +461,61 @@ def audit_eprocess(e: EProcess, depth: int) -> AuditReport:
         passed=top <= 1.0 + AUDIT_TOL,
         n_trees=pairs ** (2**depth - 1),
         exhaustive_complete=e.space is not None,
-    )
+    ), space, levels
+
+
+def audit_eprocess(e: EProcess, depth: int) -> AuditReport:
+    """Largest stopped expectation of ``e`` over two-point trees and masks on one grid.
+
+    Every node may take any pair ``a <= mu <= b`` of the grid, and every
+    prefix may stop, so the report is exact for every mean-``mu`` sequential
+    law on that grid up to ``depth``. The grid is the points of the
+    process's sample space when it has one (every one ``eprocess_from_csv``
+    loads, and so every audit the CLI runs); the report then says
+    ``exhaustive_complete``. A process without one is searched on
+    {0, mu, 1}; a pass then holds on that grid only, and
+    ``exhaustive_complete`` is false. The report passes when its maximum is
+    at most ``1 + AUDIT_TOL``. A reported violation is always real, and
+    ``tree_expectation`` replays the reported tree and mask.
+
+    ``n_trees`` is the size of the family searched,
+    ``pairs**(2**depth - 1)``, with ``pairs`` the number of grid pairs
+    ``a <= mu <= b``; the search never lists it. The process is evaluated
+    once per distinct prefix, depth first, so the first bad prefix named in
+    an error is the first in that order; then ``_snell_envelope`` scans every
+    law at every prefix shorter than ``depth``: a grid of ``g`` points costs
+    about ``g**(depth - 1)`` prefixes times ``pairs`` branches, and holds one
+    value per prefix. On one 2-vCPU VM, for a process tabulated on its
+    equispaced grid at mu = 0.5, that took 0.08-0.09 ms for 5 points at
+    depth 3, 6-7 ms for 21 points at depth 3 and 0.15-0.18 s for 21 points
+    at depth 4. No numpy runs.
+    Raises ``ValueError`` for a depth that is not an integer in
+    [1, ``MAX_AUDIT_DEPTH``] (``DepthTooLarge`` above it) or beyond the
+    process's ``max_depth``.
+    """
+    return _audit(e, depth)[0]
+
+
+def dominate_eprocess(e: EProcess, depth: int) -> MultiRoundCoinBet | AuditReport:
+    """A product of coin-bets dominating ``e`` up to ``depth``, or the audit's refutation.
+
+    The paper's theorem on a grid: every valid e-process for the
+    conditional mean ``mu`` is dominated by a product of coin-bets with
+    predictable fractions in ``I_mu``. The audit (``audit_eprocess``, with
+    its grid, errors and tolerance) runs first; a report that does not pass
+    is returned as it is. On a pass, ``_dominating_bet`` reads the
+    induction's values and returns the ``MultiRoundCoinBet`` whose wealth is
+    at least ``e`` at every prefix of the audit's grid up to ``depth``,
+    within rounding: each step may fall short by the slope step's collapse
+    bar, 1e-9 of the fraction's size times the wealth. It holds on that grid
+    only: an observation off it has no bet. A process that passes the audit
+    only within ``AUDIT_TOL``, with a maximum above ``1 + VALIDITY_TOL``,
+    raises ``NotAnEVariable`` rather than get a certificate that falls short
+    of it; so does a process with no slack (a martingale) when rounding
+    leaves one of its rows above that bar.
+    """
+    report, space, levels = _audit(e, depth)
+    return _dominating_bet(levels, space) if report.passed else report
 
 
 class T2Refutation(Record):
@@ -468,11 +542,11 @@ def dominate_T2(values, space: SampleSpace) -> T2DominationResult:
     second fraction. ``m`` and its worst expectation are ``_snell_envelope``
     at depth 2 with no stop option. If that expectation exceeds
     ``1 + VALIDITY_TOL``, its law at the root plus the laws of the two rows
-    it reaches form a depth-2 tree with that expectation. Otherwise that
-    root has cleared ``m`` with the scan ``evariables._scan`` would run, so
-    ``m`` goes straight to the certificate's slope step, and each reached
-    row, divided by its first-round payoff, is scanned and certified.
-    Plain Python: no numpy runs.
+    it reaches form a depth-2 tree with that expectation. Otherwise the
+    forward pass ``_dominating_bet`` builds the coin-bet pair, as
+    ``dominate_eprocess`` does at any depth: ``m`` takes the slope step
+    alone, and each reached row, divided by its first-round payoff, is
+    scanned and certified. Plain Python: no numpy runs.
     """
     points, mu = space.points, space.mu
     n = len(points)
@@ -500,23 +574,4 @@ def dominate_T2(values, space: SampleSpace) -> T2DominationResult:
             refutation=T2Refutation(tree=tree, expectation=levels[0][0]),
         )
 
-    cert = _slopes(space, levels[1])  # the root has scanned m already
-    if isinstance(cert, NotAnEVariable):
-        raise cert
-    lam1 = cert.lambda_hat
-    # Second round: row i divided by the first-round payoff at x_i, certified
-    # on its own; a row whose payoff is 0 is never reached.
-    lam2 = {}
-    for x, row in zip(points, rows):
-        payoff = 1.0 + lam1 * (x - mu)
-        if payoff <= 0.0:
-            lam2[(x,)] = 0.0
-            continue
-        row = [v / payoff for v in row]
-        check_table(row)  # a row can overflow when mu is within 1e-9 of 0 or 1
-        row_cert = _certify(space, row)
-        if isinstance(row_cert, NotAnEVariable):
-            raise row_cert
-        lam2[(x,)] = row_cert.lambda_hat
-    coinbet = MultiRoundCoinBet(mu=mu, tables=({(): lam1}, lam2))
-    return T2DominationResult(certified=True, coinbet=coinbet)
+    return T2DominationResult(certified=True, coinbet=_dominating_bet(levels, space))

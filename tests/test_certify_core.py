@@ -4,7 +4,7 @@
 plain-Python validity-and-slope pass per table, whose worst laws come from
 the one scan (``domain.worst_law``) over a law list built once per grid and mean,
 ``xi_stats`` sums its cells in plain Python and ``check_iid_bruteforce``
-reuses one q-grid and basis per ``q_steps``. The functions below are the
+keeps one q-grid and basis. The functions below are the
 per-table implementations of the same routines (one validity check, grid
 split, slope pass and q-grid per call, in numpy), kept as oracles: the
 library must return ``==`` results, with the same floats down to the sign
@@ -208,10 +208,8 @@ def oracle_xi_stats(table):
     return XiStats(float(t[1, 1]), xi1, xi2)
 
 
-def oracle_check_iid_bruteforce(s, q_steps=10_000):
-    if q_steps < 2:
-        raise ValueError("need at least 2 grid steps")
-    qs = np.linspace(0.0, 1.0, q_steps)
+def oracle_check_iid_bruteforce(s):
+    qs = np.linspace(0.0, 1.0, 10_000)
     vals = qs * qs * s.xi0 + 2.0 * qs * (1.0 - qs) * s.xi1 + (1.0 - qs) ** 2 * s.xi2
     k = int(vals.argmax())
     best_q, best_val = float(qs[k]), float(vals[k])
@@ -511,31 +509,13 @@ xi_value = st.one_of(
     st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.0), st.integers(-300, 299)),
 )
 xis = st.builds(XiStats, xi_value, xi_value, xi_value)
-Q_STEPS = (2, 3, 7, 10_000)
 
 
 class TestIid:
     @settings(max_examples=200, deadline=None)
-    @given(s=xis, q_steps=st.sampled_from(Q_STEPS))
-    def test_bruteforce_matches_oracle(self, s, q_steps):
-        assert_same(check_iid_bruteforce, oracle_check_iid_bruteforce, s, q_steps)
-
-    @settings(max_examples=50, deadline=None)
-    @given(stats=st.lists(xis, min_size=1, max_size=4), order=st.permutations(Q_STEPS))
-    def test_bruteforce_matches_oracle_as_q_steps_alternate(self, stats, order):
-        # One q-grid is kept, so each change of q_steps evicts the last.
-        for s in stats:
-            for q_steps in order + order[:1]:
-                assert_same(check_iid_bruteforce, oracle_check_iid_bruteforce, s, q_steps)
-
-    @pytest.mark.parametrize("q_steps", [1, 0, -3])
-    def test_bruteforce_rejects_as_oracle(self, q_steps):
-        assert_same(check_iid_bruteforce, oracle_check_iid_bruteforce, XiStats(1, 1, 1), q_steps)
-
-    def test_float_steps_raise_even_after_equal_int_steps(self):
-        check_iid_bruteforce(XiStats(1, 1, 1), 10)
-        with pytest.raises(TypeError):
-            check_iid_bruteforce(XiStats(1, 1, 1), 10.0)
+    @given(s=xis)
+    def test_bruteforce_matches_oracle(self, s):
+        assert_same(check_iid_bruteforce, oracle_check_iid_bruteforce, s)
 
     @settings(max_examples=300, deadline=None)
     @given(cells=st.lists(cell, min_size=9, max_size=9))
@@ -579,8 +559,8 @@ class TestCachedGridIsReadOnly:
         at, pairs = laws
         assert at is None and pairs and type(pairs) is tuple
         assert all(type(law) is tuple for law in pairs)
-        grid = _q_grid(7)
-        assert grid is _q_grid(7)
+        grid = _q_grid()
+        assert grid is _q_grid()
         for arr in grid:
             assert arr.size and not arr.flags.writeable
             with pytest.raises(ValueError):

@@ -18,8 +18,8 @@ from evbet.domain import (
     replicate_seed,
     sample_stream,
     square_table_from_csv,
+    two_point_masses,
     two_point_measure,
-    two_point_weight,
 )
 from evbet.errors import MeanOutsideSpan
 from evbet.evariables import (
@@ -39,23 +39,23 @@ from evbet.multiround import (
 
 class TestTwoPointWeight:
     def test_symmetric_pair(self):
-        assert two_point_weight(0.0, 1.0, 0.5) == 0.5
+        assert two_point_masses(0.0, 1.0, 0.5)[0] == 0.5
 
     def test_degenerate_pair_uses_convention(self):
-        assert two_point_weight(0.5, 0.5, 0.5) == 1.0
+        assert two_point_masses(0.5, 0.5, 0.5)[0] == 1.0
 
     def test_asymmetric_pair(self):
         # Oracle: w solves w*0.25 + (1-w)*1 = 0.5, i.e. w = 2/3.
-        w = two_point_weight(0.25, 1.0, 0.5)
+        w = two_point_masses(0.25, 1.0, 0.5)[0]
         assert w == pytest.approx(2.0 / 3.0, abs=1e-15)
         assert w * 0.25 + (1 - w) * 1.0 == pytest.approx(0.5, abs=1e-12)
 
     def test_mean_outside_span(self):
         with pytest.raises(MeanOutsideSpan):
-            two_point_weight(0.6, 1.0, 0.5)
+            two_point_masses(0.6, 1.0, 0.5)
 
     def test_unordered_arguments(self):
-        assert two_point_weight(1.0, 0.0, 0.5) == pytest.approx(0.5)
+        assert two_point_masses(1.0, 0.0, 0.5)[0] == pytest.approx(0.5)
 
     @given(
         a=st.floats(0.0, 1.0),
@@ -65,7 +65,7 @@ class TestTwoPointWeight:
     def test_weight_in_unit_interval_and_mean_correct(self, a, b, mu):
         lo, hi = min(a, b), max(a, b)
         assume(lo <= mu <= hi)
-        w = two_point_weight(a, b, mu)
+        w = two_point_masses(a, b, mu)[0]
         assert 0.0 <= w <= 1.0
         assert w * a + (1 - w) * b == pytest.approx(mu, abs=1e-9)
 

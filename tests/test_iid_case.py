@@ -85,7 +85,7 @@ class TestBruteForce:
             dense = float(
                 np.max(qs * qs * s.xi0 + 2 * qs * (1 - qs) * s.xi1 + (1 - qs) ** 2 * s.xi2)
             )
-            got = check_iid_bruteforce(s, q_steps=1001).max_expectation
+            got = check_iid_bruteforce(s).max_expectation
             assert got == pytest.approx(dense, abs=1e-7)
             if interior is not None:
                 q_star, value = interior

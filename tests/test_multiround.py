@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from evbet.betting import lambda_grid
 from evbet.cli import main
-from evbet.domain import SampleSpace, mean_mu_laws, two_point_weight, worst_law
-from evbet.errors import DepthTooLarge, OutOfRange
-from evbet.evariables import MU_SNAP_TOL
+from evbet.domain import SampleSpace, mean_mu_laws, two_point_masses, worst_law
+from evbet.errors import DepthTooLarge, NotAnEVariable, OutOfRange
+from evbet.evariables import MU_SNAP_TOL, VALIDITY_TOL, TabulatedEVariable, beta_interval
 from evbet.iid_case import separation_table
 from evbet.multiround import (
     AUDIT_TOL,
@@ -29,6 +29,7 @@ from evbet.multiround import (
     coinbet_eprocess,
     constant_eprocess,
     dominate_T2,
+    dominate_eprocess,
     enumerate_masks,
     eprocess_from_csv,
     eprocess_from_tables,
@@ -131,9 +132,9 @@ class TestTreeExpectation:
         payoffs = [payoff] * 4
         got = tree_expectation(d, mask, payoffs)
 
-        w_a = two_point_weight(*a, mu)
-        w_b = two_point_weight(*b_right, mu)
-        w_c = two_point_weight(*c[2], mu)
+        w_a = two_point_masses(*a, mu)[0]
+        w_b = two_point_masses(*b_right, mu)[0]
+        w_c = two_point_masses(*c[2], mu)[0]
         a1, a2 = a
         b3, b4 = b_right
         c5, c6 = c[2]
@@ -353,10 +354,6 @@ class TestAudit:
                 report = audit_eprocess(process, depth)
                 assert report.passed
                 assert abs(report.max_expectation - 1.0) <= 1e-12
-
-    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.25, 0.5), (0.5, 0.75), (0.1, 0.9)])
-    def test_strictly_straddling_weight_is_two_point_weight(self, a, b):
-        assert TreeHypothesis(0.5, ((a, b),)).weight(0) == two_point_weight(a, b, 0.5)
 
 
 # The enumeration oracle's own cap on the number of trees it walks.
@@ -865,3 +862,159 @@ class TestDominateT2:
                 [[res.coinbet.value((x, y)) for y in GRID5.points] for x in GRID5.points]
             )
             assert (recovered >= vals - 1e-9).all()
+
+
+def random_fraction(mu, rng):
+    """A fraction of I_mu: one of its ends one time in five, else uniform on it."""
+    lo, hi = 1.0 / (mu - 1.0), 1.0 / mu
+    u = rng.uniform()
+    return lo if u < 0.1 else hi if u < 0.2 else float(rng.uniform(lo, hi))
+
+
+def predictable_coinbet(space, depth, rng):
+    """A coin-bet on ``space`` with one drawn fraction per prefix (``random_fraction``)."""
+    return MultiRoundCoinBet(space.mu, tuple(
+        {p: random_fraction(space.mu, rng) for p in itertools.product(space.points, repeat=t)}
+        for t in range(depth)
+    ))
+
+
+@st.composite
+def valid_processes(draw):
+    """Valid e-processes on grids of 3-11 points, at depths 1-3: each a mixture or a minimum
+    of two predictable coin-bets, one coin-bet capped and scaled by 0.9, or a constant <= 1."""
+    mu = draw(st.sampled_from((0.5, 0.3, 1e-3, 1e-6, 1.0 - 1e-6)) | st.floats(1e-6, 1.0 - 1e-6))
+    inner = draw(st.sets(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.just(mu),
+                         min_size=1, max_size=9))
+    space = SampleSpace(tuple(sorted({0.0, 1.0} | inner)), mu)
+    assume(len(space.points) >= 3)
+    depth = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    one, two = predictable_coinbet(space, depth, rng), predictable_coinbet(space, depth, rng)
+    kind = draw(st.sampled_from(("mixture", "minimum", "capped", "constant")))
+    if kind == "mixture":
+        def evaluate(p):
+            return 0.5 * one.wealth(p) + 0.5 * two.wealth(p)
+    elif kind == "minimum":
+        def evaluate(p):
+            return min(one.wealth(p), two.wealth(p))
+    elif kind == "capped":
+        cap = draw(st.floats(1.0, 4.0))
+
+        def evaluate(p):
+            return 0.9 * min(one.wealth(p), cap)
+    else:
+        level = draw(st.floats(0.0, 1.0))
+
+        def evaluate(p):
+            return level
+    return EProcess(mu=mu, evaluator=evaluate, max_depth=depth, space=space), depth
+
+
+def coinbet_tables(n, depth, seed):
+    """``n`` coin-bet tables of ``depth`` rounds, honest or scaled by U(0.8, 1), each with its
+    sample space: the values at the grid's prefixes of length ``depth``, in product order.
+
+    Grids of 2-11 points, equispaced or random, with mu off the grid, on it,
+    or 1e-6 from an end.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        g = int(rng.integers(2, 12))
+        if rng.uniform() < 0.5:
+            points = tuple(np.linspace(0.0, 1.0, g).tolist())
+        else:
+            points = tuple(sorted({0.0, 1.0, *rng.uniform(0.0, 1.0, g - 2).tolist()}))
+        mu = float(rng.choice([1e-6, 1.0 - 1e-6, 0.5, rng.uniform(0.01, 0.99)]))
+        if len(points) > 2 and rng.uniform() < 0.2:
+            mu = points[int(rng.integers(1, len(points) - 1))]
+        space = SampleSpace(points, mu)
+        scale = 1.0 if rng.uniform() < 0.5 else float(rng.uniform(0.8, 1.0))
+        bet = predictable_coinbet(space, depth, rng)
+        yield space, [scale * bet.wealth(p) for p in itertools.product(points, repeat=depth)]
+
+
+class TestDominateEProcess:
+    @settings(max_examples=150, deadline=None)
+    @given(valid_processes())
+    def test_wealth_dominates_valid_processes_at_every_prefix(self, process_depth):
+        # Within 1e-12 of e where the process leaves slack, its audit maximum
+        # at most 0.99 (capped x 0.9, or a constant below 0.99). A tight
+        # process (its maximum 1: a mixture or a minimum of coin-bets, or the
+        # constant 1) is dominated step by step only within the slope step's
+        # collapse bar, 1e-9 of the fraction's size, times the largest wealth
+        # on the path (a wealth rounded to 0 bets 0 below it); and rounding
+        # can leave one of its rows above 1 + VALIDITY_TOL, or its slope
+        # interval inverted beyond that bar, so that the pass refuses it.
+        e, depth = process_depth
+        tight = audit_eprocess(e, depth).max_expectation > 0.99
+        try:
+            bet = dominate_eprocess(e, depth)
+        except NotAnEVariable:
+            assert tight
+            return
+        assert isinstance(bet, MultiRoundCoinBet) and bet.horizon == depth
+        lo, hi = 1.0 / (e.mu - 1.0), 1.0 / e.mu
+        assert all(lo <= lam <= hi for table in bet.tables for lam in table.values())
+        assert bet.wealth(()) >= e.value(()) * (1.0 - 1e-12)
+        for t in range(1, depth + 1):
+            for prefix in itertools.product(e.space.points, repeat=t):
+                value = e.value(prefix)
+                if tight:
+                    path = max(bet.wealth(prefix[:k]) for k in range(t))
+                    slack = 1e-9 * max(1.0, abs(bet.lam(t, prefix[:-1]))) * path
+                else:
+                    slack = 1e-12 * value
+                assert bet.wealth(prefix) >= value - slack
+
+    @settings(max_examples=150, deadline=None)
+    @given(valid_processes())
+    def test_scaled_processes_get_the_audit_report(self, process_depth):
+        e, depth = process_depth
+        scaled = e.scale_at(depth, 1.5)
+        report = audit_eprocess(scaled, depth)
+        if report.passed:  # a minimum, capped or constant process can stay valid
+            return
+        got = dominate_eprocess(scaled, depth)
+        assert got == report and repr(got) == repr(report)
+        assert tree_expectation(got.argmax_tree, got.argmax_mask, scaled) > 1.0
+
+    def test_depth_one_is_beta_interval(self):
+        for space, table in coinbet_tables(400, 1, 1):
+            tables = {(): 1.0, **{(x,): v for x, v in zip(space.points, table)}}
+            bet = dominate_eprocess(eprocess_from_tables(space.mu, tables, space), 1)
+            lam = beta_interval(TabulatedEVariable(space, tuple(table))).lambda_hat
+            assert repr(bet.tables[0][()]) == repr(lam)
+
+    def test_depth_two_without_stopping_values_is_dominate_T2(self):
+        for space, values in coinbet_tables(400, 2, 2):
+            g = len(space.points)
+            rows = [values[k * g : k * g + g] for k in range(g)]
+            tables = {p: 0.0 for t in range(2) for p in itertools.product(space.points, repeat=t)}
+            tables.update(zip(itertools.product(space.points, repeat=2), values))
+            bet = dominate_eprocess(eprocess_from_tables(space.mu, tables, space), 2)
+            coinbet = dominate_T2(rows, space).coinbet
+            assert bet == coinbet and repr(bet) == repr(coinbet)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_a_pass_within_the_audit_slack_raises(self, depth, rng):
+        # Every mean-mu law gives the process 1 + 5e-10 at its last level:
+        # the audit passes it, but no coin-bet dominates it within VALIDITY_TOL.
+        e = coinbet_eprocess(coinbet_in_interval(GRID5, depth, rng), GRID5)
+        e = e.scale_at(depth, 1.0 + 5e-10)
+        report = audit_eprocess(e, depth)
+        assert report.passed and report.max_expectation > 1.0 + VALIDITY_TOL
+        with pytest.raises(NotAnEVariable):
+            dominate_eprocess(e, depth)
+
+    def test_a_pass_within_the_audit_slack_at_mu_raises_with_its_witness(self, rng):
+        # Only the value at mu exceeds the coin-bet's, by 5e-10: the slope
+        # step leaves mu out and would certify the coin-bet, which falls short
+        # there; the root is scanned instead, and the point mass at mu refutes.
+        honest = coinbet_eprocess(coinbet_in_interval(GRID5, 1, rng), GRID5)
+        e = EProcess(0.5, lambda p: honest.value(p) + (5e-10 if p == (0.5,) else 0.0), 1, GRID5)
+        assert audit_eprocess(e, 1).passed
+        with pytest.raises(NotAnEVariable) as err:
+            dominate_eprocess(e, 1)
+        assert (err.value.witness.a, err.value.witness.b) == (0.5, 0.5)
+        assert err.value.expectation == e.value((0.5,))

@@ -16,7 +16,7 @@ SRC = str(Path(evbet.__file__).resolve().parents[1])
 # The package's top-level names, by the module that defines each.
 TOP_LEVEL = {
     "domain": ["DiscreteDistribution", "SampleSpace", "TwoPointMeasure", "anchored_two_point",
-               "bet_bounds", "sample_stream", "two_point_weight"],
+               "bet_bounds", "sample_stream"],
     "evariables": ["CoinBetEVariable", "DominationCertificate", "HoeffdingEVariable",
                    "TabulatedEVariable", "beta_interval", "check_evariable",
                    "dominating_lambda", "eval_majorizer"],
@@ -25,7 +25,8 @@ TOP_LEVEL = {
     "game": ["WealthLedger", "run_game", "run_games_batch", "score_bets"],
     "confseq": ["default_mu_grid", "run_cs_batch"],
     "multiround": ["EProcess", "MultiRoundCoinBet", "StoppingMask", "TreeHypothesis",
-                   "audit_eprocess", "dominate_T2", "enumerate_masks", "tree_expectation"],
+                   "audit_eprocess", "dominate_T2", "dominate_eprocess", "enumerate_masks",
+                   "tree_expectation"],
     "iid_case": ["XiStats", "check_iid_bruteforce", "check_iid_closed_form", "xi_stats"],
 }
 
@@ -96,8 +97,9 @@ def test_grid_audit_runs_no_numpy(tmp_path):
 
 def test_audit_without_a_space_runs_no_numpy():
     code = (
-        "from evbet.multiround import audit_eprocess, constant_eprocess\n"
-        "audit_eprocess(constant_eprocess(0.5), 3)"
+        "from evbet.multiround import audit_eprocess, constant_eprocess, dominate_eprocess\n"
+        "audit_eprocess(constant_eprocess(0.5), 3)\n"
+        "dominate_eprocess(constant_eprocess(0.5), 3)"
     )
     assert not numpy_ran_after(code)
 
@@ -120,6 +122,9 @@ def test_scan_and_audit_run_where_numpy_cannot_be_imported():
         "print(audit_eprocess(constant_eprocess(0.5), 3).passed,\n"
         "      audit_eprocess(coinbet_eprocess(bet, space), 2).max_expectation,\n"
         "      audit_eprocess(scaled, 2).passed)\n"
+        "from evbet.multiround import dominate_eprocess\n"
+        "print(dominate_eprocess(coinbet_eprocess(bet, space), 2) == bet,\n"
+        "      dominate_eprocess(scaled, 2).max_expectation)\n"
         "from evbet.evariables import TabulatedEVariable, beta_interval, check_evariable\n"
         "from evbet.multiround import dominate_T2\n"
         "coinbet = TabulatedEVariable(space, (1.5, 1.25, 1.0, 0.75, 0.5))\n"
@@ -131,7 +136,8 @@ def test_scan_and_audit_run_where_numpy_cannot_be_imported():
         "      dominate_T2(twos, space).refutation.expectation)\n"
     )
     assert run_fresh(code).splitlines() == [
-        "(0, 4, 0.5, 0.5) 2.0", "True 1.0 False", "True -1.0 0.0 1.0 2.0", "0.0 2.0"
+        "(0, 4, 0.5, 0.5) 2.0", "True 1.0 False", "True 1.5", "True -1.0 0.0 1.0 2.0",
+        "0.0 2.0",
     ]
 
 
@@ -400,7 +406,6 @@ def test_unknown_name_raises_attribute_error():
     [
         (lambda: evbet.CoinBetEVariable(0.5, 2.5), "OutOfRange"),
         (lambda: evbet.MultiRoundCoinBet(0.5, ({(): 3.0},)), "OutOfRange"),
-        (lambda: evbet.two_point_weight(0.6, 0.9, 0.5), "MeanOutsideSpan"),
         (lambda: evbet.enumerate_masks(6), "DepthTooLarge"),
     ],
 )
