@@ -234,6 +234,7 @@ CONTRACT_CASES = {
     ],
     "iid-check": [
         ("range", ["iid-check", "--xi", "-1,0,0"], "finite and non-negative"),
+        ("range", ["iid-check"], "provide exactly one of --table / --xi"),
         ("range", ["iid-check", "--xi", "1,1"], "exactly three values"),
         ("nan", ["iid-check", "--xi", "nan,0,0"], "finite and non-negative"),
         ("nan", ["iid-check", "--xi", "inf,0,0"], "finite and non-negative"),
@@ -241,6 +242,7 @@ CONTRACT_CASES = {
         ("missing-file", ["iid-check", "--table", "{d}/none.csv"], NO_FILE),
         ("literal", ["iid-check", "--xi", "a,b,c"], "could not convert"),
         ("literal", ["iid-check", "--table", "{d}/t1.csv"], "expected CSV columns x1,x2,value"),
+        ("range", ["iid-check", "--xi", "0,0,1,1"], "exactly three values"),
         ("literal", ["iid-check", "--table", "{d}/sq-repeat.csv"],
          "sq-repeat.csv: cell (1.0, 1.0) appears twice"),
     ],
