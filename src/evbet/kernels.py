@@ -7,8 +7,12 @@ nothing. Batches whose observations are all exactly 0.0 or 1.0 take the
 binary u-posterior routine (``_binary_kernel``): one posterior pass per
 distinct stream rather than per game. Every other batch goes to the general
 K-node kernel (``_general_kernel``), which plays a block of rounds per pass
-over its (games, K) weights. Both are plain numpy on the calling thread;
-``BACKEND`` and ``n_threads()`` say so in run manifests.
+over its (games, K) weights. Both are plain numpy, and their own loops run
+on the calling thread; ``BACKEND`` and ``n_threads()`` say so in run
+manifests. numpy's matrix products inside them use OpenBLAS's thread pool
+in any process that did not pin it: the ``evbet`` command line pins it to one
+thread (``evbet.cli``), and a library user can set ``OPENBLAS_NUM_THREADS=1``
+before importing numpy.
 
 Both routines work on the grid u_k = k/(K-1) of [0, 1]. Game g with target
 mean mu[g] has quadrature nodes lam_k = lo + (hi - lo)*u_k spanning
@@ -101,7 +105,13 @@ DEFAULT_UP_NODES = 1001
 
 
 def n_threads() -> int:
-    """Threads the kernels run on: the calling thread only."""
+    """Threads the kernels' own loops run on: the calling thread only.
+
+    numpy's matrix products inside them use OpenBLAS's thread pool, sized when
+    numpy loads: one thread under the ``evbet`` command line or after
+    ``OPENBLAS_NUM_THREADS=1`` is set before numpy is imported, OpenBLAS's
+    default otherwise.
+    """
     return 1
 
 

@@ -589,6 +589,20 @@ class TestCs:
         expected = reference_table(["t", "lower", "upper", "alive"], rows, fmt)
         assert (result.stdout_bytes if to_stdout else out.read_bytes()) == expected
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("out", [[], ["--out", "-"]], ids=["no-out", "out-dash"])
+    def test_two_tables_refuse_one_stdout(self, monkeypatch, tmp_path, out, fmt):
+        monkeypatch.chdir(tmp_path)
+        sampled = []
+        monkeypatch.setattr(domain, "sample_stream", lambda *args: sampled.append(args))
+        args = ["cs", "--dist", "bernoulli:0.3", "--n", "3", "--grid", "2", "--format", fmt,
+                "--membership", "-"]
+        result = CliRunner().invoke(main, args + out)
+        assert result.exit_code == 2
+        assert "only one output can go to stdout" in result.stderr
+        assert result.stdout == "" and "Traceback" not in result.output
+        assert sampled == [] and list(tmp_path.iterdir()) == []
+
     def test_nan_mass_in_table_exit_2(self, tmp_path):
         table = tmp_path / "dist.csv"
         table.write_text("point,mass\n0.0,nan\n1.0,1.0\n")

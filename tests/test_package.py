@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -31,12 +32,14 @@ TOP_LEVEL = {
 }
 
 
-def run_fresh(code, **env):
-    """What a fresh interpreter prints running ``code``, with ``env`` added to its environment."""
+def run_fresh(code, drop=(), **env):
+    """What a fresh interpreter prints running ``code``, with the variables named in
+    ``drop`` removed from its environment and ``env`` added to it."""
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    inherited = {k: v for k, v in os.environ.items() if k not in drop}
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, **env, "PYTHONPATH": path},
+        env={**inherited, **env, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
@@ -173,9 +176,87 @@ def test_first_array_call_runs_numpy():
     assert numpy_ran_after("import evbet.confseq\nevbet.confseq.default_mu_grid(9)")
 
 
+CS_SMALL = ["cs", "--dist", "bernoulli:0.5", "--n", "5", "--grid", "9", "--strategy", "up:11"]
+
+
 def test_cs_runs_numpy():
-    cs = ["cs", "--dist", "bernoulli:0.5", "--n", "5", "--grid", "9", "--strategy", "up:11"]
-    assert numpy_ran_after(cli_call(cs))
+    assert numpy_ran_after(cli_call(CS_SMALL))
+
+
+# What OpenBLAS reads, in this order, for the size of its thread pool.
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def environment_changes(code, **env):
+    """The variables a fresh interpreter sets or changes running ``code``, by name
+    (None for one removed), and whether numpy ran. The interpreter starts with
+    none of ``BLAS_THREADS`` beyond those in ``env``."""
+    probe = (
+        "import json, os, sys\n"
+        "before = dict(os.environ)\n"
+        f"{code}\n"
+        "after = dict(os.environ)\n"
+        "changed = {k: after.get(k) for k in before.keys() | after.keys()\n"
+        "           if before.get(k) != after.get(k)}\n"
+        "print(json.dumps([changed, any(m.startswith('numpy.') for m in sys.modules)]))"
+    )
+    changed, numpy_ran = json.loads(run_fresh(probe, drop=BLAS_THREADS, **env).splitlines()[-1])
+    return changed, numpy_ran
+
+
+def test_numpy_command_pins_blas_to_one_thread():
+    assert environment_changes(cli_call(CS_SMALL)) == ({"OPENBLAS_NUM_THREADS": "1"}, True)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_pinned_command_runs_on_one_thread():
+    code = cli_call(CS_SMALL) + "import os\nprint(len(os.listdir('/proc/self/task')))"
+    assert run_fresh(code, drop=BLAS_THREADS).split()[-1] == "1"
+
+
+@pytest.mark.parametrize("variable", BLAS_THREADS)
+def test_caller_thread_setting_is_left_alone(variable):
+    assert environment_changes(cli_call(CS_SMALL), **{variable: "2"}) == ({}, True)
+
+
+def test_numpy_imported_first_is_left_alone():
+    assert environment_changes("import numpy\n" + cli_call(CS_SMALL)) == ({}, True)
+
+
+def test_cli_import_sets_nothing():
+    assert environment_changes("import evbet.cli") == ({}, False)
+
+
+def test_in_process_command_leaves_the_environment():
+    from click.testing import CliRunner
+
+    from evbet.cli import main
+
+    assert "numpy" in sys.modules  # imported by the test session, as by any host program
+    before = dict(os.environ)
+    result = CliRunner().invoke(main, CS_SMALL)
+    assert result.exit_code == 0, result.output
+    assert dict(os.environ) == before
+
+
+@pytest.mark.parametrize("dist", ["bernoulli:0.3", "uniform-grid:11"])
+def test_pin_changes_no_output(tmp_path, dist):
+    """A pinned run writes the bytes a run on two BLAS threads writes, on the
+    binary kernel (``bernoulli``) and on the general kernel's matrix products."""
+    outputs = {}
+    for side, env in (("pool", {"OPENBLAS_NUM_THREADS": "2"}), ("pinned", {})):
+        out = tmp_path / side
+        out.mkdir()
+        simulate = ["simulate", "--mu", "0.5", "--dist", dist, "--n", "5000", "--seed", "3",
+                    "--out", str(out / "ledger.csv")]
+        cs = ["cs", "--dist", dist, "--n", "300", "--seed", "3", "--running-intersect",
+              "--out", str(out / "cs.csv"), "--membership", str(out / "membership.csv")]
+        code = cli_call(simulate) + cli_call(cs) + "import os\nprint(os.environ['OPENBLAS_NUM_THREADS'])"
+        *summary, threads = run_fresh(code, drop=BLAS_THREADS, **env).splitlines()
+        assert threads == env.get("OPENBLAS_NUM_THREADS", "1")
+        outputs[side] = [summary] + [p.read_bytes() for p in sorted(out.iterdir())]
+    assert len(outputs["pool"]) == 4
+    assert outputs["pool"] == outputs["pinned"]
 
 
 def test_trace_patch_targets_are_module_globals(monkeypatch):
