@@ -200,8 +200,7 @@ def environment_changes(code, **env):
         "           if before.get(k) != after.get(k)}\n"
         "print(json.dumps([changed, any(m.startswith('numpy.') for m in sys.modules)]))"
     )
-    changed, numpy_ran = json.loads(run_fresh(probe, drop=BLAS_THREADS, **env).splitlines()[-1])
-    return changed, numpy_ran
+    return tuple(json.loads(run_fresh(probe, drop=BLAS_THREADS, **env).splitlines()[-1]))
 
 
 def test_numpy_command_pins_blas_to_one_thread():
