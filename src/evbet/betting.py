@@ -88,9 +88,6 @@ class ConstantStrategy:
     def observe(self, x: float) -> None:
         pass
 
-    def fresh(self) -> "ConstantStrategy":
-        return ConstantStrategy(self.mu, self.lam)
-
 
 class UniversalPortfolioStrategy:
     """Universal-portfolio betting over a quadrature grid of fractions."""
@@ -105,6 +102,3 @@ class UniversalPortfolioStrategy:
 
     def observe(self, x: float) -> None:
         self.posterior = up_update(self.posterior, x, self.mu)
-
-    def fresh(self) -> "UniversalPortfolioStrategy":
-        return UniversalPortfolioStrategy(self.mu, self.n_nodes)

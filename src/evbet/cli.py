@@ -41,10 +41,10 @@ what ``csv.writer`` writes.
 Each command imports the modules it runs when it runs, so a command loads no
 other command's modules. Every library module that uses numpy binds it
 lazily (``evbet._lazy``), so numpy runs only when a command first computes on arrays
-(``cs``, ``simulate``, ``compare`` and ``iid-check``): ``import evbet.cli``,
-``--help``, ``--version``, usage errors, ``check``, ``dominate`` (with or
-without ``--t2``) and ``audit`` never run it. Their tables are read, and
-certified or audited, in plain Python.
+(``cs``, ``simulate`` and ``compare``): ``import evbet.cli``, ``--help``,
+``--version``, usage errors, ``check``, ``dominate`` (with or without
+``--t2``), ``audit`` and ``iid-check`` never run it. Their tables are read,
+and certified or audited, in plain Python.
 
 Before any command body runs, the group callback ``main`` sets
 ``OPENBLAS_NUM_THREADS=1`` when numpy is not yet in ``sys.modules`` and the
@@ -412,9 +412,10 @@ def audit(ctx, table, mu, depth, seed, strict):
 def iid_check(ctx, table, xi, strict):
     """Check a table against the two-draw i.i.d. hypothesis on {0, 1/2, 1}.
 
-    Reports both the closed-form and brute-force verdicts; with a full table,
-    also whether the table survives the (strictly larger) conditional-mean
-    hypothesis via the two-round domination construction.
+    Reports the closed-form verdict and, under "brute_force", the exact
+    maximum of the i.i.d. expectation over the mass q on 1/2 and its q; with
+    a full table, also whether the table survives the (strictly larger)
+    conditional-mean hypothesis via the two-round domination construction.
     """
     from . import domain, iid_case, multiround
 

@@ -20,8 +20,9 @@ So do the one reader of table files (``read_table``) and the one writer
 through.
 
 Every worst-law search runs one scan, ``worst_law``, over one list of laws
-per grid and mean, ``mean_mu_laws``: the point mass at mu, when mu is a grid
-point, then every pair ``a < mu < b`` in row-major order with both masses.
+per grid and mean, ``mean_mu_laws``: one tuple of laws ``(i, j, wa, wb)``,
+the point mass at mu as ``(i, i, 1.0, 0.0)`` when mu is a grid point, then
+every pair ``a < mu < b`` in row-major order with both masses.
 The list depends only on the grid and mu, so it is built once and the last
 8 are kept; it holds indices and masses, never points. Every single-round
 validity scan (``evariables._scan``) runs it, and so does
@@ -268,25 +269,25 @@ def two_point_masses(a: float, b: float, mu: float) -> tuple[float, float]:
 
 
 @functools.lru_cache(maxsize=8)
-def mean_mu_laws(points: tuple[float, ...], mu: float):
+def mean_mu_laws(points: tuple[float, ...], mu: float) -> tuple:
     """The extreme mean-``mu`` laws on the increasing grid ``points``, built once and kept.
 
-    ``(at, pairs)``. ``at`` is the point mass at mu as the law
-    ``(i, i, 1.0, 0.0)``, with ``points[i] == mu``, or None when mu is not a
-    grid point. ``pairs`` holds the law ``(i, j, wa, wb)`` of every pair
-    ``points[i] < mu < points[j]``, in row-major order, with ``wa, wb`` its
-    ``two_point_masses``. A law holds indices and masses only, never points:
-    grids that compare equal (one starting at -0.0, one at 0.0) share an
-    entry, and each caller reads the points from its own grid. ``points``
-    and ``mu`` must be floats, so that every entry's masses are floats.
+    One tuple of laws ``(i, j, wa, wb)``: first the point mass at mu as
+    ``(i, i, 1.0, 0.0)``, with ``points[i] == mu``, when mu is a grid point;
+    then every pair ``points[i] < mu < points[j]``, in row-major order, with
+    ``wa, wb`` its ``two_point_masses``. A law holds indices and masses
+    only, never points: grids that compare equal (one starting at -0.0, one
+    at 0.0) share an entry, and each caller reads the points from its own
+    grid. ``points`` and ``mu`` must be floats, so that every entry's masses
+    are floats.
     """
-    at = next(((i, i, 1.0, 0.0) for i, p in enumerate(points) if p == mu), None)
+    at = tuple((i, i, 1.0, 0.0) for i, p in enumerate(points) if p == mu)
     below = [i for i, p in enumerate(points) if p < mu]
     above = [j for j, p in enumerate(points) if p > mu]
     pairs = tuple(
         (i, j, *two_point_masses(points[i], points[j], mu)) for i in below for j in above
     )
-    return at, pairs
+    return at + pairs
 
 
 def worst_law(laws, values, floor: float):
@@ -294,17 +295,15 @@ def worst_law(laws, values, floor: float):
     expectation above ``floor``, and that expectation: ``(None, floor)`` when
     none exceeds it.
 
-    ``values[i]`` is the value at grid point ``i``. The point mass's
-    expectation is that value, a pair's is ``wa*values[i] + wb*values[j]``.
-    Laws are taken in order, from the point mass on, and one replaces the
-    current one only when its expectation is strictly larger, so ties go to
-    the first. Plain Python: no numpy runs.
+    ``values[i]`` is the value at grid point ``i``, and a law's expectation
+    is ``wa*values[i] + wb*values[j]``: for the point mass, ``1.0*v + 0.0*v``,
+    which is ``v`` for the finite non-negative values scanned here. Laws are
+    taken in order, from the point mass on, and one replaces the current one
+    only when its expectation is strictly larger, so ties go to the first.
+    Plain Python: no numpy runs.
     """
-    at, pairs = laws
     worst, top = None, floor
-    if at is not None and values[at[0]] > top:
-        worst, top = at, values[at[0]]
-    for law in pairs:
+    for law in laws:
         i, j, wa, wb = law
         expectation = wa * values[i] + wb * values[j]
         if expectation > top:

@@ -9,9 +9,10 @@ dominated by one of its members. ``check_evariable`` certifies validity by
 enumerating the two-point extreme measures of the hypothesis, and
 ``beta_interval`` constructs the dominating coin-bet explicitly.
 
-The extreme measures are ``domain``'s two-point laws: the point mass at mu,
-when mu is a grid point, and every pair ``a < mu < b`` with both masses
-computed directly. A grid point near mu is checked in its pairs like any
+The extreme measures are ``domain``'s two-point laws, held in one tuple of
+``(i, j, wa, wb)``: the point mass at mu as ``(i, i, 1.0, 0.0)``, when mu is
+a grid point, and every pair ``a < mu < b`` with both masses computed
+directly. A grid point near mu is checked in its pairs like any
 other, so a table is valid exactly when no mean-mu law on the grid gives it
 an expectation above ``1 + tol``. ``MU_SNAP_TOL`` acts only in the slope
 step of the certificate, whose ratios divide by ``p - mu``.

@@ -1,8 +1,9 @@
 """The worked i.i.d. characterisation on the grid {0, 1/2, 1} at mean 1/2.
 
 A two-draw i.i.d. mean-1/2 measure on this grid is parametrised by the mass
-``q`` on 1/2 (the remainder splits evenly between 0 and 1), so the expectation
-of any 3x3 table reduces to a quadratic in ``q`` through three cell averages:
+``q`` on 1/2 (the remainder splits evenly between 0 and 1), so these laws
+form one segment, and the expectation of any 3x3 table is a quadratic in
+``q`` through three cell averages:
 
     xi0 = E(1/2, 1/2)
     xi1 = mean of the four cells with exactly one 1/2
@@ -10,20 +11,19 @@ of any 3x3 table reduces to a quadratic in ``q`` through three cell averages:
 
 The table is a valid two-draw i.i.d. e-variable iff the quadratic stays at or
 below 1 on [0, 1], which reduces to the closed form
-``xi0 <= 1``, ``xi2 <= 1``, ``xi1 <= 1 + sqrt((1-xi0)(1-xi2))``. The
-brute-force maximiser is kept as the independent oracle for that closed form.
+``xi0 <= 1``, ``xi2 <= 1``, ``xi1 <= 1 + sqrt((1-xi0)(1-xi2))``.
 
-The brute force scans 10,000 equispaced masses ``q``. That grid and its
-basis ``q^2``, ``2q(1-q)``, ``(1-q)^2`` are the same for every table, so
-``_q_grid`` builds them once with ``iid_expectation``'s expressions and keeps
-them: four read-only arrays of 10,000 floats, 320 KB. The basis terms are
-summed in ``iid_expectation``'s order, so every value is the one
-``iid_expectation`` gives on a fresh grid.
+``check_iid_bruteforce`` is the independent check of that closed form. A
+quadratic on [0, 1] takes its maximum at an end or at its interior critical
+point, so it takes the largest of three candidates: ``xi2`` at ``q = 0``,
+``xi0`` at ``q = 1`` and ``interior_maximum``. Plain Python, as is
+``xi_stats``: checking a table or three statistics runs no numpy. The
+10,000-mass grid scan it replaced is kept in the tests as their oracle
+(``oracle_check_iid_bruteforce`` in ``tests/test_certify_core.py``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 from ._lazy import np
@@ -61,15 +61,14 @@ def xi_stats(table) -> XiStats:
 
     Each average of four cells is summed left to right from 0.0, as
     ``np.mean`` sums four values, then divided by 4: four ``-0.0`` cells
-    average to ``0.0``.
+    average to ``0.0``. Plain Python: no numpy runs.
     """
     try:
-        t = np.asarray(table, dtype=float)
-    except (TypeError, ValueError):  # ragged rows, or a cell that is not a number
-        t = None
-    if t is None or t.shape != (3, 3):
+        cells = [tuple(map(float, row)) for row in table]
+    except (TypeError, ValueError):  # a row that is a number, or a cell that is not one
+        cells = []
+    if len(cells) != 3 or any(len(row) != 3 for row in cells):
         raise ValueError("expected a 3x3 table over {0, 1/2, 1}^2")
-    cells = t.tolist()
     check_table(v for row in cells for v in row)
     a, b, c, d = (cells[i][j] for i, j in _XI1_CELLS)
     xi1 = ((((0.0 + a) + b) + c) + d) / 4.0
@@ -84,19 +83,6 @@ def iid_expectation(s: XiStats, q):
     ``q`` may be an array of masses, giving one expectation per mass.
     """
     return q * q * s.xi0 + 2.0 * q * (1.0 - q) * s.xi1 + (1.0 - q) ** 2 * s.xi2
-
-
-@functools.cache
-def _q_grid():
-    """The brute force's masses ``qs`` and its basis ``q^2``, ``2q(1-q)``, ``(1-q)^2``.
-
-    Built once by ``iid_expectation``'s expressions, read-only, and kept.
-    """
-    qs = np.linspace(0.0, 1.0, 10_000)
-    grid = (qs, qs * qs, 2.0 * qs * (1.0 - qs), (1.0 - qs) ** 2)
-    for arr in grid:
-        arr.flags.writeable = False
-    return grid
 
 
 def check_iid_closed_form(s: XiStats, tol: float = 1e-12) -> bool:
@@ -129,23 +115,21 @@ def interior_maximum(s: XiStats) -> tuple[float, float] | None:
 
 
 def check_iid_bruteforce(s: XiStats) -> BruteForceResult:
-    """Maximise the expectation quadratic over ``q`` in [0, 1].
+    """The maximum of the expectation quadratic over ``q`` in [0, 1], and its ``q``.
 
-    A dense grid of 10,000 masses guards against sign and branch
-    mistakes; the analytic interior critical point refines the concave case.
-    The table is a valid e-variable iff the returned maximum is at most 1.
+    The largest of ``xi2`` at ``q = 0``, ``xi0`` at ``q = 1`` and the
+    interior critical point when it is a maximum (``interior_maximum``);
+    ties go to the first of these. The table is a valid e-variable iff the
+    maximum is at most 1. The name is kept from the dense-grid scan this
+    replaced, for the public surface and for ``evbet iid-check``'s
+    ``brute_force`` key.
     """
-    qs, b0, b1, b2 = _q_grid()
-    # iid_expectation's sum on the kept basis, term by term in its order.
-    vals = b0 * s.xi0
-    vals += b1 * s.xi1
-    vals += b2 * s.xi2
-    k = int(vals.argmax())
-    best_q, best_val = float(qs[k]), float(vals[k])
+    candidates = [(0.0, s.xi2), (1.0, s.xi0)]
     interior = interior_maximum(s)
-    if interior is not None and interior[1] > best_val:
-        best_q, best_val = interior[0], interior[1]
-    return BruteForceResult(max_expectation=best_val, argmax_q=best_q)
+    if interior is not None:
+        candidates.append(interior)
+    q, value = max(candidates, key=lambda c: c[1])  # the first of equal maxima
+    return BruteForceResult(max_expectation=value, argmax_q=q)
 
 
 def separation_table() -> np.ndarray:

@@ -25,10 +25,10 @@ value for every length-``t`` prefix of a grid of ``g`` points, in
 are entries ``k*g .. k*g+g-1`` of level ``t + 1``. Each entry above the last
 level becomes the ``domain.worst_law`` value of its children, floored at its
 own value (the option to stop), over the grid's cached laws
-(``domain.mean_mu_laws``): the point mass at mu, when mu is a grid point,
-then every pair ``a < mu < b`` with both masses computed directly. A pair
-``(a, mu)`` or ``(mu, b)`` puts all its mass on mu, so the point mass stands
-for it.
+(``domain.mean_mu_laws``), one tuple of laws ``(i, j, wa, wb)``: the point
+mass at mu as ``(i, i, 1.0, 0.0)``, when mu is a grid point, then every pair
+``a < mu < b`` with both masses computed directly. A pair ``(a, mu)`` or
+``(mu, b)`` puts all its mass on mu, so the point mass stands for it.
 
 ``audit_eprocess`` fills the levels with the process's values, depth first,
 and runs the induction over every pair of one grid, so its verdict is exact

@@ -109,10 +109,6 @@ class TestConstant:
         with pytest.raises(OutOfRange):
             ConstantStrategy(0.5, 2.1)
 
-    def test_strategy_fresh_clone(self):
-        s = ConstantStrategy(0.5, 1.0)
-        assert s.fresh().bet() == 1.0
-
 
 class TestQuadrature:
     def test_simpson_pattern_odd(self):

@@ -17,14 +17,15 @@ from conftest import ReplayBets
 
 from evbet import kernels
 from evbet.betting import ConstantStrategy, UniversalPortfolioStrategy
-from evbet.confseq import run_cs_batch
-from evbet.domain import SampleSpace
+from evbet.confseq import default_mu_grid, run_cs_batch
+from evbet.domain import DiscreteDistribution, SampleSpace, sample_stream
 from evbet.evariables import CoinBetEVariable, HoeffdingEVariable, TabulatedEVariable, bet_bounds
 from evbet.evariables import dominating_lambda, eval_majorizer
 from evbet.game import check_strategy, parse_strategy, run_game, run_games_batch, score_bets
 from evbet.iid_case import xi_stats
 from evbet.multiround import EProcess, MultiRoundCoinBet, audit_eprocess, constant_eprocess
-from evbet.multiround import dominate_T2, enumerate_masks, eprocess_from_tables, full_mask
+from evbet.multiround import TreeHypothesis, dominate_T2, enumerate_masks, eprocess_from_csv
+from evbet.multiround import eprocess_from_tables, full_mask
 
 NAN = math.nan
 OBSERVATIONS = "observations must be finite and lie in [0, 1]"
@@ -255,6 +256,16 @@ def test_xi_stats_rejects_a_table_of_another_shape(values):
 
 
 @pytest.mark.parametrize(
+    "values",
+    [[["a", 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]], [[[1.0]] * 3] * 3],
+    ids=["non-numeric-cell", "nested-3x3x1"],
+)
+def test_xi_stats_rejects_cells_that_are_not_numbers(values):
+    with pytest.raises(ValueError, match=r"^expected a 3x3 table over \{0, 1/2, 1\}\^2$"):
+        xi_stats(values)
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda mu: SampleSpace((0.0, 0.5, 1.0), mu),
@@ -295,3 +306,35 @@ def test_bad_depth_raises_value_error(name, depth, message):
 @pytest.mark.parametrize("name", list(DEPTH_CALLS))
 def test_numpy_integer_depth_works(name):
     assert DEPTH_CALLS[name](np.int64(2)) == DEPTH_CALLS[name](2)
+
+
+TWO_ROUNDS = MultiRoundCoinBet(0.5, ({(): 0.0}, {(x,): 0.0 for x in (0.0, 0.5, 1.0)}))
+BETS_AND_XS = "bets and xs must be 1-D and of one length"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: default_mu_grid(0), "grid needs at least one point"),
+        (lambda: DiscreteDistribution(()), "distribution needs at least one atom"),
+        (lambda: sample_stream(DiscreteDistribution.point(0.5), -1, 0), "n must be non-negative"),
+        (lambda: score_bets(0.5, 0.05, np.zeros(3), np.zeros(4)), BETS_AND_XS),
+        (lambda: score_bets(0.5, 0.05, np.zeros((2, 2)), np.zeros((2, 2))), BETS_AND_XS),
+        (lambda: TWO_ROUNDS.value((0.5,)), "expected 2 observations, got 1"),
+        (lambda: TreeHypothesis(0.5, ((0.0, 1.0),) * 2), "2 pairs do not form a full binary tree"),
+        (lambda: constant_eprocess(0.5, 1.0, 2).value((0.5,) * 3), "prefix longer than max depth 2"),
+    ],
+    ids=["default_mu_grid", "DiscreteDistribution", "sample_stream", "score_bets-lengths",
+         "score_bets-2-d", "MultiRoundCoinBet.value", "TreeHypothesis", "EProcess.value"],
+)
+def test_bad_size_raises_its_message(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()
+
+
+def test_eprocess_csv_path_must_have_its_depth(tmp_path):
+    path = tmp_path / "ep.csv"
+    path.write_text("depth,path,value\n0,,1.0\n2,0.0,1.0\n1,1.0,1.0\n")
+    message = f"{path}: path '0.0' does not have depth 2"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        eprocess_from_csv(str(path), 0.5)

@@ -173,6 +173,9 @@ CONTRACT_CASES = {
          "none/cmp.csv: No such file or directory"),
         ("literal", CMP + ["--alpha-file", "{d}/alpha-bad.txt"],
          "alpha-bad.txt: line 2: could not convert"),
+        ("literal", CMP, "provide exactly one of --alpha / --alpha-file"),
+        ("literal", CMP + ["--alpha", "1", "--alpha-file", "{d}/alpha-bad.txt"],
+         "provide exactly one of --alpha / --alpha-file"),
     ],
     "check": [
         ("range", ["check", "--table", "{d}/t1.csv", "--mu", "1.5"], "mu must lie in (0, 1)"),

@@ -166,6 +166,19 @@ def test_dominate_t2_runs_no_numpy(tmp_path, cells):
     assert not numpy_ran_after(cli_call(args))
 
 
+def test_iid_check_xi_runs_no_numpy():
+    assert not numpy_ran_after(cli_call(["iid-check", "--xi", "1,1,1"]))
+
+
+def test_iid_check_table_runs_no_numpy(tmp_path):
+    # The separation table: 4 at (1, 1/2), 0 elsewhere.
+    grid = (0.0, 0.5, 1.0)
+    table = tmp_path / "sep.csv"
+    table.write_text("x1,x2,value\n" + "".join(
+        f"{x},{y},{4.0 if (x, y) == (1.0, 0.5) else 0.0}\n" for x in grid for y in grid))
+    assert not numpy_ran_after(cli_call(["iid-check", "--table", str(table)]))
+
+
 @pytest.mark.parametrize("module", sorted(TOP_LEVEL) + ["kernels"])
 def test_library_module_import_runs_no_numpy(module):
     # Every library module that uses numpy binds it through evbet._lazy.
