@@ -12,9 +12,9 @@ enumerating the two-point extreme measures of the hypothesis, and
 The extreme measures are ``domain``'s two-point laws, held in one tuple of
 ``(i, j, wa, wb)``: the point mass at mu as ``(i, i, 1.0, 0.0)``, when mu is
 a grid point, and every pair ``a < mu < b`` with both masses computed
-directly. A grid point near mu is checked in its pairs like any
-other, so a table is valid exactly when no mean-mu law on the grid gives it
-an expectation above ``1 + tol``. ``MU_SNAP_TOL`` acts only in the slope
+directly. A grid point near mu is checked in its pairs like any other, so a
+table is valid exactly when no mean-mu law on the grid gives it an
+expectation above ``1 + tol``. ``MU_SNAP_TOL`` acts only in the slope
 step of the certificate, whose ratios divide by ``p - mu``.
 
 Both run on two private steps in plain Python, each taking a sample space
