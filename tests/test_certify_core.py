@@ -526,8 +526,7 @@ class TestIid:
         rounding = 4 * math.ulp(max(s.xi0, s.xi1, s.xi2))
         assert scanned.max_expectation - rounding <= got.max_expectation
         assert got.max_expectation <= scanned.max_expectation
-        valid = [r.max_expectation <= 1.0 + 1e-9 for r in (got, scanned)]
-        assert valid[0] == valid[1]
+        assert (got.max_expectation <= 1.0 + 1e-9) == (scanned.max_expectation <= 1.0 + 1e-9)
         attained = iid_expectation(s, got.argmax_q)
         assert abs(attained - got.max_expectation) <= rounding
 
