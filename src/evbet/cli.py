@@ -25,8 +25,8 @@ run here: it is the reference the tests compare the kernels against.
 ``audit`` takes a table's grid from the points of its paths and runs the
 exact search of ``multiround.audit_eprocess`` on it, so its verdict holds for
 every mean-``mu`` sequential law on that grid up to ``--depth``. Its
-``--seed`` has no effect and is kept only so that scripts passing it still
-run.
+``--seed`` has no effect: it is hidden from ``--help`` and still accepted
+only so that scripts passing it still run.
 
 A refuted single-round table (``check``, ``dominate``) reports its witness
 law with both masses, ``w`` on ``a`` and ``wb`` on ``b``, as the validity
@@ -385,8 +385,7 @@ def dominate(ctx, table, mu, t2, strict):
 @click.option("--table", required=True, help="depth,path,value CSV of the e-process.")
 @click.option("--mu", type=float, required=True)
 @click.option("--depth", type=int, default=3, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Has no effect: the search draws nothing at random.")
+@click.option("--seed", type=int, default=0, hidden=True)  # no effect: the search draws nothing
 @click.option("--strict", is_flag=True)
 @click.pass_context
 def audit(ctx, table, mu, depth, seed, strict):
@@ -416,6 +415,8 @@ def iid_check(ctx, table, xi, strict):
     maximum of the i.i.d. expectation over the mass q on 1/2 and its q; with
     a full table, also whether the table survives the (strictly larger)
     conditional-mean hypothesis via the two-round domination construction.
+    Both i.i.d. verdicts allow the one slack VALIDITY_TOL: a maximum above
+    1 + VALIDITY_TOL is invalid under each.
     """
     from . import domain, iid_case, multiround
 
@@ -440,7 +441,7 @@ def iid_check(ctx, table, xi, strict):
         "brute_force": {
             "max_expectation": brute.max_expectation,
             "argmax_q": brute.argmax_q,
-            "valid": brute.max_expectation <= 1.0 + 1e-9,
+            "valid": brute.max_expectation <= 1.0 + domain.VALIDITY_TOL,
         },
         "iid_valid": closed,
     }

@@ -15,9 +15,14 @@ mean-``mu`` law (``two_point_masses``). That law is the one near-mu rule of
 every validity verdict: a pair straddles mu exactly (``a <= mu <= b``), the
 only point mass is at mu itself, and both masses are computed directly, so
 neither loses the digits that ``1 - w`` loses when mu lies near a point.
-So do the one reader of table files (``read_table``) and the one writer
-(``write_table``), which every CLI table and every library table file goes
-through.
+So does the one slack of every table verdict, ``VALIDITY_TOL``: a table is
+valid while no mean-mu law takes its expectation above ``1 + VALIDITY_TOL``,
+and the single-round and two-round scans, an e-process's initial value and
+both i.i.d. verdicts use it. So do the one reader of table files
+(``read_table``) and the one writer (``write_table``), which every CLI table
+and every library table file goes through, and the one reader of in-memory
+tables (``float_rows``), which ``TabulatedEVariable``, ``dominate_T2`` and
+``xi_stats`` read their values through, each with its own message.
 
 Every worst-law search runs one scan, ``worst_law``, over one list of laws
 per grid and mean, ``mean_mu_laws``: one tuple of laws ``(i, j, wa, wb)``,
@@ -29,8 +34,8 @@ validity scan (``evariables._scan``) runs it, and so does
 ``multiround._snell_envelope``, the one backward induction, which the audit,
 ``dominate_eprocess`` and ``dominate_T2`` share; the forward pass that builds
 their coin-bets scans each row it certifies through ``evariables._scan``.
-The scan is plain Python, and so are ``check_table`` and the table loaders,
-so certifying or auditing a table file runs no numpy.
+The scan is plain Python, and so are ``check_table``, ``float_rows`` and the
+table loaders, so certifying or auditing a table file runs no numpy.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import csv
 import functools
 import itertools
 import math
+import operator
 
 from ._lazy import np
 from ._record import Record
@@ -48,6 +54,9 @@ from .errors import MeanOutsideSpan, OutOfRange
 # Absolute tolerance for measure-level invariants (masses, means). Derived
 # quantities elsewhere use 1e-9.
 MEASURE_TOL = 1e-12
+# The one slack of every table verdict: a table is valid while no mean-mu law
+# takes its expectation above 1 + VALIDITY_TOL.
+VALIDITY_TOL = 1e-12
 
 
 def check_mu(mu) -> None:
@@ -134,9 +143,40 @@ def check_table(values) -> None:
         raise ValueError("values must be finite and non-negative")
 
 
+def float_rows(values, n_rows: int, n_cols: int, message: str) -> list[tuple[float, ...]]:
+    """The one reader of in-memory tables: ``values`` as ``n_rows`` tuples of ``n_cols`` floats.
+
+    ``float`` is applied to every cell. A row or cell it cannot read (a
+    number where a row belongs, a sequence or a string where a number does)
+    and a table of another shape raise ``ValueError(message)``; then
+    ``check_table`` rejects a cell that is not finite and non-negative.
+    Plain Python: no numpy runs.
+    """
+    try:
+        rows = [tuple(map(float, row)) for row in values]
+    except (TypeError, ValueError):
+        raise ValueError(message) from None
+    if len(rows) != n_rows or any(len(row) != n_cols for row in rows):
+        raise ValueError(message)
+    check_table(itertools.chain.from_iterable(rows))
+    return rows
+
+
+def check_integer(value, name: str) -> int:
+    """``value`` as an int, read through ``operator.index`` (``np.int64`` too).
+
+    Anything else, a float such as ``3.5`` included, raises ``ValueError``
+    naming ``name``.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_node_count(n_nodes: int) -> None:
-    """Reject a universal-portfolio grid of fewer than 3 nodes."""
-    if n_nodes < 3:
+    """Reject a universal-portfolio node count below 3, or one that is not an integer."""
+    if check_integer(n_nodes, "node count") < 3:
         raise ValueError("need at least 3 quadrature nodes")
 
 

@@ -14,8 +14,13 @@ The extreme measures are ``domain``'s two-point laws, held in one tuple of
 a grid point, and every pair ``a < mu < b`` with both masses computed
 directly. A grid point near mu is checked in its pairs like any other, so a
 table is valid exactly when no mean-mu law on the grid gives it an
-expectation above ``1 + tol``. ``MU_SNAP_TOL`` acts only in the slope
-step of the certificate, whose ratios divide by ``p - mu``.
+expectation above ``1 + tol``, by default ``1 + VALIDITY_TOL``: the one
+slack of every table verdict, kept in ``domain`` and still a name here.
+``MU_SNAP_TOL`` acts only in the slope step of the certificate, whose
+ratios divide by ``p - mu``. ``TabulatedEVariable`` reads its values
+through ``domain.float_rows``, the one reader of in-memory tables, so a
+value that is not a number, or a count other than one per grid point,
+raises ``one value per grid point required``.
 
 Both run on two private steps in plain Python, each taking a sample space
 and one table, a sequence of floats. ``_scan`` gives the validity report:
@@ -42,13 +47,12 @@ import math
 
 from ._lazy import np
 from ._record import Record
-# bet_bounds and check_bet live in domain, shared with the game; they stay names here.
-from .domain import SampleSpace, TwoPointMeasure, bet_bounds, check_bet, check_mu, check_table
-from .domain import mean_mu_laws, read_table, worst_law, write_table
+# bet_bounds, check_bet and VALIDITY_TOL live in domain, shared with the game and
+# every table verdict; they stay names here.
+from .domain import VALIDITY_TOL, SampleSpace, TwoPointMeasure, bet_bounds, check_bet, check_mu
+from .domain import float_rows, mean_mu_laws, read_table, worst_law, write_table
 from .errors import NotAnEVariable
 
-# Additive slack on two-point expectations when certifying validity.
-VALIDITY_TOL = 1e-12
 # Grid points within this distance of mu are left out of the certificate's
 # slope ratios, whose denominators p - mu would blow up; they only narrow it.
 MU_SNAP_TOL = 1e-9
@@ -96,14 +100,9 @@ class TabulatedEVariable(Record):
     values: tuple[float, ...]
 
     def __post_init__(self):
-        try:
-            vals = tuple(float(v) for v in self.values)
-        except TypeError:  # a number, or a cell that is a sequence
-            vals = None
-        if vals is None or len(vals) != len(self.space.points):
-            raise ValueError("one value per grid point required")
+        n = len(self.space.points)
+        (vals,) = float_rows((self.values,), 1, n, "one value per grid point required")
         object.__setattr__(self, "values", vals)
-        check_table(vals)
 
     @classmethod
     def tabulate(cls, space: SampleSpace, fn) -> "TabulatedEVariable":

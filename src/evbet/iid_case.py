@@ -20,6 +20,11 @@ point, so it takes the largest of three candidates: ``xi2`` at ``q = 0``,
 ``xi_stats``: checking a table or three statistics runs no numpy. The
 10,000-mass grid scan it replaced is kept in the tests as their oracle
 (``oracle_check_iid_bruteforce`` in ``tests/test_certify_core.py``).
+
+Both verdicts allow one slack, ``domain.VALIDITY_TOL``, the slack of every
+table verdict: the closed form by default, and ``evbet iid-check``'s
+``brute_force.valid`` on the maximum. ``xi_stats`` reads its table through
+``domain.float_rows``, the one reader of in-memory tables.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import math
 
 from ._lazy import np
 from ._record import Record
-from .domain import check_table
+from .domain import VALIDITY_TOL, float_rows
 
 GRID = (0.0, 0.5, 1.0)
 MU = 0.5
@@ -63,13 +68,7 @@ def xi_stats(table) -> XiStats:
     ``np.mean`` sums four values, then divided by 4: four ``-0.0`` cells
     average to ``0.0``. Plain Python: no numpy runs.
     """
-    try:
-        cells = [tuple(map(float, row)) for row in table]
-    except (TypeError, ValueError):  # a row that is a number, or a cell that is not one
-        cells = []
-    if len(cells) != 3 or any(len(row) != 3 for row in cells):
-        raise ValueError("expected a 3x3 table over {0, 1/2, 1}^2")
-    check_table(v for row in cells for v in row)
+    cells = float_rows(table, 3, 3, "expected a 3x3 table over {0, 1/2, 1}^2")
     a, b, c, d = (cells[i][j] for i, j in _XI1_CELLS)
     xi1 = ((((0.0 + a) + b) + c) + d) / 4.0
     a, b, c, d = (cells[i][j] for i, j in _XI2_CELLS)
@@ -85,7 +84,7 @@ def iid_expectation(s: XiStats, q):
     return q * q * s.xi0 + 2.0 * q * (1.0 - q) * s.xi1 + (1.0 - q) ** 2 * s.xi2
 
 
-def check_iid_closed_form(s: XiStats, tol: float = 1e-12) -> bool:
+def check_iid_closed_form(s: XiStats, tol: float = VALIDITY_TOL) -> bool:
     """The three-inequality characterisation of two-draw i.i.d. validity."""
     if s.xi0 > 1.0 + tol or s.xi2 > 1.0 + tol:
         return False

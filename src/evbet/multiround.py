@@ -58,11 +58,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 
 from ._record import Record
-from .domain import SampleSpace, check_bet, check_scalar_mu, check_table, mean_mu_laws, read_table
-from .domain import two_point_masses, worst_law, write_table
+from .domain import SampleSpace, check_bet, check_integer, check_scalar_mu, check_table, float_rows
+from .domain import mean_mu_laws, read_table, two_point_masses, worst_law, write_table
 from .errors import DepthTooLarge
 # check_evariable and beta_interval are not called here, but stay module names:
 # perfbench/tracing.py patches its spans in under them.
@@ -144,11 +143,8 @@ STOP = StoppingMask()
 
 
 def _check_depth(depth, least: int = 0, name: str = "depth") -> int:
-    """``depth`` as an int (``np.int64`` too); ``ValueError`` unless an integer >= ``least``."""
-    try:
-        depth = operator.index(depth)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {depth!r}") from None
+    """``depth`` as an int (``check_integer``); ``ValueError`` unless an integer >= ``least``."""
+    depth = check_integer(depth, name)
     if depth < least:
         raise ValueError(f"{name} must be at least {least}, got {depth}")
     return depth
@@ -242,7 +238,7 @@ class EProcess(Record):
         if self.space is not None and self.space.mu != float(self.mu):
             raise ValueError(f"sample space mean {self.space.mu} differs from mu={self.mu}")
         e0 = self.value(())
-        if e0 > 1.0 + 1e-12:
+        if e0 > 1.0 + VALIDITY_TOL:
             raise ValueError(f"initial value {e0} exceeds 1")
 
     def value(self, prefix) -> float:
@@ -535,9 +531,10 @@ def dominate_T2(values, space: SampleSpace) -> T2DominationResult:
     """Dominate a two-round table by a coin-bet pair, or refute it.
 
     ``values`` holds one row of numbers per first observation, ``values[i][j]``
-    being the value at ``(x_i, x_j)``. For each first observation ``x`` the
-    conditional worst-case expectation ``m(x) = max_Q E_Q[e(x, .)]`` over
-    two-point mean-``mu`` measures must be dominated by a first-round
+    being the value at ``(x_i, x_j)``, read by ``domain.float_rows``. For each
+    first observation ``x`` the conditional worst-case expectation
+    ``m(x) = max_Q E_Q[e(x, .)]`` over two-point mean-``mu`` measures must
+    be dominated by a first-round
     coin-bet; dividing it out leaves per-``x`` single-round tables for the
     second fraction. ``m`` and its worst expectation are ``_snell_envelope``
     at depth 2 with no stop option. If that expectation exceeds
@@ -550,14 +547,7 @@ def dominate_T2(values, space: SampleSpace) -> T2DominationResult:
     """
     points, mu = space.points, space.mu
     n = len(points)
-    try:
-        rows = [tuple(map(float, row)) for row in values]
-    except TypeError:  # a row that is a number, or a cell that is a sequence
-        rows = []
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise ValueError(f"expected a {n}x{n} table")
-    cells = [v for row in rows for v in row]
-    check_table(cells)
+    cells = [v for row in float_rows(values, n, n, f"expected a {n}x{n} table") for v in row]
 
     # The depth-2 induction with no stop option: level 1 is the conditional
     # envelope m(x) of each row, level 0 its worst expectation.

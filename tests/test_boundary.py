@@ -40,6 +40,7 @@ CLASSES = {
     "x-nan": ({"x": NAN}, OBSERVATIONS),
     "x-range": ({"x": 1.5}, OBSERVATIONS),
     "nodes": ({"n_nodes": 2}, "need at least 3 quadrature nodes"),
+    "nodes-float": ({"n_nodes": 3.5}, "node count must be an integer, got 3.5"),
     "literal": (
         {"literal": "up:x"},
         "bad strategy literal 'up:x': invalid literal for int() with base 10: 'x'",
@@ -120,8 +121,10 @@ def portfolio(mu=0.5, x=0.5, n_nodes=11):
 
 
 TABLES = {"table-negative", "table-nan", "table-inf"}
-ALL = set(CLASSES) - TABLES - {"bet"}
+# A literal's node count is read by int(), so only a count passed as a number is a float.
+ALL = set(CLASSES) - TABLES - {"bet", "nodes-float"}
 MU = {"mu-range", "mu-nan"}
+NODES = {"nodes", "nodes-float"}
 # entry point -> (its call, the classes it checks, whether it checks observations round by round)
 ROWS = {
     "run_games_batch": (batch, ALL, False),
@@ -134,9 +137,9 @@ ROWS = {
     "TabulatedEVariable": (lambda value=1.0: TabulatedEVariable(GRID_3, table(value)[1]), TABLES, False),
     "xi_stats": (lambda value=1.0: xi_stats(table(value)), TABLES, False),
     "dominate_T2": (lambda value=1.0: dominate_T2(table(value), GRID_3), TABLES, False),
-    "kernels.up_game_batch": (kernel, MU | {"x-nan", "x-range", "nodes"}, False),
-    "kernels.up_game_batch/binary": (binary_kernel, MU | {"nodes"}, False),
-    "UniversalPortfolioStrategy": (portfolio, MU | {"x-nan", "x-range", "nodes"}, True),
+    "kernels.up_game_batch": (kernel, MU | {"x-nan", "x-range"} | NODES, False),
+    "kernels.up_game_batch/binary": (binary_kernel, MU | NODES, False),
+    "UniversalPortfolioStrategy": (portfolio, MU | {"x-nan", "x-range"} | NODES, True),
     "SampleSpace": (lambda mu=0.5: SampleSpace((0.0, 0.5, 1.0), mu), MU, False),
     "bet_bounds": (lambda mu=0.5: bet_bounds(mu), MU, False),
     "dominating_lambda": (lambda mu=0.5: dominating_lambda(mu, 1.0), MU, False),
@@ -214,8 +217,8 @@ def test_bad_alpha_raises_the_shared_message(call, alpha, message):
 
 @pytest.mark.parametrize(
     "values",
-    [[[1.0], [1.0], [1.0]], 1.0, np.ones((3, 3))],
-    ids=["nested", "number", "2-d"],
+    [[[1.0], [1.0], [1.0]], 1.0, np.ones((3, 3)), ["a", 1.0, 1.0], [None, 1.0, 1.0]],
+    ids=["nested", "number", "2-d", "string", "none"],
 )
 def test_tabulated_evariable_rejects_values_that_are_not_one_per_point(values):
     with pytest.raises(ValueError, match=r"^one value per grid point required$"):
@@ -239,8 +242,10 @@ SHAPES = pytest.mark.parametrize(
         [[1.0, 1.0], [1.0, 1.0, 1.0]],
         np.ones((2, 3)),
         [[[1.0]] * 3] * 3,
+        [["a", 1, 1], [1, 1, 1], [1, 1, 1]],
     ],
-    ids=["1-d", "3-d", "3-d-cells", "ragged-row", "ragged-rows", "2x3", "3-d-cell-lists"],
+    ids=["1-d", "3-d", "3-d-cells", "ragged-row", "ragged-rows", "2x3", "3-d-cell-lists",
+         "string-cell"],
 )
 
 
@@ -252,12 +257,6 @@ def test_dominate_T2_rejects_a_table_of_another_shape(values):
 
 @SHAPES
 def test_xi_stats_rejects_a_table_of_another_shape(values):
-    with pytest.raises(ValueError, match=r"^expected a 3x3 table over \{0, 1/2, 1\}\^2$"):
-        xi_stats(values)
-
-
-def test_xi_stats_rejects_a_cell_that_is_not_a_number():
-    values = [["a", 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
     with pytest.raises(ValueError, match=r"^expected a 3x3 table over \{0, 1/2, 1\}\^2$"):
         xi_stats(values)
 

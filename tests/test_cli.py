@@ -1083,11 +1083,15 @@ class TestAudit:
         assert report["exhaustive_complete"] is True
         assert report["n_trees"] > 0
 
-    def test_options_are_those_of_the_grid_search(self, runner):
-        # --seed stays for scripts that pass it; nothing in the search is random.
+    def test_options_are_those_of_the_grid_search(self, runner, coinbet_csv):
+        # --seed stays, hidden, for scripts that pass it; nothing in the search is random.
         options = {opt for param in main.commands["audit"].params for opt in param.opts}
         assert options == {"--table", "--mu", "--depth", "--seed", "--strict"}
-        assert "Has no effect" in invoke(runner, ["audit", "--help"]).output
+        assert "--seed" not in invoke(runner, ["audit", "--help"]).output
+        args = ["audit", "--table", str(coinbet_csv), "--mu", "0.5", "--depth", "2"]
+        seeded, plain = invoke(runner, args + ["--seed", "7"]), invoke(runner, args)
+        assert seeded.exit_code == plain.exit_code == 0
+        assert seeded.stdout_bytes == plain.stdout_bytes
 
     def test_strict_refutation_exit_3(self, runner, tmp_path, coinbet_csv):
         # scale the depth-2 values by 1.5 in the CSV to break the process
@@ -1151,6 +1155,12 @@ class TestIidCheck:
         verdict = json.loads(result.output)
         assert verdict["iid_valid"] is True
         assert verdict["brute_force"]["max_expectation"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("xi", ["1,1,1.0000000005", "1.0000000005,1,1"])
+    def test_both_verdicts_share_one_slack(self, runner, xi):
+        # The maximum lies above 1 + VALIDITY_TOL but within 1e-9 of 1.
+        verdict = json.loads(invoke(runner, ["iid-check", "--xi", xi]).output)
+        assert verdict["brute_force"]["valid"] is verdict["closed_form_valid"] is False
 
     def test_invalid_xi_strict_exit_3(self, runner):
         result = CliRunner().invoke(main, ["iid-check", "--xi", "1,1.01,1", "--strict"])
